@@ -36,13 +36,11 @@ from .asext import (
     ExtFieldSpec,
     ExtReduced,
     ext_as_reduce,
-    ext_mul,
-    ext_pow_p,
-    ext_val,
     format_ext,
     minimal_tower_element,
     parse_ext,
     tower_jumps,
+    upper_jumps,
 )
 from .genus import (
     BranchPoint,

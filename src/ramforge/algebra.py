@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
+from operator import mul
 
 from .errors import FieldMismatch, ParseError
 
@@ -100,10 +101,34 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
+@lru_cache(maxsize=None)
+def _frobenius_matrices(p: int, n: int):
+    """F_p-matrices of a -> a^p and of its inverse a -> a^(1/p) on F_{p^n}.
+
+    Column k of the first holds the coordinates of x^(pk).  Frobenius is an
+    F_p-linear bijection, so Gauss-Jordan inverts the matrix, and a p-th
+    power or p-th root then costs one matrix-vector product.
+    """
+    modulus = canonical_modulus(p, n)
+    cols = [_poly_mod([0] * (p * k) + [1], modulus, p) for k in range(n)]
+    frob = tuple(tuple(col[r] for col in cols) for r in range(n))
+    rows = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(frob)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        top = rows[c] = [v * inv % p for v in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], top)]
+    return frob, tuple(tuple(row[n:]) for row in rows)
+
+
 class FieldSpec:
     """The coefficient field F_q with q = p^n, p prime."""
 
-    __slots__ = ("p", "n", "modulus")
+    __slots__ = ("p", "n", "modulus", "frobenius_matrix", "inv_frobenius_matrix")
 
     def __init__(self, p: int, n: int = 1):
         if not _is_prime(p):
@@ -113,6 +138,7 @@ class FieldSpec:
         self.p = p
         self.n = n
         self.modulus = canonical_modulus(p, n)
+        self.frobenius_matrix, self.inv_frobenius_matrix = _frobenius_matrices(p, n)
 
     @property
     def q(self) -> int:
@@ -204,8 +230,11 @@ class FieldElement:
         return FieldElement(self.spec, tuple(-a % p for a in self.coords))
 
     def __mul__(self, other):
+        p = self.spec.p
+        if isinstance(other, int):
+            return FieldElement(self.spec, tuple(other * a % p for a in self.coords))
         other = self._coerce(other)
-        n, p = self.spec.n, self.spec.p
+        n = self.spec.n
         conv = [0] * (2 * n - 1)
         for i, a in enumerate(self.coords):
             if a:
@@ -232,12 +261,19 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero field element")
         return self ** (self.spec.q - 2)
 
+    def _linear(self, matrix) -> "FieldElement":
+        p = self.spec.p
+        return FieldElement(
+            self.spec,
+            tuple(sum(map(mul, row, self.coords)) % p for row in matrix),
+        )
+
     def frobenius(self) -> "FieldElement":
-        return self ** self.spec.p
+        return self._linear(self.spec.frobenius_matrix)
 
     def pth_root(self) -> "FieldElement":
         """Inverse Frobenius; exact since x -> x^p is bijective on F_q."""
-        return self ** (self.spec.p ** (self.spec.n - 1))
+        return self._linear(self.spec.inv_frobenius_matrix)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -330,8 +366,6 @@ class LaurentPoly:
         return LaurentPoly(self.spec, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c) -> "LaurentPoly":
-        if isinstance(c, int):
-            c = self.spec.scalar(c)
         return LaurentPoly(self.spec, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -367,7 +401,7 @@ class LaurentPoly:
     def frobenius(self) -> "LaurentPoly":
         """p-th power: coefficients to the p, exponents times p."""
         p = self.spec.p
-        return LaurentPoly(self.spec, {p * e: c**p for e, c in self.terms.items()})
+        return LaurentPoly(self.spec, {p * e: c.frobenius() for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -410,15 +444,16 @@ def _signed_chunks(s: str):
             if depth < 0:
                 raise ParseError(f"unbalanced ']' in {s!r}")
         if ch in "+-" and depth == 0:
+            if prev in ("+", "-"):
+                raise ParseError(f"sign follows a sign in {s!r}")
             if prev.isalnum() or prev == "]":
                 chunks.append((sign, "".join(cur)))
                 cur = []
                 sign = 1 if ch == "+" else -1
                 prev = ch
                 continue
-            if not cur and prev in ("", "+", "-"):
-                if ch == "-":
-                    sign = -sign
+            if not prev:  # a single leading sign
+                sign = 1 if ch == "+" else -1
                 prev = ch
                 continue
         cur.append(ch)
@@ -432,7 +467,9 @@ def _signed_chunks(s: str):
 def _parse_coeff(spec: FieldSpec, text: str) -> FieldElement:
     if text.startswith("["):
         inner = text[1:-1]
-        parts = [p for p in inner.split(",") if p != ""]
+        parts = inner.split(",")
+        if "" in parts:
+            raise ParseError(f"empty component in coefficient vector {text!r}")
         try:
             coords = [int(p) for p in parts]
         except ValueError:

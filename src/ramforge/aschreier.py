@@ -1,9 +1,15 @@
 """Artin-Schreier covers y^p - y = f of the punctured formal disk.
 
-The reduction engine repeatedly kills leading pole terms c*x^(-pk) by the
-substitution y -> y + pth_root(c)*x^(-k), which changes f by an element of
-the image of h -> h^p - h and therefore not the isomorphism class.  The
-conductor is the prime-to-p pole order of the reduced right-hand side.
+Reduction repeatedly kills leading pole terms c*x^(-pk) by the substitution
+y -> y + pth_root(c)*x^(-k), which changes f by an element of the image of
+h -> h^p - h and therefore not the isomorphism class.  The conductor is the
+prime-to-p pole order of the reduced right-hand side.
+
+One engine, `_reduce_terms`, runs this loop for both rings: here and, with
+val(x^e y^i) = p*e - j*i, for the tower extension in `asext`.  It edits a
+term dict in place and finds the leading term with a lazy min-heap, so k
+steps cost O(k log k) heap work plus k p-th roots; the certificate
+f - f_reduced = h^p - h is checked once, at the end.
 
 Terms of exponent >= 0 never affect ramification at x = 0 here: over the
 algebraically closed field these covers stand in for, every regular part is
@@ -15,6 +21,7 @@ never by 0.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 
 from .algebra import INFINITY, FieldSpec, LaurentPoly, artin_schreier
@@ -88,6 +95,50 @@ def _as_poly(f) -> LaurentPoly:
     return f.f if isinstance(f, ASLocal) else f
 
 
+def _reduce_terms(terms: dict, p: int, weight, kill):
+    """The Artin-Schreier reduction loop, in place on a {key: coefficient} map.
+
+    weight(key) is the valuation of the monomial `key`; weights are distinct.
+    While the least weight v is negative and divisible by p, the leading
+    term (key, c) is killed: kill(key, c) returns the killing monomial
+    (m_key, r) and the term updates of f - (m^p - m) as (key, delta) pairs.
+    The killed key must vanish and every key the step adds must weigh more
+    than v, so the valuation strictly rises and the loop terminates.
+
+    Returns (v, h): the final valuation (INFINITY when no term is left) and
+    the substitution h as {m_key: r}.
+    """
+    heap = [(weight(k), k) for k in terms]
+    heapq.heapify(heap)
+    h = {}
+    while True:
+        while heap and heap[0][1] not in terms:  # stale: the term was cancelled
+            heapq.heappop(heap)
+        if not heap:
+            return INFINITY, h
+        v, key = heap[0]
+        if v >= 0 or v % p:
+            return v, h
+        heapq.heappop(heap)
+        m_key, r, updates = kill(key, terms[key])
+        for k, delta in updates:
+            old = terms.get(k)
+            new = delta if old is None else old + delta
+            if not new:
+                terms.pop(k, None)
+            else:
+                terms[k] = new
+                if old is None:
+                    w = weight(k)
+                    if w <= v:
+                        raise InvariantViolation("reduction step failed to raise the valuation")
+                    heapq.heappush(heap, (w, k))
+        if key in terms:
+            raise InvariantViolation("reduction step failed to raise the valuation")
+        # m has weight v/p and v strictly rises, so no monomial repeats
+        h[m_key] = r
+
+
 def as_reduce(f) -> ASReduced:
     """Reduce f until its valuation is >= 0 or negative and prime to p.
 
@@ -99,17 +150,15 @@ def as_reduce(f) -> ASReduced:
     f = _as_poly(f)
     spec = f.spec
     p = spec.p
-    g = f
-    h = LaurentPoly.zero(spec)
-    while True:
-        v = g.valuation
-        if v is INFINITY or v >= 0 or v % p != 0:
-            break
-        step = LaurentPoly.x_pow(spec, v // p, g[v].pth_root())
-        g = g - artin_schreier(step)
-        h = h + step
-        if not g.valuation > v:
-            raise InvariantViolation("reduction step failed to raise the valuation")
+
+    def kill(e, c):
+        r = c.pth_root()
+        return e // p, r, ((e, -c), (e // p, r))
+
+    terms = dict(f.terms)
+    v, h_terms = _reduce_terms(terms, p, int, kill)  # val(x^e) = e
+    g = LaurentPoly(spec, terms)
+    h = LaurentPoly(spec, h_terms)
     if f - g != artin_schreier(h):
         raise InvariantViolation("reduction substitution does not account for the change")
     if v is INFINITY or v >= 0:

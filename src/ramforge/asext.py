@@ -8,10 +8,12 @@ at a unique i because the residues -j*i mod p are pairwise distinct.
 This module is the jump engine for towers whose base layer is
 y^p - y = x^(-j): reducing w^p - w = F over the extension yields the second
 lower jump, and the Herbrand conversion turns it into the pair of upper
-jumps.  Every step is an exact polynomial identity; in particular the
-fractional-exponent binomial expansion that would appear in a power-series
-treatment is replaced by explicit monomial substitutions h with
-F -> F - (h^p - h), so no truncation ever occurs.
+jumps.  The reduction runs the shared engine `aschreier._reduce_terms` on
+the terms x^e y^i of F, weighted p*e - j*i: O(k log k) heap work plus k
+p-th roots for k steps.  Every step is an exact polynomial identity; in
+particular the fractional-exponent binomial expansion that would appear in
+a power-series treatment is replaced by explicit monomial substitutions h
+with F -> F - (h^p - h), so no truncation ever occurs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import INFINITY, FieldSpec, LaurentPoly, format_laurent, parse_laurent
-from .aschreier import UNRAMIFIED, _Unramified
+from .aschreier import UNRAMIFIED, _reduce_terms, _Unramified
 from .errors import (
     DegenerateTower,
     FieldMismatch,
@@ -77,6 +79,14 @@ class ExtElement:
         z = LaurentPoly.zero(ext.field)
         coeffs += [z] * (ext.p - len(coeffs))
         return cls(ext, coeffs)
+
+    @classmethod
+    def from_terms(cls, ext: ExtFieldSpec, terms) -> "ExtElement":
+        """Build from a {(e, i): coefficient} map of monomials x^e * y^i."""
+        rows = [{} for _ in range(ext.p)]
+        for (e, i), c in terms.items():
+            rows[i][e] = c
+        return cls(ext, [LaurentPoly(ext.field, r) for r in rows])
 
     @classmethod
     def from_laurent(cls, ext: ExtFieldSpec, f: LaurentPoly) -> "ExtElement":
@@ -180,9 +190,9 @@ class ExtElement:
             ap = a.frobenius()
             for b in range(i + 1):
                 c = math.comb(i, b) % p
-                if c == 0:
-                    continue
-                out[b] = out[b] + ap * LaurentPoly.x_pow(ext.field, -j * (i - b), c)
+                shift = -j * (i - b)
+                term = {e + shift: v * c for e, v in ap.terms.items()}
+                out[b] = out[b] + LaurentPoly(ext.field, term)
         return ExtElement(ext, out)
 
     def __eq__(self, other):
@@ -209,19 +219,6 @@ def _fold_ydeg(ext: ExtFieldSpec, conv: list[LaurentPoly]) -> tuple[LaurentPoly,
         conv[k - p + 1] = conv[k - p + 1] + top
         conv[k - p] = conv[k - p] + top * xj
     return tuple(conv)
-
-
-def ext_val(F: ExtElement):
-    """Valuation with val(x) = p and val(y) = -j."""
-    return F.valuation
-
-
-def ext_mul(F: ExtElement, G: ExtElement) -> ExtElement:
-    return F * G
-
-
-def ext_pow_p(F: ExtElement) -> ExtElement:
-    return F.pow_p()
 
 
 @dataclass(frozen=True)
@@ -251,27 +248,29 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
     """
     ext = F.ext
     p, j = ext.p, ext.j
-    reduced = F
-    subst = ExtElement.zero(ext)
-    while True:
-        v = reduced.valuation
-        if v is INFINITY or v >= 0 or v % p != 0:
-            break
-        vv = v // p
-        a0 = reduced.coeffs[0]
-        if a0.valuation != vv:
+    jinv = pow(j, -1, p)
+    binom = [[math.comb(beta, b) % p for b in range(beta + 1)] for beta in range(p)]
+
+    def weight(key):
+        e, i = key
+        return p * e - j * i
+
+    def kill(key, c):
+        e, i = key
+        if i:
             raise InvariantViolation("p-divisible leading term not of y-degree 0")
-        beta = (-vv * pow(j, -1, p)) % p
-        alpha, rem = divmod(vv + j * beta, p)
-        if rem:
-            raise InvariantViolation("substitution exponent is not integral")
-        mono = [LaurentPoly.zero(ext.field)] * p
-        mono[beta] = LaurentPoly.x_pow(ext.field, alpha, a0[vv].pth_root())
-        step = ExtElement(ext, mono)
-        reduced = reduced - (step.pow_p() - step)
-        subst = subst + step
-        if not reduced.valuation > v:
-            raise InvariantViolation("reduction step failed to raise the valuation")
+        beta = -e * jinv % p
+        alpha = (e + j * beta) // p
+        r = c.pth_root()
+        # h^p = c x^(p*alpha) (y + x^-j)^beta; its b = 0 term is the killed c x^e
+        updates = [((e + j * b, b), c * -binom[beta][b]) for b in range(beta + 1)]
+        updates.append(((alpha, beta), r))
+        return (alpha, beta), r, updates
+
+    terms = {(e, i): c for i, a in enumerate(F.coeffs) for e, c in a.terms.items()}
+    v, h_terms = _reduce_terms(terms, p, weight, kill)
+    reduced = ExtElement.from_terms(ext, terms)
+    subst = ExtElement.from_terms(ext, h_terms)
     if F - reduced != subst.pow_p() - subst:
         raise InvariantViolation("reduction substitution does not account for the change")
     if v is INFINITY or v >= 0:
@@ -289,20 +288,16 @@ def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:
     return ExtElement.y_pow(ext, p * p - p + 1)
 
 
-def tower_jumps(F: ExtElement) -> tuple[int, int]:
-    """Upper jumps (sigma_1, sigma_2) of the tower continued by w^p - w = F.
+def upper_jumps(ext: ExtFieldSpec, J) -> tuple[int, int]:
+    """Upper jumps (sigma_1, sigma_2) of the tower whose reduced second
+    lower jump is J: sigma_1 = j and sigma_2 = j + (J - j)/p.
 
-    sigma_1 = j and sigma_2 = j + (J - j)/p where J is the reduced lower
-    jump.  Inputs whose jump data cannot come from a cyclic p^2 tower are
-    rejected: J must exceed j, be congruent to j mod p, and yield an
-    admissible pair.
+    Jump data that cannot come from a cyclic p^2 tower is rejected: J must
+    exceed j, be congruent to j mod p, and yield an admissible pair.
     """
-    ext = F.ext
     p, j = ext.p, ext.j
-    red = ext_as_reduce(F)
-    if red.jump is UNRAMIFIED:
+    if J is UNRAMIFIED:
         raise DegenerateTower("second layer is unramified")
-    J = red.jump
     if J < j:
         raise DegenerateTower(f"second lower jump {J} falls below the first jump {j}")
     if J == j:
@@ -313,6 +308,11 @@ def tower_jumps(F: ExtElement) -> tuple[int, int]:
     if not admissible_check((j, sigma2), p):
         raise NotATower(f"upper jumps ({j}, {sigma2}) are not p^2-admissible")
     return (j, sigma2)
+
+
+def tower_jumps(F: ExtElement) -> tuple[int, int]:
+    """Upper jumps (sigma_1, sigma_2) of the tower continued by w^p - w = F."""
+    return upper_jumps(F.ext, ext_as_reduce(F).jump)
 
 
 def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:

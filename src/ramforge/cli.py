@@ -161,7 +161,7 @@ def cmd_tower(args) -> int:
     ext = asext.ExtFieldSpec(FieldSpec(args.p, args.n), args.j)
     F = asext.parse_ext(ext, args.F)
     red = asext.ext_as_reduce(F)
-    s1, s2 = asext.tower_jumps(F)
+    s1, s2 = asext.upper_jumps(ext, red.jump)
     if args.json:
         _emit_json(
             {

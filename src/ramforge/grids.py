@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import FieldSpec
-from .asext import ExtElement, ExtFieldSpec, ext_as_reduce, minimal_tower_element, tower_jumps
+from .asext import ExtElement, ExtFieldSpec, ext_as_reduce, minimal_tower_element, upper_jumps
 from .genus import BranchPoint, CoverData, contains_progressions, genus_spectrum, rh_genus
 from .ramfilt import (
     InertiaShape,
@@ -76,7 +76,7 @@ def econd_grid(p: int, jmax: int, smax: int) -> GridResult:
             F = f_min + ExtElement.x_pow(ext, -s)
             J = ext_as_reduce(F).jump
             J_pred = max(p * s - j * (p - 1), (p * p - p + 1) * j)
-            cond = tower_jumps(F)[1]
+            cond = upper_jumps(ext, J)[1]
             cond_pred = max(s, p * j)
             rows.append(
                 {"p": p, "j": j, "s": s,

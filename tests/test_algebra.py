@@ -1,5 +1,7 @@
 """Field and Laurent polynomial arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,6 +99,49 @@ def test_pth_root_bijective_exhaustive(spec):
     for a in spec.elements():
         assert pth_root(a) ** p == a
         assert pth_root(a**p) == a
+
+
+def _oracle_root(a):
+    # p-th root by the power chain: a^(p^(n-1)) is the inverse of a -> a^p
+    return a ** (a.spec.p ** (a.spec.n - 1))
+
+
+@pytest.mark.parametrize("pn", [(5, 2), (2, 8), (3, 5)])
+def test_pth_root_matches_power_chain_exhaustive(pn):
+    spec = FieldSpec(*pn)
+    for a in spec.elements():
+        assert pth_root(a) == _oracle_root(a)
+        assert pth_root(a) ** spec.p == a
+        assert a.frobenius() == a**spec.p
+
+
+def test_pth_root_matches_power_chain_f2_16():
+    spec = FieldSpec(2, 16)
+    rng = random.Random(16)
+    for _ in range(500):
+        a = spec.element([rng.randrange(2) for _ in range(16)])
+        assert pth_root(a) == _oracle_root(a)
+        assert pth_root(a) ** 2 == a
+        assert a.frobenius() == a * a
+
+
+@pytest.mark.parametrize(
+    "pn", [(2, 1), (3, 1), (5, 1), (7, 1), (5, 2), (2, 8), (3, 5), (2, 16)]
+)
+def test_inverse_frobenius_matrix_inverts_frobenius(pn):
+    spec = FieldSpec(*pn)
+    p, n = pn
+    basis = [spec.element([int(i == k) for i in range(n)]) for k in range(n)]
+    # column k of the Frobenius matrix: coordinates of (x^k)^p, by repeated products
+    cols = [(b**p).coords for b in basis]
+    frob = [[col[r] for col in cols] for r in range(n)]
+    inv = spec.inv_frobenius_matrix
+    product = [
+        [sum(inv[r][i] * frob[i][c] for i in range(n)) % p for c in range(n)]
+        for r in range(n)
+    ]
+    assert product == [[int(r == c) for c in range(n)] for r in range(n)]
+    assert [list(row) for row in spec.frobenius_matrix] == frob
 
 
 def test_field_inverse_and_axioms_f9():
@@ -217,6 +262,21 @@ def test_parse_errors():
     for bad in ["", "x^", "y^2", "2*", "[1,2", "x^1.5", "[0,1,1]*x"]:
         with pytest.raises(ParseError):
             L(F4, bad)
+
+
+def test_parse_rejects_empty_vector_component():
+    with pytest.raises(ParseError, match="empty component"):
+        L(FieldSpec(2, 3), "[1,,1]*x^-3")
+
+
+def test_parse_rejects_doubled_plus():
+    with pytest.raises(ParseError, match="sign follows a sign"):
+        L(F3, "x^-3 ++ x")
+
+
+def test_parse_rejects_sign_after_sign():
+    with pytest.raises(ParseError, match="sign follows a sign"):
+        L(F3, "x^-3 + - x")
 
 
 def test_format_zero():

@@ -10,9 +10,6 @@ from ramforge.asext import (
     ExtElement,
     ExtFieldSpec,
     ext_as_reduce,
-    ext_mul,
-    ext_pow_p,
-    ext_val,
     format_ext,
     minimal_tower_element,
     parse_ext,
@@ -43,16 +40,16 @@ def _random_ext(rng, ext, lo=-6, hi=2, maxterms=2):
 
 def test_val_of_generators():
     for ext in (E21, E23, E31):
-        assert ext_val(ExtElement.y(ext)) == -ext.j
-        assert ext_val(ExtElement.x_pow(ext, 1)) == ext.p
+        assert ExtElement.y(ext).valuation == -ext.j
+        assert ExtElement.x_pow(ext, 1).valuation == ext.p
 
 
 def test_val_direct_formula():
     # x^-1 * y^2 at p=3, j=1: 3*(-1) - 1*2 = -5
     F = ExtElement.from_coeffs(E31, [LaurentPoly.zero(F3), LaurentPoly.zero(F3),
                                      LaurentPoly.x_pow(F3, -1)])
-    assert ext_val(F) == -5
-    assert ext_val(ExtElement.zero(E31)) is INFINITY
+    assert F.valuation == -5
+    assert ExtElement.zero(E31).valuation is INFINITY
 
 
 def test_val_is_a_valuation():
@@ -62,12 +59,12 @@ def test_val_is_a_valuation():
             F, G = _random_ext(rng, ext), _random_ext(rng, ext)
             if F.is_zero or G.is_zero:
                 continue
-            assert ext_val(F * G) == ext_val(F) + ext_val(G)
+            assert (F * G).valuation == F.valuation + G.valuation
             s = F + G
             if not s.is_zero:
-                assert ext_val(s) >= min(ext_val(F), ext_val(G))
-                if ext_val(F) != ext_val(G):
-                    assert ext_val(s) == min(ext_val(F), ext_val(G))
+                assert s.valuation >= min(F.valuation, G.valuation)
+                if F.valuation != G.valuation:
+                    assert s.valuation == min(F.valuation, G.valuation)
 
 
 # -------------------------------------------------------------------- product
@@ -76,7 +73,7 @@ def test_defining_equation():
     # y * y^(p-1) = y^p = y + x^-j
     for ext in (E21, E23, E31):
         p = ext.p
-        lhs = ext_mul(ExtElement.y(ext), ExtElement.y_pow(ext, p - 1))
+        lhs = ExtElement.y(ext) * ExtElement.y_pow(ext, p - 1)
         rhs = ExtElement.y(ext) + ExtElement.x_pow(ext, -ext.j)
         assert lhs == rhs
 
@@ -86,7 +83,7 @@ def test_multiplicative_identity():
     one = ExtElement.x_pow(E31, 0)
     for _ in range(10):
         F = _random_ext(rng, E31)
-        assert ext_mul(F, one) == F
+        assert F * one == F
 
 
 def test_product_single_rewrite_by_hand():
@@ -96,27 +93,27 @@ def test_product_single_rewrite_by_hand():
     expected = ExtElement.from_coeffs(
         E21, [LaurentPoly.x_pow(F2, -1), parse_laurent(F2, "1 + x^-1")]
     )
-    assert ext_mul(F, G) == expected
+    assert F * G == expected
 
 
 def test_product_associative():
     rng = random.Random(31)
     for _ in range(15):
         F, G, H = (_random_ext(rng, E31, maxterms=1) for _ in range(3))
-        assert ext_mul(ext_mul(F, G), H) == ext_mul(F, ext_mul(G, H))
+        assert (F * G) * H == F * (G * H)
 
 
 # ------------------------------------------------------------------ p-th power
 
 def test_pow_p_of_y():
     for ext in (E21, E31):
-        assert ext_pow_p(ExtElement.y(ext)) == ExtElement.y(ext) + ExtElement.x_pow(ext, -ext.j)
+        assert ExtElement.y(ext).pow_p() == ExtElement.y(ext) + ExtElement.x_pow(ext, -ext.j)
 
 
 def test_pow_p_of_constant():
     c = F3.scalar(2)
     F = ExtElement.from_laurent(E31, LaurentPoly.x_pow(F3, 0, c))
-    assert ext_pow_p(F) == ExtElement.from_laurent(E31, LaurentPoly.x_pow(F3, 0, c**3))
+    assert F.pow_p() == ExtElement.from_laurent(E31, LaurentPoly.x_pow(F3, 0, c**3))
 
 
 def test_pow_p_monomial_by_hand():
@@ -125,8 +122,8 @@ def test_pow_p_monomial_by_hand():
     expected = ExtElement.from_coeffs(
         E21, [LaurentPoly.x_pow(F2, -3), LaurentPoly.x_pow(F2, -2)]
     )
-    assert ext_pow_p(F) == expected
-    assert ext_pow_p(F) == ext_mul(F, F)
+    assert F.pow_p() == expected
+    assert F.pow_p() == F * F
 
 
 def test_pow_p_equals_iterated_product():
@@ -136,8 +133,8 @@ def test_pow_p_equals_iterated_product():
             F = _random_ext(rng, ext, maxterms=2)
             acc = ExtElement.x_pow(ext, 0)
             for _ in range(ext.p):
-                acc = ext_mul(acc, F)
-            assert ext_pow_p(F) == acc
+                acc = acc * F
+            assert F.pow_p() == acc
 
 
 # ------------------------------------------------------------------ reduction
@@ -175,15 +172,15 @@ def test_reduce_soundness_random():
         for _ in range(30):
             F = _random_ext(rng, ext)
             red = ext_as_reduce(F)
-            assert F - red.reduced == ext_pow_p(red.substitution) - red.substitution
+            assert F - red.reduced == red.substitution.pow_p() - red.substitution
             if red.jump is not UNRAMIFIED:
                 assert red.jump % ext.p != 0
-                assert ext_val(red.reduced) == -red.jump
+                assert red.reduced.valuation == -red.jump
 
 
 def test_reduce_split_layer():
     G = ExtElement.y(E21) + ExtElement.x_pow(E21, -1)
-    F = ext_pow_p(G) - G
+    F = G.pow_p() - G
     assert ext_as_reduce(F).jump is UNRAMIFIED
 
 
@@ -214,7 +211,7 @@ def test_tower_jumps_cross_checks_lower_increment():
 
 def test_tower_rejects_unramified():
     G = ExtElement.y(E21)
-    F = ext_pow_p(G) - G
+    F = G.pow_p() - G
     with pytest.raises(DegenerateTower):
         tower_jumps(F)
 
@@ -269,7 +266,7 @@ def test_econd_law_slice():
                 continue
             ext = ExtFieldSpec(spec, j)
             f_min = minimal_tower_element(ext)
-            assert ext_val(f_min) == -(p * p - p + 1) * j
+            assert f_min.valuation == -(p * p - p + 1) * j
             for s in range(j + 1, 16):
                 if s % p == 0:
                     continue

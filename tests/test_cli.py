@@ -232,3 +232,19 @@ def test_usage_error_exits_2():
 def test_bad_laurent_exits_2(capsys):
     code, _, err = run(capsys, "conductor", "--p", "2", "x^^4")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--p", "2", "--n", "3", "[1,,1]*x^-3"],
+        ["conductor", "--p", "3", "x^-3 ++ x"],
+        ["tower", "--p", "3", "--j", "1", "--F", "x^-3 + - x ; 0"],
+    ],
+    ids=["empty-component", "doubled-sign", "sign-after-sign"],
+)
+def test_malformed_laurent_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "sign" in err or "empty component" in err

@@ -1,0 +1,247 @@
+"""The shared Artin-Schreier reduction engine on the line and in the tower.
+
+The reference oracle below is the straightforward quadratic loop: it
+rebuilds the whole polynomial on every step, rescans for the valuation and
+takes p-th roots by the power chain a -> a^(p^(n-1)).  The engine must give
+the same reduced form, conductor (or jump) and substitution on every input.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ramforge import asext, grids
+from ramforge.algebra import INFINITY, FieldSpec, LaurentPoly, artin_schreier
+from ramforge.aschreier import UNRAMIFIED, as_reduce
+from ramforge.asext import (
+    ExtElement,
+    ExtFieldSpec,
+    ext_as_reduce,
+    minimal_tower_element,
+)
+from ramforge.cli import main
+
+FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(7), FieldSpec(2, 8), FieldSpec(3, 5)]
+EXTS = [ExtFieldSpec(F, j) for F in FIELDS for j in (1, 2, 4) if j % F.p]
+
+
+def _root(c):
+    return c ** (c.spec.p ** (c.spec.n - 1))
+
+
+def reference_as_reduce(f):
+    """(reduced, conductor, substitution) by the quadratic loop."""
+    spec, p = f.spec, f.spec.p
+    g, h = f, LaurentPoly.zero(spec)
+    while True:
+        v = g.valuation
+        if v is INFINITY or v >= 0 or v % p:
+            break
+        step = LaurentPoly.x_pow(spec, v // p, _root(g[v]))
+        g = g - artin_schreier(step)
+        h = h + step
+    return g, (UNRAMIFIED if v is INFINITY or v >= 0 else -v), h
+
+
+def reference_ext_as_reduce(F):
+    """(reduced, jump, substitution) by the quadratic loop."""
+    ext = F.ext
+    p, j = ext.p, ext.j
+    reduced, subst = F, ExtElement.zero(ext)
+    while True:
+        v = reduced.valuation
+        if v is INFINITY or v >= 0 or v % p:
+            break
+        vv = v // p
+        beta = (-vv * pow(j, -1, p)) % p
+        alpha = (vv + j * beta) // p
+        mono = [LaurentPoly.zero(ext.field)] * p
+        mono[beta] = LaurentPoly.x_pow(ext.field, alpha, _root(reduced.coeffs[0][vv]))
+        step = ExtElement(ext, mono)
+        reduced = reduced - (step.pow_p() - step)
+        subst = subst + step
+    return reduced, (UNRAMIFIED if v is INFINITY or v >= 0 else -v), subst
+
+
+# ------------------------------------------------------------- strategies
+
+
+@st.composite
+def elements(draw, spec):
+    return spec.element(draw(st.tuples(*[st.integers(0, spec.p - 1)] * spec.n)))
+
+
+@st.composite
+def laurents(draw, spec, lo=-40, hi=4, size=8):
+    exps = draw(st.lists(st.integers(lo, hi), max_size=size, unique=True))
+    return LaurentPoly(spec, {e: draw(elements(spec)) for e in exps})
+
+
+@st.composite
+def ext_elements(draw, ext, lo=-12, hi=2, size=3):
+    return ExtElement(ext, [draw(laurents(ext.field, lo, hi, size)) for _ in range(ext.p)])
+
+
+@st.composite
+def line_cases(draw):
+    spec = draw(st.sampled_from(FIELDS))
+    f = draw(laurents(spec))
+    h = draw(laurents(spec, -20, -1))
+    return f, h
+
+
+@st.composite
+def tower_cases(draw):
+    ext = draw(st.sampled_from(EXTS))
+    F = draw(ext_elements(ext))
+    H = draw(ext_elements(ext, -6, -1, 2))
+    return F, H
+
+
+# ------------------------------------------------------- differential tests
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_cases())
+def test_as_reduce_matches_reference(case):
+    f, h = case
+    for g in (f, f + artin_schreier(h)):
+        red = as_reduce(g)
+        assert (red.f_reduced, red.conductor, red.substitution) == reference_as_reduce(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tower_cases())
+def test_ext_as_reduce_matches_reference(case):
+    F, H = case
+    for G in (F, F + (H.pow_p() - H)):
+        red = ext_as_reduce(G)
+        assert (red.reduced, red.jump, red.substitution) == reference_ext_as_reduce(G)
+
+
+@pytest.mark.parametrize("ext", EXTS, ids=str)
+def test_ext_as_reduce_matches_reference_on_towers(ext):
+    # the econd-grid family: the minimal tower element plus a pole x^-s
+    for s in range(ext.j + 1, ext.j + 12):
+        F = minimal_tower_element(ext) + ExtElement.x_pow(ext, -s)
+        red = ext_as_reduce(F)
+        assert (red.reduced, red.jump, red.substitution) == reference_ext_as_reduce(F)
+
+
+# ------------------------------------------------------ property: AS-invariance
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_cases())
+def test_conductor_invariant_under_artin_schreier(case):
+    f, h = case
+    g = f + artin_schreier(h)
+    red = as_reduce(g)
+    assert red.conductor == as_reduce(f).conductor
+    assert g - red.f_reduced == artin_schreier(red.substitution)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tower_cases())
+def test_jump_invariant_under_artin_schreier(case):
+    F, H = case
+    G = F + (H.pow_p() - H)
+    red = ext_as_reduce(G)
+    assert red.jump == ext_as_reduce(F).jump
+    assert G - red.reduced == red.substitution.pow_p() - red.substitution
+
+
+# -------------------------------------------------------------- linearity
+
+
+def _builds_during(monkeypatch, fn, *inputs):
+    """How many LaurentPoly objects fn(x) constructs, for each input x."""
+    count = [0]
+    init = LaurentPoly.__init__
+
+    def counting_init(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
+    out = []
+    for x in inputs:
+        count[0] = 0
+        fn(x)
+        out.append(count[0])
+    return out
+
+
+def _line_input(spec, k):
+    # k poles in h at -k .. -(2k - 1), so every pole of h^p is reduced: k steps
+    h = LaurentPoly(spec, {-d: 1 for d in range(k, 2 * k)})
+    return artin_schreier(h) + LaurentPoly.x_pow(spec, -(spec.p * k - 1))
+
+
+def _tower_input(ext, k):
+    # k monomials of H, spread over every y-degree, all below the base's valuation
+    p, j = ext.p, ext.j
+    low = (p * p - p + 1) * j + 1
+    rows = [{} for _ in range(p)]
+    for v in range(low, low + k):
+        beta = v * pow(j, -1, p) % p
+        rows[beta][(j * beta - v) // p] = 1
+    H = ExtElement(ext, [LaurentPoly(ext.field, r) for r in rows])
+    return minimal_tower_element(ext) + (H.pow_p() - H)
+
+
+def test_as_reduce_builds_constant_number_of_polynomials(monkeypatch):
+    spec = FieldSpec(3)
+    small, large = _line_input(spec, 20), _line_input(spec, 200)
+    assert len(as_reduce(large).substitution.terms) == 200
+    n_small, n_large = _builds_during(monkeypatch, as_reduce, small, large)
+    assert n_small == n_large
+
+
+def test_ext_as_reduce_builds_constant_number_of_polynomials(monkeypatch):
+    ext = ExtFieldSpec(FieldSpec(3), 2)
+    small, large = _tower_input(ext, 20), _tower_input(ext, 200)
+    assert sum(len(a.terms) for a in ext_as_reduce(large).substitution.coeffs) == 200
+    n_small, n_large = _builds_during(monkeypatch, ext_as_reduce, small, large)
+    assert n_small == n_large
+
+
+# -------------------------------------------------------- one reduction per tower
+
+
+def _count_reductions(monkeypatch):
+    """Count ext_as_reduce calls, through asext and through the grids' import."""
+    count = [0]
+    reduce = asext.ext_as_reduce
+
+    def counting(F):
+        count[0] += 1
+        return reduce(F)
+
+    monkeypatch.setattr(asext, "ext_as_reduce", counting)
+    monkeypatch.setattr(grids, "ext_as_reduce", counting)
+    return count
+
+
+def test_tower_command_reduces_once(monkeypatch, capsys):
+    count = _count_reductions(monkeypatch)
+    assert main(["tower", "--p", "2", "--j", "1", "--F", "x^-5 ; 0"]) == 0
+    assert "upper jumps: (1, 5)" in capsys.readouterr().out
+    assert count[0] == 1
+
+
+def test_econd_grid_reduces_once_per_row(monkeypatch):
+    count = _count_reductions(monkeypatch)
+    result = grids.econd_grid(3, 4, 12)
+    assert result.passed
+    assert count[0] == len(result.rows)
+
+
+def test_reference_oracle_agrees_on_small_exhaustive_line():
+    # every f = a*x^-4 + b*x^-2 + c*x^-1 over F_2^2 against the oracle
+    spec = FieldSpec(2, 2)
+    for a, b, c in itertools.product(list(spec.elements()), repeat=3):
+        f = LaurentPoly(spec, {-4: a, -2: b, -1: c})
+        red = as_reduce(f)
+        assert (red.f_reduced, red.conductor, red.substitution) == reference_as_reduce(f)
