@@ -16,8 +16,6 @@ from .algebra import (
     canonical_modulus,
     format_laurent,
     parse_laurent,
-    pth_root,
-    valuation,
 )
 from .aschreier import (
     UNRAMIFIED,

@@ -294,11 +294,6 @@ class FieldElement:
         return f"{self} in {self.spec}"
 
 
-def pth_root(a: FieldElement) -> FieldElement:
-    """Unique b with b^p = a."""
-    return a.pth_root()
-
-
 class LaurentPoly:
     """Finite Laurent polynomial over F_{p^n}, stored sparsely.
 
@@ -415,19 +410,15 @@ class LaurentPoly:
         return f"<{self} over {self.spec}>"
 
 
-def valuation(f: LaurentPoly):
-    """Minimum stored exponent, or INFINITY for the zero element."""
-    return f.valuation
-
-
 def artin_schreier(h: LaurentPoly) -> LaurentPoly:
     """The additive operator h -> h^p - h."""
     return h.frobenius() - h
 
 
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\[[^\[\]]*\]|\d+)?(?:\*?(?P<x>x)(?:\^(?P<exp>[+-]?\d+))?)?$"
+    r"^(?P<coeff>\[[^\[\]]*\]|[0-9]+)?(?:\*?(?P<x>x)(?:\^(?P<exp>[+-]?[0-9]+))?)?$"
 )
+_VECTOR_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _signed_chunks(s: str):
@@ -470,11 +461,9 @@ def _parse_coeff(spec: FieldSpec, text: str) -> FieldElement:
         parts = inner.split(",")
         if "" in parts:
             raise ParseError(f"empty component in coefficient vector {text!r}")
-        try:
-            coords = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"bad coefficient vector {text!r}") from None
-        return spec.element(coords)
+        if not _VECTOR_RE.fullmatch(inner):
+            raise ParseError(f"bad coefficient vector {text!r}")
+        return spec.element([int(p) for p in parts])
     return spec.scalar(int(text))
 
 
@@ -482,8 +471,9 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     """Parse the `c*x^e` sum grammar, e.g. ``x^-7 + 2*x^-3 + x^2``.
 
     Whitespace is ignored.  Coefficients over extensions are written as
-    polynomial-basis vectors ``[c0,c1,...]``.  Exponents are signed decimal
-    integers.
+    polynomial-basis vectors ``[c0,c1,...]`` of ``-?[0-9]+`` components.
+    Scalars are ``[0-9]+`` and exponents signed ``[0-9]+``; only ASCII
+    digits are accepted.
     """
     s = re.sub(r"\s+", "", text)
     if not s:

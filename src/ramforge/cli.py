@@ -33,8 +33,10 @@ from .ramfilt import (
     admissible_enumerate,
     filtration_from_dict,
     filtration_to_dict,
+    parse_rational,
     phi,
     psi,
+    reject_unknown_keys,
     tower_plan,
     upper_to_lower,
     validate,
@@ -74,24 +76,26 @@ def _load_branch(text: str) -> BranchPoint:
     except json.JSONDecodeError as exc:
         raise InputError(f"bad branch point JSON: {exc}") from exc
     try:
-        shape = InertiaShape(
-            int(data["p"]), int(data["e"]), int(data.get("m", 1)), data.get("a")
+        reject_unknown_keys(data, ("p", "e", "m", "upper_jumps"), "branch point")
+        shape = InertiaShape(int(data["p"]), int(data["e"]), int(data.get("m", 1)))
+        jumps = tuple(
+            parse_rational(s, f"upper jump {i}")
+            for i, s in enumerate(data.get("upper_jumps", ()), 1)
         )
-        jumps = tuple(Fraction(s) for s in data.get("upper_jumps", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad branch point object: {exc}") from exc
     return BranchPoint(shape, jumps)
 
 
 def cmd_reduce(args) -> int:
-    spec = FieldSpec(args.p, args.n)
-    red = as_reduce(parse_laurent(spec, args.f))
+    f = parse_laurent(FieldSpec(args.p, args.n), args.f)
+    red = as_reduce(f)
     if args.json:
         _emit_json(
             {
                 "p": args.p,
                 "n": args.n,
-                "f": format_laurent(parse_laurent(spec, args.f)),
+                "f": format_laurent(f),
                 "f_reduced": format_laurent(red.f_reduced),
                 "conductor": _conductor_json(red.conductor),
                 "substitution": format_laurent(red.substitution),
@@ -184,7 +188,7 @@ def cmd_tower(args) -> int:
 def cmd_herbrand(args) -> int:
     filt = _load_filtration(args.filtration)
     if args.psi is not None:
-        c = Fraction(args.psi)
+        c = parse_rational(args.psi, "--psi")
         v = psi(filt, c)
         if args.json:
             _emit_json({"psi": {"at": str(c), "value": str(v)}})
@@ -192,7 +196,7 @@ def cmd_herbrand(args) -> int:
             print(f"psi({c}) = {v}")
         return 0
     if args.phi is not None:
-        c = Fraction(args.phi)
+        c = parse_rational(args.phi, "--phi")
         v = phi(filt, c)
         if args.json:
             _emit_json({"phi": {"at": str(c), "value": str(v)}})
@@ -246,8 +250,8 @@ def cmd_plan(args) -> int:
 
 def cmd_spectrum(args) -> int:
     result = genus_spectrum(
-        args.G, args.p, args.a, args.m, Fraction(args.sigma0), args.g0,
-        args.s_iota, args.limit,
+        args.G, args.p, args.a, args.m, parse_rational(args.sigma0, "--sigma0"),
+        args.g0, args.s_iota, args.limit,
     )
     if args.json:
         _emit_json(

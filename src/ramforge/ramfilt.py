@@ -6,12 +6,19 @@ of rational break indices, each with a multiplicity saying how many factors
 of p the group order drops just above it.  The Herbrand functions psi/phi
 convert between upper and lower numbering; everything is exact rational
 arithmetic via fractions.Fraction, never floats.
+
+Each Filtration builds its Herbrand knot table once, in its constructor:
+the upper knots sigma_i, the lower knots psi(sigma_i) and the slope of
+every segment.  psi and phi then cost one bisect plus one affine step,
+jump conversion and validation read the knots, and lower_to_upper is the
+only other walk over the slopes (the inverse one).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,17 +36,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class InertiaShape:
-    """Group-order data of an inertia group: wild part p^e, tame part m.
-
-    The optional a records the order p^a of a central elementary abelian
-    subgroup sitting inside the top ramification group; it is caller-chosen
-    data, not derived.
-    """
+    """Group-order data of an inertia group: wild part p^e, tame part m."""
 
     p: int
     e: int
     m: int = 1
-    a: int | None = None
 
     def __post_init__(self):
         if not _is_prime(self.p):
@@ -48,8 +49,6 @@ class InertiaShape:
             raise ValueError(f"wild exponent must be >= 0, got {self.e}")
         if self.m < 1 or math.gcd(self.m, self.p) != 1:
             raise ValueError(f"tame order {self.m} must be positive and prime to {self.p}")
-        if self.a is not None and not 1 <= self.a <= self.e:
-            raise ValueError(f"subgroup exponent {self.a} outside [1, {self.e}]")
 
     @property
     def order(self) -> int:
@@ -61,21 +60,31 @@ class InertiaShape:
 
 
 class Filtration:
-    """Upper-numbering break list (sigma_i, l_i) over an InertiaShape."""
+    """Upper-numbering break list (sigma_i, l_i) over an InertiaShape.
 
-    __slots__ = ("shape", "breaks")
+    The constructor also builds the Herbrand knot table: the upper knots
+    (0, sigma_1, ..., sigma_r), the lower knots (0, psi(sigma_1), ...,
+    psi(sigma_r)) and the slopes (m, m*p^l_1, m*p^(l_1+l_2), ...), where
+    slope i holds between knots i and i+1 and beyond the last knot.
+    """
+
+    __slots__ = ("shape", "breaks", "_upper", "_lower", "_slope")
 
     def __init__(self, shape: InertiaShape, breaks):
         bs = tuple((Fraction(c), int(l)) for c, l in breaks)
-        prev = Fraction(0)
+        p = shape.p
+        upper, lower, slope = [Fraction(0)], [Fraction(0)], [shape.m]
         for c, l in bs:
-            if c <= prev:
-                raise ValueError(f"break indices must be positive and strictly increasing")
+            if c <= upper[-1]:
+                raise ValueError("break indices must be positive and strictly increasing")
             if l < 1:
                 raise ValueError(f"break multiplicity must be >= 1, got {l}")
-            prev = c
+            lower.append(lower[-1] + slope[-1] * (c - upper[-1]))
+            upper.append(c)
+            slope.append(slope[-1] * p**l)
         self.shape = shape
         self.breaks = bs
+        self._upper, self._lower, self._slope = tuple(upper), tuple(lower), tuple(slope)
 
     @property
     def conductor(self) -> Fraction | None:
@@ -104,17 +113,8 @@ def psi(filt: Filtration, c) -> Fraction:
     c = Fraction(c)
     if c < 0:
         raise ValueError(f"psi argument must be >= 0, got {c}")
-    p = filt.shape.p
-    total = Fraction(0)
-    prev = Fraction(0)
-    slope = filt.shape.m
-    for sigma, mult in filt.breaks:
-        if c <= sigma:
-            return total + slope * (c - prev)
-        total += slope * (sigma - prev)
-        prev = sigma
-        slope *= p**mult
-    return total + slope * (c - prev)
+    i = max(bisect_left(filt._upper, c) - 1, 0)
+    return filt._lower[i] + filt._slope[i] * (c - filt._upper[i])
 
 
 def phi(filt: Filtration, cprime) -> Fraction:
@@ -122,33 +122,24 @@ def phi(filt: Filtration, cprime) -> Fraction:
     cprime = Fraction(cprime)
     if cprime < 0:
         raise ValueError(f"phi argument must be >= 0, got {cprime}")
-    p = filt.shape.p
-    total = Fraction(0)
-    prev = Fraction(0)
-    slope = filt.shape.m
-    for sigma, mult in filt.breaks:
-        knot = total + slope * (sigma - prev)
-        if cprime <= knot:
-            return prev + (cprime - total) / slope
-        total = knot
-        prev = sigma
-        slope *= p**mult
-    return prev + (cprime - total) / slope
+    i = max(bisect_left(filt._lower, cprime) - 1, 0)
+    return filt._upper[i] + (cprime - filt._lower[i]) / filt._slope[i]
+
+
+def _lower_jump(filt: Filtration, i: int) -> int:
+    """Lower knot i as a jump: integral and prime to p, else InvariantViolation."""
+    j, sigma, p = filt._lower[i], filt._upper[i], filt.shape.p
+    if j.denominator != 1:
+        raise InvariantViolation(f"lower jump {j} at break {sigma} is not integral")
+    j = int(j)
+    if j % p == 0:
+        raise InvariantViolation(f"lower jump {j} at break {sigma} is divisible by {p}")
+    return j
 
 
 def upper_to_lower(filt: Filtration) -> list[tuple[int, int]]:
     """Lower jumps (j_i, l_i): j_i = psi(sigma_i), integral and prime to p."""
-    p = filt.shape.p
-    out = []
-    for sigma, mult in filt.breaks:
-        j = psi(filt, sigma)
-        if j.denominator != 1:
-            raise InvariantViolation(f"lower jump {j} at break {sigma} is not integral")
-        j = int(j)
-        if j % p == 0:
-            raise InvariantViolation(f"lower jump {j} at break {sigma} is divisible by {p}")
-        out.append((j, mult))
-    return out
+    return [(_lower_jump(filt, i), mult) for i, (_, mult) in enumerate(filt.breaks, 1)]
 
 
 def lower_to_upper(shape: InertiaShape, lower_breaks) -> Filtration:
@@ -176,18 +167,15 @@ def validate(filt: Filtration) -> list[str]:
         violations.append(
             f"break multiplicities sum to {mults}, expected e = {shape.e}"
         )
-    dropped = 0
-    for sigma, mult in filt.breaks:
-        # sigma * |I| / |I^sigma| with |I^sigma| = p^(e - dropped so far)
-        ratio = sigma * shape.m * p**dropped
+    for (sigma, _), slope, j in zip(filt.breaks, filt._slope, filt._lower[1:]):
+        # sigma * |I| / |I^sigma|: the slope up to sigma is m * p^(dropped so far)
+        ratio = sigma * slope
         if ratio.denominator != 1:
             violations.append(f"break {sigma}: sigma*|I|/|I^sigma| = {ratio} not an integer")
-        j = psi(filt, sigma)
         if j.denominator != 1:
             violations.append(f"break {sigma}: lower jump {j} not an integer")
         elif int(j) % p == 0:
             violations.append(f"break {sigma}: lower jump {j} divisible by {p}")
-        dropped += mult
     return violations
 
 
@@ -230,7 +218,7 @@ def action_transform(filt: Filtration, a: int, s: int, s_iota: int | None = None
         )
     if m > 1:
         if s_iota is None:
-            j_e = upper_to_lower(filt)[-1][0]
+            j_e = _lower_jump(filt, len(filt.breaks))
             s_iota = conductor_congruence(p, j_e, shape.e - a, m)
         if s % m != s_iota % m:
             raise CongruenceViolation(
@@ -393,23 +381,44 @@ def random_filtration(
     return lower_to_upper(shape, list(zip(jumps, mults)))
 
 
+def parse_rational(value, field: str) -> Fraction:
+    """Fraction(value), with ValueError naming the field on a malformed or
+    zero-denominator rational."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field}: {value!r} is not a rational") from None
+    except ZeroDivisionError:
+        raise ValueError(f"{field}: {value!r} has a zero denominator") from None
+
+
+def reject_unknown_keys(obj, known: tuple[str, ...], what: str) -> None:
+    """ValueError naming the first key of the JSON object obj outside known."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {what}")
+
+
 def filtration_to_dict(filt: Filtration) -> dict:
     """JSON-friendly form with rationals as num/den strings."""
-    d = {
+    return {
         "p": filt.shape.p,
         "e": filt.shape.e,
         "m": filt.shape.m,
         "breaks": [{"c": str(c), "mult": l} for c, l in filt.breaks],
     }
-    if filt.shape.a is not None:
-        d["a"] = filt.shape.a
-    return d
 
 
 def filtration_from_dict(d: dict) -> Filtration:
     try:
-        shape = InertiaShape(int(d["p"]), int(d["e"]), int(d.get("m", 1)), d.get("a"))
-        breaks = [(Fraction(b["c"]), int(b["mult"])) for b in d["breaks"]]
+        reject_unknown_keys(d, ("p", "e", "m", "breaks"), "filtration")
+        shape = InertiaShape(int(d["p"]), int(d["e"]), int(d.get("m", 1)))
+        breaks = []
+        for i, b in enumerate(d["breaks"], 1):
+            reject_unknown_keys(b, ("c", "mult"), f"break {i}")
+            breaks.append((parse_rational(b["c"], f"break {i} \"c\""), int(b["mult"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad filtration object: {exc}") from exc
     return Filtration(shape, breaks)

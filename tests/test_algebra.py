@@ -13,7 +13,6 @@ from ramforge.algebra import (
     canonical_modulus,
     format_laurent,
     parse_laurent,
-    pth_root,
 )
 from ramforge.errors import FieldMismatch, ParseError
 
@@ -80,25 +79,25 @@ def test_field_spec_rejects_bad_parameters():
 # ----------------------------------------------------------------- pth roots
 
 def test_pth_root_identity_on_prime_field():
-    assert pth_root(F3.scalar(2)) == F3.scalar(2)
-    assert pth_root(F2.scalar(1)) == F2.scalar(1)
+    assert F3.scalar(2).pth_root() == F3.scalar(2)
+    assert F2.scalar(1).pth_root() == F2.scalar(1)
 
 
 def test_pth_root_of_generator_f4():
     # oracle: exhaustive search for the square root of omega in F_4
     omega = F4.element([0, 1])
     roots = [a for a in F4.elements() if a * a == omega]
-    assert roots == [pth_root(omega)]
+    assert roots == [omega.pth_root()]
     # frozen: omega^2 = omega + 1 has coordinates (1, 1)
-    assert pth_root(omega).coords == (1, 1)
+    assert omega.pth_root().coords == (1, 1)
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F4, FieldSpec(2, 3), FieldSpec(3, 2), FieldSpec(5, 2)])
 def test_pth_root_bijective_exhaustive(spec):
     p = spec.p
     for a in spec.elements():
-        assert pth_root(a) ** p == a
-        assert pth_root(a**p) == a
+        assert a.pth_root() ** p == a
+        assert (a**p).pth_root() == a
 
 
 def _oracle_root(a):
@@ -110,8 +109,8 @@ def _oracle_root(a):
 def test_pth_root_matches_power_chain_exhaustive(pn):
     spec = FieldSpec(*pn)
     for a in spec.elements():
-        assert pth_root(a) == _oracle_root(a)
-        assert pth_root(a) ** spec.p == a
+        assert a.pth_root() == _oracle_root(a)
+        assert a.pth_root() ** spec.p == a
         assert a.frobenius() == a**spec.p
 
 
@@ -120,8 +119,8 @@ def test_pth_root_matches_power_chain_f2_16():
     rng = random.Random(16)
     for _ in range(500):
         a = spec.element([rng.randrange(2) for _ in range(16)])
-        assert pth_root(a) == _oracle_root(a)
-        assert pth_root(a) ** 2 == a
+        assert a.pth_root() == _oracle_root(a)
+        assert a.pth_root() ** 2 == a
         assert a.frobenius() == a * a
 
 
@@ -277,6 +276,23 @@ def test_parse_rejects_doubled_plus():
 def test_parse_rejects_sign_after_sign():
     with pytest.raises(ParseError, match="sign follows a sign"):
         L(F3, "x^-3 + - x")
+
+
+@pytest.mark.parametrize(
+    "spec,text,message",
+    [
+        (FieldSpec(2, 3), "[1_1,0]*x^-3", "bad coefficient vector"),
+        (FieldSpec(2, 3), "[+1,0,0]*x^-3", "bad coefficient vector"),
+        (FieldSpec(2, 3), "[\u0661,0]*x^-3", "bad coefficient vector"),
+        (F5, "\u0663*x^-3", "bad term"),
+        (F5, "x^-\u0663", "bad term"),
+    ],
+    ids=["underscore-component", "plus-component", "unicode-component",
+         "unicode-scalar", "unicode-exponent"],
+)
+def test_parse_accepts_only_ascii_decimal_digits(spec, text, message):
+    with pytest.raises(ParseError, match=message):
+        L(spec, text)
 
 
 def test_format_zero():

@@ -110,6 +110,46 @@ def test_herbrand_rejects_invalid_filtration(capsys):
     assert "invalid filtration" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["herbrand", '{"p":2,"e":1,"m":1,"a":1,"breaks":[{"c":"1","mult":1}]}'],
+         "unknown key 'a' in filtration"),
+        (["herbrand", '{"p":2,"e":1,"m":1,"breaks":[{"c":"1","mult":1,"x":0}]}'],
+         "unknown key 'x' in break 1"),
+        (["genus", "--G", "2", "--branch", '{"p":2,"e":1,"m":1,"a":1,"upper_jumps":["1"]}'],
+         "unknown key 'a' in branch point"),
+    ],
+    ids=["filtration", "break", "branch-point"],
+)
+def test_unknown_json_key_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["herbrand", '{"p":2,"e":1,"m":1,"breaks":[{"c":"1/0","mult":1}]}'],
+         "bad filtration object: break 1 \"c\": '1/0' has a zero denominator"),
+        (["herbrand", "--psi", "1/0", FILT], "--psi: '1/0' has a zero denominator"),
+        (["herbrand", "--phi", "3/0", FILT], "--phi: '3/0' has a zero denominator"),
+        (["spectrum", "--G", "3", "--p", "3", "--limit", "10", "--sigma0", "1/0"],
+         "--sigma0: '1/0' has a zero denominator"),
+        (["genus", "--G", "2", "--branch", '{"p":2,"e":1,"m":1,"upper_jumps":["1/0"]}'],
+         "bad branch point object: upper jump 1: '1/0' has a zero denominator"),
+    ],
+    ids=["filtration-c", "psi", "phi", "sigma0", "upper-jump"],
+)
+def test_zero_denominator_names_the_field(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # ----------------------------------------------------------------------- act
 
 def test_act_transforms(capsys):
@@ -248,3 +288,22 @@ def test_malformed_laurent_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "sign" in err or "empty component" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["reduce", "--p", "2", "--n", "3", "[1_1,0]*x^-3"], "bad coefficient vector"),
+        (["reduce", "--p", "2", "--n", "3", "[+1,0,0]*x^-3"], "bad coefficient vector"),
+        (["reduce", "--p", "2", "--n", "3", "[\u0661,0]*x^-3"], "bad coefficient vector"),
+        (["conductor", "--p", "5", "\u0663*x^-3"], "bad term"),
+        (["conductor", "--p", "5", "x^-\u0663"], "bad term"),
+    ],
+    ids=["underscore-component", "plus-component", "unicode-component",
+         "unicode-scalar", "unicode-exponent"],
+)
+def test_non_ascii_decimal_laurent_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err

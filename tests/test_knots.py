@@ -1,0 +1,191 @@
+"""The Herbrand knot table of a Filtration against the slope walks.
+
+The reference oracle below is the straightforward walk over the breaks:
+psi and phi accumulate the segments one by one, jump conversion calls psi
+once per break, and validation keeps its own p-power counter.  The
+library reads a table built once per Filtration; it must give the same
+values, jumps, exceptions and violation messages on every filtration,
+valid or not.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ramforge.errors import InvariantViolation
+from ramforge.ramfilt import (
+    Filtration,
+    InertiaShape,
+    lower_to_upper,
+    phi,
+    psi,
+    upper_to_lower,
+    validate,
+)
+
+
+def ref_psi(filt, c):
+    c = Fraction(c)
+    p = filt.shape.p
+    total = Fraction(0)
+    prev = Fraction(0)
+    slope = filt.shape.m
+    for sigma, mult in filt.breaks:
+        if c <= sigma:
+            return total + slope * (c - prev)
+        total += slope * (sigma - prev)
+        prev = sigma
+        slope *= p**mult
+    return total + slope * (c - prev)
+
+
+def ref_phi(filt, cprime):
+    cprime = Fraction(cprime)
+    p = filt.shape.p
+    total = Fraction(0)
+    prev = Fraction(0)
+    slope = filt.shape.m
+    for sigma, mult in filt.breaks:
+        knot = total + slope * (sigma - prev)
+        if cprime <= knot:
+            return prev + (cprime - total) / slope
+        total = knot
+        prev = sigma
+        slope *= p**mult
+    return prev + (cprime - total) / slope
+
+
+def ref_upper_to_lower(filt):
+    p = filt.shape.p
+    out = []
+    for sigma, mult in filt.breaks:
+        j = ref_psi(filt, sigma)
+        if j.denominator != 1:
+            raise InvariantViolation(f"lower jump {j} at break {sigma} is not integral")
+        j = int(j)
+        if j % p == 0:
+            raise InvariantViolation(f"lower jump {j} at break {sigma} is divisible by {p}")
+        out.append((j, mult))
+    return out
+
+
+def ref_validate(filt):
+    violations = []
+    shape = filt.shape
+    p = shape.p
+    mults = sum(l for _, l in filt.breaks)
+    if mults != shape.e:
+        violations.append(f"break multiplicities sum to {mults}, expected e = {shape.e}")
+    dropped = 0
+    for sigma, mult in filt.breaks:
+        ratio = sigma * shape.m * p**dropped
+        if ratio.denominator != 1:
+            violations.append(f"break {sigma}: sigma*|I|/|I^sigma| = {ratio} not an integer")
+        j = ref_psi(filt, sigma)
+        if j.denominator != 1:
+            violations.append(f"break {sigma}: lower jump {j} not an integer")
+        elif int(j) % p == 0:
+            violations.append(f"break {sigma}: lower jump {j} divisible by {p}")
+        dropped += mult
+    return violations
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvariantViolation as exc:
+        return ("InvariantViolation", str(exc))
+
+
+@st.composite
+def shapes(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.integers(0, 8))
+    m = draw(st.sampled_from([m for m in range(1, 13) if math.gcd(m, p) == 1]))
+    return InertiaShape(p, e, m)
+
+
+@st.composite
+def valid_filtrations(draw):
+    """Prime-to-p ascending lower jumps whose multiplicities sum to e."""
+    shape = draw(shapes())
+    mults = []
+    left = shape.e
+    while left:
+        mults.append(draw(st.integers(1, left)))
+        left -= mults[-1]
+    jumps, j = [], 0
+    for _ in mults:
+        j += draw(st.integers(1, 12))
+        while j % shape.p == 0:
+            j += 1
+        jumps.append(j)
+    return lower_to_upper(shape, list(zip(jumps, mults)))
+
+
+@st.composite
+def raw_filtrations(draw):
+    """Any increasing positive rational breaks with any multiplicities."""
+    shape = draw(shapes())
+    r = draw(st.integers(0, 5))
+    breaks, c = [], Fraction(0)
+    for _ in range(r):
+        c += Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 12)))
+        breaks.append((c, draw(st.integers(1, 3))))
+    return Filtration(shape, breaks)
+
+
+filtrations = st.one_of(valid_filtrations(), raw_filtrations())
+rationals = st.builds(Fraction, st.integers(0, 400), st.integers(1, 24))
+
+
+def _upper_points(filt, extra):
+    sigmas = [sigma for sigma, _ in filt.breaks]
+    last = sigmas[-1] if sigmas else Fraction(0)
+    return [Fraction(0), *sigmas, last + Fraction(1, 7), last + 5, *extra]
+
+
+@settings(max_examples=300, deadline=None)
+@given(filtrations, st.lists(rationals, max_size=6))
+def test_psi_phi_match_the_slope_walk(filt, extra):
+    ups = _upper_points(filt, extra)
+    lows = [ref_psi(filt, c) for c in ups] + list(extra)
+    for c in ups:
+        v = psi(filt, c)
+        assert type(v) is Fraction and v == ref_psi(filt, c)
+        assert phi(filt, v) == c
+    for c in lows:
+        v = phi(filt, c)
+        assert type(v) is Fraction and v == ref_phi(filt, c)
+        assert psi(filt, v) == c
+
+
+@settings(max_examples=300, deadline=None)
+@given(filtrations)
+def test_jumps_and_violations_match_the_slope_walk(filt):
+    assert _outcome(upper_to_lower, filt) == _outcome(ref_upper_to_lower, filt)
+    assert validate(filt) == ref_validate(filt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_filtrations())
+def test_valid_filtrations_pass_and_round_trip(filt):
+    assert validate(filt) == []
+    assert lower_to_upper(filt.shape, upper_to_lower(filt)) == filt
+
+
+def test_raw_breaks_can_be_rejected():
+    # the strategy above reaches invalid data; pin one case of each message
+    filt = Filtration(InertiaShape(3, 2, 2), [(Fraction(1, 5), 1), (Fraction(3, 2), 2)])
+    assert validate(filt) == ref_validate(filt) == [
+        "break multiplicities sum to 3, expected e = 2",
+        "break 1/5: sigma*|I|/|I^sigma| = 2/5 not an integer",
+        "break 1/5: lower jump 2/5 not an integer",
+        "break 3/2: lower jump 41/5 not an integer",
+    ]
+    filt = Filtration(InertiaShape(2, 1, 1), [(Fraction(2), 1)])
+    assert validate(filt) == ["break 2: lower jump 2 divisible by 2"]
+    with pytest.raises(InvariantViolation, match="divisible by 2"):
+        upper_to_lower(filt)

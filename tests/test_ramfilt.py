@@ -138,8 +138,6 @@ def test_filtration_constructor_rejects_garbage():
         Filtration(InertiaShape(2, 2, 1), [(1, 0)])  # zero multiplicity
     with pytest.raises(ValueError):
         InertiaShape(2, 1, 2)  # m not prime to p
-    with pytest.raises(ValueError):
-        InertiaShape(2, 1, 1, a=2)  # a > e
 
 
 # ----------------------------------------------------------------- transform
