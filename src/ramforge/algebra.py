@@ -12,6 +12,7 @@ function, so they are safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from functools import lru_cache
 from operator import mul
@@ -49,15 +50,10 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def require_prime(p: int) -> None:
+    """ValueError unless the characteristic p is prime."""
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"characteristic must be prime, got {p}")
 
 
 def _poly_mod(num: list[int], den: tuple[int, ...], p: int) -> list[int]:
@@ -131,8 +127,7 @@ class FieldSpec:
     __slots__ = ("p", "n", "modulus", "frobenius_matrix", "inv_frobenius_matrix")
 
     def __init__(self, p: int, n: int = 1):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
+        require_prime(p)
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
         self.p = p

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Thin adapter over the library: parsing, dispatch and rendering only, no
-arithmetic.  Exit status 0 on success, 2 on input validation errors, 3 on
+arithmetic.  Each command handler returns (payload, text): the JSON object
+printed under --json and the text printed otherwise; `main` alone writes
+the result to stdout.  `cmd_grid` also returns its exit status, 3 when a
+row fails.  Exit status 0 on success, 2 on input validation errors, 3 on
 invariant violations (a library bug or arithmetically inconsistent data).
 Rationals are always num/den strings, never floats.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -19,15 +23,14 @@ from .algebra import FieldSpec, format_laurent, parse_laurent
 from .aschreier import UNRAMIFIED, as_deform, as_reduce
 from .errors import InputError, InvariantViolation
 from .genus import (
-    BranchPoint,
     CoverData,
     KatoInput,
+    branch_from_dict,
     genus_spectrum,
     kato_mu,
     rh_genus,
 )
 from .ramfilt import (
-    InertiaShape,
     action_transform,
     admissible_check,
     admissible_enumerate,
@@ -36,15 +39,10 @@ from .ramfilt import (
     parse_rational,
     phi,
     psi,
-    reject_unknown_keys,
     tower_plan,
     upper_to_lower,
     validate,
 )
-
-
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
 
 
 def _conductor_json(c):
@@ -58,94 +56,53 @@ def _parse_seq(text: str) -> tuple[int, ...]:
         raise InputError(f"bad jump sequence {text!r}; expected comma-separated integers")
 
 
-def _load_filtration(text: str):
+def _load_json(text: str, what: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"bad filtration JSON: {exc}") from exc
-    filt = filtration_from_dict(data)
+        raise InputError(f"bad {what} JSON: {exc}") from exc
+
+
+def _load_filtration(text: str):
+    filt = filtration_from_dict(_load_json(text, "filtration"))
     problems = validate(filt)
     if problems:
         raise InputError("invalid filtration: " + "; ".join(problems))
     return filt
 
 
-def _load_branch(text: str) -> BranchPoint:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad branch point JSON: {exc}") from exc
-    try:
-        reject_unknown_keys(data, ("p", "e", "m", "upper_jumps"), "branch point")
-        shape = InertiaShape(int(data["p"]), int(data["e"]), int(data.get("m", 1)))
-        jumps = tuple(
-            parse_rational(s, f"upper jump {i}")
-            for i, s in enumerate(data.get("upper_jumps", ()), 1)
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad branch point object: {exc}") from exc
-    return BranchPoint(shape, jumps)
-
-
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
     f = parse_laurent(FieldSpec(args.p, args.n), args.f)
     red = as_reduce(f)
-    if args.json:
-        _emit_json(
-            {
-                "p": args.p,
-                "n": args.n,
-                "f": format_laurent(f),
-                "f_reduced": format_laurent(red.f_reduced),
-                "conductor": _conductor_json(red.conductor),
-                "substitution": format_laurent(red.substitution),
-            }
-        )
-    else:
-        print(f"f_reduced: {format_laurent(red.f_reduced)}")
-        print(f"conductor: {red.conductor}")
-        print(f"substitution: {format_laurent(red.substitution)}")
-    return 0
+    reduced, subst = format_laurent(red.f_reduced), format_laurent(red.substitution)
+    payload = {"p": args.p, "n": args.n, "f": format_laurent(f), "f_reduced": reduced,
+               "conductor": _conductor_json(red.conductor), "substitution": subst}
+    return payload, f"f_reduced: {reduced}\nconductor: {red.conductor}\nsubstitution: {subst}"
 
 
-def cmd_conductor(args) -> int:
-    spec = FieldSpec(args.p, args.n)
-    c = as_reduce(parse_laurent(spec, args.f)).conductor
-    if args.json:
-        _emit_json({"p": args.p, "n": args.n, "conductor": _conductor_json(c)})
-    else:
-        print(f"conductor: {c}")
-    return 0
+def cmd_conductor(args):
+    c = as_reduce(parse_laurent(FieldSpec(args.p, args.n), args.f)).conductor
+    return {"p": args.p, "n": args.n, "conductor": _conductor_json(c)}, f"conductor: {c}"
 
 
-def cmd_genus(args) -> int:
-    branch = tuple(_load_branch(b) for b in args.branch or ())
+def cmd_genus(args):
+    branch = tuple(branch_from_dict(_load_json(b, "branch point")) for b in args.branch or ())
     g = rh_genus(CoverData(args.G, args.gx, branch))
-    if args.json:
-        _emit_json({"G": args.G, "g_X": args.gx, "genus": g})
-    else:
-        print(f"genus: {g}")
-    return 0
+    return {"G": args.G, "g_X": args.gx, "genus": g}, f"genus: {g}"
 
 
-def cmd_deform(args) -> int:
+def cmd_deform(args):
     spec = FieldSpec(args.p, args.n)
     f = parse_laurent(spec, args.f)
     t0 = parse_laurent(spec, args.t0)
     if len(t0.terms) != 1 or t0.valuation != 0:
         raise InputError(f"deformation parameter {args.t0!r} must be a nonzero constant")
-    out = as_deform(f, args.s, t0[0])
-    if args.json:
-        _emit_json(
-            {"p": args.p, "n": args.n, "f": format_laurent(out.f), "conductor": args.s}
-        )
-    else:
-        print(f"f: {format_laurent(out.f)}")
-        print(f"conductor: {args.s}")
-    return 0
+    out = format_laurent(as_deform(f, args.s, t0[0]).f)
+    return ({"p": args.p, "n": args.n, "f": out, "conductor": args.s},
+            f"f: {out}\nconductor: {args.s}")
 
 
-def cmd_act(args) -> int:
+def cmd_act(args):
     filt = _load_filtration(args.filtration)
     out = action_transform(filt, args.a, args.s, args.s_iota)
     if out == filt:
@@ -153,131 +110,78 @@ def cmd_act(args) -> int:
             if Fraction(args.s, filt.shape.m) == filt.conductor \
             else "s/m is below the conductor"
         print(f"warning: filtration unchanged ({note})", file=sys.stderr)
-    if args.json:
-        _emit_json(filtration_to_dict(out))
-    else:
-        bs = ", ".join(f"({c}, {l})" for c, l in out.breaks)
-        print(f"filtration: p={out.shape.p} e={out.shape.e} m={out.shape.m} breaks=[{bs}]")
-    return 0
+    bs = ", ".join(f"({c}, {l})" for c, l in out.breaks)
+    return (filtration_to_dict(out),
+            f"filtration: p={out.shape.p} e={out.shape.e} m={out.shape.m} breaks=[{bs}]")
 
 
-def cmd_tower(args) -> int:
+def cmd_tower(args):
     ext = asext.ExtFieldSpec(FieldSpec(args.p, args.n), args.j)
     F = asext.parse_ext(ext, args.F)
     red = asext.ext_as_reduce(F)
     s1, s2 = asext.upper_jumps(ext, red.jump)
-    if args.json:
-        _emit_json(
-            {
-                "p": args.p,
-                "n": args.n,
-                "j": args.j,
-                "F": asext.format_ext(F),
-                "last_lower_jump": red.jump,
-                "upper_jumps": [s1, s2],
-                "conductor": s2,
-            }
-        )
-    else:
-        print(f"upper jumps: ({s1}, {s2})")
-        print(f"last lower jump: {red.jump}")
-        print(f"conductor: {s2}")
-    return 0
+    payload = {"p": args.p, "n": args.n, "j": args.j, "F": asext.format_ext(F),
+               "last_lower_jump": red.jump, "upper_jumps": [s1, s2], "conductor": s2}
+    return payload, f"upper jumps: ({s1}, {s2})\nlast lower jump: {red.jump}\nconductor: {s2}"
 
 
-def cmd_herbrand(args) -> int:
+def cmd_herbrand(args):
     filt = _load_filtration(args.filtration)
-    if args.psi is not None:
-        c = parse_rational(args.psi, "--psi")
-        v = psi(filt, c)
-        if args.json:
-            _emit_json({"psi": {"at": str(c), "value": str(v)}})
-        else:
-            print(f"psi({c}) = {v}")
-        return 0
-    if args.phi is not None:
-        c = parse_rational(args.phi, "--phi")
-        v = phi(filt, c)
-        if args.json:
-            _emit_json({"phi": {"at": str(c), "value": str(v)}})
-        else:
-            print(f"phi({c}) = {v}")
-        return 0
+    for name, fn in (("psi", psi), ("phi", phi)):
+        at = getattr(args, name)
+        if at is not None:
+            c = parse_rational(at, f"--{name}")
+            v = fn(filt, c)
+            return {name: {"at": str(c), "value": str(v)}}, f"{name}({c}) = {v}"
     lower = upper_to_lower(filt)
-    if args.json:
-        _emit_json({"lower_jumps": [{"j": j, "mult": l} for j, l in lower]})
-    else:
-        print("lower jumps: " + ", ".join(f"({j}, {l})" for j, l in lower))
-    return 0
+    return ({"lower_jumps": [{"j": j, "mult": l} for j, l in lower]},
+            "lower jumps: " + ", ".join(f"({j}, {l})" for j, l in lower))
 
 
-def cmd_admissible(args) -> int:
+def cmd_admissible(args):
     if args.check is not None:
         seq = _parse_seq(args.check)
         ok = admissible_check(list(seq), args.p)
-        if args.json:
-            _emit_json({"sequence": list(seq), "admissible": ok})
-        else:
-            print(f"admissible: {str(ok).lower()}")
-        return 0
+        return {"sequence": list(seq), "admissible": ok}, f"admissible: {str(ok).lower()}"
     if args.e is None or args.bound is None:
         raise InputError("admissible requires either --check or both --e and --bound")
     seqs = admissible_enumerate(args.p, args.e, args.bound)
-    if args.json:
-        _emit_json({"p": args.p, "e": args.e, "bound": args.bound,
-                    "sequences": [list(s) for s in seqs]})
-    else:
-        for s in seqs:
-            print(",".join(str(x) for x in s))
-    return 0
+    return ({"p": args.p, "e": args.e, "bound": args.bound,
+             "sequences": [list(s) for s in seqs]},
+            "\n".join(",".join(str(x) for x in s) for s in seqs))
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args):
     steps = tower_plan(_parse_seq(args.start), _parse_seq(args.target), args.p)
-    if args.json:
-        _emit_json(
-            {"steps": [{"level": st.level, "start": st.start, "target": st.target}
-                       for st in steps]}
-        )
-    else:
-        for st in steps:
-            if st.deforms:
-                print(f"level {st.level}: minimal {st.start}, deform {st.start} -> {st.target}")
-            else:
-                print(f"level {st.level}: minimal {st.start}, no deformation needed")
-    return 0
+    return (
+        {"steps": [{"level": st.level, "start": st.start, "target": st.target}
+                   for st in steps]},
+        "\n".join(
+            f"level {st.level}: minimal {st.start}, deform {st.start} -> {st.target}"
+            if st.deforms else f"level {st.level}: minimal {st.start}, no deformation needed"
+            for st in steps
+        ),
+    )
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args):
     result = genus_spectrum(
         args.G, args.p, args.a, args.m, parse_rational(args.sigma0, "--sigma0"),
         args.g0, args.s_iota, args.limit,
     )
-    if args.json:
-        _emit_json(
-            {
-                "genera": list(result.genera),
-                "increment": result.increment,
-                "residues": list(result.residues),
-            }
-        )
-    else:
-        print("genera: " + ", ".join(str(g) for g in result.genera))
-        print(f"increment: {result.increment}")
-        print("residues: " + ", ".join(str(r) for r in result.residues))
-    return 0
+    genera = ", ".join(str(g) for g in result.genera)
+    residues = ", ".join(str(r) for r in result.residues)
+    return ({"genera": list(result.genera), "increment": result.increment,
+             "residues": list(result.residues)},
+            f"genera: {genera}\nincrement: {result.increment}\nresidues: {residues}")
 
 
-def cmd_kato(args) -> int:
+def cmd_kato(args):
     mu, smooth = kato_mu(KatoInput(args.n, args.dK, args.dk, args.mw))
-    if args.json:
-        _emit_json({"mu": mu, "smooth": smooth})
-    else:
-        print(f"mu: {mu}, smooth: {str(smooth).lower()}")
-    return 0
+    return {"mu": mu, "smooth": smooth}, f"mu: {mu}, smooth: {str(smooth).lower()}"
 
 
-def cmd_grid(args) -> int:
+def cmd_grid(args):
     name = args.name
     runner = grids.GRID_RUNNERS.get(name)
     if runner is None:
@@ -291,20 +195,17 @@ def cmd_grid(args) -> int:
             raise InputError(f"grid {name} requires --{param}")
         kwargs[param] = value
     result = runner(**kwargs)
-    if args.json:
-        _emit_json(
-            {"name": result.name, "rows": result.rows, "summary": result.summary}
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(result.columns)
+    for row in result.rows:
+        writer.writerow(
+            [str(row[c]).lower() if isinstance(row[c], bool) else row[c]
+             for c in result.columns]
         )
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(result.columns)
-        for row in result.rows:
-            writer.writerow(
-                [str(row[c]).lower() if isinstance(row[c], bool) else row[c]
-                 for c in result.columns]
-            )
-        print(f"# {result.summary}")
-    return 0 if result.passed else 3
+    text.write(f"# {result.summary}")
+    payload = {"name": result.name, "rows": result.rows, "summary": result.summary}
+    return payload, text.getvalue(), 0 if result.passed else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,78 +215,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, field=True):
+    def command(name, func, help, field=False):
+        sp = sub.add_parser(name, help=help)
         if field:
             sp.add_argument("--p", type=int, required=True, help="prime characteristic")
             sp.add_argument("--n", type=int, default=1, help="field extension degree")
         sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("reduce", help="reduce an Artin-Schreier right-hand side")
-    common(sp)
+    sp = command("reduce", cmd_reduce, "reduce an Artin-Schreier right-hand side", field=True)
     sp.add_argument("f", help="Laurent polynomial, e.g. 'x^-4 + x^-1'")
-    sp.set_defaults(func=cmd_reduce)
 
-    sp = sub.add_parser("conductor", help="conductor of y^p - y = f at x = 0")
-    common(sp)
+    sp = command("conductor", cmd_conductor, "conductor of y^p - y = f at x = 0", field=True)
     sp.add_argument("f")
-    sp.set_defaults(func=cmd_conductor)
 
-    sp = sub.add_parser("genus", help="Riemann-Hurwitz genus from branch data")
+    sp = command("genus", cmd_genus, "Riemann-Hurwitz genus from branch data")
     sp.add_argument("--G", type=int, required=True, help="Galois group order")
     sp.add_argument("--gx", type=int, default=0, help="base curve genus")
     sp.add_argument(
         "--branch", action="append",
         help='branch point JSON, e.g. \'{"p":2,"e":2,"m":1,"upper_jumps":["1","2"]}\'',
     )
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_genus)
 
-    sp = sub.add_parser("deform", help="add a dominating pole t0*x^-s")
-    common(sp)
+    sp = command("deform", cmd_deform, "add a dominating pole t0*x^-s", field=True)
     sp.add_argument("--s", type=int, required=True, help="target conductor")
     sp.add_argument("--t0", default="1", help="nonzero constant parameter")
     sp.add_argument("f")
-    sp.set_defaults(func=cmd_deform)
 
-    sp = sub.add_parser("act", help="transform a filtration by an order-p^a action")
+    sp = command("act", cmd_act, "transform a filtration by an order-p^a action")
     sp.add_argument("--a", type=int, required=True, help="subgroup exponent")
     sp.add_argument("--s", type=int, required=True, help="conductor of the acting cover")
     sp.add_argument("--s-iota", dest="s_iota", type=int, default=None,
                     help="override the congruence class (default: derived)")
-    sp.add_argument("--json", action="store_true")
     sp.add_argument("filtration", help="filtration JSON")
-    sp.set_defaults(func=cmd_act)
 
-    sp = sub.add_parser("tower", help="upper jumps of a degree-p^2 tower layer")
-    common(sp)
+    sp = command("tower", cmd_tower, "upper jumps of a degree-p^2 tower layer", field=True)
     sp.add_argument("--j", type=int, required=True, help="first lower jump")
     sp.add_argument("--F", required=True,
                     help="extension element, ';'-separated Laurent coefficients")
-    sp.set_defaults(func=cmd_tower)
 
-    sp = sub.add_parser("herbrand", help="psi/phi evaluation and jump conversion")
+    sp = command("herbrand", cmd_herbrand, "psi/phi evaluation and jump conversion")
     sp.add_argument("--psi", default=None, help="evaluate psi at this rational")
     sp.add_argument("--phi", default=None, help="evaluate phi at this rational")
-    sp.add_argument("--json", action="store_true")
     sp.add_argument("filtration", help="filtration JSON")
-    sp.set_defaults(func=cmd_herbrand)
 
-    sp = sub.add_parser("admissible", help="check or enumerate admissible sequences")
+    sp = command("admissible", cmd_admissible, "check or enumerate admissible sequences")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--e", type=int, default=None)
     sp.add_argument("--bound", type=int, default=None)
     sp.add_argument("--check", default=None, help="comma-separated sequence to check")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_admissible)
 
-    sp = sub.add_parser("plan", help="deformation plan between admissible sequences")
+    sp = command("plan", cmd_plan, "deformation plan between admissible sequences")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--start", required=True, help="comma-separated sequence")
     sp.add_argument("--target", required=True, help="comma-separated sequence")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_plan)
 
-    sp = sub.add_parser("spectrum", help="achievable genera under conductor deformation")
+    sp = command("spectrum", cmd_spectrum, "achievable genera under conductor deformation")
     sp.add_argument("--G", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, default=1)
@@ -394,18 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g0", type=int, default=0, help="base genus")
     sp.add_argument("--s-iota", dest="s_iota", type=int, default=1)
     sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("kato", help="Kato's smoothness invariant")
+    sp = command("kato", cmd_kato, "Kato's smoothness invariant")
     sp.add_argument("--n", type=int, required=True, help="cover degree")
     sp.add_argument("--dK", type=int, required=True, help="generic ramification degree")
     sp.add_argument("--dk", type=int, required=True, help="special ramification degree")
     sp.add_argument("--mw", type=int, required=True, help="points over the singularity")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_kato)
 
-    sp = sub.add_parser("grid", help="run a named computed-vs-predicted grid")
+    sp = command("grid", cmd_grid, "run a named computed-vs-predicted grid")
     sp.add_argument("name", help=", ".join(sorted(grids.GRID_RUNNERS)))
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--jmax", type=int, default=None)
@@ -415,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--gmax", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_grid)
 
     return parser
 
@@ -425,13 +305,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, text, *status = args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except (InputError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(payload, separators=(",", ":")))
+    elif text:
+        print(text)
+    return status[0] if status else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,16 @@ from .errors import (
     InvariantViolation,
     NotLarger,
 )
-from .ramfilt import Filtration, InertiaShape, validate
+from .algebra import require_prime
+from .ramfilt import (
+    Filtration,
+    InertiaShape,
+    json_typed,
+    parse_rational,
+    reject_unknown_keys,
+    shape_from_dict,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,18 @@ class BranchPoint:
             else:
                 breaks.append((s, 1))
         return Filtration(self.shape, breaks)
+
+
+def branch_from_dict(d: dict) -> BranchPoint:
+    """Decode a branch-point JSON object; upper jumps are num/den strings."""
+    try:
+        reject_unknown_keys(d, ("p", "e", "m", "upper_jumps"), "branch point")
+        shape = shape_from_dict(d)
+        listed = json_typed(d.get("upper_jumps", []), list, '"upper_jumps"')
+        jumps = tuple(parse_rational(s, f"upper jump {i}") for i, s in enumerate(listed, 1))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad branch point object: {exc}") from exc
+    return BranchPoint(shape, jumps)
 
 
 @dataclass(frozen=True)
@@ -109,15 +130,12 @@ def branch_filtration(bp: BranchPoint) -> Filtration:
 
 
 def ram_divisor_degree(bp: BranchPoint) -> int:
-    """Degree of the local ramification divisor:
-    |I| - 1 + (p-1) * m * (sigma_1 + p*sigma_2 + ... + p^(e-1)*sigma_e)."""
-    branch_filtration(bp)
-    shape = bp.shape
-    p = shape.p
-    acc = Fraction(0)
-    for i, sigma in enumerate(bp.upper_jumps):
-        acc += p**i * sigma
-    deg = shape.order - 1 + (p - 1) * shape.m * acc
+    """Degree of the local ramification divisor, Hilbert's different formula
+    read off the knot table: |I| - 1 + |I| * sigma_r - psi(sigma_r), where
+    sigma_r is the conductor (0 when tame)."""
+    filt = branch_filtration(bp)
+    order = bp.shape.order
+    deg = order - 1 + order * (filt.conductor or 0) - filt._lower[-1]
     if deg.denominator != 1 or deg < 0:
         raise InvariantViolation(f"ramification degree {deg} at {bp} is not a natural number")
     return int(deg)
@@ -215,6 +233,11 @@ def genus_spectrum(
     values fall into p - 1 arithmetic progressions with the returned
     increment.
     """
+    require_prime(p)
+    if a < 1:
+        raise ValueError(f"subgroup exponent {a} must be >= 1")
+    if group_order < 1:
+        raise ValueError(f"group order must be positive, got {group_order}")
     sigma0 = Fraction(sigma0)
     if not 1 <= s_iota <= m:
         raise ValueError(f"s_iota must lie in [1, {m}], got {s_iota}")

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FieldSpec
+from .algebra import FieldSpec, require_prime
 from .asext import ExtElement, ExtFieldSpec, ext_as_reduce, minimal_tower_element, upper_jumps
 from .genus import BranchPoint, CoverData, contains_progressions, genus_spectrum, rh_genus
 from .ramfilt import (
@@ -37,6 +37,8 @@ class GridResult:
 
 
 def _finish(name: str, columns: list[str], rows: list[dict]) -> GridResult:
+    if not rows:
+        raise ValueError(f"grid {name} has no rows for these parameters")
     ok = sum(1 for r in rows if r["pass"])
     passed = ok == len(rows)
     verdict = "PASS" if passed else "FAIL"
@@ -46,6 +48,7 @@ def _finish(name: str, columns: list[str], rows: list[dict]) -> GridResult:
 def genus_grid(p: int, jmax: int) -> GridResult:
     """Riemann-Hurwitz pipeline vs the closed form (p-1)(j-1)/2 for one
     wildly ramified point on the line."""
+    require_prime(p)
     rows = []
     for j in range(1, jmax + 1):
         if j % p == 0:
@@ -133,6 +136,7 @@ def brute_force_admissible(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
 def admissible_count(p: int, e: int, bound: int) -> GridResult:
     """Recursive enumeration vs the brute-force filter, for every length up
     to e."""
+    require_prime(p)
     rows = []
     for length in range(1, e + 1):
         fast = admissible_enumerate(p, length, bound)
@@ -168,6 +172,8 @@ def density_check(p: int, gmax: int) -> GridResult:
     achieved = set(spectrum.genera)
     predicted = predicted_line_genera(p, gmax)
     inc = spectrum.increment
+    if gmax < inc:
+        raise ValueError(f"gmax {gmax} is below the progression increment {inc}")
     aligned = (gmax // inc) * inc
     count = sum(1 for g in achieved if g < aligned)
     density = Fraction(count, aligned)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _is_prime
+from .algebra import require_prime
 from .errors import (
     CongruenceViolation,
     InvalidJump,
@@ -43,8 +44,7 @@ class InertiaShape:
     m: int = 1
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"characteristic must be prime, got {self.p}")
+        require_prime(self.p)
         if self.e < 0:
             raise ValueError(f"wild exponent must be >= 0, got {self.e}")
         if self.m < 1 or math.gcd(self.m, self.p) != 1:
@@ -53,10 +53,6 @@ class InertiaShape:
     @property
     def order(self) -> int:
         return self.m * self.p**self.e
-
-    @property
-    def wild_order(self) -> int:
-        return self.p**self.e
 
 
 class Filtration:
@@ -381,15 +377,29 @@ def random_filtration(
     return lower_to_upper(shape, list(zip(jumps, mults)))
 
 
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value, field: str) -> Fraction:
-    """Fraction(value), with ValueError naming the field on a malformed or
-    zero-denominator rational."""
+    """The wire rational value, an ASCII string -?[0-9]+(/[0-9]+)?, as a
+    Fraction; ValueError naming the field on anything else or a zero
+    denominator."""
+    if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
+        raise ValueError(f"{field}: {value!r} is not an integer or num/den string")
     try:
         return Fraction(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field}: {value!r} is not a rational") from None
     except ZeroDivisionError:
         raise ValueError(f"{field}: {value!r} has a zero denominator") from None
+
+
+def json_typed(value, kind: type, field: str):
+    """value if its type is exactly kind (int or list), else ValueError naming
+    the field; a bool or a float is not a JSON integer."""
+    if type(value) is not kind:
+        raise ValueError(
+            f"{field}: {value!r} is not a JSON {'integer' if kind is int else 'array'}"
+        )
+    return value
 
 
 def reject_unknown_keys(obj, known: tuple[str, ...], what: str) -> None:
@@ -411,14 +421,22 @@ def filtration_to_dict(filt: Filtration) -> dict:
     }
 
 
+def shape_from_dict(d: dict) -> InertiaShape:
+    """The InertiaShape of a filtration or branch-point JSON object: JSON
+    integers "p", "e" and optional "m"."""
+    return InertiaShape(json_typed(d["p"], int, '"p"'), json_typed(d["e"], int, '"e"'),
+                        json_typed(d.get("m", 1), int, '"m"'))
+
+
 def filtration_from_dict(d: dict) -> Filtration:
     try:
         reject_unknown_keys(d, ("p", "e", "m", "breaks"), "filtration")
-        shape = InertiaShape(int(d["p"]), int(d["e"]), int(d.get("m", 1)))
+        shape = shape_from_dict(d)
         breaks = []
-        for i, b in enumerate(d["breaks"], 1):
+        for i, b in enumerate(json_typed(d["breaks"], list, '"breaks"'), 1):
             reject_unknown_keys(b, ("c", "mult"), f"break {i}")
-            breaks.append((parse_rational(b["c"], f"break {i} \"c\""), int(b["mult"])))
+            breaks.append((parse_rational(b["c"], f'break {i} "c"'),
+                           json_typed(b["mult"], int, f'break {i} "mult"')))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad filtration object: {exc}") from exc
     return Filtration(shape, breaks)

@@ -1,9 +1,12 @@
 """CLI adapter: rendering, exit codes, JSON round trips."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from ramforge import grids
 from ramforge.cli import main
 
 
@@ -307,3 +310,231 @@ def test_non_ascii_decimal_laurent_exits_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+# ------------------------------------------------------------ render path
+
+BRANCH = '{"p":2,"e":2,"m":1,"upper_jumps":["1","2"]}'
+
+RENDERED = {
+    "reduce": (
+        ["reduce", "--p", "3", "--n", "2", "x^-6 + [1,2]*x^-2 + x"],
+        "f_reduced: [2,2]*x^-2 + x\nconductor: 2\nsubstitution: x^-2\n",
+        '{"p":3,"n":2,"f":"x^-6 + [1,2]*x^-2 + x","f_reduced":"[2,2]*x^-2 + x",'
+        '"conductor":2,"substitution":"x^-2"}\n',
+    ),
+    "conductor": (
+        ["conductor", "--p", "2", "x^-4 + x^-3"],
+        "conductor: 3\n",
+        '{"p":2,"n":1,"conductor":3}\n',
+    ),
+    "genus": (
+        ["genus", "--G", "8", "--gx", "1", "--branch", BRANCH],
+        "genus: 9\n",
+        '{"G":8,"g_X":1,"genus":9}\n',
+    ),
+    "deform": (
+        ["deform", "--p", "3", "--s", "5", "--t0", "2", "x^-2"],
+        "f: 2*x^-5 + x^-2\nconductor: 5\n",
+        '{"p":3,"n":1,"f":"2*x^-5 + x^-2","conductor":5}\n',
+    ),
+    "act": (
+        ["act", "--a", "1", "--s", "5", FILT],
+        "filtration: p=2 e=2 m=1 breaks=[(1, 1), (5, 1)]\n",
+        '{"p":2,"e":2,"m":1,"breaks":[{"c":"1","mult":1},{"c":"5","mult":1}]}\n',
+    ),
+    "tower": (
+        ["tower", "--p", "3", "--j", "2", "--F", "x^-7 ; 0 ; 0"],
+        "upper jumps: (2, 7)\nlast lower jump: 17\nconductor: 7\n",
+        '{"p":3,"n":1,"j":2,"F":"x^-7 ; 0 ; 0","last_lower_jump":17,'
+        '"upper_jumps":[2,7],"conductor":7}\n',
+    ),
+    "herbrand-lower": (
+        ["herbrand", FILT],
+        "lower jumps: (1, 1), (3, 1)\n",
+        '{"lower_jumps":[{"j":1,"mult":1},{"j":3,"mult":1}]}\n',
+    ),
+    "herbrand-psi": (
+        ["herbrand", "--psi", "5/2", FILT],
+        "psi(5/2) = 5\n",
+        '{"psi":{"at":"5/2","value":"5"}}\n',
+    ),
+    "herbrand-phi": (
+        ["herbrand", "--phi", "7/2", FILT],
+        "phi(7/2) = 17/8\n",
+        '{"phi":{"at":"7/2","value":"17/8"}}\n',
+    ),
+    "admissible-enumerate": (
+        ["admissible", "--p", "3", "--e", "2", "--bound", "5"],
+        "1,3\n1,4\n1,5\n",
+        '{"p":3,"e":2,"bound":5,"sequences":[[1,3],[1,4],[1,5]]}\n',
+    ),
+    "admissible-empty": (
+        ["admissible", "--p", "1", "--e", "1", "--bound", "3"],
+        "",
+        '{"p":1,"e":1,"bound":3,"sequences":[]}\n',
+    ),
+    "admissible-check": (
+        ["admissible", "--p", "2", "--check", "1,2,5"],
+        "admissible: true\n",
+        '{"sequence":[1,2,5],"admissible":true}\n',
+    ),
+    "plan": (
+        ["plan", "--p", "2", "--start", "1,2", "--target", "3,6"],
+        "level 1: minimal 1, deform 1 -> 3\nlevel 2: minimal 6, no deformation needed\n",
+        '{"steps":[{"level":1,"start":1,"target":3},{"level":2,"start":6,"target":6}]}\n',
+    ),
+    "spectrum": (
+        ["spectrum", "--G", "4", "--p", "2", "--a", "2", "--limit", "12"],
+        "genera: 0, 3, 6, 9, 12\nincrement: 3\nresidues: 0\n",
+        '{"genera":[0,3,6,9,12],"increment":3,"residues":[0]}\n',
+    ),
+    "kato": (
+        ["kato", "--n", "4", "--dK", "9", "--dk", "8", "--mw", "2"],
+        "mu: 0, smooth: false\n",
+        '{"mu":0,"smooth":false}\n',
+    ),
+    "grid": (
+        ["grid", "genus-grid", "--p", "5", "--jmax", "6"],
+        "p,j,computed,predicted,pass\n5,1,0,0,true\n5,2,2,2,true\n5,3,4,4,true\n"
+        "5,4,6,6,true\n5,6,10,10,true\n# PASS 5/5\n",
+        '{"name":"genus-grid","rows":[{"p":5,"j":1,"computed":0,"predicted":0,"pass":true},'
+        '{"p":5,"j":2,"computed":2,"predicted":2,"pass":true},'
+        '{"p":5,"j":3,"computed":4,"predicted":4,"pass":true},'
+        '{"p":5,"j":4,"computed":6,"predicted":6,"pass":true},'
+        '{"p":5,"j":6,"computed":10,"predicted":10,"pass":true}],"summary":"PASS 5/5"}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,text,js", RENDERED.values(), ids=RENDERED.keys())
+def test_render_text_and_json_bytes(capsys, argv, text, js):
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--json") == (0, js, "")
+
+
+def test_grid_with_failing_rows_exits_3(capsys, monkeypatch):
+    columns = ["p", "j", "computed", "predicted", "pass"]
+    rows = [{"p": 3, "j": 1, "computed": 0, "predicted": 0, "pass": True},
+            {"p": 3, "j": 2, "computed": 1, "predicted": 2, "pass": False}]
+    monkeypatch.setitem(grids.GRID_RUNNERS, "genus-grid",
+                        lambda p, jmax: grids._finish("genus-grid", columns, rows))
+    argv = ["grid", "genus-grid", "--p", "3", "--jmax", "2"]
+    assert run(capsys, *argv) == (
+        3, "p,j,computed,predicted,pass\n3,1,0,0,true\n3,2,1,2,false\n# FAIL 1/2\n", ""
+    )
+    assert run(capsys, *argv, "--json") == (
+        3,
+        '{"name":"genus-grid","rows":[{"p":3,"j":1,"computed":0,"predicted":0,"pass":true},'
+        '{"p":3,"j":2,"computed":1,"predicted":2,"pass":false}],"summary":"FAIL 1/2"}\n',
+        "",
+    )
+
+
+# ------------------------------------------------------------ strict wire
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["herbrand", '{"p":2.7,"e":1.2,"breaks":[{"c":1.0,"mult":1.9}]}'],
+         'bad filtration object: "p": 2.7 is not a JSON integer'),
+        (["herbrand", '{"p":2,"e":1,"m":1.0,"breaks":[{"c":"1","mult":1}]}'],
+         'bad filtration object: "m": 1.0 is not a JSON integer'),
+        (["herbrand", '{"p":2,"e":1,"breaks":[{"c":"1","mult":true}]}'],
+         'bad filtration object: break 1 "mult": True is not a JSON integer'),
+        (["herbrand", '{"p":2,"e":1,"breaks":{"c":"1","mult":1}}'],
+         "bad filtration object: \"breaks\": {'c': '1', 'mult': 1} is not a JSON array"),
+        (["herbrand", '{"p":2,"e":1,"breaks":[{"c":1,"mult":1}]}'],
+         "bad filtration object: break 1 \"c\": 1 is not an integer or num/den string"),
+        (["herbrand", "--psi", "1e1", '{"p":2,"e":1,"breaks":[{"c":"0.5e1","mult":1}]}'],
+         "bad filtration object: break 1 \"c\": '0.5e1' is not an integer or num/den string"),
+        (["herbrand", "--psi", "1e1", FILT], "--psi: '1e1' is not an integer or num/den string"),
+        (["herbrand", "--phi", " 3", FILT], "--phi: ' 3' is not an integer or num/den string"),
+        (["spectrum", "--G", "3", "--p", "3", "--limit", "10", "--sigma0", "1.5"],
+         "--sigma0: '1.5' is not an integer or num/den string"),
+        (["genus", "--G", "4", "--branch", '{"p":2,"e":2,"upper_jumps":"13"}'],
+         "bad branch point object: \"upper_jumps\": '13' is not a JSON array"),
+        (["genus", "--G", "2", "--branch", '{"p":true,"e":1,"upper_jumps":["1"]}'],
+         'bad branch point object: "p": True is not a JSON integer'),
+        (["genus", "--G", "2", "--branch", '{"p":2,"e":1,"upper_jumps":[1]}'],
+         "bad branch point object: upper jump 1: 1 is not an integer or num/den string"),
+        (["genus", "--G", "2", "--branch", '{"p":2,"e":1,"upper_jumps":["\u0661"]}'],
+         "bad branch point object: upper jump 1: '\u0661' is not an integer or num/den string"),
+    ],
+    ids=["float-p", "float-m", "bool-mult", "breaks-object", "int-c", "exponent-c",
+         "exponent-psi", "space-phi", "decimal-sigma0", "string-upper-jumps", "bool-p",
+         "int-upper-jump", "unicode-upper-jump"],
+)
+def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------- bad arguments
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "--G", "2", "--p", "2", "--a", "-1", "--limit", "5"],
+         "subgroup exponent -1 must be >= 1"),
+        (["spectrum", "--G", "2", "--p", "1", "--limit", "5"],
+         "characteristic must be prime, got 1"),
+        (["spectrum", "--G", "2", "--p", "2", "--a", "0", "--limit", "5"],
+         "subgroup exponent 0 must be >= 1"),
+        (["spectrum", "--G", "0", "--p", "2", "--limit", "5"],
+         "group order must be positive, got 0"),
+        (["grid", "genus-grid", "--p", "1", "--jmax", "3"],
+         "characteristic must be prime, got 1"),
+        (["grid", "admissible-count", "--p", "1", "--e", "2", "--bound", "3"],
+         "characteristic must be prime, got 1"),
+        (["grid", "density-check", "--p", "2", "--gmax", "0"],
+         "gmax 0 is below the progression increment 1"),
+        (["grid", "herbrand-roundtrip", "--count", "0"],
+         "grid herbrand-roundtrip has no rows for these parameters"),
+    ],
+    ids=["spectrum-negative-a", "spectrum-p-1", "spectrum-a-0", "spectrum-G-0",
+         "genus-grid-p-1", "admissible-count-p-1", "density-check-gmax-0",
+         "herbrand-roundtrip-count-0"],
+)
+def test_bad_arguments_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# ------------------------------------------------------------------ README
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands():
+    """(argv, expected) for every `ramforge ...` line after "## Command line";
+    expected is the text of a trailing `# ...` comment, or ""."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    out = []
+    for line in text.splitlines():
+        if line.startswith("ramforge "):
+            command, _, expected = line.partition(" # ")
+            out.append((shlex.split(command)[1:], expected.strip()))
+    return out
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv, _ in README_COMMANDS} == {
+        "reduce", "conductor", "genus", "deform", "act", "tower", "herbrand",
+        "admissible", "plan", "spectrum", "kato", "grid",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,expected", README_COMMANDS,
+    ids=[argv[1] if argv[0] == "grid" else argv[0] for argv, _ in README_COMMANDS],
+)
+def test_readme_command(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert expected in out
+    if argv[0] == "grid":
+        verdict, _, frac = out.splitlines()[-1].removeprefix("# ").partition(" ")
+        ok, _, total = frac.partition("/")
+        assert verdict == "PASS" and ok == total and int(total) > 0

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramforge.errors import (
     InconsistentInput,
@@ -66,6 +67,25 @@ def test_ram_divisor_degree_z4_with_oracle():
     assert ram_divisor_degree(bp) == 8
     # Artin conductors of the characters of Z/4 with jumps (1, 2): 2, 3, 3
     assert different_degree_oracle(InertiaShape(2, 2, 1), [(1, 1), (3, 1)]) == 8
+
+
+def upper_sum_degree(bp):
+    """The jump sum |I| - 1 + (p-1) * m * (sigma_1 + p*sigma_2 + ... +
+    p^(e-1)*sigma_e) over the upper jumps listed with multiplicity."""
+    p = bp.shape.p
+    acc = sum((p**i * sigma for i, sigma in enumerate(bp.upper_jumps)), Fraction(0))
+    return bp.shape.order - 1 + (p - 1) * bp.shape.m * acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_ram_divisor_degree_matches_the_jump_sum(rng):
+    filt = random_filtration(rng, e_max=6, m_max=12)
+    jumps = tuple(sigma for sigma, mult in filt.breaks for _ in range(mult))
+    bp = BranchPoint(filt.shape, jumps)
+    assert ram_divisor_degree(bp) == upper_sum_degree(bp)
+    tame = BranchPoint(InertiaShape(filt.shape.p, 0, filt.shape.m), ())
+    assert ram_divisor_degree(tame) == upper_sum_degree(tame) == filt.shape.m - 1
 
 
 def test_ram_divisor_degree_matches_oracle_randomly():
