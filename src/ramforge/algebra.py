@@ -411,88 +411,48 @@ def artin_schreier(h: LaurentPoly) -> LaurentPoly:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\[[^\[\]]*\]|[0-9]+)?(?:\*?(?P<x>x)(?:\^(?P<exp>[+-]?[0-9]+))?)?$"
+    r"(?P<sign>[+-])?(?P<coeff>\[(?P<vec>[^\[\]]*)\]|[0-9]+)?"
+    r"(?:\*?(?P<x>x)(?:\^(?P<exp>[+-]?[0-9]+))?)?"
 )
 _VECTOR_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
-
-
-def _signed_chunks(s: str):
-    chunks = []
-    cur: list[str] = []
-    depth = 0
-    sign = 1
-    prev = ""
-    for ch in s:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced ']' in {s!r}")
-        if ch in "+-" and depth == 0:
-            if prev in ("+", "-"):
-                raise ParseError(f"sign follows a sign in {s!r}")
-            if prev.isalnum() or prev == "]":
-                chunks.append((sign, "".join(cur)))
-                cur = []
-                sign = 1 if ch == "+" else -1
-                prev = ch
-                continue
-            if not prev:  # a single leading sign
-                sign = 1 if ch == "+" else -1
-                prev = ch
-                continue
-        cur.append(ch)
-        prev = ch
-    if depth:
-        raise ParseError(f"unbalanced '[' in {s!r}")
-    chunks.append((sign, "".join(cur)))
-    return chunks
-
-
-def _parse_coeff(spec: FieldSpec, text: str) -> FieldElement:
-    if text.startswith("["):
-        inner = text[1:-1]
-        parts = inner.split(",")
-        if "" in parts:
-            raise ParseError(f"empty component in coefficient vector {text!r}")
-        if not _VECTOR_RE.fullmatch(inner):
-            raise ParseError(f"bad coefficient vector {text!r}")
-        return spec.element([int(p) for p in parts])
-    return spec.scalar(int(text))
 
 
 def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     """Parse the `c*x^e` sum grammar, e.g. ``x^-7 + 2*x^-3 + x^2``.
 
-    Whitespace is ignored.  Coefficients over extensions are written as
-    polynomial-basis vectors ``[c0,c1,...]`` of ``-?[0-9]+`` components.
-    Scalars are ``[0-9]+`` and exponents signed ``[0-9]+``; only ASCII
-    digits are accepted.
+    Whitespace is ignored.  One left-to-right scan matches `_TERM_RE` term
+    by term: an optional sign, then a coefficient, an ``x`` power or both;
+    every term after the first starts with its sign.  Coefficients over
+    extensions are polynomial-basis vectors ``[c0,c1,...]`` of ``-?[0-9]+``
+    components.  Scalars are ``[0-9]+`` and exponents signed ``[0-9]+``;
+    only ASCII digits are accepted.
     """
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty Laurent polynomial")
     terms: dict[int, FieldElement] = {}
-    for sign, chunk in _signed_chunks(s):
-        if not chunk:
-            raise ParseError(f"empty term in {text!r}")
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and m.group("x") is None):
-            raise ParseError(f"bad term {chunk!r} in {text!r}")
-        coeff = (
-            spec.one if m.group("coeff") is None else _parse_coeff(spec, m.group("coeff"))
-        )
-        if sign < 0:
-            coeff = -coeff
-        if m.group("x") is None:
-            e = 0
-        elif m.group("exp") is None:
-            e = 1
+    pos = 0
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        sign, coeff, vec, x, exp = m.group("sign", "coeff", "vec", "x", "exp")
+        if coeff is None and x is None and s.startswith(("+", "-"), m.end()):
+            raise ParseError(f"sign follows a sign in {s!r}")
+        if (pos and sign is None) or (coeff is None and x is None):
+            raise ParseError(f"bad term {s[pos:]!r} in {text!r}")
+        if vec is not None:
+            parts = vec.split(",")
+            if "" in parts:
+                raise ParseError(f"empty component in coefficient vector {coeff!r}")
+            if not _VECTOR_RE.fullmatch(vec):
+                raise ParseError(f"bad coefficient vector {coeff!r}")
+            c = spec.element([int(v) for v in parts])
         else:
-            e = int(m.group("exp"))
-        prev = terms.get(e)
-        terms[e] = coeff if prev is None else prev + coeff
+            c = spec.one if coeff is None else spec.scalar(int(coeff))
+        if sign == "-":
+            c = -c
+        e = 0 if x is None else 1 if exp is None else int(exp)
+        terms[e] = terms[e] + c if e in terms else c
+        pos = m.end()
     return LaurentPoly(spec, terms)
 
 

@@ -24,7 +24,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-from .algebra import INFINITY, FieldSpec, LaurentPoly, artin_schreier
+from .algebra import FieldSpec, LaurentPoly, artin_schreier
 from .errors import (
     FieldMismatch,
     InvalidJump,
@@ -86,10 +86,6 @@ class ASReduced:
     def f_reduced(self) -> LaurentPoly:
         return self.base.f
 
-    @property
-    def ramified(self) -> bool:
-        return self.conductor is not UNRAMIFIED
-
 
 def _as_poly(f) -> LaurentPoly:
     return f.f if isinstance(f, ASLocal) else f
@@ -105,8 +101,9 @@ def _reduce_terms(terms: dict, p: int, weight, kill):
     The killed key must vanish and every key the step adds must weigh more
     than v, so the valuation strictly rises and the loop terminates.
 
-    Returns (v, h): the final valuation (INFINITY when no term is left) and
-    the substitution h as {m_key: r}.
+    Returns (conductor, h): -v for the final valuation v when it is
+    negative, hence prime to p, else UNRAMIFIED (also when no term is left);
+    and the substitution h as {m_key: r}.
     """
     heap = [(weight(k), k) for k in terms]
     heapq.heapify(heap)
@@ -114,11 +111,11 @@ def _reduce_terms(terms: dict, p: int, weight, kill):
     while True:
         while heap and heap[0][1] not in terms:  # stale: the term was cancelled
             heapq.heappop(heap)
-        if not heap:
-            return INFINITY, h
+        if not heap or heap[0][0] >= 0:
+            return UNRAMIFIED, h
         v, key = heap[0]
-        if v >= 0 or v % p:
-            return v, h
+        if v % p:
+            return -v, h
         heapq.heappop(heap)
         m_key, r, updates = kill(key, terms[key])
         for k, delta in updates:
@@ -156,17 +153,11 @@ def as_reduce(f) -> ASReduced:
         return e // p, r, ((e, -c), (e // p, r))
 
     terms = dict(f.terms)
-    v, h_terms = _reduce_terms(terms, p, int, kill)  # val(x^e) = e
+    conductor, h_terms = _reduce_terms(terms, p, int, kill)  # val(x^e) = e
     g = LaurentPoly(spec, terms)
     h = LaurentPoly(spec, h_terms)
     if f - g != artin_schreier(h):
         raise InvariantViolation("reduction substitution does not account for the change")
-    if v is INFINITY or v >= 0:
-        conductor: int | _Unramified = UNRAMIFIED
-    else:
-        conductor = -v
-        if conductor % p == 0:
-            raise InvariantViolation(f"reduced conductor {conductor} divisible by {p}")
     return ASReduced(ASLocal(spec, g), conductor, h)
 
 

@@ -230,10 +230,6 @@ class ExtReduced:
     jump: "int | _Unramified"
     substitution: ExtElement
 
-    @property
-    def ramified(self) -> bool:
-        return self.jump is not UNRAMIFIED
-
 
 def ext_as_reduce(F: ExtElement) -> ExtReduced:
     """Reduce F until its valuation is >= 0 or negative and prime to p.
@@ -268,17 +264,11 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
         return (alpha, beta), r, updates
 
     terms = {(e, i): c for i, a in enumerate(F.coeffs) for e, c in a.terms.items()}
-    v, h_terms = _reduce_terms(terms, p, weight, kill)
+    jump, h_terms = _reduce_terms(terms, p, weight, kill)
     reduced = ExtElement.from_terms(ext, terms)
     subst = ExtElement.from_terms(ext, h_terms)
     if F - reduced != subst.pow_p() - subst:
         raise InvariantViolation("reduction substitution does not account for the change")
-    if v is INFINITY or v >= 0:
-        jump: int | _Unramified = UNRAMIFIED
-    else:
-        jump = -v
-        if jump % p == 0:
-            raise InvariantViolation(f"reduced jump {jump} divisible by {p}")
     return ExtReduced(reduced, jump, subst)
 
 

@@ -15,11 +15,12 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import asext, grids
-from .algebra import FieldSpec, format_laurent, parse_laurent
+from .algebra import FieldSpec, format_laurent, parse_laurent, require_prime
 from .aschreier import UNRAMIFIED, as_deform, as_reduce
 from .errors import InputError, InvariantViolation
 from .genus import (
@@ -49,11 +50,11 @@ def _conductor_json(c):
     return None if c is UNRAMIFIED else c
 
 
-def _parse_seq(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.replace(" ", "").split(",") if x)
-    except ValueError:
-        raise InputError(f"bad jump sequence {text!r}; expected comma-separated integers")
+def _parse_seq(text: str, flag: str) -> tuple[int, ...]:
+    seq = text.replace(" ", "")
+    if not re.fullmatch(r"[0-9]+(?:,[0-9]+)*", seq):
+        raise InputError(f"{flag}: {text!r} is not a comma-separated list of integers")
+    return tuple(map(int, seq.split(",")))
 
 
 def _load_json(text: str, what: str):
@@ -140,7 +141,8 @@ def cmd_herbrand(args):
 
 def cmd_admissible(args):
     if args.check is not None:
-        seq = _parse_seq(args.check)
+        seq = _parse_seq(args.check, "--check")
+        require_prime(args.p)
         ok = admissible_check(list(seq), args.p)
         return {"sequence": list(seq), "admissible": ok}, f"admissible: {str(ok).lower()}"
     if args.e is None or args.bound is None:
@@ -152,7 +154,8 @@ def cmd_admissible(args):
 
 
 def cmd_plan(args):
-    steps = tower_plan(_parse_seq(args.start), _parse_seq(args.target), args.p)
+    steps = tower_plan(_parse_seq(args.start, "--start"), _parse_seq(args.target, "--target"),
+                       args.p)
     return (
         {"steps": [{"level": st.level, "start": st.start, "target": st.target}
                    for st in steps]},
@@ -256,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="extension element, ';'-separated Laurent coefficients")
 
     sp = command("herbrand", cmd_herbrand, "psi/phi evaluation and jump conversion")
-    sp.add_argument("--psi", default=None, help="evaluate psi at this rational")
-    sp.add_argument("--phi", default=None, help="evaluate phi at this rational")
+    at = sp.add_mutually_exclusive_group()
+    at.add_argument("--psi", default=None, help="evaluate psi at this rational")
+    at.add_argument("--phi", default=None, help="evaluate phi at this rational")
     sp.add_argument("filtration", help="filtration JSON")
 
     sp = command("admissible", cmd_admissible, "check or enumerate admissible sequences")
@@ -314,7 +318,7 @@ def main(argv=None) -> int:
         return 2
     if args.json:
         print(json.dumps(payload, separators=(",", ":")))
-    elif text:
+    else:
         print(text)
     return status[0] if status else 0
 

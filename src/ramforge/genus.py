@@ -9,6 +9,7 @@ formulas assume the branch data comes from an actual cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -231,7 +232,7 @@ def genus_spectrum(
     to s_iota mod m, prime to p and larger than m*sigma0; the base genus
     itself is included since the undeformed cover exists.  The deformed
     values fall into p - 1 arithmetic progressions with the returned
-    increment.
+    increment.  The inertia order p^a*m must divide |G|, with m prime to p.
     """
     require_prime(p)
     if a < 1:
@@ -241,12 +242,11 @@ def genus_spectrum(
     sigma0 = Fraction(sigma0)
     if not 1 <= s_iota <= m:
         raise ValueError(f"s_iota must lie in [1, {m}], got {s_iota}")
-    inc = Fraction(p * group_order, 2) * (1 - Fraction(1, p**a))
-    if inc.denominator != 1 or inc < 1:
-        raise InvariantViolation(
-            f"progression increment {inc} is not a positive integer"
-        )
-    inc = int(inc)
+    if math.gcd(m, p) != 1:
+        raise ValueError(f"tame order m = {m} is not prime to p = {p}")
+    if group_order % (p**a * m):
+        raise ValueError(f"p^a*m = {p**a * m} does not divide the group order {group_order}")
+    inc = p * group_order * (p**a - 1) // (2 * p**a)  # exact: p^a | |G|, 2 | p*(p^a - 1)
     genera = set()
     deformed = set()
     if 0 <= g0 <= limit:

@@ -259,6 +259,7 @@ def admissible_check(seq, p: int) -> bool:
 def admissible_enumerate(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
     """All admissible sequences of length e with last entry <= bound, in
     lexicographic order."""
+    require_prime(p)
     if e < 1:
         raise ValueError(f"length must be >= 1, got {e}")
     if bound < p ** (e - 1):
@@ -323,6 +324,7 @@ def tower_plan(start_seq, target_seq, p: int) -> list[LevelStep]:
     """Level-by-level deformation plan from one admissible sequence to a
     strictly larger one, following the inductive minimal-dominating-layer
     construction."""
+    require_prime(p)
     start_seq, target_seq = tuple(start_seq), tuple(target_seq)
     if not admissible_check(start_seq, p):
         raise NotAdmissible(f"{start_seq} is not admissible for p = {p}")

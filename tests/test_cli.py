@@ -106,6 +106,15 @@ def test_herbrand_psi_phi(capsys):
     assert out == "phi(3) = 2\n"
 
 
+def test_herbrand_psi_and_phi_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["herbrand", "--psi", "1", "--phi", "2", FILT])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --phi: not allowed with argument --psi" in out.err
+
+
 def test_herbrand_rejects_invalid_filtration(capsys):
     bad = '{"p":2,"e":1,"m":1,"breaks":[{"c":"2","mult":1}]}'
     code, _, err = run(capsys, "herbrand", bad)
@@ -369,11 +378,6 @@ RENDERED = {
         "1,3\n1,4\n1,5\n",
         '{"p":3,"e":2,"bound":5,"sequences":[[1,3],[1,4],[1,5]]}\n',
     ),
-    "admissible-empty": (
-        ["admissible", "--p", "1", "--e", "1", "--bound", "3"],
-        "",
-        '{"p":1,"e":1,"bound":3,"sequences":[]}\n',
-    ),
     "admissible-check": (
         ["admissible", "--p", "2", "--check", "1,2,5"],
         "admissible: true\n",
@@ -490,10 +494,38 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "gmax 0 is below the progression increment 1"),
         (["grid", "herbrand-roundtrip", "--count", "0"],
          "grid herbrand-roundtrip has no rows for these parameters"),
+        (["spectrum", "--G", "3", "--p", "2", "--limit", "5"],
+         "p^a*m = 2 does not divide the group order 3"),
+        (["spectrum", "--G", "2", "--p", "2", "--m", "2", "--limit", "5"],
+         "tame order m = 2 is not prime to p = 2"),
+        (["admissible", "--p", "4", "--e", "2", "--bound", "9"],
+         "characteristic must be prime, got 4"),
+        (["admissible", "--p", "1", "--e", "1", "--bound", "3"],
+         "characteristic must be prime, got 1"),
+        (["admissible", "--p", "4", "--check", "1,2"], "characteristic must be prime, got 4"),
+        (["plan", "--p", "4", "--start", "1", "--target", "3"],
+         "characteristic must be prime, got 4"),
+        (["admissible", "--p", "2", "--check", "1,,2"],
+         "--check: '1,,2' is not a comma-separated list of integers"),
+        (["admissible", "--p", "2", "--check", "1_1"],
+         "--check: '1_1' is not a comma-separated list of integers"),
+        (["admissible", "--p", "2", "--check", "\u0663,6"],
+         "--check: '\u0663,6' is not a comma-separated list of integers"),
+        (["admissible", "--p", "2", "--check", "+1,2"],
+         "--check: '+1,2' is not a comma-separated list of integers"),
+        (["admissible", "--p", "2", "--check", ""],
+         "--check: '' is not a comma-separated list of integers"),
+        (["plan", "--p", "2", "--start", "1,2", "--target", "3,,6"],
+         "--target: '3,,6' is not a comma-separated list of integers"),
+        (["plan", "--p", "2", "--start", "1,,2", "--target", "3,6"],
+         "--start: '1,,2' is not a comma-separated list of integers"),
     ],
     ids=["spectrum-negative-a", "spectrum-p-1", "spectrum-a-0", "spectrum-G-0",
          "genus-grid-p-1", "admissible-count-p-1", "density-check-gmax-0",
-         "herbrand-roundtrip-count-0"],
+         "herbrand-roundtrip-count-0", "spectrum-G-not-divisible", "spectrum-m-not-prime-to-p",
+         "admissible-p-4", "admissible-p-1", "admissible-check-p-4", "plan-p-4",
+         "check-empty-field", "check-underscore", "check-unicode-digit", "check-plus-sign",
+         "check-empty", "target-empty-field", "start-empty-field"],
 )
 def test_bad_arguments_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
