@@ -19,7 +19,6 @@ from .algebra import (
 )
 from .aschreier import (
     UNRAMIFIED,
-    ASLocal,
     ASReduced,
     Connectedness,
     action_add,

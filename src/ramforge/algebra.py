@@ -293,7 +293,8 @@ class LaurentPoly:
     """Finite Laurent polynomial over F_{p^n}, stored sparsely.
 
     Only the pole part ever matters for ramification, so finite supports
-    lose nothing and keep every operation exact.
+    lose nothing and keep every operation exact.  The constructor checks
+    caller input once; arithmetic results are built by `_trusted`.
     """
 
     __slots__ = ("spec", "terms")
@@ -309,6 +310,15 @@ class LaurentPoly:
                 clean[int(e)] = c
         self.spec = spec
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, terms: dict) -> "LaurentPoly":
+        """Internal results: `terms` already maps int exponents to nonzero
+        elements of `spec`, so it is adopted as is, without a check."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "LaurentPoly":
@@ -346,17 +356,23 @@ class LaurentPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            out[e] = c if s is None else s + c
-        return LaurentPoly(self.spec, out)
+            if s is None:
+                out[e] = c
+            elif s := s + c:
+                out[e] = s
+            else:
+                del out[e]
+        return LaurentPoly._trusted(self.spec, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly(self.spec, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.spec, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c) -> "LaurentPoly":
-        return LaurentPoly(self.spec, {e: c * v for e, v in self.terms.items()})
+        terms = {e: cv for e, v in self.terms.items() if (cv := c * v)}
+        return LaurentPoly._trusted(self.spec, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -369,7 +385,7 @@ class LaurentPoly:
                 prod = c1 * c2
                 s = out.get(e)
                 out[e] = prod if s is None else s + prod
-        return LaurentPoly(self.spec, out)
+        return LaurentPoly._trusted(self.spec, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -391,7 +407,9 @@ class LaurentPoly:
     def frobenius(self) -> "LaurentPoly":
         """p-th power: coefficients to the p, exponents times p."""
         p = self.spec.p
-        return LaurentPoly(self.spec, {p * e: c.frobenius() for e, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.spec, {p * e: c.frobenius() for e, c in self.terms.items()}
+        )
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):

@@ -24,9 +24,8 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-from .algebra import FieldSpec, LaurentPoly, artin_schreier
+from .algebra import LaurentPoly, artin_schreier
 from .errors import (
-    FieldMismatch,
     InvalidJump,
     InvariantViolation,
     NotLarger,
@@ -62,33 +61,13 @@ class Connectedness(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ASLocal:
-    """A cover y^p - y = f at the place x = 0."""
-
-    spec: FieldSpec
-    f: LaurentPoly
-
-    def __post_init__(self):
-        if self.f.spec != self.spec:
-            raise FieldMismatch(f"{self.spec} vs {self.f.spec}")
-
-
-@dataclass(frozen=True)
 class ASReduced:
-    """Reduction result: base is in reduced form and differs from the input
-    by artin_schreier(substitution) exactly."""
+    """Reduction result: f_reduced is in reduced form and differs from the
+    input by artin_schreier(substitution) exactly."""
 
-    base: ASLocal
+    f_reduced: LaurentPoly
     conductor: "int | _Unramified"
     substitution: LaurentPoly
-
-    @property
-    def f_reduced(self) -> LaurentPoly:
-        return self.base.f
-
-
-def _as_poly(f) -> LaurentPoly:
-    return f.f if isinstance(f, ASLocal) else f
 
 
 def _reduce_terms(terms: dict, p: int, weight, kill):
@@ -136,7 +115,7 @@ def _reduce_terms(terms: dict, p: int, weight, kill):
         h[m_key] = r
 
 
-def as_reduce(f) -> ASReduced:
+def as_reduce(f: LaurentPoly) -> ASReduced:
     """Reduce f until its valuation is >= 0 or negative and prime to p.
 
     Total function: each step replaces the leading term c*x^(-pk) by
@@ -144,7 +123,6 @@ def as_reduce(f) -> ASReduced:
     terminates.  The accumulated substitution h satisfies
     f - f_reduced = h^p - h, which is checked before returning.
     """
-    f = _as_poly(f)
     spec = f.spec
     p = spec.p
 
@@ -154,11 +132,11 @@ def as_reduce(f) -> ASReduced:
 
     terms = dict(f.terms)
     conductor, h_terms = _reduce_terms(terms, p, int, kill)  # val(x^e) = e
-    g = LaurentPoly(spec, terms)
-    h = LaurentPoly(spec, h_terms)
+    g = LaurentPoly._trusted(spec, terms)
+    h = LaurentPoly._trusted(spec, h_terms)
     if f - g != artin_schreier(h):
         raise InvariantViolation("reduction substitution does not account for the change")
-    return ASReduced(ASLocal(spec, g), conductor, h)
+    return ASReduced(g, conductor, h)
 
 
 def as_conductor(f):
@@ -176,9 +154,8 @@ def as_genus_affine_line(p: int, j: int) -> int:
     return num // 2
 
 
-def as_deform(f, s: int, t0) -> ASLocal:
+def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
     """Add the dominating pole t0*x^(-s); the result has conductor exactly s."""
-    f = _as_poly(f)
     spec = f.spec
     if isinstance(t0, int):
         t0 = spec.scalar(t0)
@@ -193,23 +170,21 @@ def as_deform(f, s: int, t0) -> ASLocal:
     out = f + LaurentPoly.x_pow(spec, -s, t0)
     if as_conductor(out) != s:
         raise InvariantViolation("deformed cover does not have the target conductor")
-    return ASLocal(spec, out)
+    return out
 
 
-def action_add(f_phi, f_alpha) -> ASLocal:
+def action_add(f_phi: LaurentPoly, f_alpha: LaurentPoly) -> LaurentPoly:
     """Group action at equation level: add the right-hand sides."""
-    f_phi, f_alpha = _as_poly(f_phi), _as_poly(f_alpha)
-    return ASLocal(f_phi.spec, f_phi + f_alpha)
+    return f_phi + f_alpha
 
 
-def action_connectedness(f_phi, f_alpha) -> Connectedness:
+def action_connectedness(f_phi: LaurentPoly, f_alpha: LaurentPoly) -> Connectedness:
     """Conservative connectedness check for the acted-on cover.
 
     Unequal conductors force connectedness.  With equal conductors, losing
     the common leading pole in the reduced sum is necessary (not sufficient)
     for disconnection, so that case is reported as POSSIBLY_DISCONNECTED.
     """
-    f_phi, f_alpha = _as_poly(f_phi), _as_poly(f_alpha)
     c1 = as_conductor(f_phi)
     c2 = as_conductor(f_alpha)
     if c1 is UNRAMIFIED or c2 is UNRAMIFIED:

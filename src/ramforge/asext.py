@@ -82,15 +82,12 @@ class ExtElement:
 
     @classmethod
     def from_terms(cls, ext: ExtFieldSpec, terms) -> "ExtElement":
-        """Build from a {(e, i): coefficient} map of monomials x^e * y^i."""
+        """Build from a {(e, i): coefficient} map of monomials x^e * y^i with
+        int e and nonzero coefficients in ext.field, as the engine leaves it."""
         rows = [{} for _ in range(ext.p)]
         for (e, i), c in terms.items():
             rows[i][e] = c
-        return cls(ext, [LaurentPoly(ext.field, r) for r in rows])
-
-    @classmethod
-    def from_laurent(cls, ext: ExtFieldSpec, f: LaurentPoly) -> "ExtElement":
-        return cls.from_coeffs(ext, [f])
+        return cls(ext, [LaurentPoly._trusted(ext.field, r) for r in rows])
 
     @classmethod
     def x_pow(cls, ext: ExtFieldSpec, e: int, coeff=1) -> "ExtElement":
@@ -154,10 +151,7 @@ class ExtElement:
         )
 
     def __sub__(self, other):
-        self._check(other)
-        return ExtElement(
-            self.ext, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + (-other)
 
     def __neg__(self):
         return ExtElement(self.ext, tuple(-a for a in self.coeffs))
@@ -192,7 +186,7 @@ class ExtElement:
                 c = math.comb(i, b) % p
                 shift = -j * (i - b)
                 term = {e + shift: v * c for e, v in ap.terms.items()}
-                out[b] = out[b] + LaurentPoly(ext.field, term)
+                out[b] = out[b] + LaurentPoly._trusted(ext.field, term)
         return ExtElement(ext, out)
 
     def __eq__(self, other):

@@ -98,7 +98,7 @@ def cmd_deform(args):
     t0 = parse_laurent(spec, args.t0)
     if len(t0.terms) != 1 or t0.valuation != 0:
         raise InputError(f"deformation parameter {args.t0!r} must be a nonzero constant")
-    out = format_laurent(as_deform(f, args.s, t0[0]).f)
+    out = format_laurent(as_deform(f, args.s, t0[0]))
     return ({"p": args.p, "n": args.n, "f": out, "conductor": args.s},
             f"f: {out}\nconductor: {args.s}")
 

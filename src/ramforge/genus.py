@@ -61,7 +61,8 @@ class BranchPoint:
 
 
 def branch_from_dict(d: dict) -> BranchPoint:
-    """Decode a branch-point JSON object; upper jumps are num/den strings."""
+    """Decode a branch-point JSON object; upper jumps are num/den strings
+    and must form a valid filtration (ValueError otherwise)."""
     try:
         reject_unknown_keys(d, ("p", "e", "m", "upper_jumps"), "branch point")
         shape = shape_from_dict(d)
@@ -69,7 +70,11 @@ def branch_from_dict(d: dict) -> BranchPoint:
         jumps = tuple(parse_rational(s, f"upper jump {i}") for i, s in enumerate(listed, 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad branch point object: {exc}") from exc
-    return BranchPoint(shape, jumps)
+    bp = BranchPoint(shape, jumps)
+    problems = validate(bp.to_filtration())
+    if problems:
+        raise ValueError("invalid branch point: " + "; ".join(problems))
+    return bp
 
 
 @dataclass(frozen=True)
@@ -232,7 +237,8 @@ def genus_spectrum(
     to s_iota mod m, prime to p and larger than m*sigma0; the base genus
     itself is included since the undeformed cover exists.  The deformed
     values fall into p - 1 arithmetic progressions with the returned
-    increment.  The inertia order p^a*m must divide |G|, with m prime to p.
+    increment.  The inertia order p^a*m must divide |G|, with m prime to p;
+    sigma0 > 0, g0 >= 0 and limit >= 0.
     """
     require_prime(p)
     if a < 1:
@@ -240,6 +246,12 @@ def genus_spectrum(
     if group_order < 1:
         raise ValueError(f"group order must be positive, got {group_order}")
     sigma0 = Fraction(sigma0)
+    if sigma0 <= 0:
+        raise ValueError(f"base conductor {sigma0} must be positive")
+    if g0 < 0:
+        raise ValueError(f"base genus {g0} must be >= 0")
+    if limit < 0:
+        raise ValueError(f"genus limit {limit} must be >= 0")
     if not 1 <= s_iota <= m:
         raise ValueError(f"s_iota must lie in [1, {m}], got {s_iota}")
     if math.gcd(m, p) != 1:
@@ -249,25 +261,23 @@ def genus_spectrum(
     inc = p * group_order * (p**a - 1) // (2 * p**a)  # exact: p^a | |G|, 2 | p*(p^a - 1)
     genera = set()
     deformed = set()
-    if 0 <= g0 <= limit:
+    if g0 <= limit:
         genera.add(g0)
     s = s_iota
-    while s <= m * sigma0:
+    while s <= m * sigma0 or s % p == 0:
         s += m
-    while True:
-        if s % p != 0:
-            g = g0 + genus_increment(group_order, p, a, m, sigma0, s)
-            if g > limit:
-                break
-            deformed.add(g)
-        else:
-            # the skipped multiple of p still tells us whether to stop
-            probe = g0 + group_order * (Fraction(s, m) - sigma0) * (
-                1 - Fraction(1, p**a)
-            ) / 2
-            if probe > limit:
-                break
+    # candidates prime to p differ by multiples of m (of 2m when p = 2), so
+    # with p^a | |G| every increment is integral iff this first one is
+    try:
+        g = g0 + genus_increment(group_order, p, a, m, sigma0, s)
+    except InvariantViolation as exc:
+        raise ValueError(f"base conductor {sigma0} does not fit the inertia data: {exc}") from exc
+    while g <= limit:
+        deformed.add(g)
         s += m
+        if s % p == 0:  # m is prime to p, so s + m is not
+            s += m
+        g = g0 + genus_increment(group_order, p, a, m, sigma0, s)
     genera |= deformed
     residues = tuple(sorted({g % inc for g in deformed}))
     if len(residues) > p - 1:

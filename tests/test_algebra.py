@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ramforge.algebra import (
     INFINITY,
+    FieldElement,
     FieldSpec,
     LaurentPoly,
     artin_schreier,
@@ -14,6 +15,7 @@ from ramforge.algebra import (
     format_laurent,
     parse_laurent,
 )
+from ramforge.aschreier import as_reduce
 from ramforge.errors import FieldMismatch, ParseError
 
 F2 = FieldSpec(2)
@@ -224,6 +226,51 @@ def test_frobenius_is_additive(f, g):
 @given(laurents(F3))
 def test_artin_schreier_operator(h):
     assert artin_schreier(h) == h.frobenius() - h
+
+
+# ---------------------------------------------- public edge, trusted results
+
+def test_public_constructor_checks_caller_input():
+    F8 = FieldSpec(2, 3)
+    f = LaurentPoly(F8, {-3: 1, -2: 2, -1: F8.zero, 4: F8.element([0, 1])})
+    assert f.terms == {-3: F8.one, 4: F8.element([0, 1])}  # 2 = 0 in F_8
+    assert LaurentPoly(F3, {-1: 4, 0: 3}).terms == {-1: F3.one}
+    with pytest.raises(FieldMismatch):
+        LaurentPoly(F3, {-1: F2.one})
+    with pytest.raises(FieldMismatch):
+        LaurentPoly(F8, {-1: FieldSpec(2, 2).one})
+
+
+def _assert_canonical(r, spec):
+    """r holds int exponents and nonzero coefficients of spec only, so the
+    public constructor rebuilds it unchanged."""
+    assert r.spec == spec
+    for e, c in r.terms.items():
+        assert type(e) is int
+        assert isinstance(c, FieldElement) and c.spec == spec and not c.is_zero
+    assert r == LaurentPoly(spec, dict(r.terms))
+
+
+@st.composite
+def operand_pairs(draw):
+    spec = draw(st.sampled_from([F2, F3, FieldSpec(2, 3), FieldSpec(5, 2)]))
+    f = draw(laurents(spec, -6, 2))
+    g = draw(laurents(spec, -6, 2))
+    # a shared part makes + and - cancel whole coefficients
+    g = draw(st.sampled_from([g, g + f, g - f, -f]))
+    c = draw(st.sampled_from([0, spec.p, 1, -1, 2]))
+    return spec, f, g, c
+
+
+@given(operand_pairs())
+def test_internal_results_are_canonical(case):
+    spec, f, g, c = case
+    red = as_reduce(f)
+    results = [f + g, f - g, g - g, f + f, -f, f * g,
+               f.scale(c), f.scale(spec.scalar(c)), f.frobenius(),
+               artin_schreier(f), red.f_reduced, red.substitution]
+    for r in results:
+        _assert_canonical(r, spec)
 
 
 # ------------------------------------------------------------- text grammar

@@ -1,5 +1,6 @@
 """CLI adapter: rendering, exit codes, JSON round trips."""
 
+import doctest
 import json
 import shlex
 from pathlib import Path
@@ -519,13 +520,29 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "--target: '3,,6' is not a comma-separated list of integers"),
         (["plan", "--p", "2", "--start", "1,,2", "--target", "3,6"],
          "--start: '1,,2' is not a comma-separated list of integers"),
+        (["genus", "--G", "2", "--branch", '{"p":2,"e":1,"m":1,"upper_jumps":["1/2"]}'],
+         "invalid branch point: break 1/2: sigma*|I|/|I^sigma| = 1/2 not an integer; "
+         "break 1/2: lower jump 1/2 not an integer"),
+        (["spectrum", "--G", "2", "--p", "2", "--sigma0", "1/3", "--limit", "5"],
+         "base conductor 1/3 does not fit the inertia data: "
+         "genus increment 1/3 is not a natural number"),
+        (["spectrum", "--G", "2", "--p", "2", "--sigma0", "-1", "--limit", "5"],
+         "base conductor -1 must be positive"),
+        (["spectrum", "--G", "2", "--p", "2", "--sigma0", "0", "--limit", "5"],
+         "base conductor 0 must be positive"),
+        (["spectrum", "--G", "2", "--p", "2", "--g0", "-3", "--limit", "5"],
+         "base genus -3 must be >= 0"),
+        (["spectrum", "--G", "2", "--p", "2", "--limit", "-4"],
+         "genus limit -4 must be >= 0"),
     ],
     ids=["spectrum-negative-a", "spectrum-p-1", "spectrum-a-0", "spectrum-G-0",
          "genus-grid-p-1", "admissible-count-p-1", "density-check-gmax-0",
          "herbrand-roundtrip-count-0", "spectrum-G-not-divisible", "spectrum-m-not-prime-to-p",
          "admissible-p-4", "admissible-p-1", "admissible-check-p-4", "plan-p-4",
          "check-empty-field", "check-underscore", "check-unicode-digit", "check-plus-sign",
-         "check-empty", "target-empty-field", "start-empty-field"],
+         "check-empty", "target-empty-field", "start-empty-field",
+         "genus-non-admissible-jump", "spectrum-sigma0-off-lattice", "spectrum-sigma0-negative",
+         "spectrum-sigma0-0", "spectrum-g0-negative", "spectrum-limit-negative"],
 )
 def test_bad_arguments_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -570,3 +587,12 @@ def test_readme_command(capsys, argv, expected):
         verdict, _, frac = out.splitlines()[-1].removeprefix("# ").partition(" ")
         ok, _, total = frac.partition("/")
         assert verdict == "PASS" and ok == total and int(total) > 0
+
+
+def test_readme_python_session():
+    """The README's `>>>` session runs as shown under stdlib doctest."""
+    session = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(session, {}, "README", str(README), 0)
+    report = []
+    failed, attempted = doctest.DocTestRunner().run(test, out=report.append)
+    assert attempted > 0 and failed == 0, "".join(report)

@@ -156,15 +156,22 @@ def test_jump_invariant_under_artin_schreier(case):
 
 
 def _builds_during(monkeypatch, fn, *inputs):
-    """How many LaurentPoly objects fn(x) constructs, for each input x."""
+    """How many LaurentPoly objects fn(x) constructs, for each input x,
+    through the public constructor or the trusted one."""
     count = [0]
     init = LaurentPoly.__init__
+    trusted = LaurentPoly._trusted
 
     def counting_init(self, *args):
         count[0] += 1
         init(self, *args)
 
+    def counting_trusted(spec, terms):
+        count[0] += 1
+        return trusted(spec, terms)
+
     monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
+    monkeypatch.setattr(LaurentPoly, "_trusted", staticmethod(counting_trusted))
     out = []
     for x in inputs:
         count[0] = 0
