@@ -12,7 +12,6 @@ function, so they are safe to share across threads.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from functools import lru_cache
 from operator import mul
@@ -50,36 +49,116 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin: the twelve prime bases up to 37 decide
+    primality exactly for every p < 3.3e24 (Sorenson and Webster 2015)."""
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        y = pow(a, d, p)
+        if y in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % p
+            if y == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def require_prime(p: int) -> None:
-    """ValueError unless the characteristic p is prime."""
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    """ValueError unless the characteristic p is a prime below 2^64."""
+    if p >= 2**64:
+        raise ValueError(f"characteristic must be below 2^64, got {p}")
+    if not _is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
 
 
-def _poly_mod(num: list[int], den: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of num by the monic polynomial den over F_p.
+# F_p[x]: coefficient lists, lowest degree first; every modulus is monic.
 
-    Coefficients are listed lowest degree first.
+def _poly_divmod(num, den, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic polynomial den over F_p.
+
+    Synthetic division in place: clearing degree k leaves the quotient
+    coefficient of x^(k - deg den) in slot k, so num[deg den:] ends as the
+    quotient.  The remainder is padded to deg den coefficients.
     """
     num = [c % p for c in num]
     dn = len(den) - 1
+    low = den[:-1]
     for k in range(len(num) - 1, dn - 1, -1):
         c = num[k]
         if c:
-            for i, d in enumerate(den):
-                num[k - dn + i] = (num[k - dn + i] - c * d) % p
+            for i, d in enumerate(low, k - dn):
+                num[i] = (num[i] - c * d) % p
     rem = num[:dn]
     rem += [0] * (dn - len(rem))
-    return rem
+    return num[dn:], rem
+
+
+def _poly_mul(a, b) -> list[int]:
+    """Product over Z; callers reduce the coefficients mod p."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for k, d in enumerate(b, i):
+                conv[k] += c * d
+    return conv
+
+
+def _mulmod(a, b, f, p: int) -> list[int]:
+    """a * b mod f over F_p, padded to deg f coefficients."""
+    return _poly_divmod(_poly_mul(a, b), f, p)[1]
+
+
+def _powmod(a, k: int, f, p: int) -> list[int]:
+    """a^k mod f over F_p for k >= 0, by left-to-right square and multiply."""
+    acc = [1] + [0] * (len(f) - 2)
+    for bit in bin(k)[2:]:
+        acc = _mulmod(acc, acc, f, p)
+        if bit == "1":
+            acc = _mulmod(acc, a, f, p)
+    return acc
+
+
+def _gcdex(a, f, p: int) -> tuple[list[int], list[int]]:
+    """Monic gcd g of a and the monic f over F_p, and s with s * a = g mod f.
+
+    Extended Euclid.  Each remainder is made monic before it divides, so
+    `_poly_divmod` serves every step; O(deg f ^ 2) coefficient operations.
+    """
+    r0, s0, r1, s1 = list(f), [], [c % p for c in a], [1]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
+            return r0, s0
+        u = pow(r1[-1], -1, p)
+        r1 = [c * u % p for c in r1]
+        s1 = [c * u % p for c in s1]
+        q, r = _poly_divmod(r0, r1, p)
+        qs = _poly_mul(q, s1)
+        s = [(c - d) % p for c, d in itertools.zip_longest(s0, qs, fillvalue=0)]
+        r0, s0, r1, s1 = r1, s1, r, s
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree up to deg/2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            if not any(_poly_mod(list(poly), tail + (1,), p)):
-                return False
+    """Ben-Or's test (Ben-Or 1981): the monic poly of degree n is
+    irreducible over F_p iff gcd(poly, x^(p^i) - x) = 1 for i = 1..n//2."""
+    xq = [0, 1]
+    for _ in range((len(poly) - 1) // 2):
+        xq = _powmod(xq, p, poly, p)
+        d = list(xq)
+        d[1] = (d[1] - 1) % p
+        if len(_gcdex(d, poly, p)[0]) > 1:
+            return False
     return True
 
 
@@ -88,10 +167,19 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree n over F_p.
 
     Coefficient tuples are compared constant term first, which makes the
-    field construction deterministic without external tables.
+    field construction deterministic without external tables.  For n > 1 a
+    constant term 0 makes x a factor, so the candidates are the base-p
+    numerals c0 c1 ... c_{n-1} with c0 != 0, taken in increasing order and
+    read off one at a time (p may be near 2^32, so no range(p) is stored).
     """
-    for tail in itertools.product(range(p), repeat=n):
-        cand = tail + (1,)
+    if n == 1:
+        return (0, 1)
+    for code in range(p ** (n - 1), p**n):
+        digits = []
+        for _ in range(n):
+            code, c = divmod(code, p)
+            digits.append(c)
+        cand = (*reversed(digits), 1)
         if _is_irreducible(cand, p):
             return cand
     raise ValueError(f"no irreducible polynomial of degree {n} over F_{p}")
@@ -101,12 +189,16 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
 def _frobenius_matrices(p: int, n: int):
     """F_p-matrices of a -> a^p and of its inverse a -> a^(1/p) on F_{p^n}.
 
-    Column k of the first holds the coordinates of x^(pk).  Frobenius is an
-    F_p-linear bijection, so Gauss-Jordan inverts the matrix, and a p-th
-    power or p-th root then costs one matrix-vector product.
+    Column k of the first holds the coordinates of x^(pk), the previous
+    column times x^p mod the modulus.  Frobenius is an F_p-linear
+    bijection, so Gauss-Jordan inverts the matrix, and a p-th power or
+    p-th root then costs one matrix-vector product.
     """
     modulus = canonical_modulus(p, n)
-    cols = [_poly_mod([0] * (p * k) + [1], modulus, p) for k in range(n)]
+    xp = _powmod([0, 1], p, modulus, p)
+    cols = [[1] + [0] * (n - 1)]
+    for _ in range(1, n):
+        cols.append(_mulmod(cols[-1], xp, modulus, p))
     frob = tuple(tuple(col[r] for col in cols) for r in range(n))
     rows = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(frob)]
     for c in range(n):
@@ -122,7 +214,7 @@ def _frobenius_matrices(p: int, n: int):
 
 
 class FieldSpec:
-    """The coefficient field F_q with q = p^n, p prime."""
+    """The coefficient field F_q with q = p^n, p prime and q <= 2^64."""
 
     __slots__ = ("p", "n", "modulus", "frobenius_matrix", "inv_frobenius_matrix")
 
@@ -130,6 +222,8 @@ class FieldSpec:
         require_prime(p)
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
+        if n > 64 or p**n > 2**64:  # n first: p**n for a huge n is itself costly
+            raise ValueError(f"field size {p}^{n} exceeds the bound p^n <= 2^64")
         self.p = p
         self.n = n
         self.modulus = canonical_modulus(p, n)
@@ -196,7 +290,7 @@ class FieldElement:
         if isinstance(other, int):
             return self.spec.scalar(other)
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatch(f"{self.spec} vs {other.spec}")
             return other
         raise TypeError(f"cannot interpret {other!r} as a field element")
@@ -229,32 +323,25 @@ class FieldElement:
         if isinstance(other, int):
             return FieldElement(self.spec, tuple(other * a % p for a in self.coords))
         other = self._coerce(other)
-        n = self.spec.n
-        conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for k, b in enumerate(other.coords):
-                    conv[i + k] += a * b
-        return FieldElement(self.spec, tuple(_poly_mod(conv, self.spec.modulus, p)))
+        return FieldElement(
+            self.spec, tuple(_mulmod(self.coords, other.coords, self.spec.modulus, p))
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        acc = self.spec.one
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        spec = self.spec
+        return FieldElement(spec, tuple(_powmod(self.coords, k, spec.modulus, spec.p)))
 
     def inverse(self) -> "FieldElement":
+        """Extended Euclid against the modulus: O(n^2) F_p operations."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.spec.q - 2)
+        spec = self.spec
+        s = _gcdex(self.coords, spec.modulus, spec.p)[1]
+        return FieldElement(spec, tuple(s) + (0,) * (spec.n - len(s)))
 
     def _linear(self, matrix) -> "FieldElement":
         p = self.spec.p
@@ -275,7 +362,8 @@ class FieldElement:
             other = self.spec.scalar(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.coords == other.coords
+        same = self.spec is other.spec or self.spec == other.spec
+        return same and self.coords == other.coords
 
     def __hash__(self):
         return hash((self.spec.p, self.spec.n, self.coords))
@@ -304,7 +392,7 @@ class LaurentPoly:
         for e, c in (terms or {}).items():
             if isinstance(c, int):
                 c = spec.scalar(c)
-            elif c.spec != spec:
+            elif c.spec is not spec and c.spec != spec:
                 raise FieldMismatch(f"{spec} vs {c.spec}")
             if not c.is_zero:
                 clean[int(e)] = c
@@ -348,7 +436,7 @@ class LaurentPoly:
     def _check(self, other: "LaurentPoly"):
         if not isinstance(other, LaurentPoly):
             raise TypeError(f"expected LaurentPoly, got {other!r}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
 
     def __add__(self, other):
@@ -414,7 +502,8 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        same = self.spec is other.spec or self.spec == other.spec
+        return same and self.terms == other.terms
 
     def __str__(self):
         return format_laurent(self)

@@ -60,7 +60,7 @@ class ExtElement:
         if len(coeffs) != p:
             raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
         for a in coeffs:
-            if a.spec != ext.field:
+            if a.spec is not ext.field and a.spec != ext.field:
                 raise FieldMismatch(f"{ext.field} vs {a.spec}")
         self.ext = ext
         self.coeffs = coeffs

@@ -3,6 +3,7 @@
 import doctest
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -546,6 +547,28 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
 )
 def test_bad_arguments_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# ------------------------------------------------------------ size bounds
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["conductor", "--p", "2", "--n", "65", "x^-1"], 2, "",
+         "error: field size 2^65 exceeds the bound p^n <= 2^64\n"),
+        (["conductor", "--p", str(2**64 + 13), "x^-1"], 2, "",
+         f"error: characteristic must be below 2^64, got {2**64 + 13}\n"),
+        (["conductor", "--p", "2", "--n", "64", "x^-1"], 0, "conductor: 1\n", ""),
+        (["admissible", "--p", str(2**61 - 1), "--e", "1", "--bound", "1"], 0, "1\n", ""),
+        (["admissible", "--p", str(2**61 + 1), "--e", "1", "--bound", "1"], 2, "",
+         f"error: characteristic must be prime, got {2**61 + 1}\n"),
+    ],
+    ids=["n-65", "p-above-2^64", "n-64", "mersenne-61", "composite-2^61+1"],
+)
+def test_field_and_prime_bounds_are_fast(capsys, argv, code, out, err):
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (code, out, err)
+    assert time.perf_counter() - start < 2.0
 
 
 # ------------------------------------------------------------------ README
