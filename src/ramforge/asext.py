@@ -32,15 +32,24 @@ from .errors import (
 )
 from .ramfilt import admissible_check
 
+# An ExtElement holds p Laurent coefficients and the tower cost grows about
+# as p^3: `tower --p 251` takes ~0.06 s and p = 509 ~0.65 s on a 2-vCPU VM.
+MAX_EXT_P = 251
+
 
 @dataclass(frozen=True)
 class ExtFieldSpec:
-    """Degree-p extension of k((x)) with defining equation y^p - y = x^(-j)."""
+    """Degree-p extension of k((x)) with defining equation y^p - y = x^(-j);
+    p <= MAX_EXT_P."""
 
     field: FieldSpec
     j: int
 
     def __post_init__(self):
+        if self.field.p > MAX_EXT_P:
+            raise ValueError(
+                f"extension characteristic {self.field.p} exceeds the cap p <= {MAX_EXT_P}"
+            )
         if self.j < 1 or self.j % self.field.p == 0:
             raise ValueError(f"first jump {self.j} must be positive and prime to p")
 

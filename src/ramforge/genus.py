@@ -25,6 +25,7 @@ from .ramfilt import (
     InertiaShape,
     json_typed,
     parse_rational,
+    psi,
     reject_unknown_keys,
     shape_from_dict,
     validate,
@@ -137,11 +138,12 @@ def branch_filtration(bp: BranchPoint) -> Filtration:
 
 def ram_divisor_degree(bp: BranchPoint) -> int:
     """Degree of the local ramification divisor, Hilbert's different formula
-    read off the knot table: |I| - 1 + |I| * sigma_r - psi(sigma_r), where
-    sigma_r is the conductor (0 when tame)."""
+    |I| - 1 + |I| * sigma_r - psi(sigma_r), where sigma_r is the conductor
+    (0 when tame)."""
     filt = branch_filtration(bp)
     order = bp.shape.order
-    deg = order - 1 + order * (filt.conductor or 0) - filt._lower[-1]
+    sigma = filt.conductor or 0
+    deg = order - 1 + order * sigma - psi(filt, sigma)
     if deg.denominator != 1 or deg < 0:
         raise InvariantViolation(f"ramification degree {deg} at {bp} is not a natural number")
     return int(deg)
@@ -204,6 +206,10 @@ def last_lower_jump_increment(
     return j
 
 
+# The spectrum's cost is linear in its genera: ~0.5 s at the cap on a 2-vCPU VM.
+MAX_SPECTRUM_GENERA = 20000
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     """Achieved genera plus the arithmetic-progression structure.
@@ -238,7 +244,8 @@ def genus_spectrum(
     itself is included since the undeformed cover exists.  The deformed
     values fall into p - 1 arithmetic progressions with the returned
     increment.  The inertia order p^a*m must divide |G|, with m prime to p;
-    sigma0 > 0, g0 >= 0 and limit >= 0.
+    sigma0 > 0, g0 >= 0 and limit >= 0.  The window g0..limit holds about
+    (limit - g0)*(p - 1)/increment genera, at most MAX_SPECTRUM_GENERA.
     """
     require_prime(p)
     if a < 1:
@@ -259,12 +266,20 @@ def genus_spectrum(
     if group_order % (p**a * m):
         raise ValueError(f"p^a*m = {p**a * m} does not divide the group order {group_order}")
     inc = p * group_order * (p**a - 1) // (2 * p**a)  # exact: p^a | |G|, 2 | p*(p^a - 1)
+    if (limit - g0) * (p - 1) > MAX_SPECTRUM_GENERA * inc:
+        raise ValueError(
+            f"window {g0}..{limit} holds about {(limit - g0) * (p - 1) // inc} genera, "
+            f"above the cap {MAX_SPECTRUM_GENERA}"
+        )
     genera = set()
     deformed = set()
     if g0 <= limit:
         genera.add(g0)
-    s = s_iota
-    while s <= m * sigma0 or s % p == 0:
+    # the first candidate s = s_iota + k*m above m*sigma0, stepped once more
+    # if p divides it (m is prime to p, so s + m is not)
+    above = m * sigma0.numerator // sigma0.denominator + 1
+    s = s_iota + m * max(0, -((s_iota - above) // m))
+    if s % p == 0:
         s += m
     # candidates prime to p differ by multiples of m (of 2m when p = 2), so
     # with p^a | |G| every increment is integral iff this first one is

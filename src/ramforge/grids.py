@@ -98,9 +98,16 @@ def _random_rational(rng: random.Random, lo: int = 0, hi: int = 40) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, 12))
 
 
+# The grid's cost is linear in its count: ~0.5 s at the cap on a 2-vCPU VM.
+MAX_ROUNDTRIP_COUNT = 2000
+
+
 def herbrand_roundtrip(count: int = 1000, seed: int = 1, points: int = 10) -> GridResult:
     """phi(psi(c)) = c at random rational points, plus exact inversion of the
-    upper/lower jump conversion, on random valid filtrations."""
+    upper/lower jump conversion, on count <= MAX_ROUNDTRIP_COUNT random valid
+    filtrations."""
+    if count > MAX_ROUNDTRIP_COUNT:
+        raise ValueError(f"count {count} exceeds the cap {MAX_ROUNDTRIP_COUNT}")
     rng = random.Random(seed)
     rows = []
     for idx in range(count):

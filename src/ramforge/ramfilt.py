@@ -5,12 +5,14 @@ inertia group P semidirect mu_m with |P| = p^e: a strictly increasing list
 of rational break indices, each with a multiplicity saying how many factors
 of p the group order drops just above it.  The Herbrand functions psi/phi
 convert between upper and lower numbering; everything is exact rational
-arithmetic via fractions.Fraction, never floats.
+arithmetic, never floats.
 
-Each Filtration builds its Herbrand knot table once, in its constructor:
-the upper knots sigma_i, the lower knots psi(sigma_i) and the slope of
-every segment.  psi and phi then cost one bisect plus one affine step,
-jump conversion and validation read the knots, and lower_to_upper is the
+Each Filtration builds its Herbrand knot table once, in its constructor,
+as integer knots over the common denominator D (the lcm of the break
+denominators): the upper knots sigma_i*D, the lower knots psi(sigma_i)*D
+and the integer slope of every segment.  psi and phi then cost one integer
+bisect plus one Fraction for the result, jump conversion and validation
+test the integer knots for divisibility by D, and lower_to_upper is the
 only other walk over the slopes (the inverse one).
 """
 
@@ -58,28 +60,34 @@ class InertiaShape:
 class Filtration:
     """Upper-numbering break list (sigma_i, l_i) over an InertiaShape.
 
-    The constructor also builds the Herbrand knot table: the upper knots
-    (0, sigma_1, ..., sigma_r), the lower knots (0, psi(sigma_1), ...,
-    psi(sigma_r)) and the slopes (m, m*p^l_1, m*p^(l_1+l_2), ...), where
-    slope i holds between knots i and i+1 and beyond the last knot.
+    The constructor also builds the Herbrand knot table as integer knots
+    over the common denominator D = lcm of the break denominators: the
+    upper knots (0, sigma_1*D, ..., sigma_r*D), the lower knots
+    (0, psi(sigma_1)*D, ..., psi(sigma_r)*D) and the slopes
+    (m, m*p^l_1, m*p^(l_1+l_2), ...), where slope i holds between knots i
+    and i+1 and beyond the last knot.  The slopes are integers, so every
+    lower knot is an integer over D too.
     """
 
-    __slots__ = ("shape", "breaks", "_upper", "_lower", "_slope")
+    __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope")
 
     def __init__(self, shape: InertiaShape, breaks):
         bs = tuple((Fraction(c), int(l)) for c, l in breaks)
         p = shape.p
-        upper, lower, slope = [Fraction(0)], [Fraction(0)], [shape.m]
+        den = math.lcm(*(c.denominator for c, _ in bs))
+        upper, lower, slope = [0], [0], [shape.m]
         for c, l in bs:
-            if c <= upper[-1]:
+            u = c.numerator * (den // c.denominator)
+            if u <= upper[-1]:
                 raise ValueError("break indices must be positive and strictly increasing")
             if l < 1:
                 raise ValueError(f"break multiplicity must be >= 1, got {l}")
-            lower.append(lower[-1] + slope[-1] * (c - upper[-1]))
-            upper.append(c)
+            lower.append(lower[-1] + slope[-1] * (u - upper[-1]))
+            upper.append(u)
             slope.append(slope[-1] * p**l)
         self.shape = shape
         self.breaks = bs
+        self._den = den
         self._upper, self._lower, self._slope = tuple(upper), tuple(lower), tuple(slope)
 
     @property
@@ -106,28 +114,39 @@ def psi(filt: Filtration, c) -> Fraction:
     The slope on the segment ending at the i-th break is m times the p-power
     dropped so far, i.e. the index of the break's group in the inertia group.
     """
-    c = Fraction(c)
-    if c < 0:
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    a, b = c.numerator, c.denominator
+    if a < 0:
         raise ValueError(f"psi argument must be >= 0, got {c}")
-    i = max(bisect_left(filt._upper, c) - 1, 0)
-    return filt._lower[i] + filt._slope[i] * (c - filt._upper[i])
+    den = filt._den
+    ad = a * den
+    # an integer knot K is >= a*D/b exactly when K >= ceil(a*D/b)
+    i = max(bisect_left(filt._upper, -(-ad // b)) - 1, 0)
+    return Fraction(filt._lower[i] * b + filt._slope[i] * (ad - filt._upper[i] * b), den * b)
 
 
 def phi(filt: Filtration, cprime) -> Fraction:
     """Exact inverse of psi."""
-    cprime = Fraction(cprime)
-    if cprime < 0:
+    if type(cprime) is not Fraction:
+        cprime = Fraction(cprime)
+    a, b = cprime.numerator, cprime.denominator
+    if a < 0:
         raise ValueError(f"phi argument must be >= 0, got {cprime}")
-    i = max(bisect_left(filt._lower, cprime) - 1, 0)
-    return filt._upper[i] + (cprime - filt._lower[i]) / filt._slope[i]
+    den = filt._den
+    ad = a * den
+    i = max(bisect_left(filt._lower, -(-ad // b)) - 1, 0)
+    s = filt._slope[i]
+    return Fraction(filt._upper[i] * s * b + ad - filt._lower[i] * b, den * b * s)
 
 
 def _lower_jump(filt: Filtration, i: int) -> int:
     """Lower knot i as a jump: integral and prime to p, else InvariantViolation."""
-    j, sigma, p = filt._lower[i], filt._upper[i], filt.shape.p
-    if j.denominator != 1:
-        raise InvariantViolation(f"lower jump {j} at break {sigma} is not integral")
-    j = int(j)
+    j, den, p = filt._lower[i], filt._den, filt.shape.p
+    sigma = filt.breaks[i - 1][0]
+    if j % den:
+        raise InvariantViolation(f"lower jump {Fraction(j, den)} at break {sigma} is not integral")
+    j //= den
     if j % p == 0:
         raise InvariantViolation(f"lower jump {j} at break {sigma} is divisible by {p}")
     return j
@@ -163,15 +182,17 @@ def validate(filt: Filtration) -> list[str]:
         violations.append(
             f"break multiplicities sum to {mults}, expected e = {shape.e}"
         )
-    for (sigma, _), slope, j in zip(filt.breaks, filt._slope, filt._lower[1:]):
+    den = filt._den
+    for (sigma, _), u, slope, j in zip(filt.breaks, filt._upper[1:], filt._slope,
+                                       filt._lower[1:]):
         # sigma * |I| / |I^sigma|: the slope up to sigma is m * p^(dropped so far)
-        ratio = sigma * slope
-        if ratio.denominator != 1:
-            violations.append(f"break {sigma}: sigma*|I|/|I^sigma| = {ratio} not an integer")
-        if j.denominator != 1:
-            violations.append(f"break {sigma}: lower jump {j} not an integer")
-        elif int(j) % p == 0:
-            violations.append(f"break {sigma}: lower jump {j} divisible by {p}")
+        if u * slope % den:
+            violations.append(f"break {sigma}: sigma*|I|/|I^sigma| = {Fraction(u * slope, den)}"
+                              " not an integer")
+        if j % den:
+            violations.append(f"break {sigma}: lower jump {Fraction(j, den)} not an integer")
+        elif j // den % p == 0:
+            violations.append(f"break {sigma}: lower jump {j // den} divisible by {p}")
     return violations
 
 

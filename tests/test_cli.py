@@ -535,6 +535,15 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "base genus -3 must be >= 0"),
         (["spectrum", "--G", "2", "--p", "2", "--limit", "-4"],
          "genus limit -4 must be >= 0"),
+        (["spectrum", "--G", "2", "--p", "2", "--limit", "20001"],
+         "window 0..20001 holds about 20001 genera, above the cap 20000"),
+        (["grid", "density-check", "--p", "2", "--gmax", "40000"],
+         "window 0..40000 holds about 40000 genera, above the cap 20000"),
+        (["grid", "herbrand-roundtrip", "--count", "2001"], "count 2001 exceeds the cap 2000"),
+        (["tower", "--p", "257", "--j", "1", "--F", "x^-5"],
+         "extension characteristic 257 exceeds the cap p <= 251"),
+        (["grid", "econd-grid", "--p", "257", "--jmax", "3", "--smax", "5"],
+         "extension characteristic 257 exceeds the cap p <= 251"),
     ],
     ids=["spectrum-negative-a", "spectrum-p-1", "spectrum-a-0", "spectrum-G-0",
          "genus-grid-p-1", "admissible-count-p-1", "density-check-gmax-0",
@@ -543,7 +552,9 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "check-empty-field", "check-underscore", "check-unicode-digit", "check-plus-sign",
          "check-empty", "target-empty-field", "start-empty-field",
          "genus-non-admissible-jump", "spectrum-sigma0-off-lattice", "spectrum-sigma0-negative",
-         "spectrum-sigma0-0", "spectrum-g0-negative", "spectrum-limit-negative"],
+         "spectrum-sigma0-0", "spectrum-g0-negative", "spectrum-limit-negative",
+         "spectrum-above-genera-cap", "density-check-above-genera-cap",
+         "herbrand-roundtrip-above-count-cap", "tower-above-p-cap", "econd-grid-above-p-cap"],
 )
 def test_bad_arguments_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -569,6 +580,32 @@ def test_field_and_prime_bounds_are_fast(capsys, argv, code, out, err):
     start = time.perf_counter()
     assert run(capsys, *argv) == (code, out, err)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv,last_line",
+    [
+        (["tower", "--p", "251", "--j", "1", "--F", "x^-300"], "conductor: 300"),
+        (["spectrum", "--G", "2", "--p", "2", "--limit", "20000"], "residues: 0"),
+        (["grid", "herbrand-roundtrip", "--count", "2000", "--seed", "1"], "# PASS 2000/2000"),
+        (["spectrum", "--G", "2", "--p", "2", "--sigma0", "30000001", "--limit", "5"],
+         "residues: 0"),
+    ],
+    ids=["tower-p-at-cap", "spectrum-genera-at-cap", "herbrand-roundtrip-count-at-cap",
+         "spectrum-large-sigma0"],
+)
+def test_calls_at_the_cost_caps_are_fast(capsys, argv, last_line):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, err, out.splitlines()[-1]) == (0, "", last_line)
+    assert elapsed < 2.0
+
+
+def test_genus_with_no_branch_point_over_the_line_exits_3(capsys):
+    # each flag is valid on its own; together they describe no cover
+    assert run(capsys, "genus", "--G", "4") == (
+        3, "", "invariant violation: genus -3 is negative; no such cover exists\n")
 
 
 # ------------------------------------------------------------------ README

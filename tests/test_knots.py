@@ -189,3 +189,64 @@ def test_raw_breaks_can_be_rejected():
     assert validate(filt) == ["break 2: lower jump 2 divisible by 2"]
     with pytest.raises(InvariantViolation, match="divisible by 2"):
         upper_to_lower(filt)
+
+
+# Fixed knot-edge family: valid filtrations from lower jumps, and raw ones whose
+# pairwise-coprime break denominators make the common denominator D large.
+EDGE_FAMILY = [
+    lower_to_upper(InertiaShape(2, 3, 1), [(1, 1), (3, 1), (7, 1)]),
+    lower_to_upper(InertiaShape(3, 2, 2), [(1, 1), (5, 1)]),
+    lower_to_upper(InertiaShape(5, 2, 4), [(3, 2)]),
+    lower_to_upper(InertiaShape(7, 3, 6), [(1, 1), (2, 1), (3, 1)]),
+    lower_to_upper(InertiaShape(2, 4, 3), [(1, 2), (5, 2)]),
+    Filtration(InertiaShape(3, 0, 2), []),
+    Filtration(InertiaShape(7, 2, 1), [(5, 1), (6, 1)]),
+    Filtration(InertiaShape(2, 4, 1),
+               [(Fraction(1, 3), 1), (Fraction(2, 5), 1), (Fraction(4, 7), 1),
+                (Fraction(9, 11), 1)]),
+    Filtration(InertiaShape(3, 3, 5),
+               [(Fraction(1, 2), 1), (Fraction(7, 13), 1), (Fraction(12, 17), 1)]),
+    Filtration(InertiaShape(5, 6, 3),
+               [(Fraction(1, 2), 1), (Fraction(2, 3), 1), (Fraction(4, 5), 2),
+                (Fraction(6, 7), 1), (Fraction(10, 11), 1), (Fraction(12, 13), 3)]),
+]
+
+
+def _edge_points(knots, den):
+    """Each knot, and each knot +- 1/q and +- 1/(q*den) for q <= 13, when >= 0."""
+    points = set()
+    for k in knots:
+        points.add(k)
+        for q in range(1, 14):
+            for step in (Fraction(1, q), Fraction(1, q * den)):
+                points.update(x for x in (k - step, k + step) if x >= 0)
+    return sorted(points)
+
+
+def _argument_forms(c):
+    """c as a Fraction, as a "num/den" string and, when integral, as an int."""
+    forms = [c, str(c)]
+    if c.denominator == 1:
+        forms.append(int(c))
+    return forms
+
+
+@pytest.mark.parametrize("filt", EDGE_FAMILY, ids=repr)
+def test_psi_phi_at_knot_edges(filt):
+    sigmas = [Fraction(0)] + [sigma for sigma, _ in filt.breaks]
+    den = math.lcm(*(sigma.denominator for sigma in sigmas))
+    for fn, ref, knots in ((psi, ref_psi, sigmas),
+                           (phi, ref_phi, [ref_psi(filt, s) for s in sigmas])):
+        for c in _edge_points(knots, den):
+            want = ref(filt, c)
+            for arg in _argument_forms(c):
+                got = fn(filt, arg)
+                assert type(got) is Fraction and got == want, (fn.__name__, arg)
+
+
+@pytest.mark.parametrize("fn", [psi, phi])
+@pytest.mark.parametrize("arg,shown", [(Fraction(-1, 3), "-1/3"), ("-7/3", "-7/3"), (-2, "-2")])
+def test_negative_arguments_keep_their_message(fn, arg, shown):
+    with pytest.raises(ValueError) as info:
+        fn(EDGE_FAMILY[0], arg)
+    assert str(info.value) == f"{fn.__name__} argument must be >= 0, got {shown}"
