@@ -377,6 +377,22 @@ class FieldElement:
         return f"{self} in {self.spec}"
 
 
+def _plus(terms: dict, pairs) -> dict:
+    """The sparse term map {key: nonzero coefficient} of `terms` plus the
+    (key, nonzero coefficient) pairs; a key whose sum cancels drops out.
+    Keys are x-exponents here and (x-exponent, y-degree) pairs in `asext`."""
+    out = dict(terms)
+    for k, c in pairs:
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        elif s := s + c:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
 class LaurentPoly:
     """Finite Laurent polynomial over F_{p^n}, stored sparsely.
 
@@ -441,16 +457,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            elif s := s + c:
-                out[e] = s
-            else:
-                del out[e]
-        return LaurentPoly._trusted(self.spec, out)
+        return LaurentPoly._trusted(self.spec, _plus(self.terms, other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -466,14 +473,10 @@ class LaurentPoly:
         if isinstance(other, (int, FieldElement)):
             return self.scale(other)
         self._check(other)
-        out: dict[int, FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                prod = c1 * c2
-                s = out.get(e)
-                out[e] = prod if s is None else s + prod
-        return LaurentPoly._trusted(self.spec, {e: c for e, c in out.items() if c})
+        return LaurentPoly._trusted(self.spec, _plus({}, (
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()
+        )))
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):

@@ -1,27 +1,28 @@
 """Arithmetic in the degree-p extension k((x))[y]/(y^p - y - x^(-j)).
 
-Elements are written sum_i a_i(x) * y^i with Laurent coefficients a_i and
-0 <= i < p.  The valuation is normalised so that val(x) = p and val(y) = -j,
-hence val(sum a_i y^i) = min_i (p*val(a_i) - j*i); the minimum is attained
-at a unique i because the residues -j*i mod p are pairwise distinct.
+An element is a sum of monomials c * x^e * y^i with 0 <= i < p, stored as
+the sparse term map {(e, i): c}, the form the reduction engine edits.  The
+valuation is normalised so that val(x) = p and val(y) = -j, hence
+val(c x^e y^i) = p*e - j*i and an element's valuation is the least weight
+of its terms; that minimum is attained by a single term (see `valuation`).
 
 This module is the jump engine for towers whose base layer is
 y^p - y = x^(-j): reducing w^p - w = F over the extension yields the second
 lower jump, and the Herbrand conversion turns it into the pair of upper
 jumps.  The reduction runs the shared engine `aschreier._reduce_terms` on
-the terms x^e y^i of F, weighted p*e - j*i: O(k log k) heap work plus k
-p-th roots for k steps.  Every step is an exact polynomial identity; in
-particular the fractional-exponent binomial expansion that would appear in
-a power-series treatment is replaced by explicit monomial substitutions h
-with F -> F - (h^p - h), so no truncation ever occurs.
+the terms of F: O(k log k) heap work plus k p-th roots for k steps.  Every
+step is an exact polynomial identity; in particular the fractional-exponent
+binomial expansion that would appear in a power-series treatment is
+replaced by explicit monomial substitutions h with F -> F - (h^p - h), so
+no truncation ever occurs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .algebra import INFINITY, FieldSpec, LaurentPoly, format_laurent, parse_laurent
+from .algebra import INFINITY, FieldSpec, LaurentPoly, _plus, format_laurent, parse_laurent
 from .aschreier import UNRAMIFIED, _reduce_terms, _Unramified
 from .errors import (
     DegenerateTower,
@@ -32,8 +33,8 @@ from .errors import (
 )
 from .ramfilt import admissible_check
 
-# An ExtElement holds p Laurent coefficients and the tower cost grows about
-# as p^3: `tower --p 251` takes ~0.06 s and p = 509 ~0.65 s on a 2-vCPU VM.
+# A reduction step adds up to p terms, so the tower cost grows with p:
+# `tower --p 251 --j 1 --F x^-300` takes ~5 ms, p = 1009 ~0.1 s on a 2-vCPU VM.
 MAX_EXT_P = 251
 
 
@@ -59,25 +60,37 @@ class ExtFieldSpec:
 
 
 class ExtElement:
-    """Element sum_i a_i(x) * y^i of the extension, 0 <= i < p."""
+    """The term map {(e, i): c} of sum c x^e y^i: int e, 0 <= i < p, nonzero c
+    in ext.field.  The constructor checks caller input, the p Laurent
+    coefficients a_i of sum a_i(x) y^i; `_trusted` builds internal results."""
 
-    __slots__ = ("ext", "coeffs")
+    __slots__ = ("ext", "terms")
 
     def __init__(self, ext: ExtFieldSpec, coeffs):
         coeffs = tuple(coeffs)
-        p = ext.p
-        if len(coeffs) != p:
-            raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
-        for a in coeffs:
+        if len(coeffs) != ext.p:
+            raise ValueError(f"expected {ext.p} coefficients, got {len(coeffs)}")
+        terms = {}
+        for i, a in enumerate(coeffs):
             if a.spec is not ext.field and a.spec != ext.field:
                 raise FieldMismatch(f"{ext.field} vs {a.spec}")
+            for e, c in a.terms.items():
+                terms[e, i] = c
         self.ext = ext
-        self.coeffs = coeffs
+        self.terms = terms
+
+    @classmethod
+    def _trusted(cls, ext: ExtFieldSpec, terms: dict) -> "ExtElement":
+        """Internal results: `terms` is already a term map of ext, so it is
+        adopted as is, without a check."""
+        out = object.__new__(cls)
+        out.ext = ext
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, ext: ExtFieldSpec) -> "ExtElement":
-        z = LaurentPoly.zero(ext.field)
-        return cls(ext, (z,) * ext.p)
+        return cls._trusted(ext, {})
 
     @classmethod
     def from_coeffs(cls, ext: ExtFieldSpec, coeffs) -> "ExtElement":
@@ -90,23 +103,12 @@ class ExtElement:
         return cls(ext, coeffs)
 
     @classmethod
-    def from_terms(cls, ext: ExtFieldSpec, terms) -> "ExtElement":
-        """Build from a {(e, i): coefficient} map of monomials x^e * y^i with
-        int e and nonzero coefficients in ext.field, as the engine leaves it."""
-        rows = [{} for _ in range(ext.p)]
-        for (e, i), c in terms.items():
-            rows[i][e] = c
-        return cls(ext, [LaurentPoly._trusted(ext.field, r) for r in rows])
-
-    @classmethod
     def x_pow(cls, ext: ExtFieldSpec, e: int, coeff=1) -> "ExtElement":
         return cls.from_coeffs(ext, [LaurentPoly.x_pow(ext.field, e, coeff)])
 
     @classmethod
     def y(cls, ext: ExtFieldSpec) -> "ExtElement":
-        z = LaurentPoly.zero(ext.field)
-        one = LaurentPoly.x_pow(ext.field, 0)
-        return cls.from_coeffs(ext, [z, one])
+        return cls._trusted(ext, {(0, 1): ext.field.one})
 
     @classmethod
     def y_pow(cls, ext: ExtFieldSpec, k: int) -> "ExtElement":
@@ -120,32 +122,30 @@ class ExtElement:
         return acc
 
     @property
+    def coeffs(self) -> tuple[LaurentPoly, ...]:
+        """The p Laurent coefficients a_i of sum a_i(x) y^i."""
+        rows = [{} for _ in range(self.ext.p)]
+        for (e, i), c in self.terms.items():
+            rows[i][e] = c
+        return tuple(LaurentPoly._trusted(self.ext.field, r) for r in rows)
+
+    @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.coeffs)
+        return not self.terms
 
     def __bool__(self):
         return not self.is_zero
 
     @property
     def valuation(self):
-        """min_i (p*val(a_i) - j*i); INFINITY iff zero.  Minimizer unique."""
+        """min (p*e - j*i) over the terms; INFINITY iff zero.
+
+        One term attains it: p*e - j*i = p*e' - j*i' forces p | j*(i - i'),
+        and as p does not divide j (checked by ExtFieldSpec) and
+        |i - i'| < p, that means i = i' and then e = e'.
+        """
         p, j = self.ext.p, self.ext.j
-        best = None
-        ties = 0
-        for i, a in enumerate(self.coeffs):
-            v = a.valuation
-            if v is INFINITY:
-                continue
-            w = p * v - j * i
-            if best is None or w < best:
-                best, ties = w, 1
-            elif w == best:
-                ties += 1
-        if best is None:
-            return INFINITY
-        if ties != 1:
-            raise InvariantViolation("valuation minimum attained more than once")
-        return best
+        return min((p * e - j * i for e, i in self.terms), default=INFINITY)
 
     def _check(self, other: "ExtElement"):
         if not isinstance(other, ExtElement):
@@ -155,53 +155,45 @@ class ExtElement:
 
     def __add__(self, other):
         self._check(other)
-        return ExtElement(
-            self.ext, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return ExtElement._trusted(self.ext, _plus(self.terms, other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExtElement(self.ext, tuple(-a for a in self.coeffs))
+        return ExtElement._trusted(self.ext, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         """Ring product, rewriting y^k for k >= p via y^p = y + x^(-j)."""
         self._check(other)
         ext = self.ext
-        p = ext.p
-        z = LaurentPoly.zero(ext.field)
-        conv = [z] * (2 * p - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for k, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                conv[i + k] = conv[i + k] + a * b
-        return ExtElement(ext, _fold_ydeg(ext, conv))
+        p, j = ext.p, ext.j
+
+        def products():
+            for (e1, i1), c1 in self.terms.items():
+                for (e2, i2), c2 in other.terms.items():
+                    e, i, c = e1 + e2, i1 + i2, c1 * c2
+                    if i < p:
+                        yield (e, i), c
+                    else:  # y^i = y^(i-p+1) + x^-j y^(i-p), both of degree < p
+                        yield (e, i - p + 1), c
+                        yield (e - j, i - p), c
+
+        return ExtElement._trusted(ext, _plus({}, products()))
 
     def pow_p(self) -> "ExtElement":
-        """p-th power: sum a_i^p * (y + x^(-j))^i, exact and finite."""
-        ext = self.ext
-        p, j = ext.p, ext.j
-        z = LaurentPoly.zero(ext.field)
-        out = [z] * p
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            ap = a.frobenius()
-            for b in range(i + 1):
-                c = math.comb(i, b) % p
-                shift = -j * (i - b)
-                term = {e + shift: v * c for e, v in ap.terms.items()}
-                out[b] = out[b] + LaurentPoly._trusted(ext.field, term)
-        return ExtElement(ext, out)
+        """p-th power: the sum of the (c x^e y^i)^p, exact and finite."""
+        p, j = self.ext.p, self.ext.j
+        return ExtElement._trusted(self.ext, _plus({}, (
+            term
+            for (e, i), c in self.terms.items()
+            for term in _pth_power(p, j, e, i, c.frobenius())
+        )))
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
             return NotImplemented
-        return self.ext == other.ext and self.coeffs == other.coeffs
+        return self.ext == other.ext and self.terms == other.terms
 
     def __str__(self):
         return format_ext(self)
@@ -210,18 +202,22 @@ class ExtElement:
         return f"<{self} in y^{self.ext.p} - y = x^-{self.ext.j}>"
 
 
-def _fold_ydeg(ext: ExtFieldSpec, conv: list[LaurentPoly]) -> tuple[LaurentPoly, ...]:
-    # y^k = y^(k-p) * (y + x^(-j)) for k >= p
-    p = ext.p
-    xj = LaurentPoly.x_pow(ext.field, -ext.j)
-    while len(conv) > p:
-        top = conv.pop()
-        if top.is_zero:
-            continue
-        k = len(conv)
-        conv[k - p + 1] = conv[k - p + 1] + top
-        conv[k - p] = conv[k - p] + top * xj
-    return tuple(conv)
+@lru_cache(maxsize=None)
+def _binomials(p: int) -> tuple[tuple[int, ...], ...]:
+    """C(i, b) mod p for 0 <= b <= i < p, by Pascal's rule; none is 0, as i < p."""
+    rows = [(1,)]
+    for _ in range(1, p):
+        row = rows[-1]
+        rows.append((1, *((a + b) % p for a, b in zip(row, row[1:])), 1))
+    return tuple(rows)
+
+
+def _pth_power(p: int, j: int, e: int, i: int, cp, sign: int = 1) -> list:
+    """The terms of sign * (c x^e y^i)^p = sign * c^p x^(p*e) (y + x^-j)^i,
+    given cp = c^p: ((p*e - j*(i - b), b), sign * C(i, b) * cp) for b <= i;
+    the sign rides on the int binomial, so negating costs no field op."""
+    v = p * e - j * i
+    return [((v + j * b, b), cp * (sign * m)) for b, m in enumerate(_binomials(p)[i])]
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,6 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
     ext = F.ext
     p, j = ext.p, ext.j
     jinv = pow(j, -1, p)
-    binom = [[math.comb(beta, b) % p for b in range(beta + 1)] for beta in range(p)]
 
     def weight(key):
         e, i = key
@@ -261,24 +256,24 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
         beta = -e * jinv % p
         alpha = (e + j * beta) // p
         r = c.pth_root()
-        # h^p = c x^(p*alpha) (y + x^-j)^beta; its b = 0 term is the killed c x^e
-        updates = [((e + j * b, b), c * -binom[beta][b]) for b in range(beta + 1)]
+        # -h^p has weight p*alpha - j*beta = e; its b = 0 term is -c x^e, the kill
+        updates = _pth_power(p, j, alpha, beta, c, -1)
         updates.append(((alpha, beta), r))
         return (alpha, beta), r, updates
 
-    terms = {(e, i): c for i, a in enumerate(F.coeffs) for e, c in a.terms.items()}
+    terms = dict(F.terms)
     jump, h_terms = _reduce_terms(terms, p, weight, kill)
-    reduced = ExtElement.from_terms(ext, terms)
-    subst = ExtElement.from_terms(ext, h_terms)
+    reduced = ExtElement._trusted(ext, terms)
+    subst = ExtElement._trusted(ext, h_terms)
     if F - reduced != subst.pow_p() - subst:
         raise InvariantViolation("reduction substitution does not account for the change")
     return ExtReduced(reduced, jump, subst)
 
 
 def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:
-    """y^(p^2 - p + 1), the least valuation a second tower layer can have."""
-    p = ext.p
-    return ExtElement.y_pow(ext, p * p - p + 1)
+    """y^(p^2 - p + 1), the least valuation a second tower layer can have;
+    (y^(p-1))^p * y by the exact Frobenius, since p^2 - p + 1 = (p - 1)p + 1."""
+    return ExtElement.y_pow(ext, ext.p - 1).pow_p() * ExtElement.y(ext)
 
 
 def upper_jumps(ext: ExtFieldSpec, J) -> tuple[int, int]:

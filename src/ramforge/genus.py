@@ -263,6 +263,8 @@ def genus_spectrum(
         raise ValueError(f"s_iota must lie in [1, {m}], got {s_iota}")
     if math.gcd(m, p) != 1:
         raise ValueError(f"tame order m = {m} is not prime to p = {p}")
+    if a > max(64, group_order.bit_length()):  # p^a > |G|; spare the power
+        raise ValueError(f"p^a*m = {p}^{a}*{m} does not divide the group order {group_order}")
     if group_order % (p**a * m):
         raise ValueError(f"p^a*m = {p**a * m} does not divide the group order {group_order}")
     inc = p * group_order * (p**a - 1) // (2 * p**a)  # exact: p^a | |G|, 2 | p*(p^a - 1)

@@ -45,10 +45,17 @@ def _finish(name: str, columns: list[str], rows: list[dict]) -> GridResult:
     return GridResult(name, columns, rows, passed, f"{verdict} {ok}/{len(rows)}")
 
 
+# Each cap below keeps its grid's call, rendering included, at ~0.5 s or
+# less on a 2-vCPU VM.  A genus-grid row costs ~45 us.
+MAX_GENUS_GRID_JMAX = 10000
+
+
 def genus_grid(p: int, jmax: int) -> GridResult:
     """Riemann-Hurwitz pipeline vs the closed form (p-1)(j-1)/2 for one
-    wildly ramified point on the line."""
+    wildly ramified point on the line, j <= jmax <= MAX_GENUS_GRID_JMAX."""
     require_prime(p)
+    if jmax > MAX_GENUS_GRID_JMAX:
+        raise ValueError(f"jmax {jmax} exceeds the cap {MAX_GENUS_GRID_JMAX}")
     rows = []
     for j in range(1, jmax + 1):
         if j % p == 0:
@@ -63,10 +70,19 @@ def genus_grid(p: int, jmax: int) -> GridResult:
     return _finish("genus-grid", ["p", "j", "computed", "predicted", "pass"], rows)
 
 
+# An econd-grid row costs ~5.5 us * (p + 10); there are at most jmax*smax.
+MAX_ECOND_WORK = 60000
+
+
 def econd_grid(p: int, jmax: int, smax: int) -> GridResult:
     """Tower jump engine vs the closed forms J = max(ps - j(p-1), (p^2-p+1)j)
-    and conductor = max(s, pj)."""
+    and conductor = max(s, pj), for jmax*smax*(p + 10) <= MAX_ECOND_WORK."""
     field = FieldSpec(p)
+    if jmax * smax * (p + 10) > MAX_ECOND_WORK:
+        raise ValueError(
+            f"jmax {jmax} and smax {smax} at p = {p} exceed the cap "
+            f"jmax*smax*(p + 10) <= {MAX_ECOND_WORK}"
+        )
     rows = []
     for j in range(1, jmax + 1):
         if j % p == 0:
@@ -98,7 +114,7 @@ def _random_rational(rng: random.Random, lo: int = 0, hi: int = 40) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, 12))
 
 
-# The grid's cost is linear in its count: ~0.5 s at the cap on a 2-vCPU VM.
+# The roundtrip grid's cost is linear in its count.
 MAX_ROUNDTRIP_COUNT = 2000
 
 
@@ -140,10 +156,24 @@ def brute_force_admissible(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+# The brute force costs ~1 us per tuple.
+MAX_BRUTE_FORCE_TUPLES = 300000
+
+
 def admissible_count(p: int, e: int, bound: int) -> GridResult:
     """Recursive enumeration vs the brute-force filter, for every length up
-    to e."""
+    to e; the brute force walks bound + bound^2 + ... + bound^e tuples, at
+    most MAX_BRUTE_FORCE_TUPLES."""
     require_prime(p)
+    tuples, width = 0, 1
+    for _ in range(e):
+        width *= max(bound, 1)
+        tuples += width
+        if tuples > MAX_BRUTE_FORCE_TUPLES:
+            raise ValueError(
+                f"e {e} and bound {bound} leave more than {MAX_BRUTE_FORCE_TUPLES} "
+                "tuples to brute-force"
+            )
     rows = []
     for length in range(1, e + 1):
         fast = admissible_enumerate(p, length, bound)
@@ -172,9 +202,16 @@ def predicted_line_genera(p: int, limit: int) -> set[int]:
         out.add(g)
 
 
+# A density-check row costs ~2.5 us.
+MAX_DENSITY_GMAX = 100000
+
+
 def density_check(p: int, gmax: int) -> GridResult:
     """Achieved genus set for a cyclic-p cover of the line vs the predicted
-    congruence classes, with the density ratio on an increment-aligned range."""
+    congruence classes, with the density ratio on an increment-aligned range;
+    one row per g <= gmax <= MAX_DENSITY_GMAX."""
+    if gmax > MAX_DENSITY_GMAX:
+        raise ValueError(f"gmax {gmax} exceeds the cap {MAX_DENSITY_GMAX}")
     spectrum = genus_spectrum(p, p, 1, 1, Fraction(1), 0, 1, gmax)
     achieved = set(spectrum.genera)
     predicted = predicted_line_genera(p, gmax)

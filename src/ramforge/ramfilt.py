@@ -39,7 +39,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class InertiaShape:
-    """Group-order data of an inertia group: wild part p^e, tame part m."""
+    """Group-order data of an inertia group: wild part p^e <= 2^64, tame part m."""
 
     p: int
     e: int
@@ -49,6 +49,8 @@ class InertiaShape:
         require_prime(self.p)
         if self.e < 0:
             raise ValueError(f"wild exponent must be >= 0, got {self.e}")
+        if self.e > 64 or self.p**self.e > 2**64:  # e first: p**e for a huge e is costly
+            raise ValueError(f"wild order {self.p}^{self.e} exceeds the bound p^e <= 2^64")
         if self.m < 1 or math.gcd(self.m, self.p) != 1:
             raise ValueError(f"tame order {self.m} must be positive and prime to {self.p}")
 
@@ -66,7 +68,8 @@ class Filtration:
     (0, psi(sigma_1)*D, ..., psi(sigma_r)*D) and the slopes
     (m, m*p^l_1, m*p^(l_1+l_2), ...), where slope i holds between knots i
     and i+1 and beyond the last knot.  The slopes are integers, so every
-    lower knot is an integer over D too.
+    lower knot is an integer over D too.  The multiplicities need not sum
+    to e (`validate` reports that), but p^(their sum) <= 2^64 as for p^e.
     """
 
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope")
@@ -82,9 +85,11 @@ class Filtration:
                 raise ValueError("break indices must be positive and strictly increasing")
             if l < 1:
                 raise ValueError(f"break multiplicity must be >= 1, got {l}")
+            if l > 64 or (steeper := slope[-1] * p**l) > shape.m * 2**64:
+                raise ValueError("break multiplicities exceed the bound p^(their sum) <= 2^64")
             lower.append(lower[-1] + slope[-1] * (u - upper[-1]))
             upper.append(u)
-            slope.append(slope[-1] * p**l)
+            slope.append(steeper)
         self.shape = shape
         self.breaks = bs
         self._den = den
@@ -277,12 +282,18 @@ def admissible_check(seq, p: int) -> bool:
     return True
 
 
+# Enumeration and rendering cost ~2.5 us per sequence: ~0.4 s at the cap.
+MAX_ADMISSIBLE_SEQUENCES = 150000
+
+
 def admissible_enumerate(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
     """All admissible sequences of length e with last entry <= bound, in
-    lexicographic order."""
+    lexicographic order; at most MAX_ADMISSIBLE_SEQUENCES of them."""
     require_prime(p)
     if e < 1:
         raise ValueError(f"length must be >= 1, got {e}")
+    if e - 1 > max(64, bound.bit_length()):  # p^(e-1) > bound; spare the power
+        raise ValueError(f"bound {bound} is below the minimal final jump {p}^{e - 1}")
     if bound < p ** (e - 1):
         raise ValueError(
             f"bound {bound} is below the minimal final jump {p ** (e - 1)}"
@@ -292,6 +303,11 @@ def admissible_enumerate(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
     def extend(prefix: list[int]):
         i = len(prefix)
         if i == e:
+            if len(out) == MAX_ADMISSIBLE_SEQUENCES:
+                raise ValueError(
+                    f"e {e} and bound {bound} give more than "
+                    f"{MAX_ADMISSIBLE_SEQUENCES} admissible sequences"
+                )
             out.append(tuple(prefix))
             return
         room = p ** (e - 1 - i)  # minimal factor still to come after this entry

@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ramforge.algebra import INFINITY, FieldSpec, LaurentPoly, parse_laurent
+from ramforge.algebra import INFINITY, FieldElement, FieldSpec, LaurentPoly, parse_laurent
 from ramforge.aschreier import UNRAMIFIED
 from ramforge.asext import (
     ExtElement,
@@ -273,6 +274,61 @@ def test_econd_law_slice():
                 F = f_min + ExtElement.x_pow(ext, -s)
                 assert ext_as_reduce(F).jump == max(p * s - j * (p - 1), (p * p - p + 1) * j)
                 assert tower_jumps(F) == (j, max(s, p * j))
+
+
+def test_minimal_tower_element_by_frobenius_equals_the_power():
+    for p in (2, 3, 5, 7, 11, 13):
+        for j in (1, 2, 3):
+            if j % p:
+                ext = ExtFieldSpec(FieldSpec(p), j)
+                assert minimal_tower_element(ext) == ExtElement.y_pow(ext, p * p - p + 1)
+
+
+# ------------------------------------------------------------ canonical form
+
+CANONICAL_EXTS = [E21, E23, E31, ExtFieldSpec(FieldSpec(2, 3), 3),
+                  ExtFieldSpec(FieldSpec(5), 2), ExtFieldSpec(FieldSpec(3, 2), 1)]
+
+
+@st.composite
+def ext_operands(draw):
+    ext = draw(st.sampled_from(CANONICAL_EXTS))
+    field = ext.field
+
+    def element():
+        rows = []
+        for _ in range(ext.p):
+            exps = draw(st.lists(st.integers(-6, 2), max_size=3, unique=True))
+            coords = st.lists(st.integers(0, field.p - 1), min_size=field.n, max_size=field.n)
+            rows.append(LaurentPoly(field, {e: field.element(draw(coords)) for e in exps}))
+        return ExtElement(ext, rows)
+
+    F, G = element(), element()
+    # a shared part makes + and - cancel whole terms
+    return ext, F, draw(st.sampled_from([G, G + F, G - F, -F]))
+
+
+def _assert_canonical(r, ext):
+    """Every key of r is (int e, i) with 0 <= i < p and every coefficient a
+    nonzero element of ext.field, so the checked constructor rebuilds r."""
+    assert r.ext == ext
+    for (e, i), c in r.terms.items():
+        assert type(e) is int and type(i) is int and 0 <= i < ext.p
+        assert isinstance(c, FieldElement) and c.spec == ext.field and not c.is_zero
+    assert r == ExtElement(ext, r.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ext_operands())
+def test_internal_ext_results_are_canonical(case):
+    ext, F, G = case
+    results = [F + G, F - G, G - G, -F, F * G, G * F, F * F, F.pow_p(), G.pow_p() - G,
+               minimal_tower_element(ext)]
+    for H in (F, F + (G.pow_p() - G)):
+        red = ext_as_reduce(H)
+        results += [red.reduced, red.substitution]
+    for r in results:
+        _assert_canonical(r, ext)
 
 
 # ----------------------------------------------------------------- text form

@@ -602,6 +602,72 @@ def test_calls_at_the_cost_caps_are_fast(capsys, argv, last_line):
     assert elapsed < 2.0
 
 
+_HUGE = str(10**12)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["admissible", "--p", "2", "--e", "1", "--bound", "300002"],
+         "e 1 and bound 300002 give more than 150000 admissible sequences"),
+        (["admissible", "--p", "2", "--e", "4", "--bound", "2000"],
+         "e 4 and bound 2000 give more than 150000 admissible sequences"),
+        (["admissible", "--p", "3", "--e", _HUGE, "--bound", "5"],
+         f"bound 5 is below the minimal final jump 3^{10**12 - 1}"),
+        (["grid", "admissible-count", "--p", "2", "--e", "4", "--bound", "40"],
+         "e 4 and bound 40 leave more than 300000 tuples to brute-force"),
+        (["grid", "admissible-count", "--p", "2", "--e", _HUGE, "--bound", "1"],
+         f"e {_HUGE} and bound 1 leave more than 300000 tuples to brute-force"),
+        (["grid", "genus-grid", "--p", "2", "--jmax", "10001"],
+         "jmax 10001 exceeds the cap 10000"),
+        (["grid", "econd-grid", "--p", "251", "--jmax", "1", "--smax", "230"],
+         "jmax 1 and smax 230 at p = 251 exceed the cap jmax*smax*(p + 10) <= 60000"),
+        (["grid", "density-check", "--p", "2003", "--gmax", "20000000"],
+         "gmax 20000000 exceeds the cap 100000"),
+        (["spectrum", "--G", "2", "--p", "2", "--a", _HUGE, "--limit", "5"],
+         f"p^a*m = 2^{_HUGE}*1 does not divide the group order 2"),
+        (["genus", "--G", "4", "--branch",
+          '{"p":2,"e":%s,"m":1,"upper_jumps":["1"]}' % _HUGE],
+         f"bad branch point object: wild order 2^{_HUGE} exceeds the bound p^e <= 2^64"),
+        (["herbrand", '{"p":2,"e":2,"m":1,"breaks":[{"c":"1","mult":%s}]}' % _HUGE],
+         "break multiplicities exceed the bound p^(their sum) <= 2^64"),
+    ],
+    ids=["admissible-above-sequence-cap", "admissible-e-4", "admissible-huge-e",
+         "admissible-count-above-tuple-cap", "admissible-count-huge-e",
+         "genus-grid-above-jmax-cap", "econd-grid-above-work-cap",
+         "density-check-above-gmax-cap", "spectrum-huge-a", "genus-huge-wild-exponent",
+         "herbrand-huge-multiplicity"],
+)
+def test_inputs_above_the_cost_caps_exit_2_fast(capsys, argv, message):
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv,last_line",
+    [
+        (["admissible", "--p", "2", "--e", "1", "--bound", "300000"], "299999"),
+        (["grid", "admissible-count", "--p", "2", "--e", "2", "--bound", "547"], "# PASS 2/2"),
+        (["grid", "genus-grid", "--p", "251", "--jmax", "10000"], "# PASS 9961/9961"),
+        (["grid", "econd-grid", "--p", "13", "--jmax", "10", "--smax", "260"],
+         "# PASS 2345/2345"),
+        (["grid", "econd-grid", "--p", "251", "--jmax", "1", "--smax", "229"],
+         "# PASS 228/228"),
+        (["grid", "density-check", "--p", "251", "--gmax", "100000"], "# PASS 100002/100002"),
+    ],
+    ids=["admissible-at-sequence-cap", "admissible-count-at-tuple-cap",
+         "genus-grid-at-jmax-cap", "econd-grid-at-work-cap-p-13",
+         "econd-grid-at-work-cap-p-251", "density-check-at-gmax-cap"],
+)
+def test_calls_at_the_grid_and_enumeration_caps_are_fast(capsys, argv, last_line):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, err, out.splitlines()[-1]) == (0, "", last_line)
+    assert elapsed < 2.0
+
+
 def test_genus_with_no_branch_point_over_the_line_exits_3(capsys):
     # each flag is valid on its own; together they describe no cover
     assert run(capsys, "genus", "--G", "4") == (

@@ -155,12 +155,12 @@ def test_jump_invariant_under_artin_schreier(case):
 # -------------------------------------------------------------- linearity
 
 
-def _builds_during(monkeypatch, fn, *inputs):
-    """How many LaurentPoly objects fn(x) constructs, for each input x,
-    through the public constructor or the trusted one."""
+def _builds_during(monkeypatch, fn, *inputs, cls=LaurentPoly):
+    """How many cls objects (LaurentPoly or ExtElement) fn(x) constructs,
+    for each input x, through the public constructor or the trusted one."""
     count = [0]
-    init = LaurentPoly.__init__
-    trusted = LaurentPoly._trusted
+    init = cls.__init__
+    trusted = cls._trusted
 
     def counting_init(self, *args):
         count[0] += 1
@@ -170,8 +170,8 @@ def _builds_during(monkeypatch, fn, *inputs):
         count[0] += 1
         return trusted(spec, terms)
 
-    monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
-    monkeypatch.setattr(LaurentPoly, "_trusted", staticmethod(counting_trusted))
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    monkeypatch.setattr(cls, "_trusted", staticmethod(counting_trusted))
     out = []
     for x in inputs:
         count[0] = 0
@@ -212,6 +212,16 @@ def test_ext_as_reduce_builds_constant_number_of_polynomials(monkeypatch):
     assert sum(len(a.terms) for a in ext_as_reduce(large).substitution.coeffs) == 200
     n_small, n_large = _builds_during(monkeypatch, ext_as_reduce, small, large)
     assert n_small == n_large
+
+
+def test_ext_as_reduce_builds_constant_number_of_ext_elements(monkeypatch):
+    # an ExtElement is a term map, so the engine builds no LaurentPoly at all;
+    # the elements it builds must not grow with the step count either
+    ext = ExtFieldSpec(FieldSpec(3), 2)
+    small, large = _tower_input(ext, 20), _tower_input(ext, 200)
+    n_small, n_large = _builds_during(monkeypatch, ext_as_reduce, small, large,
+                                      cls=ExtElement)
+    assert 0 < n_small == n_large
 
 
 # -------------------------------------------------------- one reduction per tower
