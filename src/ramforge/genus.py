@@ -2,9 +2,11 @@
 increments under conductor deformation, genus spectra, and Kato's
 smoothness invariant for families of curve germs.
 
+A branch point is a Filtration (BranchPoint only builds it from upper
+jumps), so the genus reads the Herbrand knot table its constructor built.
 Genus values are asserted integral at every exit; a non-integral genus is
-surfaced as an InvariantViolation naming the data that caused it, since the
-formulas assume the branch data comes from an actual cover.
+surfaced as an InvariantViolation, since the formulas assume the branch
+data comes from an actual cover.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import (
     InconsistentInput,
@@ -32,33 +35,19 @@ from .ramfilt import (
 )
 
 
-@dataclass(frozen=True)
-class BranchPoint:
-    """Inertia shape and upper jumps (listed with multiplicity, ascending)."""
+class BranchPoint(Filtration):
+    """A Filtration built from its upper jumps, listed with multiplicity in
+    ascending order: each run of equal jumps becomes one break."""
 
-    shape: InertiaShape
-    upper_jumps: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        jumps = tuple(Fraction(s) for s in self.upper_jumps)
-        object.__setattr__(self, "upper_jumps", jumps)
-        if len(jumps) != self.shape.e:
-            raise ValueError(
-                f"{len(jumps)} jumps for wild exponent e = {self.shape.e}"
-            )
-        if any(s <= 0 for s in jumps):
-            raise ValueError("upper jumps must be positive")
-        if list(jumps) != sorted(jumps):
-            raise ValueError("upper jumps must be ascending")
+    def __init__(self, shape: InertiaShape, upper_jumps=()):
+        runs = groupby(map(Fraction, upper_jumps))
+        super().__init__(shape, [(s, sum(1 for _ in run)) for s, run in runs])
 
-    def to_filtration(self) -> Filtration:
-        breaks = []
-        for s in self.upper_jumps:
-            if breaks and breaks[-1][0] == s:
-                breaks[-1] = (s, breaks[-1][1] + 1)
-            else:
-                breaks.append((s, 1))
-        return Filtration(self.shape, breaks)
+    @property
+    def upper_jumps(self) -> tuple:
+        return tuple(s for s, mult in self.breaks for _ in range(mult))
 
 
 def branch_from_dict(d: dict) -> BranchPoint:
@@ -72,7 +61,7 @@ def branch_from_dict(d: dict) -> BranchPoint:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad branch point object: {exc}") from exc
     bp = BranchPoint(shape, jumps)
-    problems = validate(bp.to_filtration())
+    problems = validate(bp)
     if problems:
         raise ValueError("invalid branch point: " + "; ".join(problems))
     return bp
@@ -126,60 +115,52 @@ class KatoInput:
         return Fraction(self.d_K - self.d_k, 2)
 
 
-def branch_filtration(bp: BranchPoint) -> Filtration:
-    filt = bp.to_filtration()
-    problems = validate(filt)
-    if problems:
-        raise InvariantViolation(
-            f"invalid branch point {bp}: " + "; ".join(problems)
-        )
-    return filt
-
-
-def ram_divisor_degree(bp: BranchPoint) -> int:
+def ram_divisor_degree(filt: Filtration) -> int:
     """Degree of the local ramification divisor, Hilbert's different formula
     |I| - 1 + |I| * sigma_r - psi(sigma_r), where sigma_r is the conductor
-    (0 when tame)."""
-    filt = branch_filtration(bp)
-    order = bp.shape.order
+    (0 when tame); InvariantViolation if the filtration is invalid."""
+    problems = validate(filt)
+    if problems:
+        raise InvariantViolation(f"invalid branch point {filt}: " + "; ".join(problems))
+    order = filt.shape.order
     sigma = filt.conductor or 0
     deg = order - 1 + order * sigma - psi(filt, sigma)
     if deg.denominator != 1 or deg < 0:
-        raise InvariantViolation(f"ramification degree {deg} at {bp} is not a natural number")
+        raise InvariantViolation(f"ramification degree {deg} at {filt} is not a natural number")
     return int(deg)
 
 
 def rh_genus(cd: CoverData) -> int:
     """Riemann-Hurwitz genus of the cover, exact."""
     G = cd.group_order
-    total = Fraction(2 * cd.g_X - 2) * G
-    contributions = []
-    for bp in cd.branch:
-        deg = ram_divisor_degree(bp)
-        contrib = Fraction(G * deg, bp.shape.order)
-        contributions.append((bp, contrib))
-        total += contrib
-    g = (total + 2) / 2
-    if g.denominator != 1:
-        bad = [bp for bp, c in contributions if c.denominator != 1]
-        where = f" (offending branch point: {bad[0]})" if bad else ""
-        raise InvariantViolation(f"genus {g} is not an integer{where}")
+    total = (2 * cd.g_X - 2) * G + sum(
+        G // bp.shape.order * ram_divisor_degree(bp) for bp in cd.branch
+    )
+    if total % 2:
+        raise InvariantViolation(f"genus {Fraction(total + 2, 2)} is not an integer")
+    g = total // 2 + 1
     if g < 0:
         raise InvariantViolation(f"genus {g} is negative; no such cover exists")
-    return int(g)
+    return g
+
+
+def _deformation_gap(p: int, m: int, sigma, s: int) -> Fraction:
+    """s/m - sigma for a deformation target s: InvalidJump unless s is
+    positive and prime to p, NotLarger unless s > m*sigma."""
+    sigma = Fraction(sigma)
+    if s % p == 0 or s < 1:
+        raise InvalidJump(f"conductor {s} must be positive and prime to {p}")
+    if s <= m * sigma:
+        raise NotLarger(f"conductor {s} does not exceed m*sigma = {m * sigma}")
+    return Fraction(s, m) - sigma
 
 
 def genus_increment(group_order: int, p: int, a: int, m: int, sigma, s: int) -> int:
     """Genus gained by moving an a-fold top break from sigma out to s/m:
     |G| * (s/m - sigma) * (1 - p^-a) / 2."""
-    sigma = Fraction(sigma)
     if a < 1:
         raise ValueError(f"subgroup exponent {a} must be >= 1")
-    if s % p == 0 or s < 1:
-        raise InvalidJump(f"conductor {s} must be positive and prime to {p}")
-    if s <= m * sigma:
-        raise NotLarger(f"conductor {s} does not exceed m*sigma = {m * sigma}")
-    delta = group_order * (Fraction(s, m) - sigma) * (1 - Fraction(1, p**a)) / 2
+    delta = group_order * _deformation_gap(p, m, sigma, s) * (1 - Fraction(1, p**a)) / 2
     if delta.denominator != 1 or delta < 0:
         raise InvariantViolation(f"genus increment {delta} is not a natural number")
     return int(delta)
@@ -190,14 +171,9 @@ def last_lower_jump_increment(
 ) -> int:
     """New last lower jump j_e + p^(e-a) * m * (s/m - sigma); always an
     integer prime to p for data coming from a valid filtration."""
-    sigma = Fraction(sigma)
     if not 1 <= a <= e:
         raise ValueError(f"subgroup exponent {a} outside [1, {e}]")
-    if s % p == 0 or s < 1:
-        raise InvalidJump(f"conductor {s} must be positive and prime to {p}")
-    if s <= m * sigma:
-        raise NotLarger(f"conductor {s} does not exceed m*sigma = {m * sigma}")
-    j = j_e + p ** (e - a) * m * (Fraction(s, m) - sigma)
+    j = j_e + p ** (e - a) * m * _deformation_gap(p, m, sigma, s)
     if j.denominator != 1:
         raise InvariantViolation(f"new last lower jump {j} is not an integer")
     j = int(j)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +70,9 @@ class Filtration:
     (m, m*p^l_1, m*p^(l_1+l_2), ...), where slope i holds between knots i
     and i+1 and beyond the last knot.  The slopes are integers, so every
     lower knot is an integer over D too.  The multiplicities need not sum
-    to e (`validate` reports that), but p^(their sum) <= 2^64 as for p^e.
+    to e (`validate` reports that), but p^(their sum) <= 2^64 as for p^e,
+    and D <= m*2^64: `validate` requires sigma_i*m*p^(l_1+...+l_(i-1)) to
+    be an integer, so D divides m*p^(their sum) in a valid filtration.
     """
 
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope")
@@ -77,7 +80,12 @@ class Filtration:
     def __init__(self, shape: InertiaShape, breaks):
         bs = tuple((Fraction(c), int(l)) for c, l in breaks)
         p = shape.p
-        den = math.lcm(*(c.denominator for c, _ in bs))
+        den = 1
+        for i, (c, _) in enumerate(bs, 1):
+            den = math.lcm(den, c.denominator)
+            if den > shape.m * 2**64:
+                raise ValueError(f"break {i}: the lcm of the break denominators exceeds "
+                                 "the bound m*2^64")
         upper, lower, slope = [0], [0], [shape.m]
         for c, l in bs:
             u = c.numerator * (den // c.denominator)
@@ -421,14 +429,17 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def parse_rational(value, field: str) -> Fraction:
     """The wire rational value, an ASCII string -?[0-9]+(/[0-9]+)?, as a
-    Fraction; ValueError naming the field on anything else or a zero
-    denominator."""
+    Fraction; ValueError naming the field on anything else, a zero
+    denominator or a numeral past Python's int string-conversion limit."""
     if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
         raise ValueError(f"{field}: {value!r} is not an integer or num/den string")
     try:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"{field}: {value!r} has a zero denominator") from None
+    except ValueError:  # the pattern matched, so only int()'s digit limit is left
+        raise ValueError(f"{field}: a numeral has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def json_typed(value, kind: type, field: str):
@@ -468,6 +479,8 @@ def shape_from_dict(d: dict) -> InertiaShape:
 
 
 def filtration_from_dict(d: dict) -> Filtration:
+    """Decode a filtration JSON object; the breaks' "c" values are num/den
+    strings and must form a valid filtration (ValueError otherwise)."""
     try:
         reject_unknown_keys(d, ("p", "e", "m", "breaks"), "filtration")
         shape = shape_from_dict(d)
@@ -478,4 +491,8 @@ def filtration_from_dict(d: dict) -> Filtration:
                            json_typed(b["mult"], int, f'break {i} "mult"')))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad filtration object: {exc}") from exc
-    return Filtration(shape, breaks)
+    filt = Filtration(shape, breaks)
+    problems = validate(filt)
+    if problems:
+        raise ValueError("invalid filtration: " + "; ".join(problems))
+    return filt

@@ -466,10 +466,13 @@ def test_grid_with_failing_rows_exits_3(capsys, monkeypatch):
          "bad branch point object: upper jump 1: 1 is not an integer or num/den string"),
         (["genus", "--G", "2", "--branch", '{"p":2,"e":1,"upper_jumps":["\u0661"]}'],
          "bad branch point object: upper jump 1: '\u0661' is not an integer or num/den string"),
+        (["herbrand", "--psi", "1" * 5000, FILT], "--psi: a numeral has more than 4300 digits"),
+        (["genus", "--G", "2", "--branch", '{"p":2,"e":1,"upper_jumps":["1/%s"]}' % ("3" * 4301)],
+         "bad branch point object: upper jump 1: a numeral has more than 4300 digits"),
     ],
     ids=["float-p", "float-m", "bool-mult", "breaks-object", "int-c", "exponent-c",
          "exponent-psi", "space-phi", "decimal-sigma0", "string-upper-jumps", "bool-p",
-         "int-upper-jump", "unicode-upper-jump"],
+         "int-upper-jump", "unicode-upper-jump", "overlong-psi", "overlong-upper-jump"],
 )
 def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -524,6 +527,16 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
         (["genus", "--G", "2", "--branch", '{"p":2,"e":1,"m":1,"upper_jumps":["1/2"]}'],
          "invalid branch point: break 1/2: sigma*|I|/|I^sigma| = 1/2 not an integer; "
          "break 1/2: lower jump 1/2 not an integer"),
+        (["genus", "--G", "4", "--branch", '{"p":2,"e":2,"upper_jumps":["1"]}'],
+         "invalid branch point: break multiplicities sum to 1, expected e = 2"),
+        (["genus", "--G", "4", "--branch", '{"p":2,"e":2,"upper_jumps":["2","1"]}'],
+         "break indices must be positive and strictly increasing"),
+        (["genus", "--G", "4", "--branch", '{"p":2,"e":2,"upper_jumps":["0","1"]}'],
+         "break indices must be positive and strictly increasing"),
+        (["herbrand", '{"p":2,"e":1,"m":1,"breaks":[{"c":"2","mult":1}]}'],
+         "invalid filtration: break 2: lower jump 2 divisible by 2"),
+        (["act", "--a", "1", "--s", "5", '{"p":2,"e":2,"m":1,"breaks":[{"c":"1","mult":1}]}'],
+         "invalid filtration: break multiplicities sum to 1, expected e = 2"),
         (["spectrum", "--G", "2", "--p", "2", "--sigma0", "1/3", "--limit", "5"],
          "base conductor 1/3 does not fit the inertia data: "
          "genus increment 1/3 is not a natural number"),
@@ -551,7 +564,9 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "admissible-p-4", "admissible-p-1", "admissible-check-p-4", "plan-p-4",
          "check-empty-field", "check-underscore", "check-unicode-digit", "check-plus-sign",
          "check-empty", "target-empty-field", "start-empty-field",
-         "genus-non-admissible-jump", "spectrum-sigma0-off-lattice", "spectrum-sigma0-negative",
+         "genus-non-admissible-jump", "genus-jump-count", "genus-descending-jumps",
+         "genus-zero-jump", "herbrand-invalid-filtration", "act-invalid-filtration",
+         "spectrum-sigma0-off-lattice", "spectrum-sigma0-negative",
          "spectrum-sigma0-0", "spectrum-g0-negative", "spectrum-limit-negative",
          "spectrum-above-genera-cap", "density-check-above-genera-cap",
          "herbrand-roundtrip-above-count-cap", "tower-above-p-cap", "econd-grid-above-p-cap"],
@@ -642,6 +657,19 @@ def test_inputs_above_the_cost_caps_exit_2_fast(capsys, argv, message):
     start = time.perf_counter()
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("command", [["herbrand"], ["act", "--a", "1", "--s", "3"]])
+def test_huge_break_denominators_exit_2_fast(capsys, command):
+    # 64 breaks k + 1/d_k with 3,999-digit odd d_k: the lcm of the first
+    # denominator alone is above m*2^64, so the filtration stops at break 1
+    d = 10**3998 + 1
+    breaks = [{"c": f"{k * (d + 2 * k) + 1}/{d + 2 * k}", "mult": 1} for k in range(1, 65)]
+    filt = json.dumps({"p": 2, "e": 64, "m": 1, "breaks": breaks})
+    start = time.perf_counter()
+    assert run(capsys, *command, filt) == (
+        2, "", "error: break 1: the lcm of the break denominators exceeds the bound m*2^64\n")
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from ramforge.genus import (
     spectrum_density,
 )
 from ramforge.ramfilt import (
+    Filtration,
     InertiaShape,
     action_transform,
     conductor_congruence,
@@ -107,6 +108,42 @@ def test_ram_divisor_rejects_invalid_jumps():
         ram_divisor_degree(bp)
 
 
+def test_ram_divisor_degree_reports_a_wrong_jump_count():
+    # a BranchPoint is built like any Filtration; validate reports the count
+    bp = BranchPoint(InertiaShape(2, 2, 1), (1,))
+    with pytest.raises(InvariantViolation, match="break multiplicities sum to 1, expected e = 2"):
+        ram_divisor_degree(bp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_branch_point_is_the_filtration_of_its_upper_jumps(rng):
+    filt = random_filtration(rng, e_max=6, m_max=12)
+    jumps = tuple(sigma for sigma, mult in filt.breaks for _ in range(mult))
+    bp = BranchPoint(filt.shape, jumps)
+    assert isinstance(bp, Filtration)
+    assert bp == filt and hash(bp) == hash(filt)
+    assert bp.upper_jumps == jumps
+    assert BranchPoint(filt.shape, [str(s) for s in jumps]) == filt
+
+
+def test_genus_builds_no_filtration(monkeypatch):
+    # the knot table is built once, by the BranchPoint constructor
+    bps = [BranchPoint(InertiaShape(2, 2, 1), (1, 2)), BranchPoint(InertiaShape(2, 0, 1), ())]
+    cover = CoverData(4, 0, bps)
+    builds = [0]
+    init = Filtration.__init__
+
+    def counting_init(self, *args):
+        builds[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Filtration, "__init__", counting_init)
+    assert [ram_divisor_degree(bp) for bp in bps] == [8, 0]
+    assert rh_genus(cover) == 1
+    assert builds[0] == 0
+
+
 # ------------------------------------------------------------------ rh genus
 
 def test_rh_genus_closed_form_pipeline():
@@ -173,6 +210,19 @@ def test_genus_increment_errors():
         genus_increment(2, 2, 1, 1, 1, 4)
     with pytest.raises(ValueError):
         genus_increment(2, 2, 0, 1, 1, 3)
+
+
+@pytest.mark.parametrize("increment", [
+    lambda s: genus_increment(2, 2, 1, 1, 3, s),
+    lambda s: last_lower_jump_increment(2, 5, 1, 1, 1, 3, s),
+], ids=["genus", "last-lower-jump"])
+def test_deformation_target_preconditions(increment):
+    with pytest.raises(InvalidJump, match="^conductor 4 must be positive and prime to 2$"):
+        increment(4)
+    with pytest.raises(InvalidJump, match="^conductor -1 must be positive and prime to 2$"):
+        increment(-1)
+    with pytest.raises(NotLarger, match="^conductor 3 does not exceed m\\*sigma = 3$"):
+        increment(3)
 
 
 def test_last_lower_jump_increment_examples():

@@ -140,6 +140,16 @@ def test_filtration_constructor_rejects_garbage():
         InertiaShape(2, 1, 2)  # m not prime to p
 
 
+def test_filtration_constructor_bounds_the_denominator_lcm():
+    # D divides m*p^(sum of mults) <= m*2^64 in a valid filtration; the odd
+    # primes 3..59 multiply past 2^64 at the 16th, which the error names
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    breaks = [(k + Fraction(1, d), 1) for k, d in enumerate(primes, 1)]
+    Filtration(InertiaShape(2, 16, 1), breaks[:15])
+    with pytest.raises(ValueError, match="^break 16: the lcm of the break denominators"):
+        Filtration(InertiaShape(2, 16, 1), breaks)
+
+
 # ----------------------------------------------------------------- transform
 
 def test_transform_appends_new_break():
@@ -358,3 +368,10 @@ def test_filtration_json_roundtrip():
     assert filtration_from_dict(d) == Z4
     half = Filtration(InertiaShape(3, 1, 2), [(Fraction(1, 2), 1)])
     assert filtration_from_dict(filtration_to_dict(half)) == half
+
+
+def test_filtration_from_dict_validates():
+    d = filtration_to_dict(Filtration(InertiaShape(2, 1, 1), [(2, 1)]))
+    message = "^invalid filtration: break 2: lower jump 2 divisible by 2$"
+    with pytest.raises(ValueError, match=message):
+        filtration_from_dict(d)
