@@ -1,7 +1,14 @@
 """Exact arithmetic in F_{p^n} and in sparse Laurent polynomials over it.
 
-Field elements are coefficient vectors over F_p in the polynomial basis of a
-canonical irreducible modulus, so p-th roots (inverse Frobenius) are exact.
+A field element is one int 0 <= v < q = p^n whose base-p digits, lowest
+first, are its coordinates in the polynomial basis of a canonical
+irreducible modulus.  `FieldSpec` picks the arithmetic on these ints once
+per (p, n) from four kernels (`_kernels`): plain arithmetic mod p for
+n = 1; XOR addition and carry-less multiplication for p = 2; log, antilog
+and Zech tables for odd p with q <= ZECH_MAX_Q, the idiom of the galois
+library (https://github.com/mhostetter/galois); and above that the F_p[x]
+routines (product mod the modulus, extended Euclid, the Frobenius matrices)
+on the digits.  p-th roots (inverse Frobenius) are exact in every kernel.
 Laurent polynomials are finite maps from integer exponents to nonzero field
 elements.  Nothing here touches floating point.
 
@@ -14,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from operator import mul
+from operator import mul, xor
 
 from .errors import FieldMismatch, ParseError
 
@@ -118,14 +125,19 @@ def _mulmod(a, b, f, p: int) -> list[int]:
     return _poly_divmod(_poly_mul(a, b), f, p)[1]
 
 
-def _powmod(a, k: int, f, p: int) -> list[int]:
-    """a^k mod f over F_p for k >= 0, by left-to-right square and multiply."""
-    acc = [1] + [0] * (len(f) - 2)
+def _power(mul, one, a, k: int):
+    """a^k for k >= 0 under the product mul, by left-to-right square and multiply."""
+    acc = one
     for bit in bin(k)[2:]:
-        acc = _mulmod(acc, acc, f, p)
+        acc = mul(acc, acc)
         if bit == "1":
-            acc = _mulmod(acc, a, f, p)
+            acc = mul(acc, a)
     return acc
+
+
+def _powmod(a, k: int, f, p: int) -> list[int]:
+    """a^k mod f over F_p for k >= 0."""
+    return _power(lambda x, y: _mulmod(x, y, f, p), [1] + [0] * (len(f) - 2), a, k)
 
 
 def _gcdex(a, f, p: int) -> tuple[list[int], list[int]]:
@@ -213,10 +225,171 @@ def _frobenius_matrices(p: int, n: int):
     return frob, tuple(tuple(row[n:]) for row in rows)
 
 
-class FieldSpec:
-    """The coefficient field F_q with q = p^n, p prime and q <= 2^64."""
+def _digits(v: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of v, lowest first: the coordinates of element v."""
+    out = []
+    for _ in range(n):
+        v, c = divmod(v, p)
+        out.append(c)
+    return out
 
-    __slots__ = ("p", "n", "modulus", "frobenius_matrix", "inv_frobenius_matrix")
+
+def _undigits(coords, p: int) -> int:
+    """The int form of the coordinate list `coords`, lowest first."""
+    v = 0
+    for c in reversed(coords):
+        v = v * p + c
+    return v
+
+
+# Odd-p extensions with q = p^n <= ZECH_MAX_Q add and multiply by table
+# lookups.  Building the tables takes O(n q) integer steps: on a 2-vCPU VM
+# at most ~3 ms (F_5^5) and 0.33 MB (F_61^2, the largest such field), while
+# an operation on the digit path costs 3-30x more (README, "Field kernels").
+ZECH_MAX_Q = 2**12
+
+
+def _identity(a):
+    return a
+
+
+def _xor_tables(matrix):
+    """a -> matrix * a over F_2 on int forms: the XOR of one lookup per
+    byte of a, in tables of the XORs of that byte's columns."""
+    cols = [_undigits(col, 2) for col in zip(*matrix)]
+    tables = []
+    for k in range(0, len(cols), 8):
+        t = [0]
+        for c in cols[k:k + 8]:
+            t += [x ^ c for x in t]
+        tables.append(t)
+
+    def apply(a):
+        out = 0
+        for t in tables:
+            out ^= t[a & 255]
+            a >>= 8
+        return out
+
+    return apply
+
+
+def _zech_kernel(p: int, n: int, modulus) -> tuple:
+    """Log, antilog and Zech tables for odd p: with Q = q - 1, exp[k] = g^k
+    for a primitive g, and zech[d] = log(1 + g^d) (None where 1 + g^d = 0),
+    a + b = g^la (1 + g^(lb - la)) is one lookup in each table."""
+    q = p**n
+    Q = q - 1
+    one = [1] + [0] * (n - 1)
+    primes = [r for r in range(2, q) if Q % r == 0 and _is_prime(r)]
+    # the least primitive element; x itself often is not (x^3 = 1 in F_5^2)
+    g = next(v for v in range(p, q)
+             if all(_powmod(_digits(v, p, n), Q // r, modulus, p) != one for r in primes))
+    cols = [_digits(g, p, n)]
+    for _ in range(1, n):
+        cols.append(_mulmod(cols[-1], [0, 1], modulus, p))
+    times_g = [0] * q
+    for j in range(n):  # digit j of g*v is sum_i v_i * cols[i][j], for every v at once
+        f = [0]
+        for col in cols:
+            f = [(a + d * col[j]) % p for d in range(p) for a in f]
+        times_g = [t + a * p**j for t, a in zip(times_g, f)]
+    exp = [1]
+    for _ in range(Q - 1):
+        exp.append(times_g[exp[-1]])
+    log = [0] * q
+    for k, v in enumerate(exp):
+        log[v] = k
+    # v + 1 raises the constant digit of v, which wraps from p - 1 to 0
+    zech = [None if v == p - 1 else log[v + 1 if v % p < p - 1 else v + 1 - p] for v in exp]
+    exp += exp  # so that exp[la + lb] needs no reduction mod Q
+    h = Q // 2  # -1 = g^(Q/2)
+
+    def add(a, b):
+        if not (a and b):
+            return a or b
+        la = log[a]
+        z = zech[log[b] - la]  # a negative index wraps mod Q, as len(zech) = Q
+        return 0 if z is None else exp[la + z]
+
+    def neg(a):
+        return exp[log[a] + h] if a else 0
+
+    def power(k):
+        return lambda a: exp[log[a] * k % Q] if a else 0
+
+    return (add, lambda a, b: add(a, neg(b)), neg,
+            lambda a, b: exp[log[a] + log[b]] if a and b else 0,
+            lambda a: exp[Q - log[a]], power(p), power(q // p))
+
+
+@lru_cache(maxsize=None)
+def _kernels(p: int, n: int) -> tuple:
+    """(add, sub, neg, mul, inv, frob, root) on int forms, chosen by (p, n).
+
+    inv is applied to nonzero values only.  F_p is plain mod-p
+    arithmetic with Frobenius the identity.  For p = 2, addition is XOR,
+    multiplication carry-less shift-and-reduce, and Frobenius and p-th root
+    are `_xor_tables` of their matrices.  Odd-p extensions use Zech tables up
+    to ZECH_MAX_Q, and above it the F_p[x] routines on the digits.
+    """
+    if n == 1:
+        return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a: -a % p,
+                lambda a, b: a * b % p, lambda a: pow(a, -1, p), _identity, _identity)
+    modulus = canonical_modulus(p, n)
+    if p != 2 and p**n <= ZECH_MAX_Q:
+        return _zech_kernel(p, n, modulus)
+    frob, root = _frobenius_matrices(p, n)
+
+    def inv(a):  # extended Euclid against the modulus
+        return _undigits(_gcdex(_digits(a, p, n), modulus, p)[1], p)
+
+    if p == 2:
+        m = _undigits(modulus, 2)
+
+        def clmul(a, b):
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a >> n:
+                    a ^= m
+            return r
+
+        return xor, xor, _identity, clmul, inv, _xor_tables(frob), _xor_tables(root)
+
+    def digitwise(op):
+        return lambda a, b: _undigits(list(map(op, _digits(a, p, n), _digits(b, p, n))), p)
+
+    def linear(matrix):
+        def apply(a):
+            coords = _digits(a, p, n)
+            return _undigits([sum(map(mul, row, coords)) % p for row in matrix], p)
+
+        return apply
+
+    def times(a, b):
+        if b < p:  # a scalar: scale the digits
+            return _undigits([c * b % p for c in _digits(a, p, n)], p)
+        return _undigits(_mulmod(_digits(a, p, n), _digits(b, p, n), modulus, p), p)
+
+    return (digitwise(lambda x, y: (x + y) % p), digitwise(lambda x, y: (x - y) % p),
+            lambda a: _undigits([-c % p for c in _digits(a, p, n)], p),
+            times, inv, linear(frob), linear(root))
+
+
+class FieldSpec:
+    """The coefficient field F_q with q = p^n, p prime and q <= 2^64.
+
+    Its elements are ints 0 <= v < q whose base-p digits are the coordinates
+    in the polynomial basis of the canonical modulus; `_kernels` picks the
+    arithmetic on them once per (p, n).
+    """
+
+    __slots__ = ("p", "n", "modulus", "frobenius_matrix", "inv_frobenius_matrix",
+                 "add", "sub", "neg", "mul", "inv", "frob", "root")
 
     def __init__(self, p: int, n: int = 1):
         require_prime(p)
@@ -228,6 +401,8 @@ class FieldSpec:
         self.n = n
         self.modulus = canonical_modulus(p, n)
         self.frobenius_matrix, self.inv_frobenius_matrix = _frobenius_matrices(p, n)
+        (self.add, self.sub, self.neg, self.mul, self.inv,
+         self.frob, self.root) = _kernels(p, n)
 
     @property
     def q(self) -> int:
@@ -235,28 +410,28 @@ class FieldSpec:
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.n)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.n - 1))
+        return FieldElement(self, 1)
 
     def scalar(self, c: int) -> "FieldElement":
         """Image of the integer c under Z -> F_p inside F_q."""
-        return FieldElement(self, (c % self.p,) + (0,) * (self.n - 1))
+        return FieldElement(self, c % self.p)
 
     def element(self, coords) -> "FieldElement":
-        coords = tuple(int(c) % self.p for c in coords)
+        coords = [int(c) % self.p for c in coords]
         if len(coords) > self.n:
             raise ParseError(
                 f"coefficient vector of length {len(coords)} in a degree-{self.n} field"
             )
-        return FieldElement(self, coords + (0,) * (self.n - len(coords)))
+        return FieldElement(self, _undigits(coords, self.p))
 
     def elements(self):
         """Iterate over all q elements (intended for small fields)."""
         for coords in itertools.product(range(self.p), repeat=self.n):
-            yield FieldElement(self, coords)
+            yield self.element(coords)
 
     def __eq__(self, other):
         return (
@@ -271,107 +446,84 @@ class FieldSpec:
 
 
 class FieldElement:
-    """Element of F_{p^n} in the polynomial basis of the canonical modulus."""
+    """Element of F_{p^n} as its int form v (see FieldSpec)."""
 
-    __slots__ = ("spec", "coords")
+    __slots__ = ("spec", "v")
 
-    def __init__(self, spec: FieldSpec, coords: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, v: int):
         self.spec = spec
-        self.coords = coords
+        self.v = v
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """Coordinates in the polynomial basis, lowest degree first."""
+        return tuple(_digits(self.v, self.spec.p, self.spec.n))
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.v
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return self.v != 0
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, int):
-            return self.spec.scalar(other)
+    def _value(self, other) -> int:
+        """The int form of other, an element of this field or an integer."""
         if isinstance(other, FieldElement):
             if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatch(f"{self.spec} vs {other.spec}")
-            return other
+            return other.v
+        if isinstance(other, int):
+            return other % self.spec.p
         raise TypeError(f"cannot interpret {other!r} as a field element")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
-        )
+        return FieldElement(self.spec, self.spec.add(self.v, self._value(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        p = self.spec.p
-        return FieldElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
-        )
+        return FieldElement(self.spec, self.spec.sub(self.v, self._value(other)))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return FieldElement(self.spec, self.spec.sub(self._value(other), self.v))
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple(-a % p for a in self.coords))
+        return FieldElement(self.spec, self.spec.neg(self.v))
 
     def __mul__(self, other):
-        p = self.spec.p
-        if isinstance(other, int):
-            return FieldElement(self.spec, tuple(other * a % p for a in self.coords))
-        other = self._coerce(other)
-        return FieldElement(
-            self.spec, tuple(_mulmod(self.coords, other.coords, self.spec.modulus, p))
-        )
+        return FieldElement(self.spec, self.spec.mul(self.v, self._value(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        spec = self.spec
-        return FieldElement(spec, tuple(_powmod(self.coords, k, spec.modulus, spec.p)))
+        return FieldElement(self.spec, _power(self.spec.mul, 1, self.v, k))
 
     def inverse(self) -> "FieldElement":
-        """Extended Euclid against the modulus: O(n^2) F_p operations."""
-        if self.is_zero:
+        if not self.v:
             raise ZeroDivisionError("inverse of zero field element")
-        spec = self.spec
-        s = _gcdex(self.coords, spec.modulus, spec.p)[1]
-        return FieldElement(spec, tuple(s) + (0,) * (spec.n - len(s)))
-
-    def _linear(self, matrix) -> "FieldElement":
-        p = self.spec.p
-        return FieldElement(
-            self.spec,
-            tuple(sum(map(mul, row, self.coords)) % p for row in matrix),
-        )
+        return FieldElement(self.spec, self.spec.inv(self.v))
 
     def frobenius(self) -> "FieldElement":
-        return self._linear(self.spec.frobenius_matrix)
+        return FieldElement(self.spec, self.spec.frob(self.v))
 
     def pth_root(self) -> "FieldElement":
         """Inverse Frobenius; exact since x -> x^p is bijective on F_q."""
-        return self._linear(self.spec.inv_frobenius_matrix)
+        return FieldElement(self.spec, self.spec.root(self.v))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.spec.scalar(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        same = self.spec is other.spec or self.spec == other.spec
-        return same and self.coords == other.coords
+        return self.v == other.v and (self.spec is other.spec or self.spec == other.spec)
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.n, self.coords))
+        return hash((self.spec, self.v))
 
     def __str__(self):
         if self.spec.n == 1:
-            return str(self.coords[0])
-        return "[" + ",".join(str(c) for c in self.coords) + "]"
+            return str(self.v)
+        return "[" + ",".join(map(str, self.coords)) + "]"
 
     def __repr__(self):
         return f"{self} in {self.spec}"

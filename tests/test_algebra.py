@@ -156,6 +156,16 @@ def test_field_inverse_and_axioms_f9():
     assert (a + b) + c == a + (b + c)
 
 
+def test_elements_compare_only_with_elements():
+    # an int is not read as its residue, so == agrees with the hash
+    one = F5.one
+    assert one != 1 and one != 6 and not one == 6
+    assert 1 not in {one} and one not in {1, 6}
+    table = {one: "one"}
+    assert table.get(1) is None and table[F5.scalar(6)] == "one"
+    assert {F5.scalar(6), F5.element([11]), one} == {one}
+
+
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         F2.one + F3.one

@@ -6,7 +6,8 @@ against every monic polynomial of degree up to n/2, and column k of the
 Frobenius matrix is x^(pk) reduced by long division.  The library uses
 Ben-Or's test and power-mod; it must return the same moduli and the same
 matrices.  sympy's `galoistools` is the independent oracle for the
-irreducibility predicate and for inverses.
+irreducibility predicate and for every element operation, in fields drawn
+from each of the four arithmetic kernels.
 """
 
 import itertools
@@ -17,14 +18,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import isprime, primerange
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_gcdex, gf_irreducible_p, gf_mul, gf_rem
+from sympy.polys.galoistools import (
+    gf_add,
+    gf_gcdex,
+    gf_irreducible_p,
+    gf_mul,
+    gf_pow_mod,
+    gf_rem,
+    gf_sub,
+)
 
 from ramforge.algebra import (
+    ZECH_MAX_Q,
     FieldSpec,
     _frobenius_matrices,
     _gcdex,
     _is_irreducible,
     _is_prime,
+    _kernels,
     canonical_modulus,
     require_prime,
 )
@@ -97,10 +108,11 @@ def test_moduli_match_trial_division():
         assert canonical_modulus(p, n) == ref_canonical_modulus(p, n), (p, n)
 
 
-@pytest.mark.parametrize("p,n", [(7, 9), (2, 64), (3, 40)])
+@pytest.mark.parametrize("p,n", [(7, 9), (2, 64), (3, 40), (61, 2), (2, 16)])
 def test_large_fields_build_quickly(p, n):
     canonical_modulus.cache_clear()
     _frobenius_matrices.cache_clear()
+    _kernels.cache_clear()
     start = time.perf_counter()
     spec = FieldSpec(p, n)
     assert time.perf_counter() - start < 2.0
@@ -194,6 +206,84 @@ def test_inverse_seeded_f2_16():
         a = spec.element([rng.randrange(2) for _ in range(16)])
         if a:
             assert a * a.inverse() == spec.one
+
+
+# One or more fields from each kernel: mod p (n = 1), carry-less (p = 2),
+# Zech tables (odd p, q <= ZECH_MAX_Q) and F_p[x] on the digits (above it).
+TABLED, UNTABLED = (61, 2), (67, 2)  # the largest tabled odd-p field, the next one up
+ORACLE_FIELDS = [
+    (7, 1), (2**61 - 1, 1), (2**64 - 59, 1),
+    (2, 2), (2, 8), (2, 16), (2, 64),
+    (5, 2), (3, 5), TABLED,
+    UNTABLED, (3, 40),
+]
+
+
+def test_oracle_fields_straddle_the_table_threshold():
+    odd_extensions = [p**n for p in primerange(3, 70) for n in range(2, 9)]
+    assert max(q for q in odd_extensions if q <= ZECH_MAX_Q) == TABLED[0] ** TABLED[1]
+    assert min(q for q in odd_extensions if q > ZECH_MAX_Q) == UNTABLED[0] ** UNTABLED[1]
+
+
+def _element_case(pn):
+    p, n = pn
+    coords = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return st.tuples(
+        st.just(pn), coords, coords, st.integers(-(2**70), 2**70), st.integers(-9, 9)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS).flatmap(_element_case))
+def test_element_ops_match_galoistools(case):
+    (p, n), a, b, c, k = case
+    spec = FieldSpec(p, n)
+    f = to_sympy(spec.modulus)
+    A, B, C = to_sympy(a), to_sympy(b), to_sympy([c % p])
+
+    def want(poly):
+        return from_sympy(gf_rem(poly, f, p, ZZ), n)
+
+    x, y = spec.element(a), spec.element(b)
+    assert x.coords == tuple(a)
+    assert str(x) == (str(a[0]) if n == 1 else "[" + ",".join(map(str, a)) + "]")
+    assert (x + y).coords == want(gf_add(A, B, p, ZZ))
+    assert (x - y).coords == want(gf_sub(A, B, p, ZZ))
+    assert (-x).coords == want(gf_sub([], A, p, ZZ))
+    assert (c - x).coords == want(gf_sub(C, A, p, ZZ))
+    assert (x * y).coords == want(gf_mul(A, B, p, ZZ))
+    assert (x * c).coords == (c * x).coords == want(gf_mul(A, C, p, ZZ))
+    assert x.frobenius().coords == want(gf_pow_mod(A, p, f, p, ZZ))
+    # Frobenius is a bijection, so the p-th root is the one r with r^p = x
+    assert want(gf_pow_mod(to_sympy(x.pth_root().coords), p, f, p, ZZ)) == tuple(a)
+    if not any(a):
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    s, _, _ = gf_gcdex(A, f, p, ZZ)
+    assert x.inverse().coords == want(s)
+    base = s if k < 0 else A
+    assert (x**k).coords == want(gf_pow_mod(base, abs(k), f, p, ZZ))
+
+
+@pytest.mark.parametrize("pn", ORACLE_FIELDS)
+def test_equal_elements_hash_equal(pn):
+    spec = FieldSpec(*pn)
+    p = spec.p
+    for c in (0, 1, p - 1, p + 2, -3):
+        same = [
+            spec.scalar(c),
+            spec.element([c]),
+            spec.one * c,
+            spec.zero + c,
+            spec.one - (1 - c),
+            FieldSpec(*pn).scalar(c),
+        ]
+        assert len({hash(e) for e in same}) == 1
+        assert all(e == same[0] for e in same)
+    x = spec.element([1] * spec.n)
+    y = x * x + x
+    assert y - x * x == x and hash(y - x * x) == hash(x)
 
 
 def test_inverse_of_zero():
