@@ -4,13 +4,13 @@ A field element is one int 0 <= v < q = p^n whose base-p digits, lowest
 first, are its coordinates in the polynomial basis of a canonical
 irreducible modulus.  `FieldSpec` picks the arithmetic on these ints once
 per (p, n) from four kernels (`_kernels`): plain arithmetic mod p for
-n = 1; XOR addition and carry-less multiplication for p = 2; log, antilog
-and Zech tables for odd p with q <= ZECH_MAX_Q, the idiom of the galois
-library (https://github.com/mhostetter/galois); and above that the F_p[x]
-routines (product mod the modulus, extended Euclid, the Frobenius matrices)
-on the digits.  p-th roots (inverse Frobenius) are exact in every kernel.
-Laurent polynomials are finite maps from integer exponents to nonzero field
-elements.  Nothing here touches floating point.
+n = 1; XOR addition, carry-less multiplication and binary extended Euclid
+for p = 2; log, antilog and Zech tables for odd p with q <= ZECH_MAX_Q, the
+idiom of the galois library (https://github.com/mhostetter/galois); and
+above that the F_p[x] routines (product mod the modulus, extended Euclid,
+the Frobenius matrices) on the digits.  p-th roots (inverse Frobenius) are
+exact in every kernel.  Laurent polynomials are finite maps from integer
+exponents to nonzero field elements.  Nothing here touches floating point.
 
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
@@ -329,9 +329,10 @@ def _kernels(p: int, n: int) -> tuple:
 
     inv is applied to nonzero values only.  F_p is plain mod-p
     arithmetic with Frobenius the identity.  For p = 2, addition is XOR,
-    multiplication carry-less shift-and-reduce, and Frobenius and p-th root
-    are `_xor_tables` of their matrices.  Odd-p extensions use Zech tables up
-    to ZECH_MAX_Q, and above it the F_p[x] routines on the digits.
+    multiplication carry-less shift-and-reduce, inversion extended Euclid on
+    the bit patterns, and Frobenius and p-th root are `_xor_tables` of their
+    matrices.  Odd-p extensions use Zech tables up to ZECH_MAX_Q, and above
+    it the F_p[x] routines on the digits.
     """
     if n == 1:
         return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a: -a % p,
@@ -340,10 +341,6 @@ def _kernels(p: int, n: int) -> tuple:
     if p != 2 and p**n <= ZECH_MAX_Q:
         return _zech_kernel(p, n, modulus)
     frob, root = _frobenius_matrices(p, n)
-
-    def inv(a):  # extended Euclid against the modulus
-        return _undigits(_gcdex(_digits(a, p, n), modulus, p)[1], p)
-
     if p == 2:
         m = _undigits(modulus, 2)
 
@@ -358,7 +355,20 @@ def _kernels(p: int, n: int) -> tuple:
                     a ^= m
             return r
 
+        def inv(a):  # binary extended Euclid, keeping x*a = u and y*a = v mod m
+            u, v, x, y = a, m, 1, 0
+            while u != 1:
+                d = u.bit_length() - v.bit_length()
+                if d < 0:
+                    u, v, x, y, d = v, u, y, x, -d
+                u ^= v << d
+                x ^= y << d
+            return x
+
         return xor, xor, _identity, clmul, inv, _xor_tables(frob), _xor_tables(root)
+
+    def inv(a):  # extended Euclid against the modulus
+        return _undigits(_gcdex(_digits(a, p, n), modulus, p)[1], p)
 
     def digitwise(op):
         return lambda a, b: _undigits(list(map(op, _digits(a, p, n), _digits(b, p, n))), p)
@@ -521,9 +531,12 @@ class FieldElement:
         return hash((self.spec, self.v))
 
     def __str__(self):
-        if self.spec.n == 1:
+        p, n = self.spec.p, self.spec.n
+        if n == 1:
             return str(self.v)
-        return "[" + ",".join(map(str, self.coords)) + "]"
+        if p == 2:  # the digits are the bits, lowest first
+            return "[" + ",".join(format(self.v, f"0{n}b")[::-1]) + "]"
+        return "[" + ",".join(map(str, _digits(self.v, p, n))) + "]"
 
     def __repr__(self):
         return f"{self} in {self.spec}"

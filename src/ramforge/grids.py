@@ -14,7 +14,14 @@ from fractions import Fraction
 
 from .algebra import FieldSpec, require_prime
 from .asext import ExtElement, ExtFieldSpec, ext_as_reduce, minimal_tower_element, upper_jumps
-from .genus import BranchPoint, CoverData, contains_progressions, genus_spectrum, rh_genus
+from .genus import (
+    BranchPoint,
+    CoverData,
+    contains_progressions,
+    genus_increment,
+    genus_spectrum,
+    rh_genus,
+)
 from .ramfilt import (
     InertiaShape,
     admissible_check,
@@ -76,36 +83,52 @@ MAX_ECOND_WORK = 60000
 
 def econd_grid(p: int, jmax: int, smax: int) -> GridResult:
     """Tower jump engine vs the closed forms J = max(ps - j(p-1), (p^2-p+1)j)
-    and conductor = max(s, pj), for jmax*smax*(p + 10) <= MAX_ECOND_WORK."""
+    and conductor = max(s, pj), for jmax*smax*(p + 10) <= MAX_ECOND_WORK; and
+    the tower's Riemann-Hurwitz genus (one Z/p^2 point over the line) vs the
+    base tower's genus plus genus_increment from the conductor pj out to s.
+    The base tower minimal_tower_element has leading weight (p^2-p+1)j, prime
+    to p, so it is reduced and that weight is its jump."""
     field = FieldSpec(p)
     if jmax * smax * (p + 10) > MAX_ECOND_WORK:
         raise ValueError(
             f"jmax {jmax} and smax {smax} at p = {p} exceed the cap "
             f"jmax*smax*(p + 10) <= {MAX_ECOND_WORK}"
         )
+    shape = InertiaShape(p, 2, 1)
+
+    def tower_genus(jumps):
+        return rh_genus(CoverData(p * p, 0, (BranchPoint(shape, jumps),)))
+
     rows = []
     for j in range(1, jmax + 1):
         if j % p == 0:
             continue
         ext = ExtFieldSpec(field, j)
         f_min = minimal_tower_element(ext)
+        base_genus = tower_genus(upper_jumps(ext, -f_min.valuation))
         for s in range(j + 1, smax + 1):
             if s % p == 0:
                 continue
             F = f_min + ExtElement.x_pow(ext, -s)
             J = ext_as_reduce(F).jump
             J_pred = max(p * s - j * (p - 1), (p * p - p + 1) * j)
-            cond = upper_jumps(ext, J)[1]
+            jumps = upper_jumps(ext, J)
+            cond = jumps[1]
             cond_pred = max(s, p * j)
+            genus = tower_genus(jumps)
+            genus_pred = base_genus + (
+                genus_increment(p * p, p, 1, 1, p * j, s) if s > p * j else 0)
             rows.append(
                 {"p": p, "j": j, "s": s,
                  "J": J, "J_predicted": J_pred,
                  "conductor": cond, "conductor_predicted": cond_pred,
-                 "pass": J == J_pred and cond == cond_pred}
+                 "genus": genus, "genus_predicted": genus_pred,
+                 "pass": J == J_pred and cond == cond_pred and genus == genus_pred}
             )
     return _finish(
         "econd-grid",
-        ["p", "j", "s", "J", "J_predicted", "conductor", "conductor_predicted", "pass"],
+        ["p", "j", "s", "J", "J_predicted", "conductor", "conductor_predicted",
+         "genus", "genus_predicted", "pass"],
         rows,
     )
 

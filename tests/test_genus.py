@@ -1,21 +1,32 @@
-"""Ramification divisors, Riemann-Hurwitz, increments, spectra, Kato's mu."""
+"""Ramification divisors, Riemann-Hurwitz, increments, spectra, Kato's mu.
 
+The library computes the divisor degree and the spectrum in integers.  The
+references below compute them in Fractions: Hilbert's formula through psi
+at the conductor, and a spectrum loop that checks every candidate's
+increment and collects the genera in sets.  The library must return the
+same values and raise the same errors.
+"""
+
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramforge.errors import (
     InconsistentInput,
     InvalidJump,
     InvariantViolation,
     NotLarger,
+    RamforgeError,
 )
 from ramforge.genus import (
+    MAX_SPECTRUM_GENERA,
     BranchPoint,
     CoverData,
     KatoInput,
+    SpectrumResult,
     contains_progressions,
     genus_increment,
     genus_spectrum,
@@ -25,15 +36,26 @@ from ramforge.genus import (
     rh_genus,
     spectrum_density,
 )
+from ramforge.grids import econd_grid
 from ramforge.ramfilt import (
     Filtration,
     InertiaShape,
     action_transform,
     conductor_congruence,
+    psi,
     random_filtration,
     upper_to_lower,
+    validate,
 )
 from ramforge.aschreier import as_genus_affine_line
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except (ValueError, RamforgeError) as exc:
+        return type(exc), str(exc)
 
 
 def different_degree_oracle(shape, lower_jumps):
@@ -113,6 +135,39 @@ def test_ram_divisor_degree_reports_a_wrong_jump_count():
     bp = BranchPoint(InertiaShape(2, 2, 1), (1,))
     with pytest.raises(InvariantViolation, match="break multiplicities sum to 1, expected e = 2"):
         ram_divisor_degree(bp)
+
+
+def ref_ram_divisor_degree(filt):
+    """Hilbert's formula in Fractions, psi evaluated at the conductor."""
+    problems = validate(filt)
+    if problems:
+        raise InvariantViolation(f"invalid branch point {filt}: " + "; ".join(problems))
+    order = filt.shape.order
+    sigma = filt.conductor or 0
+    deg = order - 1 + order * sigma - psi(filt, sigma)
+    if deg.denominator != 1 or deg < 0:
+        raise InvariantViolation(f"ramification degree {deg} at {filt} is not a natural number")
+    return int(deg)
+
+
+@st.composite
+def filtrations(draw):
+    """Valid filtrations from random lower jumps, or arbitrary break lists,
+    most of which fail `validate`."""
+    if draw(st.booleans()):
+        return random_filtration(draw(st.randoms(use_true_random=False)), e_max=6, m_max=12)
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.sampled_from([m for m in range(1, 13) if m % p]))
+    cs = draw(st.lists(st.fractions(Fraction(1, 12), 40, max_denominator=12),
+                       unique=True, max_size=5))
+    breaks = [(c, draw(st.integers(1, 3))) for c in sorted(cs)]
+    return Filtration(InertiaShape(p, draw(st.integers(0, 8)), m), breaks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(filtrations())
+def test_ram_divisor_degree_matches_the_fraction_formula(filt):
+    assert outcome(ram_divisor_degree, filt) == outcome(ref_ram_divisor_degree, filt)
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,6 +388,105 @@ def test_spectrum_progression_structure():
         assert contains_progressions(result, p)
         inc = Fraction(p * G, 2) * (1 - Fraction(1, p**a))
         assert result.increment == inc
+
+
+def test_spectrum_at_p_2_with_half_genus_steps():
+    # |G|/2^a = 1 is odd, so a step of m = 1 in s is worth half a genus
+    result = genus_spectrum(2, 2, 1, 1, 1, 0, 1, 20)
+    assert result.genera == tuple(range(21))
+    assert result.deformed == tuple(range(1, 21))
+    assert (result.increment, result.residues) == (1, (0,))
+
+
+def ref_genus_spectrum(group_order, p, a, m, sigma0, g0, s_iota, limit):
+    """The spectrum as a Fraction loop over the candidates s, each increment
+    checked integral, the genera collected in sets and sorted.  p is prime,
+    a <= 3 and the window is small here, so the library's primality, huge-a
+    and window-cap checks are not repeated."""
+    if a < 1:
+        raise ValueError(f"subgroup exponent {a} must be >= 1")
+    if group_order < 1:
+        raise ValueError(f"group order must be positive, got {group_order}")
+    sigma0 = Fraction(sigma0)
+    if sigma0 <= 0:
+        raise ValueError(f"base conductor {sigma0} must be positive")
+    if g0 < 0:
+        raise ValueError(f"base genus {g0} must be >= 0")
+    if limit < 0:
+        raise ValueError(f"genus limit {limit} must be >= 0")
+    if not 1 <= s_iota <= m:
+        raise ValueError(f"s_iota must lie in [1, {m}], got {s_iota}")
+    if math.gcd(m, p) != 1:
+        raise ValueError(f"tame order m = {m} is not prime to p = {p}")
+    if group_order % (p**a * m):
+        raise ValueError(f"p^a*m = {p**a * m} does not divide the group order {group_order}")
+    inc = p * group_order * (p**a - 1) // (2 * p**a)
+    assert (limit - g0) * (p - 1) <= MAX_SPECTRUM_GENERA * inc
+
+    def genus(s):
+        delta = group_order * (Fraction(s, m) - sigma0) * (1 - Fraction(1, p**a)) / 2
+        if delta.denominator != 1:
+            raise ValueError(f"base conductor {sigma0} does not fit the inertia data: "
+                             f"genus increment {delta} is not a natural number")
+        return g0 + int(delta)
+
+    genera = {g0} if g0 <= limit else set()
+    deformed = set()
+    s = s_iota
+    while s <= m * sigma0 or s % p == 0:
+        s += m
+    while (g := genus(s)) <= limit:
+        deformed.add(g)
+        s += m
+        while s % p == 0:
+            s += m
+    residues = tuple(sorted({g % inc for g in deformed}))
+    return SpectrumResult(tuple(sorted(genera | deformed)), tuple(sorted(deformed)), inc,
+                          residues)
+
+
+@st.composite
+def spectrum_inputs(draw):
+    """genus_spectrum arguments, each valid nine times in ten; base
+    conductors over small denominators, so many first increments are not
+    integral."""
+    def mostly(valid, invalid):
+        return draw(invalid if draw(st.integers(0, 9)) == 5 else valid)
+
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    a = mostly(st.integers(1, 3), st.just(0))
+    m = mostly(st.sampled_from([m for m in range(1, 8) if m % p]), st.sampled_from([p, 2 * p]))
+    group_order = p ** max(a, 1) * m * draw(st.integers(1, 5)) + mostly(st.just(0), st.just(1))
+    sigma0 = Fraction(mostly(st.integers(1, 40), st.integers(-1, 0)),
+                      draw(st.sampled_from([1, 2, 3, 4, 6, p, p * m, p * p])))
+    return (group_order, p, a, m, sigma0, mostly(st.integers(0, 30), st.just(-1)),
+            mostly(st.integers(1, m), st.sampled_from([0, m + 1])),
+            mostly(st.integers(0, 300), st.just(-1)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(spectrum_inputs())
+@example((2, 2, 1, 1, Fraction(1), 0, 1, 20))  # |G|/2^a odd: half-genus steps
+@example((8, 2, 1, 1, Fraction(3, 2), 0, 1, 60))  # first increment 9/2
+def test_spectrum_matches_the_fraction_loop(args):
+    assert outcome(genus_spectrum, *args) == outcome(ref_genus_spectrum, *args)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tower_genera_are_the_spectrum(p):
+    # the paper's corollary for Z/p^2 over the line: deforming the base tower's
+    # conductor pj out to every s > pj prime to p gives exactly the deformed
+    # genera of the base tower's spectrum, in order of s
+    result = econd_grid(p, 4, 40)
+    assert result.passed
+    for j in range(1, 5):
+        if j % p == 0:
+            continue
+        base = BranchPoint(InertiaShape(p, 2, 1), (j, p * j))
+        g0 = rh_genus(CoverData(p * p, 0, (base,)))
+        deformed = [r["genus"] for r in result.rows if r["j"] == j and r["s"] > p * j]
+        spectrum = genus_spectrum(p * p, p, 1, 1, p * j, g0, 1, deformed[-1])
+        assert list(spectrum.deformed) == deformed
 
 
 def test_spectrum_density_values():
