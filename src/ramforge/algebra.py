@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from operator import mul, xor
+from operator import add, index, mul, xor
 
 from .errors import FieldMismatch, ParseError
 
@@ -427,16 +427,24 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def scalar(self, c: int) -> "FieldElement":
-        """Image of the integer c under Z -> F_p inside F_q."""
-        return FieldElement(self, c % self.p)
+        """Image of the integer c under Z -> F_p inside F_q; TypeError
+        unless c is an integer (`operator.index`)."""
+        return FieldElement(self, index(c) % self.p)
 
     def element(self, coords) -> "FieldElement":
-        coords = [int(c) % self.p for c in coords]
+        """The element with these integer coordinates, lowest degree first."""
+        return FieldElement(self, self._fold(coords))
+
+    def _fold(self, coords) -> int:
+        """The int form of integer coordinates (TypeError for any other),
+        lowest degree first, each taken mod p; ParseError past n of them."""
+        p = self.p
+        coords = [index(c) % p for c in coords]
         if len(coords) > self.n:
             raise ParseError(
                 f"coefficient vector of length {len(coords)} in a degree-{self.n} field"
             )
-        return FieldElement(self, _undigits(coords, self.p))
+        return _undigits(coords, p)
 
     def elements(self):
         """Iterate over all q elements (intended for small fields)."""
@@ -542,16 +550,24 @@ class FieldElement:
         return f"{self} in {self.spec}"
 
 
-def _plus(terms: dict, pairs) -> dict:
+def _elements(spec: FieldSpec, terms: dict) -> dict:
+    """{key: FieldElement} from {key: nonzero int form}: the one wrap of an
+    engine's or the parser's output terms."""
+    return {k: FieldElement(spec, v) for k, v in terms.items()}
+
+
+def _plus(terms: dict, pairs, add) -> dict:
     """The sparse term map {key: nonzero coefficient} of `terms` plus the
-    (key, nonzero coefficient) pairs; a key whose sum cancels drops out.
-    Keys are x-exponents here and (x-exponent, y-degree) pairs in `asext`."""
+    (key, nonzero coefficient) pairs under the sum add; a key whose sum
+    cancels drops out.  Keys are x-exponents here and (x-exponent, y-degree)
+    pairs in `asext`.  The coefficients are `FieldElement`s with add =
+    `operator.add`, or int forms with a field's `add` kernel."""
     out = dict(terms)
     for k, c in pairs:
         s = out.get(k)
         if s is None:
             out[k] = c
-        elif s := s + c:
+        elif s := add(s, c):
             out[k] = s
         else:
             del out[k]
@@ -563,7 +579,9 @@ class LaurentPoly:
 
     Only the pole part ever matters for ramification, so finite supports
     lose nothing and keep every operation exact.  The constructor checks
-    caller input once; arithmetic results are built by `_trusted`.
+    caller input once: exponents must be integers, coefficients elements of
+    `spec` or integers (TypeError otherwise).  Arithmetic results are built
+    by `_trusted`.
     """
 
     __slots__ = ("spec", "terms")
@@ -571,12 +589,13 @@ class LaurentPoly:
     def __init__(self, spec: FieldSpec, terms=None):
         clean: dict[int, FieldElement] = {}
         for e, c in (terms or {}).items():
-            if isinstance(c, int):
+            e = index(e)
+            if not isinstance(c, FieldElement):
                 c = spec.scalar(c)
             elif c.spec is not spec and c.spec != spec:
                 raise FieldMismatch(f"{spec} vs {c.spec}")
             if not c.is_zero:
-                clean[int(e)] = c
+                clean[e] = c
         self.spec = spec
         self.terms = clean
 
@@ -622,7 +641,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check(other)
-        return LaurentPoly._trusted(self.spec, _plus(self.terms, other.terms.items()))
+        return LaurentPoly._trusted(self.spec, _plus(self.terms, other.terms.items(), add))
 
     def __sub__(self, other):
         return self + (-other)
@@ -641,7 +660,7 @@ class LaurentPoly:
         return LaurentPoly._trusted(self.spec, _plus({}, (
             (e1 + e2, c1 * c2)
             for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()
-        )))
+        ), add))
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -695,21 +714,24 @@ _VECTOR_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     """Parse the `c*x^e` sum grammar, e.g. ``x^-7 + 2*x^-3 + x^2``.
 
-    Whitespace is ignored.  One left-to-right scan matches `_TERM_RE` term
-    by term: an optional sign, then a coefficient, an ``x`` power or both;
+    Whitespace (exactly what `str.split` and the regex ``\\s`` treat as
+    such) is ignored.  One left-to-right scan matches `_TERM_RE` term by
+    term: an optional sign, then a coefficient, an ``x`` power or both;
     every term after the first starts with its sign.  Coefficients over
     extensions are polynomial-basis vectors ``[c0,c1,...]`` of ``-?[0-9]+``
     components.  Scalars are ``[0-9]+`` and exponents signed ``[0-9]+``;
-    only ASCII digits are accepted.
+    only ASCII digits are accepted.  Terms accumulate as int forms and
+    each nonzero sum is wrapped once.
     """
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     if not s:
         raise ParseError("empty Laurent polynomial")
-    terms: dict[int, FieldElement] = {}
+    p, add, neg = spec.p, spec.add, spec.neg
+    terms: dict[int, int] = {}
     pos = 0
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
-        sign, coeff, vec, x, exp = m.group("sign", "coeff", "vec", "x", "exp")
+        sign, coeff, vec, x, exp = m.groups()
         if coeff is None and x is None and s.startswith(("+", "-"), m.end()):
             raise ParseError(f"sign follows a sign in {s!r}")
         if (pos and sign is None) or (coeff is None and x is None):
@@ -720,15 +742,15 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
                 raise ParseError(f"empty component in coefficient vector {coeff!r}")
             if not _VECTOR_RE.fullmatch(vec):
                 raise ParseError(f"bad coefficient vector {coeff!r}")
-            c = spec.element([int(v) for v in parts])
+            c = spec._fold(map(int, parts))
         else:
-            c = spec.one if coeff is None else spec.scalar(int(coeff))
+            c = 1 if coeff is None else int(coeff) % p
         if sign == "-":
-            c = -c
+            c = neg(c)
         e = 0 if x is None else 1 if exp is None else int(exp)
-        terms[e] = terms[e] + c if e in terms else c
+        terms[e] = add(terms[e], c) if e in terms else c
         pos = m.end()
-    return LaurentPoly(spec, terms)
+    return LaurentPoly._trusted(spec, _elements(spec, {e: c for e, c in terms.items() if c}))
 
 
 def format_laurent(f: LaurentPoly) -> str:

@@ -7,9 +7,11 @@ prime-to-p pole order of the reduced right-hand side.
 
 One engine, `_reduce_terms`, runs this loop for both rings: here and, with
 val(x^e y^i) = p*e - j*i, for the tower extension in `asext`.  It edits a
-term dict in place and finds the leading term with a lazy min-heap, so k
-steps cost O(k log k) heap work plus k p-th roots; the certificate
-f - f_reduced = h^p - h is checked once, at the end.
+{key: int form} dict in place through the field's kernels and finds the
+leading term with a lazy min-heap, so k steps cost O(k log k) heap work
+plus k p-th roots; the certificate f - f_reduced = h^p - h is checked once,
+at the end, on the same int maps.  `FieldElement`s are built once per
+output term.
 
 Terms of exponent >= 0 never affect ramification at x = 0 here: over the
 algebraically closed field these covers stand in for, every regular part is
@@ -24,7 +26,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-from .algebra import LaurentPoly, artin_schreier
+from .algebra import LaurentPoly, _elements, _plus
 from .errors import (
     InvalidJump,
     InvariantViolation,
@@ -70,8 +72,9 @@ class ASReduced:
     substitution: LaurentPoly
 
 
-def _reduce_terms(terms: dict, p: int, weight, kill):
-    """The Artin-Schreier reduction loop, in place on a {key: coefficient} map.
+def _reduce_terms(terms: dict, p: int, add, weight, kill):
+    """The Artin-Schreier reduction loop, in place on a {key: int form} map
+    whose coefficients add under the field kernel add.
 
     weight(key) is the valuation of the monomial `key`; weights are distinct.
     While the least weight v is negative and divisible by p, the leading
@@ -86,20 +89,21 @@ def _reduce_terms(terms: dict, p: int, weight, kill):
     """
     heap = [(weight(k), k) for k in terms]
     heapq.heapify(heap)
+    heappop, heappush, get = heapq.heappop, heapq.heappush, terms.get
     h = {}
     while True:
         while heap and heap[0][1] not in terms:  # stale: the term was cancelled
-            heapq.heappop(heap)
+            heappop(heap)
         if not heap or heap[0][0] >= 0:
             return UNRAMIFIED, h
         v, key = heap[0]
         if v % p:
             return -v, h
-        heapq.heappop(heap)
+        heappop(heap)
         m_key, r, updates = kill(key, terms[key])
         for k, delta in updates:
-            old = terms.get(k)
-            new = delta if old is None else old + delta
+            old = get(k)
+            new = delta if old is None else add(old, delta)
             if not new:
                 terms.pop(k, None)
             else:
@@ -108,11 +112,21 @@ def _reduce_terms(terms: dict, p: int, weight, kill):
                     w = weight(k)
                     if w <= v:
                         raise InvariantViolation("reduction step failed to raise the valuation")
-                    heapq.heappush(heap, (w, k))
+                    heappush(heap, (w, k))
         if key in terms:
             raise InvariantViolation("reduction step failed to raise the valuation")
         # m has weight v/p and v strictly rises, so no monomial repeats
         h[m_key] = r
+
+
+def _certify(spec, f: dict, g: dict, hp: dict, h: dict) -> None:
+    """Check the certificate f - g = hp - h of a reduction of f to g by the
+    substitution h with p-th power hp, all {key: int form} maps over spec."""
+    add, neg = spec.add, spec.neg
+    if _plus(f, ((k, neg(c)) for k, c in g.items()), add) != _plus(
+        hp, ((k, neg(c)) for k, c in h.items()), add
+    ):
+        raise InvariantViolation("reduction substitution does not account for the change")
 
 
 def as_reduce(f: LaurentPoly) -> ASReduced:
@@ -124,19 +138,19 @@ def as_reduce(f: LaurentPoly) -> ASReduced:
     f - f_reduced = h^p - h, which is checked before returning.
     """
     spec = f.spec
-    p = spec.p
+    p, neg, root = spec.p, spec.neg, spec.root
 
     def kill(e, c):
-        r = c.pth_root()
-        return e // p, r, ((e, -c), (e // p, r))
+        r = root(c)
+        return e // p, r, ((e, neg(c)), (e // p, r))
 
-    terms = dict(f.terms)
-    conductor, h_terms = _reduce_terms(terms, p, int, kill)  # val(x^e) = e
-    g = LaurentPoly._trusted(spec, terms)
-    h = LaurentPoly._trusted(spec, h_terms)
-    if f - g != artin_schreier(h):
-        raise InvariantViolation("reduction substitution does not account for the change")
-    return ASReduced(g, conductor, h)
+    ints = {e: c.v for e, c in f.terms.items()}
+    terms = dict(ints)
+    conductor, h = _reduce_terms(terms, p, spec.add, int, kill)  # val(x^e) = e
+    frob = spec.frob
+    _certify(spec, ints, terms, {p * e: frob(r) for e, r in h.items()}, h)
+    return ASReduced(LaurentPoly._trusted(spec, _elements(spec, terms)), conductor,
+                     LaurentPoly._trusted(spec, _elements(spec, h)))
 
 
 def as_conductor(f):

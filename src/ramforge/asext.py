@@ -10,20 +10,29 @@ This module is the jump engine for towers whose base layer is
 y^p - y = x^(-j): reducing w^p - w = F over the extension yields the second
 lower jump, and the Herbrand conversion turns it into the pair of upper
 jumps.  The reduction runs the shared engine `aschreier._reduce_terms` on
-the terms of F: O(k log k) heap work plus k p-th roots for k steps.  Every
-step is an exact polynomial identity; in particular the fractional-exponent
-binomial expansion that would appear in a power-series treatment is
-replaced by explicit monomial substitutions h with F -> F - (h^p - h), so
-no truncation ever occurs.
+the int forms of F's terms, through the field's kernels: O(k log k) heap
+work plus k p-th roots for k steps.  Every step is an exact polynomial
+identity; in particular the fractional-exponent binomial expansion that
+would appear in a power-series treatment is replaced by explicit monomial
+substitutions h with F -> F - (h^p - h), so no truncation ever occurs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
-from .algebra import INFINITY, FieldSpec, LaurentPoly, _plus, format_laurent, parse_laurent
-from .aschreier import UNRAMIFIED, _reduce_terms, _Unramified
+from .algebra import (
+    INFINITY,
+    FieldSpec,
+    LaurentPoly,
+    _elements,
+    _plus,
+    format_laurent,
+    parse_laurent,
+)
+from .aschreier import UNRAMIFIED, _certify, _reduce_terms, _Unramified
 from .errors import (
     DegenerateTower,
     FieldMismatch,
@@ -155,7 +164,7 @@ class ExtElement:
 
     def __add__(self, other):
         self._check(other)
-        return ExtElement._trusted(self.ext, _plus(self.terms, other.terms.items()))
+        return ExtElement._trusted(self.ext, _plus(self.terms, other.terms.items(), add))
 
     def __sub__(self, other):
         return self + (-other)
@@ -179,16 +188,13 @@ class ExtElement:
                         yield (e, i - p + 1), c
                         yield (e - j, i - p), c
 
-        return ExtElement._trusted(ext, _plus({}, products()))
+        return ExtElement._trusted(ext, _plus({}, products(), add))
 
     def pow_p(self) -> "ExtElement":
         """p-th power: the sum of the (c x^e y^i)^p, exact and finite."""
-        p, j = self.ext.p, self.ext.j
-        return ExtElement._trusted(self.ext, _plus({}, (
-            term
-            for (e, i), c in self.terms.items()
-            for term in _pth_power(p, j, e, i, c.frobenius())
-        )))
+        ext = self.ext
+        terms = _pow_p(ext, {k: c.v for k, c in self.terms.items()})
+        return ExtElement._trusted(ext, _elements(ext.field, terms))
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
@@ -203,21 +209,33 @@ class ExtElement:
 
 
 @lru_cache(maxsize=None)
-def _binomials(p: int) -> tuple[tuple[int, ...], ...]:
-    """C(i, b) mod p for 0 <= b <= i < p, by Pascal's rule; none is 0, as i < p."""
+def _binomials(p: int, sign: int) -> tuple[tuple[int, ...], ...]:
+    """sign * C(i, b) mod p for 0 <= b <= i < p, by Pascal's rule, as int
+    forms of F_p; none is 0, as i < p."""
     rows = [(1,)]
     for _ in range(1, p):
         row = rows[-1]
         rows.append((1, *((a + b) % p for a, b in zip(row, row[1:])), 1))
-    return tuple(rows)
+    return tuple(tuple(sign * m % p for m in row) for row in rows)
 
 
-def _pth_power(p: int, j: int, e: int, i: int, cp, sign: int = 1) -> list:
+def _pth_power(p: int, j: int, e: int, i: int, cp: int, mul, sign: int = 1) -> list:
     """The terms of sign * (c x^e y^i)^p = sign * c^p x^(p*e) (y + x^-j)^i,
-    given cp = c^p: ((p*e - j*(i - b), b), sign * C(i, b) * cp) for b <= i;
-    the sign rides on the int binomial, so negating costs no field op."""
+    given the int form cp of c^p and the field's mul kernel:
+    ((p*e - j*(i - b), b), sign * C(i, b) * cp) for b <= i.  The sign rides
+    on the binomial, so negating costs no field op."""
     v = p * e - j * i
-    return [((v + j * b, b), cp * (sign * m)) for b, m in enumerate(_binomials(p)[i])]
+    return [((v + j * b, b), mul(cp, m)) for b, m in enumerate(_binomials(p, sign)[i])]
+
+
+def _pow_p(ext: ExtFieldSpec, terms: dict) -> dict:
+    """The p-th power of the element whose term map has int forms `terms`,
+    as such a map: the sum of the (c x^e y^i)^p."""
+    p, j, spec = ext.p, ext.j, ext.field
+    frob, mul = spec.frob, spec.mul
+    return _plus({}, (
+        term for (e, i), c in terms.items() for term in _pth_power(p, j, e, i, frob(c), mul)
+    ), spec.add)
 
 
 @dataclass(frozen=True)
@@ -242,7 +260,8 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
     negative valuation is automatically prime to p.
     """
     ext = F.ext
-    p, j = ext.p, ext.j
+    p, j, spec = ext.p, ext.j, ext.field
+    mul, root = spec.mul, spec.root
     jinv = pow(j, -1, p)
 
     def weight(key):
@@ -255,19 +274,18 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
             raise InvariantViolation("p-divisible leading term not of y-degree 0")
         beta = -e * jinv % p
         alpha = (e + j * beta) // p
-        r = c.pth_root()
+        r = root(c)
         # -h^p has weight p*alpha - j*beta = e; its b = 0 term is -c x^e, the kill
-        updates = _pth_power(p, j, alpha, beta, c, -1)
+        updates = _pth_power(p, j, alpha, beta, c, mul, -1)
         updates.append(((alpha, beta), r))
         return (alpha, beta), r, updates
 
-    terms = dict(F.terms)
-    jump, h_terms = _reduce_terms(terms, p, weight, kill)
-    reduced = ExtElement._trusted(ext, terms)
-    subst = ExtElement._trusted(ext, h_terms)
-    if F - reduced != subst.pow_p() - subst:
-        raise InvariantViolation("reduction substitution does not account for the change")
-    return ExtReduced(reduced, jump, subst)
+    ints = {k: c.v for k, c in F.terms.items()}
+    terms = dict(ints)
+    jump, h = _reduce_terms(terms, p, spec.add, weight, kill)
+    _certify(spec, ints, terms, _pow_p(ext, h), h)
+    return ExtReduced(ExtElement._trusted(ext, _elements(spec, terms)), jump,
+                      ExtElement._trusted(ext, _elements(spec, h)))
 
 
 def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:

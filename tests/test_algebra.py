@@ -251,6 +251,31 @@ def test_public_constructor_checks_caller_input():
         LaurentPoly(F8, {-1: FieldSpec(2, 2).one})
 
 
+def test_scalar_rejects_a_float():
+    with pytest.raises(TypeError):
+        F3.scalar(2.0)
+
+
+def test_element_rejects_float_coordinates():
+    with pytest.raises(TypeError):
+        FieldSpec(3, 2).element([1.7, 2])
+
+
+def test_constructor_rejects_float_exponents():
+    with pytest.raises(TypeError):
+        LaurentPoly(F3, {1.5: 1, -2.9: 2})
+
+
+def test_constructor_rejects_string_exponents():
+    with pytest.raises(TypeError):
+        LaurentPoly(F3, {"-4": 1})
+
+
+def test_constructor_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        LaurentPoly(F3, {1: 2.0})
+
+
 def _assert_canonical(r, spec):
     """r holds int exponents and nonzero coefficients of spec only, so the
     public constructor rebuilds it unchanged."""
@@ -278,7 +303,8 @@ def test_internal_results_are_canonical(case):
     red = as_reduce(f)
     results = [f + g, f - g, g - g, f + f, -f, f * g,
                f.scale(c), f.scale(spec.scalar(c)), f.frobenius(),
-               artin_schreier(f), red.f_reduced, red.substitution]
+               artin_schreier(f), red.f_reduced, red.substitution,
+               parse_laurent(spec, format_laurent(f))]
     for r in results:
         _assert_canonical(r, spec)
 
@@ -293,6 +319,20 @@ def test_parse_and_format_roundtrip():
 
 def test_parse_whitespace_insensitive():
     assert L(F3, " x ^-7+ 2 * x^ -3 +x^2 ") == L(F3, "x^-7+2*x^-3+x^2")
+
+
+@pytest.mark.parametrize("space", ["\u3000", "\x1c", "\u2028"])
+def test_parse_ignores_unicode_whitespace(space):
+    # str.split() and the regex \s agree on every code point; these three
+    # are whitespace to both, so they vanish like ASCII spaces
+    text = space.join(["x^-7", "+", "2*x^-3", "+x^2"])
+    assert L(F3, text) == L(F3, "x^-7+2*x^-3+x^2")
+
+
+def test_parse_rejects_zero_width_space():
+    # U+200B is a format character, not whitespace: it stays and is no term
+    with pytest.raises(ParseError, match="bad term"):
+        L(F3, "x^-7 +\u200b2*x^-3")
 
 
 def test_parse_extension_coefficients():

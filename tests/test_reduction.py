@@ -6,13 +6,15 @@ takes p-th roots by the power chain a -> a^(p^(n-1)).  The engine must give
 the same reduced form, conductor (or jump) and substitution on every input.
 """
 
+import heapq
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramforge import asext, grids
-from ramforge.algebra import INFINITY, FieldSpec, LaurentPoly, artin_schreier
+from ramforge.algebra import INFINITY, FieldElement, FieldSpec, LaurentPoly, artin_schreier
 from ramforge.aschreier import UNRAMIFIED, as_reduce
 from ramforge.asext import (
     ExtElement,
@@ -20,6 +22,7 @@ from ramforge.asext import (
     ext_as_reduce,
     minimal_tower_element,
 )
+from ramforge.errors import InvariantViolation
 from ramforge.cli import main
 
 FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(7), FieldSpec(2, 8), FieldSpec(3, 5)]
@@ -152,26 +155,156 @@ def test_jump_invariant_under_artin_schreier(case):
     assert G - red.reduced == red.substitution.pow_p() - red.substitution
 
 
+# ------------------------------------- the engine on FieldElements, as reference
+#
+# The engines run on int forms through the field kernels.  The loop below is
+# the same heap engine on FieldElement arithmetic, with both kill closures,
+# kept as the reference the int-form engines must agree with.
+
+
+def _element_reduce_terms(terms, p, weight, kill):
+    heap = [(weight(k), k) for k in terms]
+    heapq.heapify(heap)
+    h = {}
+    while True:
+        while heap and heap[0][1] not in terms:
+            heapq.heappop(heap)
+        if not heap or heap[0][0] >= 0:
+            return UNRAMIFIED, h
+        v, key = heap[0]
+        if v % p:
+            return -v, h
+        heapq.heappop(heap)
+        m_key, r, updates = kill(key, terms[key])
+        for k, delta in updates:
+            old = terms.get(k)
+            new = delta if old is None else old + delta
+            if not new:
+                terms.pop(k, None)
+            else:
+                terms[k] = new
+                if old is None:
+                    assert weight(k) > v
+                    heapq.heappush(heap, (weight(k), k))
+        assert key not in terms
+        h[m_key] = r
+
+
+def element_as_reduce(f):
+    p = f.spec.p
+
+    def kill(e, c):
+        r = c.pth_root()
+        return e // p, r, ((e, -c), (e // p, r))
+
+    terms = dict(f.terms)
+    conductor, h = _element_reduce_terms(terms, p, int, kill)
+    return (LaurentPoly._trusted(f.spec, terms), conductor, LaurentPoly._trusted(f.spec, h))
+
+
+def element_ext_as_reduce(F):
+    ext = F.ext
+    p, j = ext.p, ext.j
+    jinv = pow(j, -1, p)
+
+    def weight(key):
+        return p * key[0] - j * key[1]
+
+    def kill(key, c):
+        e, i = key
+        assert i == 0
+        beta = -e * jinv % p
+        alpha = (e + j * beta) // p
+        r = c.pth_root()
+        # -(c' x^alpha y^beta)^p with c'^p = c: -C(beta, b) c x^(p alpha - j(beta - b)) y^b
+        updates = [((p * alpha - j * (beta - b), b), c * -math.comb(beta, b))
+                   for b in range(beta + 1)]
+        updates.append(((alpha, beta), r))
+        return (alpha, beta), r, updates
+
+    terms = dict(F.terms)
+    jump, h = _element_reduce_terms(terms, p, weight, kill)
+    return ExtElement._trusted(ext, terms), jump, ExtElement._trusted(ext, h)
+
+
+KERNEL_FIELDS = [FieldSpec(3), FieldSpec(2, 8), FieldSpec(3, 5), FieldSpec(67, 2)]
+
+
+@st.composite
+def kernel_line_cases(draw):
+    spec = draw(st.sampled_from(KERNEL_FIELDS))
+    return draw(laurents(spec)) + artin_schreier(draw(laurents(spec, -20, -1)))
+
+
+@st.composite
+def kernel_tower_cases(draw):
+    spec = draw(st.sampled_from(KERNEL_FIELDS))
+    ext = ExtFieldSpec(spec, draw(st.sampled_from([j for j in (1, 2, 4) if j % spec.p])))
+    F = draw(ext_elements(ext, -12, 2, 2))
+    H = draw(ext_elements(ext, -6, -1, 1))
+    return F + (H.pow_p() - H)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_line_cases())
+def test_as_reduce_agrees_with_the_element_engine(f):
+    red = as_reduce(f)
+    assert (red.f_reduced, red.conductor, red.substitution) == element_as_reduce(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_tower_cases())
+def test_ext_as_reduce_agrees_with_the_element_engine(F):
+    red = ext_as_reduce(F)
+    assert (red.reduced, red.jump, red.substitution) == element_ext_as_reduce(F)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=str)
+def test_ext_as_reduce_agrees_with_the_element_engine_on_towers(spec):
+    ext = ExtFieldSpec(spec, 1)
+    c = spec.element([1] * spec.n)
+    for s in range(2, 9):
+        F = minimal_tower_element(ext) + ExtElement.x_pow(ext, -s * spec.p, c)
+        red = ext_as_reduce(F)
+        assert (red.reduced, red.jump, red.substitution) == element_ext_as_reduce(F)
+
+
+def test_certificate_catches_a_wrong_root_kernel():
+    # identity for the p-th root on one F_4 instance: the steps still cancel
+    # their leading terms, but h^p - h no longer accounts for the change
+    spec = FieldSpec(2, 2)
+    spec.root = lambda a: a
+    c = spec.element([0, 1])  # c^2 = c + 1 != c
+    message = "reduction substitution does not account for the change"
+    with pytest.raises(InvariantViolation, match=message):
+        as_reduce(LaurentPoly(spec, {-2: c}))
+    with pytest.raises(InvariantViolation, match=message):
+        ext_as_reduce(ExtElement.x_pow(ExtFieldSpec(spec, 1), -2, c))
+
+
 # -------------------------------------------------------------- linearity
 
 
 def _builds_during(monkeypatch, fn, *inputs, cls=LaurentPoly):
-    """How many cls objects (LaurentPoly or ExtElement) fn(x) constructs,
-    for each input x, through the public constructor or the trusted one."""
+    """How many cls objects (LaurentPoly, ExtElement or FieldElement) fn(x)
+    constructs, for each input x, through the public constructor or the
+    trusted one."""
     count = [0]
     init = cls.__init__
-    trusted = cls._trusted
 
     def counting_init(self, *args):
         count[0] += 1
         init(self, *args)
 
-    def counting_trusted(spec, terms):
-        count[0] += 1
-        return trusted(spec, terms)
-
     monkeypatch.setattr(cls, "__init__", counting_init)
-    monkeypatch.setattr(cls, "_trusted", staticmethod(counting_trusted))
+    if hasattr(cls, "_trusted"):
+        trusted = cls._trusted
+
+        def counting_trusted(spec, terms):
+            count[0] += 1
+            return trusted(spec, terms)
+
+        monkeypatch.setattr(cls, "_trusted", staticmethod(counting_trusted))
     out = []
     for x in inputs:
         count[0] = 0
@@ -222,6 +355,19 @@ def test_ext_as_reduce_builds_constant_number_of_ext_elements(monkeypatch):
     n_small, n_large = _builds_during(monkeypatch, ext_as_reduce, small, large,
                                       cls=ExtElement)
     assert 0 < n_small == n_large
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(2, 8)], ids=str)
+def test_engines_build_one_field_element_per_output_term(monkeypatch, spec):
+    # the steps and the certificate run on int forms; only the output terms
+    # of the reduced form and the substitution become FieldElements
+    f = _line_input(spec, 60)
+    F = _tower_input(ExtFieldSpec(spec, 1), 60)
+    red, ext_red = as_reduce(f), ext_as_reduce(F)
+    assert _builds_during(monkeypatch, as_reduce, f, cls=FieldElement) == [
+        len(red.f_reduced.terms) + len(red.substitution.terms)]
+    assert _builds_during(monkeypatch, ext_as_reduce, F, cls=FieldElement) == [
+        len(ext_red.reduced.terms) + len(ext_red.substitution.terms)]
 
 
 # -------------------------------------------------------- one reduction per tower
