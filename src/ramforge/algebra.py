@@ -10,7 +10,9 @@ idiom of the galois library (https://github.com/mhostetter/galois); and
 above that the F_p[x] routines (product mod the modulus, extended Euclid,
 the Frobenius matrices) on the digits.  p-th roots (inverse Frobenius) are
 exact in every kernel.  Laurent polynomials are finite maps from integer
-exponents to nonzero field elements.  Nothing here touches floating point.
+exponents to nonzero int forms, and text is parsed to and formatted from
+those maps; a `FieldElement` is built only when a caller asks for a
+coefficient.  Nothing here touches floating point.
 
 All values are immutable after construction and every operation is a pure
 function, so they are safe to share across threads.
@@ -20,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from functools import lru_cache
-from operator import add, index, mul, xor
+from operator import index, mul, xor
 
 from .errors import FieldMismatch, ParseError
 
@@ -390,16 +393,27 @@ def _kernels(p: int, n: int) -> tuple:
             times, inv, linear(frob), linear(root))
 
 
+def _formatter(p: int, n: int):
+    """The text form of an int form: the int itself over F_p, else the
+    coordinate vector [c0,c1,...], lowest degree first."""
+    if n == 1:
+        return str
+    if p == 2:  # the digits are the bits, lowest first
+        bits = f"0{n}b"
+        return lambda v: "[" + ",".join(format(v, bits)[::-1]) + "]"
+    return lambda v: "[" + ",".join(map(str, _digits(v, p, n))) + "]"
+
+
 class FieldSpec:
     """The coefficient field F_q with q = p^n, p prime and q <= 2^64.
 
     Its elements are ints 0 <= v < q whose base-p digits are the coordinates
     in the polynomial basis of the canonical modulus; `_kernels` picks the
-    arithmetic on them once per (p, n).
+    arithmetic on them once per (p, n), and `fmt` is their text form.
     """
 
-    __slots__ = ("p", "n", "modulus", "frobenius_matrix", "inv_frobenius_matrix",
-                 "add", "sub", "neg", "mul", "inv", "frob", "root")
+    __slots__ = ("p", "n", "q", "modulus", "frobenius_matrix", "inv_frobenius_matrix",
+                 "add", "sub", "neg", "mul", "inv", "frob", "root", "fmt")
 
     def __init__(self, p: int, n: int = 1):
         require_prime(p)
@@ -409,42 +423,34 @@ class FieldSpec:
             raise ValueError(f"field size {p}^{n} exceeds the bound p^n <= 2^64")
         self.p = p
         self.n = n
+        self.q = p**n
         self.modulus = canonical_modulus(p, n)
         self.frobenius_matrix, self.inv_frobenius_matrix = _frobenius_matrices(p, n)
         (self.add, self.sub, self.neg, self.mul, self.inv,
          self.frob, self.root) = _kernels(p, n)
-
-    @property
-    def q(self) -> int:
-        return self.p**self.n
+        self.fmt = _formatter(p, n)
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
+        return FieldElement._trusted(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
+        return FieldElement._trusted(self, 1)
 
     def scalar(self, c: int) -> "FieldElement":
         """Image of the integer c under Z -> F_p inside F_q; TypeError
         unless c is an integer (`operator.index`)."""
-        return FieldElement(self, index(c) % self.p)
+        return FieldElement._trusted(self, index(c) % self.p)
 
     def element(self, coords) -> "FieldElement":
-        """The element with these integer coordinates, lowest degree first."""
-        return FieldElement(self, self._fold(coords))
-
-    def _fold(self, coords) -> int:
-        """The int form of integer coordinates (TypeError for any other),
-        lowest degree first, each taken mod p; ParseError past n of them."""
+        """The element with these integer coordinates (TypeError for any
+        other), lowest degree first, each taken mod p; ParseError past n."""
         p = self.p
         coords = [index(c) % p for c in coords]
         if len(coords) > self.n:
-            raise ParseError(
-                f"coefficient vector of length {len(coords)} in a degree-{self.n} field"
-            )
-        return _undigits(coords, p)
+            raise _length_error(len(coords), self.n)
+        return FieldElement._trusted(self, _undigits(coords, p))
 
     def elements(self):
         """Iterate over all q elements (intended for small fields)."""
@@ -464,13 +470,29 @@ class FieldSpec:
 
 
 class FieldElement:
-    """Element of F_{p^n} as its int form v (see FieldSpec)."""
+    """Element of F_{p^n} as its int form v (see FieldSpec).
+
+    The constructor checks caller input: v must be an integer
+    (`operator.index`) with 0 <= v < q, else TypeError or ValueError.
+    Results of field operations are built by `_trusted`.
+    """
 
     __slots__ = ("spec", "v")
 
     def __init__(self, spec: FieldSpec, v: int):
+        v = index(v)
+        if not 0 <= v < spec.q:
+            raise ValueError(f"int form {v} of an element of {spec} is not in 0..{spec.q - 1}")
         self.spec = spec
         self.v = v
+
+    @classmethod
+    def _trusted(cls, spec: FieldSpec, v: int) -> "FieldElement":
+        """Internal results: v is already an int form of spec."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out.v = v
+        return out
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -484,51 +506,41 @@ class FieldElement:
     def __bool__(self) -> bool:
         return self.v != 0
 
-    def _value(self, other) -> int:
-        """The int form of other, an element of this field or an integer."""
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise FieldMismatch(f"{self.spec} vs {other.spec}")
-            return other.v
-        if isinstance(other, int):
-            return other % self.spec.p
-        raise TypeError(f"cannot interpret {other!r} as a field element")
-
     def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.v, self._value(other)))
+        return self._trusted(self.spec, self.spec.add(self.v, _form(self.spec, other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.v, self._value(other)))
+        return self._trusted(self.spec, self.spec.sub(self.v, _form(self.spec, other)))
 
     def __rsub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self._value(other), self.v))
+        return self._trusted(self.spec, self.spec.sub(_form(self.spec, other), self.v))
 
     def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.v))
+        return self._trusted(self.spec, self.spec.neg(self.v))
 
     def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.v, self._value(other)))
+        return self._trusted(self.spec, self.spec.mul(self.v, _form(self.spec, other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        return FieldElement(self.spec, _power(self.spec.mul, 1, self.v, k))
+        return self._trusted(self.spec, _power(self.spec.mul, 1, self.v, k))
 
     def inverse(self) -> "FieldElement":
         if not self.v:
             raise ZeroDivisionError("inverse of zero field element")
-        return FieldElement(self.spec, self.spec.inv(self.v))
+        return self._trusted(self.spec, self.spec.inv(self.v))
 
     def frobenius(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.frob(self.v))
+        return self._trusted(self.spec, self.spec.frob(self.v))
 
     def pth_root(self) -> "FieldElement":
         """Inverse Frobenius; exact since x -> x^p is bijective on F_q."""
-        return FieldElement(self.spec, self.spec.root(self.v))
+        return self._trusted(self.spec, self.spec.root(self.v))
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -539,29 +551,28 @@ class FieldElement:
         return hash((self.spec, self.v))
 
     def __str__(self):
-        p, n = self.spec.p, self.spec.n
-        if n == 1:
-            return str(self.v)
-        if p == 2:  # the digits are the bits, lowest first
-            return "[" + ",".join(format(self.v, f"0{n}b")[::-1]) + "]"
-        return "[" + ",".join(map(str, _digits(self.v, p, n))) + "]"
+        return self.spec.fmt(self.v)
 
     def __repr__(self):
         return f"{self} in {self.spec}"
 
 
-def _elements(spec: FieldSpec, terms: dict) -> dict:
-    """{key: FieldElement} from {key: nonzero int form}: the one wrap of an
-    engine's or the parser's output terms."""
-    return {k: FieldElement(spec, v) for k, v in terms.items()}
+def _form(spec: FieldSpec, c) -> int:
+    """The int form of c, an element of spec or an integer (taken mod p);
+    FieldMismatch for an element of another field, TypeError for anything
+    else (`operator.index`)."""
+    if isinstance(c, FieldElement):
+        if c.spec is not spec and c.spec != spec:
+            raise FieldMismatch(f"{spec} vs {c.spec}")
+        return c.v
+    return index(c) % spec.p
 
 
 def _plus(terms: dict, pairs, add) -> dict:
-    """The sparse term map {key: nonzero coefficient} of `terms` plus the
-    (key, nonzero coefficient) pairs under the sum add; a key whose sum
-    cancels drops out.  Keys are x-exponents here and (x-exponent, y-degree)
-    pairs in `asext`.  The coefficients are `FieldElement`s with add =
-    `operator.add`, or int forms with a field's `add` kernel."""
+    """The sparse term map {key: nonzero int form} of `terms` plus the
+    (key, nonzero int form) pairs under a field's add kernel; a key whose
+    sum cancels drops out.  Keys are x-exponents here and (x-exponent,
+    y-degree) pairs in `asext`."""
     out = dict(terms)
     for k, c in pairs:
         s = out.get(k)
@@ -575,37 +586,34 @@ def _plus(terms: dict, pairs, add) -> dict:
 
 
 class LaurentPoly:
-    """Finite Laurent polynomial over F_{p^n}, stored sparsely.
+    """Finite Laurent polynomial over F_{p^n}, stored sparsely as the map
+    `_ints` from exponents to nonzero int forms.
 
     Only the pole part ever matters for ramification, so finite supports
     lose nothing and keep every operation exact.  The constructor checks
     caller input once: exponents must be integers, coefficients elements of
     `spec` or integers (TypeError otherwise).  Arithmetic results are built
-    by `_trusted`.
+    by `_trusted`; `terms` builds the `FieldElement`s on request.
     """
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec", "_ints")
 
     def __init__(self, spec: FieldSpec, terms=None):
-        clean: dict[int, FieldElement] = {}
+        clean: dict[int, int] = {}
         for e, c in (terms or {}).items():
             e = index(e)
-            if not isinstance(c, FieldElement):
-                c = spec.scalar(c)
-            elif c.spec is not spec and c.spec != spec:
-                raise FieldMismatch(f"{spec} vs {c.spec}")
-            if not c.is_zero:
-                clean[e] = c
+            if v := _form(spec, c):
+                clean[e] = v
         self.spec = spec
-        self.terms = clean
+        self._ints = clean
 
     @classmethod
-    def _trusted(cls, spec: FieldSpec, terms: dict) -> "LaurentPoly":
-        """Internal results: `terms` already maps int exponents to nonzero
-        elements of `spec`, so it is adopted as is, without a check."""
+    def _trusted(cls, spec: FieldSpec, ints: dict) -> "LaurentPoly":
+        """Internal results: `ints` already maps int exponents to nonzero
+        int forms of `spec`, so it is adopted as is, without a check."""
         out = object.__new__(cls)
         out.spec = spec
-        out.terms = terms
+        out._ints = ints
         return out
 
     @classmethod
@@ -617,21 +625,27 @@ class LaurentPoly:
         return cls(spec, {e: coeff})
 
     @property
+    def terms(self) -> dict:
+        """{exponent: nonzero FieldElement}, a fresh dict on every call."""
+        spec = self.spec
+        return {e: FieldElement._trusted(spec, v) for e, v in self._ints.items()}
+
+    @property
     def valuation(self):
         """Minimum exponent with nonzero coefficient; INFINITY for zero."""
-        if not self.terms:
+        if not self._ints:
             return INFINITY
-        return min(self.terms)
+        return min(self._ints)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def __bool__(self):
         return not self.is_zero
 
     def __getitem__(self, e: int) -> FieldElement:
-        return self.terms.get(e, self.spec.zero)
+        return FieldElement._trusted(self.spec, self._ints.get(e, 0))
 
     def _check(self, other: "LaurentPoly"):
         if not isinstance(other, LaurentPoly):
@@ -641,26 +655,33 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check(other)
-        return LaurentPoly._trusted(self.spec, _plus(self.terms, other.terms.items(), add))
+        spec = self.spec
+        return LaurentPoly._trusted(spec, _plus(self._ints, other._ints.items(), spec.add))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly._trusted(self.spec, {e: -c for e, c in self.terms.items()})
+        neg = self.spec.neg
+        return LaurentPoly._trusted(self.spec, {e: neg(v) for e, v in self._ints.items()})
 
     def scale(self, c) -> "LaurentPoly":
-        terms = {e: cv for e, v in self.terms.items() if (cv := c * v)}
-        return LaurentPoly._trusted(self.spec, terms)
+        spec = self.spec
+        c, mul = _form(spec, c), spec.mul
+        # a product of nonzero field elements is nonzero
+        ints = {e: mul(v, c) for e, v in self._ints.items()} if c else {}
+        return LaurentPoly._trusted(spec, ints)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
             return self.scale(other)
         self._check(other)
-        return LaurentPoly._trusted(self.spec, _plus({}, (
-            (e1 + e2, c1 * c2)
-            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()
-        ), add))
+        spec = self.spec
+        mul = spec.mul
+        return LaurentPoly._trusted(spec, _plus({}, (
+            (e1 + e2, mul(c1, c2))
+            for e1, c1 in self._ints.items() for e2, c2 in other._ints.items()
+        ), spec.add))
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -681,16 +702,14 @@ class LaurentPoly:
 
     def frobenius(self) -> "LaurentPoly":
         """p-th power: coefficients to the p, exponents times p."""
-        p = self.spec.p
-        return LaurentPoly._trusted(
-            self.spec, {p * e: c.frobenius() for e, c in self.terms.items()}
-        )
+        p, frob = self.spec.p, self.spec.frob
+        return LaurentPoly._trusted(self.spec, {p * e: frob(v) for e, v in self._ints.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         same = self.spec is other.spec or self.spec == other.spec
-        return same and self.terms == other.terms
+        return same and self._ints == other._ints
 
     def __str__(self):
         return format_laurent(self)
@@ -704,6 +723,24 @@ def artin_schreier(h: LaurentPoly) -> LaurentPoly:
     return h.frobenius() - h
 
 
+# Exponents are bounded like q, p^e and D: |e| <= 2^64.
+MAX_EXPONENT = 2**64
+
+# A term's body: a bracketed vector of digits, commas and minus signs, a
+# scalar or, with neither, a lookahead for the x power; then the optional x
+# power.  A term is an optional sign and a body.  `_TERMS_RE` captures
+# (sign, vector, scalar, x, exponent); a vector's components are checked as
+# they are read.
+_BODY = (r"(?:({0}\[[-0-9,]*\])|({0}[0-9]+)|(?=\*?x))"
+         r"(?:\*?({0}x)(?:\^({0}[+-]?[0-9]+))?)?")
+_TERMS_RE = re.compile("([+-]?)" + _BODY.format(""))
+# The whole grammar, without captures: a term, then terms that start with
+# their sign.  Its match from 0 is the longest prefix of whole terms;
+# nothing after a repetition can fail, so the engine never backtracks into
+# earlier terms.
+_GRAMMAR_RE = re.compile("[+-]?{0}(?:[+-]{0})*".format(_BODY.format("?:")))
+# One term as the grammar's error messages describe it: any bracketed text
+# is a vector, and its components must match _VECTOR_RE.
 _TERM_RE = re.compile(
     r"(?P<sign>[+-])?(?P<coeff>\[(?P<vec>[^\[\]]*)\]|[0-9]+)?"
     r"(?:\*?(?P<x>x)(?:\^(?P<exp>[+-]?[0-9]+))?)?"
@@ -711,59 +748,114 @@ _TERM_RE = re.compile(
 _VECTOR_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
+def _length_error(length: int, n: int) -> ParseError:
+    return ParseError(f"coefficient vector of length {length} in a degree-{n} field")
+
+
+def _vector_error(coeff: str) -> ParseError | None:
+    """The error for the bracketed vector coeff with bad components, or None."""
+    parts = coeff[1:-1].split(",")
+    if "" in parts:
+        return ParseError(f"empty component in coefficient vector {coeff!r}")
+    if not _VECTOR_RE.fullmatch(coeff, 1, len(coeff) - 1):
+        return ParseError(f"bad coefficient vector {coeff!r}")
+    return None
+
+
+def _bad_term(s: str, text: str, pos: int) -> ParseError:
+    """The error for the term at pos of the stripped text s, the first term
+    `_GRAMMAR_RE` does not match."""
+    m = _TERM_RE.match(s, pos)
+    sign, coeff, vec, x = m.group("sign", "coeff", "vec", "x")
+    if coeff is None and x is None and s.startswith(("+", "-"), m.end()):
+        return ParseError(f"sign follows a sign in {s!r}")
+    if vec is None or (pos and sign is None):
+        return ParseError(f"bad term {s[pos:]!r} in {text!r}")
+    return _vector_error(coeff)
+
+
+def _term_error(k: int, n: int, vec: str) -> ParseError:
+    """The error of term k, whose fast read failed, with the bracketed
+    vector vec or ''.  The checks run in the grammar's order: the vector's
+    components, their numerals, its length, then the exponent's numeral."""
+    if vec:
+        if error := _vector_error(vec):
+            return error
+        parts = vec[1:-1].split(",")
+        if len(parts) > n:
+            try:
+                for d in parts:
+                    int(d)
+            except ValueError:  # each component is -?[0-9]+: only the digit limit is left
+                pass
+            else:
+                return _length_error(len(parts), n)
+    return ParseError(f"term {k}: a numeral has more than "
+                      f"{sys.get_int_max_str_digits()} digits")
+
+
+def _parse_ints(spec: FieldSpec, text: str) -> dict:
+    """The {exponent: nonzero int form} map of the text (see parse_laurent)."""
+    s = "".join(text.split())
+    if not s:
+        raise ParseError("empty Laurent polynomial")
+    p, n, add, neg = spec.p, spec.n, spec.add, spec.neg
+    m = _GRAMMAR_RE.match(s)
+    end = m.end() if m else 0
+    terms: dict[int, int] = {}
+    for k, (sign, vec, num, x, exp) in enumerate(_TERMS_RE.findall(s, 0, end), 1):
+        try:
+            if vec:
+                parts = vec[1:-1].split(",")
+                if len(parts) > n:
+                    raise _term_error(k, n, vec)
+                c = 0
+                for d in reversed(parts):  # Horner; int() rejects '' and misplaced '-'
+                    c = c * p + int(d) % p
+            else:
+                c = int(num) % p if num else 1
+            e = int(exp) if exp else 1 if x else 0
+        except ValueError:
+            raise _term_error(k, n, vec) from None
+        if not -MAX_EXPONENT <= e <= MAX_EXPONENT:
+            raise ParseError(f"term {k}: exponent outside the bound |e| <= 2^64")
+        if sign == "-":
+            c = neg(c)
+        terms[e] = add(terms[e], c) if e in terms else c
+    if end < len(s):
+        raise _bad_term(s, text, end)
+    return {e: c for e, c in terms.items() if c}
+
+
 def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     """Parse the `c*x^e` sum grammar, e.g. ``x^-7 + 2*x^-3 + x^2``.
 
     Whitespace (exactly what `str.split` and the regex ``\\s`` treat as
-    such) is ignored.  One left-to-right scan matches `_TERM_RE` term by
-    term: an optional sign, then a coefficient, an ``x`` power or both;
-    every term after the first starts with its sign.  Coefficients over
-    extensions are polynomial-basis vectors ``[c0,c1,...]`` of ``-?[0-9]+``
-    components.  Scalars are ``[0-9]+`` and exponents signed ``[0-9]+``;
-    only ASCII digits are accepted.  Terms accumulate as int forms and
-    each nonzero sum is wrapped once.
+    such) is ignored.  A term is an optional sign, then a coefficient, an
+    ``x`` power or both; every term after the first starts with its sign.
+    Coefficients over extensions are polynomial-basis vectors
+    ``[c0,c1,...]`` of ``-?[0-9]+`` components.  Scalars are ``[0-9]+`` and
+    exponents signed ``[0-9]+`` with |e| <= 2^64; only ASCII digits are
+    accepted.  One regex match finds the longest prefix of valid terms and
+    one `findall` reads them, left to right, so a numeral or vector-length
+    error names the first term that has one; a malformed term after them
+    is then described by `_bad_term`.
     """
-    s = "".join(text.split())
-    if not s:
-        raise ParseError("empty Laurent polynomial")
-    p, add, neg = spec.p, spec.add, spec.neg
-    terms: dict[int, int] = {}
-    pos = 0
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        sign, coeff, vec, x, exp = m.groups()
-        if coeff is None and x is None and s.startswith(("+", "-"), m.end()):
-            raise ParseError(f"sign follows a sign in {s!r}")
-        if (pos and sign is None) or (coeff is None and x is None):
-            raise ParseError(f"bad term {s[pos:]!r} in {text!r}")
-        if vec is not None:
-            parts = vec.split(",")
-            if "" in parts:
-                raise ParseError(f"empty component in coefficient vector {coeff!r}")
-            if not _VECTOR_RE.fullmatch(vec):
-                raise ParseError(f"bad coefficient vector {coeff!r}")
-            c = spec._fold(map(int, parts))
-        else:
-            c = 1 if coeff is None else int(coeff) % p
-        if sign == "-":
-            c = neg(c)
-        e = 0 if x is None else 1 if exp is None else int(exp)
-        terms[e] = add(terms[e], c) if e in terms else c
-        pos = m.end()
-    return LaurentPoly._trusted(spec, _elements(spec, {e: c for e, c in terms.items() if c}))
+    return LaurentPoly._trusted(spec, _parse_ints(spec, text))
 
 
 def format_laurent(f: LaurentPoly) -> str:
     """Canonical text form, terms in increasing exponent order."""
-    if f.is_zero:
+    ints = f._ints
+    if not ints:
         return "0"
+    fmt = f.spec.fmt
     parts = []
-    one = f.spec.one
-    for e in sorted(f.terms):
-        c = f.terms[e]
+    for e in sorted(ints):
+        v = ints[e]
         if e == 0:
-            parts.append(str(c))
+            parts.append(fmt(v))
             continue
         xs = "x" if e == 1 else f"x^{e}"
-        parts.append(xs if c == one else f"{c}*{xs}")
+        parts.append(xs if v == 1 else f"{fmt(v)}*{xs}")
     return " + ".join(parts)

@@ -10,8 +10,9 @@ val(x^e y^i) = p*e - j*i, for the tower extension in `asext`.  It edits a
 {key: int form} dict in place through the field's kernels and finds the
 leading term with a lazy min-heap, so k steps cost O(k log k) heap work
 plus k p-th roots; the certificate f - f_reduced = h^p - h is checked once,
-at the end, on the same int maps.  `FieldElement`s are built once per
-output term.
+at the end, on the same int maps.  The engines take and return the int
+maps that `LaurentPoly` and `ExtElement` store, so they build no
+`FieldElement`.
 
 Terms of exponent >= 0 never affect ramification at x = 0 here: over the
 algebraically closed field these covers stand in for, every regular part is
@@ -26,7 +27,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-from .algebra import LaurentPoly, _elements, _plus
+from .algebra import LaurentPoly, _plus
 from .errors import (
     InvalidJump,
     InvariantViolation,
@@ -144,13 +145,12 @@ def as_reduce(f: LaurentPoly) -> ASReduced:
         r = root(c)
         return e // p, r, ((e, neg(c)), (e // p, r))
 
-    ints = {e: c.v for e, c in f.terms.items()}
-    terms = dict(ints)
+    terms = dict(f._ints)
     conductor, h = _reduce_terms(terms, p, spec.add, int, kill)  # val(x^e) = e
     frob = spec.frob
-    _certify(spec, ints, terms, {p * e: frob(r) for e, r in h.items()}, h)
-    return ASReduced(LaurentPoly._trusted(spec, _elements(spec, terms)), conductor,
-                     LaurentPoly._trusted(spec, _elements(spec, h)))
+    _certify(spec, f._ints, terms, {p * e: frob(r) for e, r in h.items()}, h)
+    return ASReduced(LaurentPoly._trusted(spec, terms), conductor,
+                     LaurentPoly._trusted(spec, h))
 
 
 def as_conductor(f):

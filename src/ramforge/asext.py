@@ -1,7 +1,8 @@
 """Arithmetic in the degree-p extension k((x))[y]/(y^p - y - x^(-j)).
 
 An element is a sum of monomials c * x^e * y^i with 0 <= i < p, stored as
-the sparse term map {(e, i): c}, the form the reduction engine edits.  The
+the sparse map {(e, i): int form of c}, the form the reduction engine
+edits; `terms` and `coeffs` build the public views on request.  The
 valuation is normalised so that val(x) = p and val(y) = -j, hence
 val(c x^e y^i) = p*e - j*i and an element's valuation is the least weight
 of its terms; that minimum is attained by a single term (see `valuation`).
@@ -21,16 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 
 from .algebra import (
     INFINITY,
+    FieldElement,
     FieldSpec,
     LaurentPoly,
-    _elements,
+    _parse_ints,
     _plus,
     format_laurent,
-    parse_laurent,
 )
 from .aschreier import UNRAMIFIED, _certify, _reduce_terms, _Unramified
 from .errors import (
@@ -69,32 +69,33 @@ class ExtFieldSpec:
 
 
 class ExtElement:
-    """The term map {(e, i): c} of sum c x^e y^i: int e, 0 <= i < p, nonzero c
-    in ext.field.  The constructor checks caller input, the p Laurent
-    coefficients a_i of sum a_i(x) y^i; `_trusted` builds internal results."""
+    """The map `_ints` {(e, i): v} of sum c x^e y^i: int e, 0 <= i < p, and v
+    the nonzero int form of c in ext.field.  The constructor checks caller
+    input, the p Laurent coefficients a_i of sum a_i(x) y^i; `_trusted`
+    builds internal results."""
 
-    __slots__ = ("ext", "terms")
+    __slots__ = ("ext", "_ints")
 
     def __init__(self, ext: ExtFieldSpec, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != ext.p:
             raise ValueError(f"expected {ext.p} coefficients, got {len(coeffs)}")
-        terms = {}
+        ints = {}
         for i, a in enumerate(coeffs):
             if a.spec is not ext.field and a.spec != ext.field:
                 raise FieldMismatch(f"{ext.field} vs {a.spec}")
-            for e, c in a.terms.items():
-                terms[e, i] = c
+            for e, v in a._ints.items():
+                ints[e, i] = v
         self.ext = ext
-        self.terms = terms
+        self._ints = ints
 
     @classmethod
-    def _trusted(cls, ext: ExtFieldSpec, terms: dict) -> "ExtElement":
-        """Internal results: `terms` is already a term map of ext, so it is
+    def _trusted(cls, ext: ExtFieldSpec, ints: dict) -> "ExtElement":
+        """Internal results: `ints` is already an int map of ext, so it is
         adopted as is, without a check."""
         out = object.__new__(cls)
         out.ext = ext
-        out.terms = terms
+        out._ints = ints
         return out
 
     @classmethod
@@ -117,7 +118,7 @@ class ExtElement:
 
     @classmethod
     def y(cls, ext: ExtFieldSpec) -> "ExtElement":
-        return cls._trusted(ext, {(0, 1): ext.field.one})
+        return cls._trusted(ext, {(0, 1): 1})
 
     @classmethod
     def y_pow(cls, ext: ExtFieldSpec, k: int) -> "ExtElement":
@@ -131,16 +132,22 @@ class ExtElement:
         return acc
 
     @property
+    def terms(self) -> dict:
+        """{(e, i): nonzero FieldElement}, a fresh dict on every call."""
+        spec = self.ext.field
+        return {k: FieldElement._trusted(spec, v) for k, v in self._ints.items()}
+
+    @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:
         """The p Laurent coefficients a_i of sum a_i(x) y^i."""
         rows = [{} for _ in range(self.ext.p)]
-        for (e, i), c in self.terms.items():
-            rows[i][e] = c
+        for (e, i), v in self._ints.items():
+            rows[i][e] = v
         return tuple(LaurentPoly._trusted(self.ext.field, r) for r in rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ints
 
     def __bool__(self):
         return not self.is_zero
@@ -154,7 +161,7 @@ class ExtElement:
         |i - i'| < p, that means i = i' and then e = e'.
         """
         p, j = self.ext.p, self.ext.j
-        return min((p * e - j * i for e, i in self.terms), default=INFINITY)
+        return min((p * e - j * i for e, i in self._ints), default=INFINITY)
 
     def _check(self, other: "ExtElement"):
         if not isinstance(other, ExtElement):
@@ -164,42 +171,42 @@ class ExtElement:
 
     def __add__(self, other):
         self._check(other)
-        return ExtElement._trusted(self.ext, _plus(self.terms, other.terms.items(), add))
+        add = self.ext.field.add
+        return ExtElement._trusted(self.ext, _plus(self._ints, other._ints.items(), add))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExtElement._trusted(self.ext, {k: -c for k, c in self.terms.items()})
+        neg = self.ext.field.neg
+        return ExtElement._trusted(self.ext, {k: neg(v) for k, v in self._ints.items()})
 
     def __mul__(self, other):
         """Ring product, rewriting y^k for k >= p via y^p = y + x^(-j)."""
         self._check(other)
         ext = self.ext
-        p, j = ext.p, ext.j
+        p, j, mul = ext.p, ext.j, ext.field.mul
 
         def products():
-            for (e1, i1), c1 in self.terms.items():
-                for (e2, i2), c2 in other.terms.items():
-                    e, i, c = e1 + e2, i1 + i2, c1 * c2
+            for (e1, i1), c1 in self._ints.items():
+                for (e2, i2), c2 in other._ints.items():
+                    e, i, c = e1 + e2, i1 + i2, mul(c1, c2)
                     if i < p:
                         yield (e, i), c
                     else:  # y^i = y^(i-p+1) + x^-j y^(i-p), both of degree < p
                         yield (e, i - p + 1), c
                         yield (e - j, i - p), c
 
-        return ExtElement._trusted(ext, _plus({}, products(), add))
+        return ExtElement._trusted(ext, _plus({}, products(), ext.field.add))
 
     def pow_p(self) -> "ExtElement":
         """p-th power: the sum of the (c x^e y^i)^p, exact and finite."""
-        ext = self.ext
-        terms = _pow_p(ext, {k: c.v for k, c in self.terms.items()})
-        return ExtElement._trusted(ext, _elements(ext.field, terms))
+        return ExtElement._trusted(self.ext, _pow_p(self.ext, self._ints))
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
             return NotImplemented
-        return self.ext == other.ext and self.terms == other.terms
+        return self.ext == other.ext and self._ints == other._ints
 
     def __str__(self):
         return format_ext(self)
@@ -280,12 +287,10 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
         updates.append(((alpha, beta), r))
         return (alpha, beta), r, updates
 
-    ints = {k: c.v for k, c in F.terms.items()}
-    terms = dict(ints)
+    terms = dict(F._ints)
     jump, h = _reduce_terms(terms, p, spec.add, weight, kill)
-    _certify(spec, ints, terms, _pow_p(ext, h), h)
-    return ExtReduced(ExtElement._trusted(ext, _elements(spec, terms)), jump,
-                      ExtElement._trusted(ext, _elements(spec, h)))
+    _certify(spec, F._ints, terms, _pow_p(ext, h), h)
+    return ExtReduced(ExtElement._trusted(ext, terms), jump, ExtElement._trusted(ext, h))
 
 
 def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:
@@ -326,8 +331,10 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
     segments = text.split(";")
     if len(segments) > ext.p:
         raise ParseError(f"more than {ext.p} coefficients in {text!r}")
-    coeffs = [parse_laurent(ext.field, seg) for seg in segments]
-    return ExtElement.from_coeffs(ext, coeffs)
+    return ExtElement._trusted(ext, {
+        (e, i): v for i, seg in enumerate(segments)
+        for e, v in _parse_ints(ext.field, seg).items()
+    })
 
 
 def format_ext(F: ExtElement) -> str:

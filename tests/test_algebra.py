@@ -1,6 +1,7 @@
 """Field and Laurent polynomial arithmetic."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -276,10 +277,43 @@ def test_constructor_rejects_float_coefficients():
         LaurentPoly(F3, {1: 2.0})
 
 
+@pytest.mark.parametrize("spec,v", [(F3, 7), (FieldSpec(2, 8), 300), (F3, -1)],
+                         ids=["7-in-F_3", "300-in-F_2^8", "negative"])
+def test_element_constructor_rejects_int_forms_out_of_range(spec, v):
+    # 7 used to print as "7 in F_3" and 300 as a 9-digit vector over F_2^8
+    message = f"int form {v} of an element of {spec} is not in 0..{spec.q - 1}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        FieldElement(spec, v)
+    assert FieldElement(spec, spec.q - 1) == spec.element([spec.p - 1] * spec.n)
+
+
+def test_element_constructor_rejects_a_float():
+    with pytest.raises(TypeError):
+        FieldElement(F3, 2.0)
+
+
+def test_an_unchecked_element_cannot_reach_a_polynomial():
+    # LaurentPoly(F3, {-3: FieldElement(F3, 7)}) used to format as 7*x^-3
+    with pytest.raises(ValueError):
+        LaurentPoly(F3, {-3: FieldElement(F3, 7)})
+
+
+def test_terms_is_a_fresh_dict():
+    f = L(F3, "x^-7 + 2*x^-3")
+    terms = f.terms
+    assert terms == {-7: F3.one, -3: F3.scalar(2)} and terms is not f.terms
+    terms[5] = F3.one
+    del terms[-7]
+    assert f == L(F3, "x^-7 + 2*x^-3") and f.terms == {-7: F3.one, -3: F3.scalar(2)}
+
+
 def _assert_canonical(r, spec):
-    """r holds int exponents and nonzero coefficients of spec only, so the
-    public constructor rebuilds it unchanged."""
+    """r stores int exponents and nonzero int forms of spec only, its terms
+    are nonzero elements of spec, and the public constructor rebuilds it
+    unchanged."""
     assert r.spec == spec
+    for e, v in r._ints.items():
+        assert type(e) is int and type(v) is int and 0 < v < spec.q
     for e, c in r.terms.items():
         assert type(e) is int
         assert isinstance(c, FieldElement) and c.spec == spec and not c.is_zero

@@ -312,6 +312,8 @@ def _assert_canonical(r, ext):
     """Every key of r is (int e, i) with 0 <= i < p and every coefficient a
     nonzero element of ext.field, so the checked constructor rebuilds r."""
     assert r.ext == ext
+    for (e, i), v in r._ints.items():
+        assert type(v) is int and 0 < v < ext.field.q
     for (e, i), c in r.terms.items():
         assert type(e) is int and type(i) is int and 0 <= i < ext.p
         assert isinstance(c, FieldElement) and c.spec == ext.field and not c.is_zero
@@ -323,7 +325,7 @@ def _assert_canonical(r, ext):
 def test_internal_ext_results_are_canonical(case):
     ext, F, G = case
     results = [F + G, F - G, G - G, -F, F * G, G * F, F * F, F.pow_p(), G.pow_p() - G,
-               minimal_tower_element(ext)]
+               minimal_tower_element(ext), parse_ext(ext, format_ext(F))]
     for H in (F, F + (G.pow_p() - G)):
         red = ext_as_reduce(H)
         results += [red.reduced, red.substitution]
@@ -339,6 +341,16 @@ def test_parse_and_format_ext():
     assert F.coeffs[2] == LaurentPoly.x_pow(F3, -1)
     assert format_ext(F) == "x^-5 ; 0 ; x^-1"
     assert parse_ext(E31, format_ext(F)) == F
+
+
+def test_terms_and_coeffs_are_fresh():
+    F = parse_ext(E31, "x^-5 ; 2*x^-2 ; x^-1")
+    terms, coeffs = F.terms, F.coeffs
+    assert terms == {(-5, 0): F3.one, (-2, 1): F3.scalar(2), (-1, 2): F3.one}
+    assert terms is not F.terms
+    terms.clear()
+    coeffs[1]._ints.clear()
+    assert F == parse_ext(E31, "x^-5 ; 2*x^-2 ; x^-1") and len(F.terms) == 3
 
 
 def test_parse_ext_pads_missing_coefficients():

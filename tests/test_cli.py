@@ -469,10 +469,16 @@ def test_grid_with_failing_rows_exits_3(capsys, monkeypatch):
         (["herbrand", "--psi", "1" * 5000, FILT], "--psi: a numeral has more than 4300 digits"),
         (["genus", "--G", "2", "--branch", '{"p":2,"e":1,"upper_jumps":["1/%s"]}' % ("3" * 4301)],
          "bad branch point object: upper jump 1: a numeral has more than 4300 digits"),
+        (["reduce", "--p", "2", "x^-" + "1" * 4301], "term 1: a numeral has more than 4300 digits"),
+        (["conductor", "--p", "2", "--n", "3", "x^-3 + [1,%s]*x^-5" % ("1" * 5000)],
+         "term 2: a numeral has more than 4300 digits"),
+        (["tower", "--p", "3", "--j", "1", "--F", "x^-4 ; %s*x^-4" % ("2" * 4301)],
+         "term 1: a numeral has more than 4300 digits"),
     ],
     ids=["float-p", "float-m", "bool-mult", "breaks-object", "int-c", "exponent-c",
          "exponent-psi", "space-phi", "decimal-sigma0", "string-upper-jumps", "bool-p",
-         "int-upper-jump", "unicode-upper-jump", "overlong-psi", "overlong-upper-jump"],
+         "int-upper-jump", "unicode-upper-jump", "overlong-psi", "overlong-upper-jump",
+         "overlong-reduce-exponent", "overlong-conductor-component", "overlong-tower-scalar"],
 )
 def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -557,6 +563,12 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "extension characteristic 257 exceeds the cap p <= 251"),
         (["grid", "econd-grid", "--p", "257", "--jmax", "3", "--smax", "5"],
          "extension characteristic 257 exceeds the cap p <= 251"),
+        (["reduce", "--p", "2", "x^-" + str(2**14270)],
+         "term 1: exponent outside the bound |e| <= 2^64"),
+        (["conductor", "--p", "3", "x^-1 + x^" + str(2**64 + 1)],
+         "term 2: exponent outside the bound |e| <= 2^64"),
+        (["tower", "--p", "2", "--j", "1", "--F", "x^-5 ; x^-%d" % 2**65],
+         "term 1: exponent outside the bound |e| <= 2^64"),
     ],
     ids=["spectrum-negative-a", "spectrum-p-1", "spectrum-a-0", "spectrum-G-0",
          "genus-grid-p-1", "admissible-count-p-1", "density-check-gmax-0",
@@ -569,7 +581,9 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "spectrum-sigma0-off-lattice", "spectrum-sigma0-negative",
          "spectrum-sigma0-0", "spectrum-g0-negative", "spectrum-limit-negative",
          "spectrum-above-genera-cap", "density-check-above-genera-cap",
-         "herbrand-roundtrip-above-count-cap", "tower-above-p-cap", "econd-grid-above-p-cap"],
+         "herbrand-roundtrip-above-count-cap", "tower-above-p-cap", "econd-grid-above-p-cap",
+         "reduce-exponent-above-2^64", "conductor-exponent-above-2^64",
+         "tower-exponent-above-2^64"],
 )
 def test_bad_arguments_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

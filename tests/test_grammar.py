@@ -1,21 +1,28 @@
-"""The one-scan Laurent parser against the chunking parser it replaced.
+"""The Laurent parser against the two parsers it replaced.
 
-The reference oracle below is the earlier parser: a per-character state
-machine splits the text into signed chunks at the signs outside brackets,
-each chunk must fully match an anchored term regex, and a helper decodes
-the coefficient.  The library scans the text once with a single term
-regex; it must accept exactly the same strings and return the same
-polynomials in every field.  Also here: the round-trip fuzz targets,
-parsing the canonical text form is the identity for Laurent polynomials
-and for tower extension elements.
+The first reference oracle below is the chunking parser: a per-character
+state machine splits the text into signed chunks at the signs outside
+brackets, each chunk must fully match an anchored term regex, and a helper
+decodes the coefficient.  The library must accept exactly the same strings
+and return the same polynomials in every field.
+
+The second is the per-term scan: one term regex matched term by term from
+the left, each term checked and folded before the next is matched.  The
+library now reads the whole text with one grammar regex and one `findall`;
+it must give the same value, or the same exception type and message, on
+every string.
+
+Also here: the round-trip fuzz targets, parsing the canonical text form is
+the identity for Laurent polynomials and for tower extension elements.
 """
 
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramforge.algebra import FieldSpec, LaurentPoly, format_laurent, parse_laurent
+from ramforge.algebra import FieldElement, FieldSpec, LaurentPoly, format_laurent, parse_laurent
 from ramforge.asext import ExtElement, ExtFieldSpec, format_ext, parse_ext
 from ramforge.errors import ParseError
 
@@ -110,6 +117,64 @@ def outcome(parse, spec, text):
         return ParseError
 
 
+# ------------------------------------------ reference oracle: per-term scan
+
+SCAN_TERM_RE = re.compile(
+    r"(?P<sign>[+-])?(?P<coeff>\[(?P<vec>[^\[\]]*)\]|[0-9]+)?"
+    r"(?:\*?(?P<x>x)(?:\^(?P<exp>[+-]?[0-9]+))?)?"
+)
+
+
+def scan_parse_laurent(spec, text):
+    """The per-term scan, plus the exponent bound |e| <= 2^64 that the
+    library added to it, at the same point of the same term."""
+    s = "".join(text.split())
+    if not s:
+        raise ParseError("empty Laurent polynomial")
+    p, n = spec.p, spec.n
+    terms = {}
+    pos = k = 0
+    while pos < len(s):
+        m = SCAN_TERM_RE.match(s, pos)
+        k += 1
+        sign, coeff, vec, x, exp = m.groups()
+        if coeff is None and x is None and s.startswith(("+", "-"), m.end()):
+            raise ParseError(f"sign follows a sign in {s!r}")
+        if (pos and sign is None) or (coeff is None and x is None):
+            raise ParseError(f"bad term {s[pos:]!r} in {text!r}")
+        if vec is not None:
+            parts = vec.split(",")
+            if "" in parts:
+                raise ParseError(f"empty component in coefficient vector {coeff!r}")
+            if not REF_VECTOR_RE.fullmatch(vec):
+                raise ParseError(f"bad coefficient vector {coeff!r}")
+            coords = [int(d) % p for d in parts]
+            if len(coords) > n:
+                raise ParseError(f"coefficient vector of length {len(coords)} "
+                                 f"in a degree-{n} field")
+            c = 0
+            for d in reversed(coords):
+                c = c * p + d
+        else:
+            c = 1 if coeff is None else int(coeff) % p
+        if sign == "-":
+            c = spec.neg(c)
+        e = 0 if x is None else 1 if exp is None else int(exp)
+        if abs(e) > 2**64:
+            raise ParseError(f"term {k}: exponent outside the bound |e| <= 2^64")
+        terms[e] = spec.add(terms[e], c) if e in terms else c
+        pos = m.end()
+    return LaurentPoly(spec, {e: FieldElement(spec, c) for e, c in terms.items()})
+
+
+def full_outcome(parse, spec, text):
+    """The parsed polynomial, or the exception's type and message."""
+    try:
+        return parse(spec, text)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+
+
 # ------------------------------------------------------------ strategies
 
 # the grammar's alphabet plus a non-ASCII digit, an underscore and a stray letter
@@ -155,6 +220,37 @@ def near_misses(draw):
 
 noise = st.text(ALPHABET, max_size=24)
 
+# Unicode whitespace that str.split removes, next to the ASCII space and tab
+WHITESPACE = [" ", "\t", "\n", "\x0b", "\x1c", "\x85", "\xa0", "\u2002", "\u2028", "\u3000"]
+numerals = st.text("0123456789", min_size=1, max_size=20)
+tokens = st.one_of(
+    st.sampled_from(["x", "^", "[", "]", "*", ",", "+", "-", "x^", "*x", "x^-", "_", "\u0663",
+                     *WHITESPACE]),
+    numerals,
+    # vectors: empty, short or longer than any test field's degree, with
+    # signed, empty or over-long components
+    st.lists(st.one_of(numerals, numerals.map("-".__add__), st.just(""), st.just("-")),
+             max_size=7).map(lambda cs: "[" + ",".join(cs) + "]"),
+)
+token_strings = st.lists(tokens, max_size=12).map("".join)
+
+
+@st.composite
+def spaced_sums(draw):
+    """Well-formed sums with long numerals and Unicode whitespace."""
+    out = []
+    for i in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["", "+", "-"] if i == 0 else ["+", "-"]))
+        coeff = draw(st.one_of(
+            st.just(""), numerals,
+            st.lists(numerals, min_size=1, max_size=4).map(lambda cs: "[" + ",".join(cs) + "]"),
+        ))
+        x = draw(st.sampled_from(["", "x", "*x"] if coeff else ["x", "*x"]))
+        exp = draw(st.builds(lambda sg, d: "^" + sg + d, st.sampled_from(["", "+", "-"]),
+                             numerals)) if x and draw(st.booleans()) else ""
+        out.append(sign + draw(st.sampled_from(WHITESPACE)) + coeff + x + exp)
+    return draw(st.sampled_from(WHITESPACE)).join(out)
+
 
 # ---------------------------------------------------------------- oracle
 
@@ -169,6 +265,65 @@ def test_same_accept_set_and_values_as_the_chunking_parser(strategy, examples):
         assert outcome(parse_laurent, spec, text) == want, (spec, text)
 
     check()
+
+
+@pytest.mark.parametrize("strategy,examples", [
+    (token_strings, 800), (spaced_sums(), 300), (near_misses(), 300), (noise, 300),
+], ids=["tokens", "spaced-sums", "near-misses", "noise"])
+def test_same_values_and_messages_as_the_per_term_scan(strategy, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(st.sampled_from(FIELDS), strategy)
+    def check(spec, text):
+        want = full_outcome(scan_parse_laurent, spec, text)
+        assert full_outcome(parse_laurent, spec, text) == want, (spec, text)
+
+    check()
+
+
+@pytest.mark.parametrize("text", [
+    "x^-3 + [1,,1]*x + x^^2",          # the vector error of term 2 comes first
+    "[1,1,1,1]*x + [1_1]*x",           # the length error of term 1 comes first
+    "x + [1,1,1,1,1]*x^-1 + -",        # the length error of term 2 comes first
+    "[1,1,1,1]*x^-" + "1" * 30,        # the length error comes before the exponent bound
+    "x^-18446744073709551617 + [1,,1]",
+    "x^18446744073709551616 + x^-18446744073709551616",
+    "[--1]*x", "[-]*x", "[]*x", "[1-2]*x", "[,]", "[1,2]x^3x",
+])
+def test_error_order_across_and_within_terms(text):
+    spec = FIELDS[2]
+    assert full_outcome(parse_laurent, spec, text) == full_outcome(scan_parse_laurent, spec, text)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x^-" + str(2**64 + 1), "term 1: exponent outside the bound |e| <= 2^64"),
+    ("x + 2*x^" + str(2**14270), "term 2: exponent outside the bound |e| <= 2^64"),
+    ("x + " + "1" * 4301 + "*x", "term 2: a numeral has more than 4300 digits"),
+    ("x^-" + "1" * 4301, "term 1: a numeral has more than 4300 digits"),
+    ("x + x + [1," + "1" * 5000 + "]", "term 3: a numeral has more than 4300 digits"),
+    ("[1,1,1," + "1" * 5000 + "]", "term 1: a numeral has more than 4300 digits"),
+])
+def test_exponents_and_numerals_are_bounded(text, message):
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        parse_laurent(FIELDS[2], text)
+
+
+def test_exponents_at_the_bound_parse():
+    spec = FIELDS[2]
+    f = parse_laurent(spec, f"x^-{2**64} + x^{2**64}")
+    assert f == LaurentPoly(spec, {-2**64: 1, 2**64: 1})
+
+
+@pytest.mark.parametrize("text", [
+    "1" * 131072,
+    "+x" * 60000 + "^",
+    "[" + "1," * 60000,
+], ids=["digit-run", "dangling-caret", "open-vector"])
+def test_adversarial_inputs_fail_fast(text):
+    # the whole-text grammar regex must not backtrack into earlier terms
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_laurent(FIELDS[2], text)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("text,rest", [

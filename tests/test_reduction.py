@@ -14,13 +14,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramforge import asext, grids
-from ramforge.algebra import INFINITY, FieldElement, FieldSpec, LaurentPoly, artin_schreier
+from ramforge.algebra import (
+    INFINITY,
+    FieldElement,
+    FieldSpec,
+    LaurentPoly,
+    artin_schreier,
+    format_laurent,
+    parse_laurent,
+)
 from ramforge.aschreier import UNRAMIFIED, as_reduce
 from ramforge.asext import (
     ExtElement,
     ExtFieldSpec,
     ext_as_reduce,
+    format_ext,
     minimal_tower_element,
+    parse_ext,
 )
 from ramforge.errors import InvariantViolation
 from ramforge.cli import main
@@ -199,7 +209,16 @@ def element_as_reduce(f):
 
     terms = dict(f.terms)
     conductor, h = _element_reduce_terms(terms, p, int, kill)
-    return (LaurentPoly._trusted(f.spec, terms), conductor, LaurentPoly._trusted(f.spec, h))
+    return LaurentPoly(f.spec, terms), conductor, LaurentPoly(f.spec, h)
+
+
+def _ext_element(ext, terms):
+    """The ExtElement with the term map {(e, i): FieldElement}, through the
+    checked constructor."""
+    rows = [{} for _ in range(ext.p)]
+    for (e, i), c in terms.items():
+        rows[i][e] = c
+    return ExtElement(ext, [LaurentPoly(ext.field, r) for r in rows])
 
 
 def element_ext_as_reduce(F):
@@ -224,7 +243,7 @@ def element_ext_as_reduce(F):
 
     terms = dict(F.terms)
     jump, h = _element_reduce_terms(terms, p, weight, kill)
-    return ExtElement._trusted(ext, terms), jump, ExtElement._trusted(ext, h)
+    return _ext_element(ext, terms), jump, _ext_element(ext, h)
 
 
 KERNEL_FIELDS = [FieldSpec(3), FieldSpec(2, 8), FieldSpec(3, 5), FieldSpec(67, 2)]
@@ -359,15 +378,23 @@ def test_ext_as_reduce_builds_constant_number_of_ext_elements(monkeypatch):
 
 @pytest.mark.parametrize("spec", [FieldSpec(3), FieldSpec(2, 8)], ids=str)
 def test_engines_build_one_field_element_per_output_term(monkeypatch, spec):
-    # the steps and the certificate run on int forms; only the output terms
-    # of the reduced form and the substitution become FieldElements
+    # LaurentPoly and ExtElement store int forms, and the engines, the parser
+    # and the formatter read and write those maps: none builds a FieldElement
     f = _line_input(spec, 60)
-    F = _tower_input(ExtFieldSpec(spec, 1), 60)
+    ext = ExtFieldSpec(spec, 1)
+    F = _tower_input(ext, 60)
     red, ext_red = as_reduce(f), ext_as_reduce(F)
-    assert _builds_during(monkeypatch, as_reduce, f, cls=FieldElement) == [
-        len(red.f_reduced.terms) + len(red.substitution.terms)]
-    assert _builds_during(monkeypatch, ext_as_reduce, F, cls=FieldElement) == [
-        len(ext_red.reduced.terms) + len(ext_red.substitution.terms)]
+    text, ext_text = format_laurent(f), format_ext(F)
+    assert _builds_during(monkeypatch, as_reduce, f, cls=FieldElement) == [0]
+    assert _builds_during(monkeypatch, ext_as_reduce, F, cls=FieldElement) == [0]
+    assert _builds_during(monkeypatch, lambda t: parse_laurent(spec, t), text,
+                          cls=FieldElement) == [0]
+    assert _builds_during(monkeypatch, lambda t: parse_ext(ext, t), ext_text,
+                          cls=FieldElement) == [0]
+    assert _builds_during(monkeypatch, format_laurent, f, red.f_reduced, red.substitution,
+                          cls=FieldElement) == [0, 0, 0]
+    assert _builds_during(monkeypatch, format_ext, F, ext_red.reduced, ext_red.substitution,
+                          cls=FieldElement) == [0, 0, 0]
 
 
 # -------------------------------------------------------- one reduction per tower
