@@ -65,8 +65,10 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin: the twelve prime bases up to 37 decide
     primality exactly for every p < 3.3e24 (Sorenson and Webster 2015)."""
-    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+    if p < 38:  # the primes up to 37 are the bases; each composite has one as a factor
         return p in _PRIME_BASES
+    if any(p % a == 0 for a in _PRIME_BASES):
+        return False
     d, s = p - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -27,7 +27,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-from .algebra import LaurentPoly, _plus
+from .algebra import MAX_EXPONENT, LaurentPoly, _plus
 from .errors import (
     InvalidJump,
     InvariantViolation,
@@ -173,6 +173,8 @@ def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
     spec = f.spec
     if isinstance(t0, int):
         t0 = spec.scalar(t0)
+    if s > MAX_EXPONENT:  # the grammar's exponent bound: x^(-s) must parse back
+        raise InvalidJump("target conductor exceeds the bound s <= 2^64")
     if s % spec.p == 0 or s < 1:
         raise InvalidJump(f"target conductor {s} must be positive and prime to {spec.p}")
     if t0.is_zero:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 from .errors import (
     InconsistentInput,
@@ -26,23 +25,37 @@ from .algebra import require_prime
 from .ramfilt import (
     Filtration,
     InertiaShape,
+    _rational,
     json_typed,
     parse_rational,
     reject_unknown_keys,
     shape_from_dict,
-    validate,
 )
 
 
 class BranchPoint(Filtration):
     """A Filtration built from its upper jumps, listed with multiplicity in
-    ascending order: each run of equal jumps becomes one break."""
+    ascending order: each run of equal jumps becomes one break.  A jump is
+    a Fraction, a wire string -?[0-9]+(/[0-9]+)? (ValueError naming the
+    jump by its 1-based index otherwise) or anything Fraction() takes."""
 
     __slots__ = ()
 
     def __init__(self, shape: InertiaShape, upper_jumps=()):
-        runs = groupby(map(Fraction, upper_jumps))
-        super().__init__(shape, [(s, sum(1 for _ in run)) for s, run in runs])
+        breaks = []
+        for i, s in enumerate(upper_jumps, 1):
+            if isinstance(s, str):
+                try:
+                    s = _rational(s)
+                except ValueError as exc:
+                    raise ValueError(f"upper jump {i}: {exc}") from None
+            elif type(s) is not Fraction:
+                s = Fraction(s)
+            if breaks and breaks[-1][0] == s:
+                breaks[-1][1] += 1
+            else:
+                breaks.append([s, 1])
+        super().__init__(shape, breaks)
 
     @property
     def upper_jumps(self) -> tuple:
@@ -60,9 +73,8 @@ def branch_from_dict(d: dict) -> BranchPoint:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad branch point object: {exc}") from exc
     bp = BranchPoint(shape, jumps)
-    problems = validate(bp)
-    if problems:
-        raise ValueError("invalid branch point: " + "; ".join(problems))
+    if bp._problems:
+        raise ValueError("invalid branch point: " + "; ".join(bp._problems))
     return bp
 
 
@@ -117,10 +129,10 @@ class KatoInput:
 def ram_divisor_degree(filt: Filtration) -> int:
     """Degree of the local ramification divisor, Hilbert's different formula
     |I| - 1 + |I|*sigma_r - psi(sigma_r) at the conductor sigma_r (0 when tame), in
-    the last upper and lower knots; InvariantViolation if the filtration is invalid."""
-    problems = validate(filt)
-    if problems:
-        raise InvariantViolation(f"invalid branch point {filt}: " + "; ".join(problems))
+    the last upper and lower knots; InvariantViolation if the filtration is invalid
+    (the findings recorded when it was built)."""
+    if filt._problems:
+        raise InvariantViolation(f"invalid branch point {filt}: " + "; ".join(filt._problems))
     order, den = filt.shape.order, filt._den
     deg_den = (order - 1) * den + order * filt._upper[-1] - filt._lower[-1]
     if deg_den % den or deg_den < 0:

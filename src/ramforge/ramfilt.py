@@ -10,10 +10,12 @@ arithmetic, never floats.
 Each Filtration builds its Herbrand knot table once, in its constructor,
 as integer knots over the common denominator D (the lcm of the break
 denominators): the upper knots sigma_i*D, the lower knots psi(sigma_i)*D
-and the integer slope of every segment.  psi and phi then cost one integer
-bisect plus one Fraction for the result, jump conversion and validation
-test the integer knots for divisibility by D, and lower_to_upper is the
-only other walk over the slopes (the inverse one).
+and the integer slope of every segment.  The same loop records which
+invariants fail, so a Filtration is checked once, when it is built, and
+`validate` reads the record.  psi and phi then cost one integer bisect
+plus one Fraction for the result, jump conversion tests the integer knots
+for divisibility by D, and lower_to_upper is the only other walk over the
+slopes (the inverse one, in integers).
 """
 
 from __future__ import annotations
@@ -71,37 +73,55 @@ class Filtration:
     and i+1 and beyond the last knot.  The slopes are integers, so every
     lower knot is an integer over D too.  The multiplicities need not sum
     to e (`validate` reports that), but p^(their sum) <= 2^64 as for p^e,
-    and D <= m*2^64: `validate` requires sigma_i*m*p^(l_1+...+l_(i-1)) to
-    be an integer, so D divides m*p^(their sum) in a valid filtration.
+    and D <= m*2^64: a valid filtration has sigma_i*m*p^(l_1+...+l_(i-1))
+    integral, so D divides m*p^(their sum).  Break values that are not
+    Fractions go through Fraction().  The violated invariants are recorded
+    in the knot loop, in `validate`'s order and wording.
     """
 
-    __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope")
+    __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
 
     def __init__(self, shape: InertiaShape, breaks):
-        bs = tuple((Fraction(c), int(l)) for c, l in breaks)
-        p = shape.p
+        bs = tuple((c if type(c) is Fraction else Fraction(c), int(l)) for c, l in breaks)
+        p, m = shape.p, shape.m
+        cap = m * 2**64
         den = 1
         for i, (c, _) in enumerate(bs, 1):
             den = math.lcm(den, c.denominator)
-            if den > shape.m * 2**64:
+            if den > cap:
                 raise ValueError(f"break {i}: the lcm of the break denominators exceeds "
                                  "the bound m*2^64")
-        upper, lower, slope = [0], [0], [shape.m]
+        upper, lower, slope = [0], [0], [m]
+        u0, j, s, mults, problems = 0, 0, m, 0, []
         for c, l in bs:
             u = c.numerator * (den // c.denominator)
-            if u <= upper[-1]:
+            if u <= u0:
                 raise ValueError("break indices must be positive and strictly increasing")
             if l < 1:
                 raise ValueError(f"break multiplicity must be >= 1, got {l}")
-            if l > 64 or (steeper := slope[-1] * p**l) > shape.m * 2**64:
+            if l > 64 or (steeper := s * p**l) > cap:
                 raise ValueError("break multiplicities exceed the bound p^(their sum) <= 2^64")
-            lower.append(lower[-1] + slope[-1] * (u - upper[-1]))
+            j += s * (u - u0)
+            # the validity findings, in `validate`'s order: sigma*|I|/|I^sigma| (the
+            # slope up to sigma is m*p^(dropped so far)) and the lower jump psi(sigma)
+            if u * s % den:
+                problems.append(f"break {c}: sigma*|I|/|I^sigma| = {Fraction(u * s, den)}"
+                                " not an integer")
+            if j % den:
+                problems.append(f"break {c}: lower jump {Fraction(j, den)} not an integer")
+            elif j // den % p == 0:
+                problems.append(f"break {c}: lower jump {j // den} divisible by {p}")
             upper.append(u)
+            lower.append(j)
             slope.append(steeper)
+            u0, s, mults = u, steeper, mults + l
+        if mults != shape.e:
+            problems.insert(0, f"break multiplicities sum to {mults}, expected e = {shape.e}")
         self.shape = shape
         self.breaks = bs
         self._den = den
         self._upper, self._lower, self._slope = tuple(upper), tuple(lower), tuple(slope)
+        self._problems = tuple(problems)
 
     @property
     def conductor(self) -> Fraction | None:
@@ -171,42 +191,27 @@ def upper_to_lower(filt: Filtration) -> list[tuple[int, int]]:
 
 
 def lower_to_upper(shape: InertiaShape, lower_breaks) -> Filtration:
-    """Rebuild the upper-numbering filtration from lower jumps (j_i, l_i)."""
-    p, m = shape.p, shape.m
-    sigma = Fraction(0)
-    j_prev = 0
-    slope = m
+    """Rebuild the upper-numbering filtration from lower jumps (j_i, l_i).
+
+    sigma is held as num/slope over the current segment slope
+    m*p^(l_1+...), so each break costs one Fraction."""
+    p = shape.p
+    num, j_prev, slope = 0, 0, shape.m
     breaks = []
     for j, mult in lower_breaks:
-        sigma = sigma + Fraction(j - j_prev, slope)
-        breaks.append((sigma, mult))
+        num += j - j_prev
+        breaks.append((Fraction(num, slope), mult))
         j_prev = j
-        slope *= p**mult
+        step = p**mult
+        num *= step
+        slope *= step
     return Filtration(shape, breaks)
 
 
 def validate(filt: Filtration) -> list[str]:
-    """Check every filtration invariant; an empty list means valid."""
-    violations = []
-    shape = filt.shape
-    p = shape.p
-    mults = sum(l for _, l in filt.breaks)
-    if mults != shape.e:
-        violations.append(
-            f"break multiplicities sum to {mults}, expected e = {shape.e}"
-        )
-    den = filt._den
-    for (sigma, _), u, slope, j in zip(filt.breaks, filt._upper[1:], filt._slope,
-                                       filt._lower[1:]):
-        # sigma * |I| / |I^sigma|: the slope up to sigma is m * p^(dropped so far)
-        if u * slope % den:
-            violations.append(f"break {sigma}: sigma*|I|/|I^sigma| = {Fraction(u * slope, den)}"
-                              " not an integer")
-        if j % den:
-            violations.append(f"break {sigma}: lower jump {Fraction(j, den)} not an integer")
-        elif j // den % p == 0:
-            violations.append(f"break {sigma}: lower jump {j // den} divisible by {p}")
-    return violations
+    """Every filtration invariant that fails, as recorded when filt was
+    built; an empty list means valid.  A fresh list on every call."""
+    return list(filt._problems)
 
 
 def conductor_congruence(p: int, j_e: int, d: int, m: int) -> int:
@@ -262,9 +267,9 @@ def action_transform(filt: Filtration, a: int, s: int, s_iota: int | None = None
         breaks.append((top_sigma, top_mult - a))
     breaks.append((new_sigma, a))
     out = Filtration(shape, breaks)
-    problems = validate(out)
-    if problems:
-        raise InvariantViolation("transformed filtration is invalid: " + "; ".join(problems))
+    if out._problems:
+        raise InvariantViolation("transformed filtration is invalid: "
+                                 + "; ".join(out._problems))
     return out
 
 
@@ -424,22 +429,33 @@ def random_filtration(
     return lower_to_upper(shape, list(zip(jumps, mults)))
 
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(value) -> Fraction:
+    """parse_rational without the field name in its messages."""
+    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f"{value!r} is not an integer or num/den string")
+    num, den = match.groups()
+    try:
+        num, den = int(num), int(den) if den else 1
+    except ValueError:  # the pattern matched, so only int()'s digit limit is left
+        raise ValueError(f"a numeral has more than {sys.get_int_max_str_digits()} "
+                         "digits") from None
+    if not den:
+        raise ValueError(f"{value!r} has a zero denominator")
+    return Fraction(num, den)
 
 
 def parse_rational(value, field: str) -> Fraction:
     """The wire rational value, an ASCII string -?[0-9]+(/[0-9]+)?, as a
     Fraction; ValueError naming the field on anything else, a zero
     denominator or a numeral past Python's int string-conversion limit."""
-    if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
-        raise ValueError(f"{field}: {value!r} is not an integer or num/den string")
     try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"{field}: {value!r} has a zero denominator") from None
-    except ValueError:  # the pattern matched, so only int()'s digit limit is left
-        raise ValueError(f"{field}: a numeral has more than "
-                         f"{sys.get_int_max_str_digits()} digits") from None
+        return _rational(value)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def json_typed(value, kind: type, field: str):
@@ -492,7 +508,6 @@ def filtration_from_dict(d: dict) -> Filtration:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad filtration object: {exc}") from exc
     filt = Filtration(shape, breaks)
-    problems = validate(filt)
-    if problems:
-        raise ValueError("invalid filtration: " + "; ".join(problems))
+    if filt._problems:
+        raise ValueError("invalid filtration: " + "; ".join(filt._problems))
     return filt

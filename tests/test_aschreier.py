@@ -178,6 +178,16 @@ def test_deform_errors():
         as_deform(L(F2, "x^-1"), 3, F2.zero)
 
 
+def test_deform_bounds_the_target_like_the_grammar():
+    # x^-s must parse back, so s obeys the exponent bound |e| <= 2^64
+    out = as_deform(L(F3, "x^-1"), 2**64, F3.one)
+    assert as_conductor(out) == 2**64
+    assert L(F3, "x^-%d + x^-1" % 2**64) == out
+    for s in (2**64 + 1, 2**70 + 1, int("7" * 4000)):
+        with pytest.raises(InvalidJump, match=r"^target conductor exceeds the bound s <= 2\^64$"):
+            as_deform(L(F2, "x^-3"), s, F2.one)
+
+
 def test_deform_from_split_cover():
     out = as_deform(L(F2, "x^-2 + x^-1"), 3, F2.one)
     assert as_conductor(out) == 3

@@ -569,6 +569,10 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "term 2: exponent outside the bound |e| <= 2^64"),
         (["tower", "--p", "2", "--j", "1", "--F", "x^-5 ; x^-%d" % 2**65],
          "term 1: exponent outside the bound |e| <= 2^64"),
+        (["deform", "--p", "2", "--s", "1180591620717411303425", "--t0", "1", "--", "x^-3"],
+         "target conductor exceeds the bound s <= 2^64"),
+        (["deform", "--p", "3", "--s", "7" * 4000, "--", "x^-1"],
+         "target conductor exceeds the bound s <= 2^64"),
     ],
     ids=["spectrum-negative-a", "spectrum-p-1", "spectrum-a-0", "spectrum-G-0",
          "genus-grid-p-1", "admissible-count-p-1", "density-check-gmax-0",
@@ -583,7 +587,7 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "spectrum-above-genera-cap", "density-check-above-genera-cap",
          "herbrand-roundtrip-above-count-cap", "tower-above-p-cap", "econd-grid-above-p-cap",
          "reduce-exponent-above-2^64", "conductor-exponent-above-2^64",
-         "tower-exponent-above-2^64"],
+         "tower-exponent-above-2^64", "deform-s-above-2^64", "deform-s-4000-digits"],
 )
 def test_bad_arguments_exit_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -182,6 +182,48 @@ def test_branch_point_is_the_filtration_of_its_upper_jumps(rng):
     assert BranchPoint(filt.shape, [str(s) for s in jumps]) == filt
 
 
+# wire-grammar rationals: optional sign, leading zeros, numerals up to 30 digits
+wire_numerals = st.one_of(st.integers(-40, 40).map(str),
+                          st.from_regex(r"-?0{0,3}[0-9]{1,27}", fullmatch=True))
+wire_rationals = st.one_of(
+    wire_numerals,
+    st.builds("{}/{}".format, wire_numerals,
+              st.one_of(st.integers(1, 12).map(str),
+                        st.from_regex(r"0{0,3}[1-9][0-9]{0,26}", fullmatch=True))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(wire_rationals, max_size=5), st.booleans())
+def test_branch_point_reads_wire_strings_like_fraction(p, texts, ascending):
+    if ascending:  # mostly constructible; the raw order mostly is not
+        texts = sorted(texts, key=Fraction)
+    shape = InertiaShape(p, len(texts), 1)
+    got = outcome(BranchPoint, shape, texts)
+    want = outcome(BranchPoint, shape, [Fraction(t) for t in texts])
+    assert got == want
+    if isinstance(got, BranchPoint):
+        assert got.breaks == want.breaks and validate(got) == validate(want)
+        assert all(type(c) is Fraction for c, _ in got.breaks)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1.5", "'1.5' is not an integer or num/den string"),
+    (" 1/2", "' 1/2' is not an integer or num/den string"),
+    ("+3", "'+3' is not an integer or num/den string"),
+    ("1e2", "'1e2' is not an integer or num/den string"),
+    ("\u0661", "'\u0661' is not an integer or num/den string"),
+    ("1/0", "'1/0' has a zero denominator"),
+    ("1" * 5000, "a numeral has more than 4300 digits"),
+], ids=["decimal", "space", "plus", "exponent", "arabic-indic-digit", "zero-denominator",
+        "digit-limit"])
+def test_branch_point_rejects_strings_outside_the_grammar(text, message):
+    # the same grammar as the JSON edge, the jump named by its 1-based index
+    with pytest.raises(ValueError) as info:
+        BranchPoint(InertiaShape(2, 3, 1), ["1", "3", text])
+    assert str(info.value) == f"upper jump 3: {message}"
+
+
 def test_genus_builds_no_filtration(monkeypatch):
     # the knot table is built once, by the BranchPoint constructor
     bps = [BranchPoint(InertiaShape(2, 2, 1), (1, 2)), BranchPoint(InertiaShape(2, 0, 1), ())]

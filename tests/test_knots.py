@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramforge.errors import InvariantViolation
 from ramforge.ramfilt import (
@@ -189,6 +189,67 @@ def test_raw_breaks_can_be_rejected():
     assert validate(filt) == ["break 2: lower jump 2 divisible by 2"]
     with pytest.raises(InvariantViolation, match="divisible by 2"):
         upper_to_lower(filt)
+
+
+def ref_lower_to_upper(shape, lower_breaks):
+    """Upper breaks from lower jumps by summing Fraction segments."""
+    p, m = shape.p, shape.m
+    sigma = Fraction(0)
+    j_prev = 0
+    slope = m
+    breaks = []
+    for j, mult in lower_breaks:
+        sigma = sigma + Fraction(j - j_prev, slope)
+        breaks.append((sigma, mult))
+        j_prev = j
+        slope *= p**mult
+    return Filtration(shape, breaks)
+
+
+def _built(fn, *args):
+    """fn(*args) with its breaks and recorded findings, or the type and
+    message of the error it raised."""
+    try:
+        filt = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return filt, filt.breaks, validate(filt)
+
+
+@st.composite
+def lower_jump_lists(draw):
+    """Valid lists, or raw ones: jumps in any order (zero and negative too,
+    or Fractions) with multiplicities from -2 to 3."""
+    if draw(st.booleans()):
+        filt = draw(valid_filtrations())
+        return filt.shape, upper_to_lower(filt)
+    shape = draw(shapes())
+    jumps = st.one_of(st.integers(-5, 40), st.fractions(-5, 40, max_denominator=7))
+    pairs = st.tuples(jumps, st.integers(-2, 3))
+    return shape, draw(st.lists(pairs, max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lower_jump_lists())
+@example((InertiaShape(2, 2, 1), [(1, -1), (3, 1)]))
+@example((InertiaShape(3, 2, 2), [(1, 0), (2, 1)]))
+@example((InertiaShape(5, 2, 3), [(Fraction(7, 2), 1), (9, 1)]))
+@example((InertiaShape(2, 2, 1), [(3, 1), (3, 1)]))
+def test_lower_to_upper_matches_the_fraction_walk(case):
+    shape, lower = case
+    assert _built(lower_to_upper, shape, lower) == _built(ref_lower_to_upper, shape, lower)
+
+
+def test_validate_returns_a_fresh_list():
+    filt = Filtration(InertiaShape(3, 2, 2), [(Fraction(1, 5), 1), (Fraction(3, 2), 2)])
+    first = validate(filt)
+    first.append("mutated")
+    first[0] = "changed"
+    second = validate(filt)
+    assert second == ref_validate(filt) and second is not validate(filt)
+    valid = EDGE_FAMILY[0]
+    validate(valid).append("mutated")
+    assert validate(valid) == []
 
 
 # Fixed knot-edge family: valid filtrations from lower jumps, and raw ones whose

@@ -325,3 +325,8 @@ def test_characteristic_is_bounded(p):
 @given(st.one_of(st.integers(0, 10**5), st.integers(0, 2**64 - 1)))
 def test_prime_check_matches_sympy(n):
     assert _is_prime(n) == isprime(n)
+
+
+def test_prime_check_matches_sympy_below_10000():
+    # covers the small-p shortcut (p < 38 reads the bases) and its edge
+    assert [n for n in range(10_000) if _is_prime(n) != isprime(n)] == []
