@@ -573,8 +573,8 @@ def _form(spec: FieldSpec, c) -> int:
 def _plus(terms: dict, pairs, add) -> dict:
     """The sparse term map {key: nonzero int form} of `terms` plus the
     (key, nonzero int form) pairs under a field's add kernel; a key whose
-    sum cancels drops out.  Keys are x-exponents here and (x-exponent,
-    y-degree) pairs in `asext`."""
+    sum cancels drops out.  Keys are x-exponents here, (x-exponent,
+    y-degree) pairs in `asext` and weights in `aschreier`'s engine."""
     out = dict(terms)
     for k, c in pairs:
         s = out.get(k)

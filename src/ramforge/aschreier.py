@@ -5,14 +5,15 @@ y -> y + pth_root(c)*x^(-k), which changes f by an element of the image of
 h -> h^p - h and therefore not the isomorphism class.  The conductor is the
 prime-to-p pole order of the reduced right-hand side.
 
-One engine, `_reduce_terms`, runs this loop for both rings: here and, with
-val(x^e y^i) = p*e - j*i, for the tower extension in `asext`.  It edits a
-{key: int form} dict in place through the field's kernels and finds the
-leading term with a lazy min-heap, so k steps cost O(k log k) heap work
-plus k p-th roots; the certificate f - f_reduced = h^p - h is checked once,
-at the end, on the same int maps.  The engines take and return the int
-maps that `LaurentPoly` and `ExtElement` store, so they build no
-`FieldElement`.
+One engine, `_reduce_terms`, runs this loop for both rings, here and for
+the tower extension in `asext`, on a {weight: int form} map: the weight of
+x^e is e here and p*e - j*i for x^e y^i in the tower, a bijection onto the
+integers.  A kill at weight v is the same rule in both rings, its updates
+all weigh more than v, and a heap of plain ints finds the leading term, so
+k steps cost O(k log k) heap work plus k p-th roots.  One p-th power in
+weight space, `_pow_p`, shares the kill's binomial rows; the certificate
+f - f_reduced = h^p - h is checked once, at the end, on the same int
+maps.  No `FieldElement` is built.
 
 Terms of exponent >= 0 never affect ramification at x = 0 here: over the
 algebraically closed field these covers stand in for, every regular part is
@@ -24,8 +25,9 @@ never by 0.
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .algebra import MAX_EXPONENT, LaurentPoly, _plus
 from .errors import (
@@ -73,60 +75,87 @@ class ASReduced:
     substitution: LaurentPoly
 
 
-def _reduce_terms(terms: dict, p: int, add, weight, kill):
-    """The Artin-Schreier reduction loop, in place on a {key: int form} map
-    whose coefficients add under the field kernel add.
+@lru_cache(maxsize=None)
+def _binomial_rows(p: int, sign: int) -> tuple:
+    """Row beta < p holds the pairs (b, sign * C(beta, b) as an int form of
+    F_p) for b = 1..beta, by Pascal's rule: the terms of
+    sign * (y + x^-j)^beta past y^beta, term b lying step*b = j*(p - 1)*b
+    above it in weight.  None is 0, as beta < p."""
+    rows, row = [], (1,)
+    for _ in range(p):
+        rows.append(tuple(enumerate([sign * m % p for m in row[1:]], 1)))
+        row = (1, *[(a + b) % p for a, b in zip(row, row[1:])], 1)
+    return tuple(rows)
 
-    weight(key) is the valuation of the monomial `key`; weights are distinct.
-    While the least weight v is negative and divisible by p, the leading
-    term (key, c) is killed: kill(key, c) returns the killing monomial
-    (m_key, r) and the term updates of f - (m^p - m) as (key, delta) pairs.
-    The killed key must vanish and every key the step adds must weigh more
-    than v, so the valuation strictly rises and the loop terminates.
+
+def _pow_p(spec, jinv: int, step: int, terms: dict) -> dict:
+    """The p-th power of the element with the {weight: int form} map
+    `terms`: (c m)^p = c^p x^(p*e) (y + x^-j)^beta for each term c m of
+    weight w and y-degree beta = -w/j mod p, its term b at weight
+    p*w + step*b.  On the line jinv = step = 0, so beta = 0 and only the
+    b = 0 terms c^p at p*w remain."""
+    p, frob, mul = spec.p, spec.frob, spec.mul
+    rows = _binomial_rows(p, 1)
+    hp = {p * w: frob(c) for w, c in terms.items()}
+    if step:  # b >= 1: weights prime to p, apart from the b = 0 terms at multiples of p
+        hp = _plus(hp, [(p * w + step * b, mul(hp[p * w], m))
+                        for w in terms for b, m in rows[-w * jinv % p]], spec.add)
+    return hp
+
+
+def _reduce_terms(terms: dict, spec, jinv: int = 0, step: int = 0):
+    """The Artin-Schreier reduction loop, in place on a {weight: int form}
+    map over spec: the line (jinv = step = 0, weight e for x^e) or the tower
+    (jinv = 1/j mod p, step = j*(p - 1)).
+
+    While the least weight v is negative and divisible by p, its term c is
+    killed by h = r m with r = root(c) and m the monomial of weight v/p and
+    y-degree beta = -(v/p)/j mod p: f - (h^p - h) drops c at v, gains r at
+    v/p and, in the tower, -C(beta, b) c at v + step*b for b = 1..beta.
+    Each of these weighs more than v, so the valuation rises with every
+    step and the loop ends.  The heap holds plain weights; a weight whose
+    term cancelled is skipped when it surfaces.
 
     Returns (conductor, h): -v for the final valuation v when it is
     negative, hence prime to p, else UNRAMIFIED (also when no term is left);
-    and the substitution h as {m_key: r}.
+    and the substitution h as {v/p: r}.
     """
-    heap = [(weight(k), k) for k in terms]
-    heapq.heapify(heap)
-    heappop, heappush, get = heapq.heappop, heapq.heappush, terms.get
+    p, add, mul, root = spec.p, spec.add, spec.mul, spec.root
+    rows = _binomial_rows(p, -1)
+    heap = list(terms)
+    heapify(heap)
+    get = terms.get
     h = {}
-    while True:
-        while heap and heap[0][1] not in terms:  # stale: the term was cancelled
-            heappop(heap)
-        if not heap or heap[0][0] >= 0:
-            return UNRAMIFIED, h
-        v, key = heap[0]
+    while heap:
+        v = heappop(heap)
+        c = get(v)
+        if c is None:  # stale: the term was cancelled
+            continue
+        if v >= 0:
+            break
         if v % p:
             return -v, h
-        heappop(heap)
-        m_key, r, updates = kill(key, terms[key])
-        for k, delta in updates:
+        del terms[v]
+        w = v // p
+        h[w] = r = root(c)
+        for k, d in [(w, r), *[(v + step * b, mul(c, m)) for b, m in rows[-w * jinv % p]]]:
             old = get(k)
-            new = delta if old is None else add(old, delta)
-            if not new:
-                terms.pop(k, None)
+            if old is None:
+                terms[k] = d
+                heappush(heap, k)
+            elif s := add(old, d):
+                terms[k] = s
             else:
-                terms[k] = new
-                if old is None:
-                    w = weight(k)
-                    if w <= v:
-                        raise InvariantViolation("reduction step failed to raise the valuation")
-                    heappush(heap, (w, k))
-        if key in terms:
-            raise InvariantViolation("reduction step failed to raise the valuation")
-        # m has weight v/p and v strictly rises, so no monomial repeats
-        h[m_key] = r
+                del terms[k]
+    return UNRAMIFIED, h
 
 
 def _certify(spec, f: dict, g: dict, hp: dict, h: dict) -> None:
-    """Check the certificate f - g = hp - h of a reduction of f to g by the
-    substitution h with p-th power hp, all {key: int form} maps over spec."""
-    add, neg = spec.add, spec.neg
-    if _plus(f, ((k, neg(c)) for k, c in g.items()), add) != _plus(
-        hp, ((k, neg(c)) for k, c in h.items()), add
-    ):
+    """Check the certificate f - g = hp - h, as f + h - g = hp, of a
+    reduction of f to g by the substitution h with p-th power hp, all
+    {weight: int form} maps over spec."""
+    neg = spec.neg
+    if _plus(f, [*h.items(), *((k, neg(c)) for k, c in g.items())], spec.add) != hp:
         raise InvariantViolation("reduction substitution does not account for the change")
 
 
@@ -139,16 +168,9 @@ def as_reduce(f: LaurentPoly) -> ASReduced:
     f - f_reduced = h^p - h, which is checked before returning.
     """
     spec = f.spec
-    p, neg, root = spec.p, spec.neg, spec.root
-
-    def kill(e, c):
-        r = root(c)
-        return e // p, r, ((e, neg(c)), (e // p, r))
-
-    terms = dict(f._ints)
-    conductor, h = _reduce_terms(terms, p, spec.add, int, kill)  # val(x^e) = e
-    frob = spec.frob
-    _certify(spec, f._ints, terms, {p * e: frob(r) for e, r in h.items()}, h)
+    terms = dict(f._ints)  # on the line the weight of x^e is e
+    conductor, h = _reduce_terms(terms, spec)
+    _certify(spec, f._ints, terms, _pow_p(spec, 0, 0, h), h)
     return ASReduced(LaurentPoly._trusted(spec, terms), conductor,
                      LaurentPoly._trusted(spec, h))
 

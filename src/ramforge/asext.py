@@ -10,18 +10,20 @@ of its terms; that minimum is attained by a single term (see `valuation`).
 This module is the jump engine for towers whose base layer is
 y^p - y = x^(-j): reducing w^p - w = F over the extension yields the second
 lower jump, and the Herbrand conversion turns it into the pair of upper
-jumps.  The reduction runs the shared engine `aschreier._reduce_terms` on
-the int forms of F's terms, through the field's kernels: O(k log k) heap
-work plus k p-th roots for k steps.  Every step is an exact polynomial
-identity; in particular the fractional-exponent binomial expansion that
-would appear in a power-series treatment is replaced by explicit monomial
-substitutions h with F -> F - (h^p - h), so no truncation ever occurs.
+jumps.  `ext_as_reduce` maps F's terms to their weights once, runs the
+shared engine `aschreier._reduce_terms` there through the field's kernels,
+and maps the results back once: O(k log k) heap work plus k p-th roots for
+k steps.  `pow_p` uses the same weight-space p-th power.  Every step is an
+exact polynomial identity; in particular the fractional-exponent binomial
+expansion that would appear in a power-series treatment is replaced by
+explicit monomial substitutions h with F -> F - (h^p - h), so no
+truncation ever occurs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .algebra import (
     INFINITY,
@@ -32,18 +34,19 @@ from .algebra import (
     _plus,
     format_laurent,
 )
-from .aschreier import UNRAMIFIED, _certify, _reduce_terms, _Unramified
+from .aschreier import UNRAMIFIED, _certify, _pow_p, _reduce_terms, _Unramified
 from .errors import (
     DegenerateTower,
     FieldMismatch,
-    InvariantViolation,
     NotATower,
     ParseError,
 )
 from .ramfilt import admissible_check
 
-# A reduction step adds up to p terms, so the tower cost grows with p:
-# `tower --p 251 --j 1 --F x^-300` takes ~5 ms, p = 1009 ~0.1 s on a 2-vCPU VM.
+# A reduction step adds up to p terms and the binomial table has ~p^2 entries,
+# so the tower cost grows with p: in process on a shared 2-vCPU VM,
+# `tower --p 251 --j 1 --F x^-300` takes ~20 ms cold (mostly the table) and
+# ~2-3 ms warm; at p = 1009 the cold run takes ~0.3 s.
 MAX_EXT_P = 251
 
 
@@ -66,6 +69,27 @@ class ExtFieldSpec:
     @property
     def p(self) -> int:
         return self.field.p
+
+    @cached_property
+    def _ring(self) -> tuple[int, int]:
+        """(1/j mod p, j*(p - 1)): the tower's parameters in weight space."""
+        return pow(self.j, -1, self.p), self.j * (self.p - 1)
+
+    def _weights(self, ints: dict) -> dict:
+        """{(e, i): c} -> {p*e - j*i: c}.  The weight is a bijection from the
+        monomials x^e y^i, 0 <= i < p, onto the integers, as p does not
+        divide j; `_keys` is its inverse."""
+        p, j = self.p, self.j
+        return {p * e - j * i: c for (e, i), c in ints.items()}
+
+    def _keys(self, weights: dict) -> dict:
+        """{w: c} -> {(e, i): c} with i = -w/j mod p and e = (w + j*i)/p."""
+        p, j, jinv = self.p, self.j, self._ring[0]
+        out = {}
+        for w, c in weights.items():
+            i = -w * jinv % p
+            out[(w + j * i) // p, i] = c
+        return out
 
 
 class ExtElement:
@@ -201,7 +225,9 @@ class ExtElement:
 
     def pow_p(self) -> "ExtElement":
         """p-th power: the sum of the (c x^e y^i)^p, exact and finite."""
-        return ExtElement._trusted(self.ext, _pow_p(self.ext, self._ints))
+        ext = self.ext
+        return ExtElement._trusted(
+            ext, ext._keys(_pow_p(ext.field, *ext._ring, ext._weights(self._ints))))
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
@@ -213,36 +239,6 @@ class ExtElement:
 
     def __repr__(self):
         return f"<{self} in y^{self.ext.p} - y = x^-{self.ext.j}>"
-
-
-@lru_cache(maxsize=None)
-def _binomials(p: int, sign: int) -> tuple[tuple[int, ...], ...]:
-    """sign * C(i, b) mod p for 0 <= b <= i < p, by Pascal's rule, as int
-    forms of F_p; none is 0, as i < p."""
-    rows = [(1,)]
-    for _ in range(1, p):
-        row = rows[-1]
-        rows.append((1, *((a + b) % p for a, b in zip(row, row[1:])), 1))
-    return tuple(tuple(sign * m % p for m in row) for row in rows)
-
-
-def _pth_power(p: int, j: int, e: int, i: int, cp: int, mul, sign: int = 1) -> list:
-    """The terms of sign * (c x^e y^i)^p = sign * c^p x^(p*e) (y + x^-j)^i,
-    given the int form cp of c^p and the field's mul kernel:
-    ((p*e - j*(i - b), b), sign * C(i, b) * cp) for b <= i.  The sign rides
-    on the binomial, so negating costs no field op."""
-    v = p * e - j * i
-    return [((v + j * b, b), mul(cp, m)) for b, m in enumerate(_binomials(p, sign)[i])]
-
-
-def _pow_p(ext: ExtFieldSpec, terms: dict) -> dict:
-    """The p-th power of the element whose term map has int forms `terms`,
-    as such a map: the sum of the (c x^e y^i)^p."""
-    p, j, spec = ext.p, ext.j, ext.field
-    frob, mul = spec.frob, spec.mul
-    return _plus({}, (
-        term for (e, i), c in terms.items() for term in _pth_power(p, j, e, i, frob(c), mul)
-    ), spec.add)
 
 
 @dataclass(frozen=True)
@@ -266,31 +262,13 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
     step strictly raises the valuation, so the loop terminates; the final
     negative valuation is automatically prime to p.
     """
-    ext = F.ext
-    p, j, spec = ext.p, ext.j, ext.field
-    mul, root = spec.mul, spec.root
-    jinv = pow(j, -1, p)
-
-    def weight(key):
-        e, i = key
-        return p * e - j * i
-
-    def kill(key, c):
-        e, i = key
-        if i:
-            raise InvariantViolation("p-divisible leading term not of y-degree 0")
-        beta = -e * jinv % p
-        alpha = (e + j * beta) // p
-        r = root(c)
-        # -h^p has weight p*alpha - j*beta = e; its b = 0 term is -c x^e, the kill
-        updates = _pth_power(p, j, alpha, beta, c, mul, -1)
-        updates.append(((alpha, beta), r))
-        return (alpha, beta), r, updates
-
-    terms = dict(F._ints)
-    jump, h = _reduce_terms(terms, p, spec.add, weight, kill)
-    _certify(spec, F._ints, terms, _pow_p(ext, h), h)
-    return ExtReduced(ExtElement._trusted(ext, terms), jump, ExtElement._trusted(ext, h))
+    ext, spec = F.ext, F.ext.field
+    f = ext._weights(F._ints)
+    terms = dict(f)
+    jump, h = _reduce_terms(terms, spec, *ext._ring)
+    _certify(spec, f, terms, _pow_p(spec, *ext._ring, h), h)
+    return ExtReduced(ExtElement._trusted(ext, ext._keys(terms)), jump,
+                      ExtElement._trusted(ext, ext._keys(h)))
 
 
 def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:

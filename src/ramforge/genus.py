@@ -25,7 +25,7 @@ from .algebra import require_prime
 from .ramfilt import (
     Filtration,
     InertiaShape,
-    _rational,
+    _fraction,
     json_typed,
     parse_rational,
     reject_unknown_keys,
@@ -44,13 +44,8 @@ class BranchPoint(Filtration):
     def __init__(self, shape: InertiaShape, upper_jumps=()):
         breaks = []
         for i, s in enumerate(upper_jumps, 1):
-            if isinstance(s, str):
-                try:
-                    s = _rational(s)
-                except ValueError as exc:
-                    raise ValueError(f"upper jump {i}: {exc}") from None
-            elif type(s) is not Fraction:
-                s = Fraction(s)
+            if type(s) is not Fraction:
+                s = _fraction(s, f"upper jump {i}")
             if breaks and breaks[-1][0] == s:
                 breaks[-1][1] += 1
             else:

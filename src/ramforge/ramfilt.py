@@ -74,15 +74,17 @@ class Filtration:
     lower knot is an integer over D too.  The multiplicities need not sum
     to e (`validate` reports that), but p^(their sum) <= 2^64 as for p^e,
     and D <= m*2^64: a valid filtration has sigma_i*m*p^(l_1+...+l_(i-1))
-    integral, so D divides m*p^(their sum).  Break values that are not
-    Fractions go through Fraction().  The violated invariants are recorded
+    integral, so D divides m*p^(their sum).  A string break value is read
+    by the wire grammar of `parse_rational`; any other value that is not a
+    Fraction goes through Fraction().  The violated invariants are recorded
     in the knot loop, in `validate`'s order and wording.
     """
 
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
 
     def __init__(self, shape: InertiaShape, breaks):
-        bs = tuple((c if type(c) is Fraction else Fraction(c), int(l)) for c, l in breaks)
+        bs = tuple((c if type(c) is Fraction else _fraction(c, f"break {i}"), int(l))
+                   for i, (c, l) in enumerate(breaks, 1))
         p, m = shape.p, shape.m
         cap = m * 2**64
         den = 1
@@ -148,7 +150,7 @@ def psi(filt: Filtration, c) -> Fraction:
     dropped so far, i.e. the index of the break's group in the inertia group.
     """
     if type(c) is not Fraction:
-        c = Fraction(c)
+        c = _fraction(c, "psi argument")
     a, b = c.numerator, c.denominator
     if a < 0:
         raise ValueError(f"psi argument must be >= 0, got {c}")
@@ -162,7 +164,7 @@ def psi(filt: Filtration, c) -> Fraction:
 def phi(filt: Filtration, cprime) -> Fraction:
     """Exact inverse of psi."""
     if type(cprime) is not Fraction:
-        cprime = Fraction(cprime)
+        cprime = _fraction(cprime, "phi argument")
     a, b = cprime.numerator, cprime.denominator
     if a < 0:
         raise ValueError(f"phi argument must be >= 0, got {cprime}")
@@ -432,30 +434,29 @@ def random_filtration(
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational(value) -> Fraction:
-    """parse_rational without the field name in its messages."""
-    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
-    if match is None:
-        raise ValueError(f"{value!r} is not an integer or num/den string")
-    num, den = match.groups()
-    try:
-        num, den = int(num), int(den) if den else 1
-    except ValueError:  # the pattern matched, so only int()'s digit limit is left
-        raise ValueError(f"a numeral has more than {sys.get_int_max_str_digits()} "
-                         "digits") from None
-    if not den:
-        raise ValueError(f"{value!r} has a zero denominator")
-    return Fraction(num, den)
-
-
 def parse_rational(value, field: str) -> Fraction:
     """The wire rational value, an ASCII string -?[0-9]+(/[0-9]+)?, as a
     Fraction; ValueError naming the field on anything else, a zero
     denominator or a numeral past Python's int string-conversion limit."""
+    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ValueError(f"{field}: {value!r} is not an integer or num/den string")
+    num, den = match.groups()
     try:
-        return _rational(value)
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}") from None
+        num, den = int(num), int(den) if den else 1
+    except ValueError:  # the pattern matched, so only int()'s digit limit is left
+        raise ValueError(f"{field}: a numeral has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    if not den:
+        raise ValueError(f"{field}: {value!r} has a zero denominator")
+    return Fraction(num, den)
+
+
+def _fraction(value, field: str) -> Fraction:
+    """A library argument as a Fraction: a string by the wire grammar of
+    `parse_rational`, naming the field when it fails; anything else through
+    Fraction()."""
+    return parse_rational(value, field) if isinstance(value, str) else Fraction(value)
 
 
 def json_typed(value, kind: type, field: str):

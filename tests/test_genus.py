@@ -42,6 +42,7 @@ from ramforge.ramfilt import (
     InertiaShape,
     action_transform,
     conductor_congruence,
+    phi,
     psi,
     random_filtration,
     upper_to_lower,
@@ -207,7 +208,7 @@ def test_branch_point_reads_wire_strings_like_fraction(p, texts, ascending):
         assert all(type(c) is Fraction for c, _ in got.breaks)
 
 
-@pytest.mark.parametrize("text,message", [
+OUTSIDE_THE_GRAMMAR = pytest.mark.parametrize("text,message", [
     ("1.5", "'1.5' is not an integer or num/den string"),
     (" 1/2", "' 1/2' is not an integer or num/den string"),
     ("+3", "'+3' is not an integer or num/den string"),
@@ -217,11 +218,60 @@ def test_branch_point_reads_wire_strings_like_fraction(p, texts, ascending):
     ("1" * 5000, "a numeral has more than 4300 digits"),
 ], ids=["decimal", "space", "plus", "exponent", "arabic-indic-digit", "zero-denominator",
         "digit-limit"])
+
+
+@OUTSIDE_THE_GRAMMAR
 def test_branch_point_rejects_strings_outside_the_grammar(text, message):
     # the same grammar as the JSON edge, the jump named by its 1-based index
     with pytest.raises(ValueError) as info:
         BranchPoint(InertiaShape(2, 3, 1), ["1", "3", text])
     assert str(info.value) == f"upper jump 3: {message}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(wire_rationals, max_size=5),
+       st.lists(st.integers(1, 3), min_size=5, max_size=5), st.booleans())
+def test_filtration_reads_wire_strings_like_fraction(p, texts, mults, ascending):
+    if ascending:  # mostly constructible; the raw order mostly is not
+        texts = sorted(texts, key=Fraction)
+    shape = InertiaShape(p, sum(mults[:len(texts)]), 1)
+    got = outcome(Filtration, shape, list(zip(texts, mults)))
+    want = outcome(Filtration, shape, [(Fraction(t), l) for t, l in zip(texts, mults)])
+    assert got == want
+    if isinstance(got, Filtration):
+        assert got.breaks == want.breaks and validate(got) == validate(want)
+        assert all(type(c) is Fraction for c, _ in got.breaks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(filtrations(), wire_rationals)
+def test_psi_phi_read_wire_strings_like_fraction(filt, text):
+    for fn in (psi, phi):
+        assert outcome(fn, filt, text) == outcome(fn, filt, Fraction(text))
+
+
+@OUTSIDE_THE_GRAMMAR
+def test_filtration_psi_phi_reject_strings_outside_the_grammar(text, message):
+    # the grammar of BranchPoint and the JSON edge, naming the break or argument
+    shape = InertiaShape(2, 2, 1)
+    filt = Filtration(shape, [(1, 1), (2, 1)])
+    for field, call in [("break 2", lambda: Filtration(shape, [("1", 1), (text, 1)])),
+                        ("psi argument", lambda: psi(filt, text)),
+                        ("phi argument", lambda: phi(filt, text))]:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{field}: {message}"
+
+
+def test_library_strings_that_fraction_would_read():
+    filt = Filtration(InertiaShape(2, 1, 1), [(1, 1)])
+    with pytest.raises(ValueError, match="^break 1: '1e0' is not an integer"):
+        Filtration(InertiaShape(2, 1, 1), [("1e0", 1)])
+    with pytest.raises(ValueError, match="^psi argument: ' 3/2' is not an integer"):
+        psi(filt, " 3/2")
+    with pytest.raises(ValueError, match="^phi argument: '1.5' is not an integer"):
+        phi(filt, "1.5")
+    assert (psi(filt, "3/2"), phi(filt, "2")) == (2, Fraction(3, 2))
 
 
 def test_genus_builds_no_filtration(monkeypatch):

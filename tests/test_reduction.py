@@ -25,6 +25,7 @@ from ramforge.algebra import (
 )
 from ramforge.aschreier import UNRAMIFIED, as_reduce
 from ramforge.asext import (
+    MAX_EXT_P,
     ExtElement,
     ExtFieldSpec,
     ext_as_reduce,
@@ -286,6 +287,42 @@ def test_ext_as_reduce_agrees_with_the_element_engine_on_towers(spec):
         F = minimal_tower_element(ext) + ExtElement.x_pow(ext, -s * spec.p, c)
         red = ext_as_reduce(F)
         assert (red.reduced, red.jump, red.substitution) == element_ext_as_reduce(F)
+
+
+def test_ext_as_reduce_agrees_with_the_element_engine_at_the_largest_p():
+    # F_251, j = 1: c x^(-251 s) is killed at weight -251 s and then at
+    # weight -s, whose monomial has y-degree beta = s mod 251; s = 501 gives
+    # beta = 250, the longest binomial row
+    spec = FieldSpec(MAX_EXT_P)
+    ext = ExtFieldSpec(spec, 1)
+    # (s = 3 stops at the base's valuation -(251^2 - 251 + 1) after one kill)
+    for s, c, jump, steps in [(3, 1, 62751, 1), (260, 7, 65010, 2), (501, 250, 125501, 2)]:
+        F = minimal_tower_element(ext) + ExtElement.x_pow(ext, -s * MAX_EXT_P, c)
+        red = ext_as_reduce(F)
+        assert (red.reduced, red.jump, red.substitution) == element_ext_as_reduce(F)
+        assert (red.jump, len(red.substitution.terms)) == (jump, steps)
+
+
+WEIGHT_SPECS = {p: FieldSpec(p) for p in (2, 3, 5, 7, MAX_EXT_P)}
+
+
+@st.composite
+def tower_monomials(draw):
+    p = draw(st.sampled_from(sorted(WEIGHT_SPECS)))
+    j = draw(st.integers(1, 3 * p).filter(lambda j: j % p))
+    return ExtFieldSpec(WEIGHT_SPECS[p], j), draw(st.integers(-10**9, 10**9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tower_monomials(), st.integers(-10**9, 10**9))
+def test_weights_and_monomials_round_trip(case, e):
+    ext, w = case
+    p, j = ext.p, ext.j
+    (key, c), = ext._keys({w: 7}).items()
+    assert c == 7 and 0 <= key[1] < p and p * key[0] - j * key[1] == w
+    assert ext._weights({key: 7}) == {w: 7}
+    i = e % p
+    assert ext._keys(ext._weights({(e, i): 7})) == {(e, i): 7}
 
 
 def test_certificate_catches_a_wrong_root_kernel():
