@@ -28,6 +28,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from math import comb
 
 from .algebra import MAX_EXPONENT, LaurentPoly, _plus
 from .errors import (
@@ -75,17 +76,21 @@ class ASReduced:
     substitution: LaurentPoly
 
 
-@lru_cache(maxsize=None)
-def _binomial_rows(p: int, sign: int) -> tuple:
-    """Row beta < p holds the pairs (b, sign * C(beta, b) as an int form of
-    F_p) for b = 1..beta, by Pascal's rule: the terms of
-    sign * (y + x^-j)^beta past y^beta, term b lying step*b = j*(p - 1)*b
-    above it in weight.  None is 0, as beta < p."""
-    rows, row = [], (1,)
-    for _ in range(p):
-        rows.append(tuple(enumerate([sign * m % p for m in row[1:]], 1)))
-        row = (1, *[(a + b) % p for a, b in zip(row, row[1:])], 1)
-    return tuple(rows)
+class _BinomialRows(dict):
+    """The tower's binomial rows mod p, one table per p (`_binomial_rows`),
+    row beta < p built on first use: the pairs (b, C(beta, b) as an int form
+    of F_p) for b = 1..beta, the terms of (y + x^-j)^beta past y^beta, term
+    b lying step*b = j*(p - 1)*b above it in weight.  None is 0, as beta < p."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __missing__(self, beta: int) -> tuple:
+        row = self[beta] = tuple((b, comb(beta, b) % self.p) for b in range(1, beta + 1))
+        return row
+
+
+_binomial_rows = lru_cache(maxsize=None)(_BinomialRows)
 
 
 def _pow_p(spec, jinv: int, step: int, terms: dict) -> dict:
@@ -95,9 +100,9 @@ def _pow_p(spec, jinv: int, step: int, terms: dict) -> dict:
     p*w + step*b.  On the line jinv = step = 0, so beta = 0 and only the
     b = 0 terms c^p at p*w remain."""
     p, frob, mul = spec.p, spec.frob, spec.mul
-    rows = _binomial_rows(p, 1)
     hp = {p * w: frob(c) for w, c in terms.items()}
     if step:  # b >= 1: weights prime to p, apart from the b = 0 terms at multiples of p
+        rows = _binomial_rows(p)
         hp = _plus(hp, [(p * w + step * b, mul(hp[p * w], m))
                         for w in terms for b, m in rows[-w * jinv % p]], spec.add)
     return hp
@@ -120,8 +125,8 @@ def _reduce_terms(terms: dict, spec, jinv: int = 0, step: int = 0):
     negative, hence prime to p, else UNRAMIFIED (also when no term is left);
     and the substitution h as {v/p: r}.
     """
-    p, add, mul, root = spec.p, spec.add, spec.mul, spec.root
-    rows = _binomial_rows(p, -1)
+    p, add, neg, mul, root = spec.p, spec.add, spec.neg, spec.mul, spec.root
+    rows = _binomial_rows(p) if step else ((),)  # the line's kills have beta = 0
     heap = list(terms)
     heapify(heap)
     get = terms.get
@@ -138,7 +143,10 @@ def _reduce_terms(terms: dict, spec, jinv: int = 0, step: int = 0):
         del terms[v]
         w = v // p
         h[w] = r = root(c)
-        for k, d in [(w, r), *[(v + step * b, mul(c, m)) for b, m in rows[-w * jinv % p]]]:
+        row = rows[-w * jinv % p]
+        if row:
+            c = neg(c)
+        for k, d in [(w, r), *[(v + step * b, mul(c, m)) for b, m in row]]:
             old = get(k)
             if old is None:
                 terms[k] = d

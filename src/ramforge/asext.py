@@ -43,10 +43,10 @@ from .errors import (
 )
 from .ramfilt import admissible_check
 
-# A reduction step adds up to p terms and the binomial table has ~p^2 entries,
-# so the tower cost grows with p: in process on a shared 2-vCPU VM,
-# `tower --p 251 --j 1 --F x^-300` takes ~20 ms cold (mostly the table) and
-# ~2-3 ms warm; at p = 1009 the cold run takes ~0.3 s.
+# A reduction step adds up to p terms, and each binomial row it reads has up
+# to p - 1 entries, built on first use, so the tower cost grows with p: in
+# process on a shared 2-vCPU VM, `tower --p 251 --j 1 --F x^-300` takes
+# ~6 ms cold and ~3 ms warm.
 MAX_EXT_P = 251
 
 

@@ -25,7 +25,6 @@ from .algebra import require_prime
 from .ramfilt import (
     Filtration,
     InertiaShape,
-    _fraction,
     json_typed,
     parse_rational,
     reject_unknown_keys,
@@ -45,7 +44,7 @@ class BranchPoint(Filtration):
         breaks = []
         for i, s in enumerate(upper_jumps, 1):
             if type(s) is not Fraction:
-                s = _fraction(s, f"upper jump {i}")
+                s = parse_rational(s, "upper jump", i) if isinstance(s, str) else Fraction(s)
             if breaks and breaks[-1][0] == s:
                 breaks[-1][1] += 1
             else:
@@ -64,7 +63,7 @@ def branch_from_dict(d: dict) -> BranchPoint:
         reject_unknown_keys(d, ("p", "e", "m", "upper_jumps"), "branch point")
         shape = shape_from_dict(d)
         listed = json_typed(d.get("upper_jumps", []), list, '"upper_jumps"')
-        jumps = tuple(parse_rational(s, f"upper jump {i}") for i, s in enumerate(listed, 1))
+        jumps = tuple(parse_rational(s, "upper jump", i) for i, s in enumerate(listed, 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad branch point object: {exc}") from exc
     bp = BranchPoint(shape, jumps)

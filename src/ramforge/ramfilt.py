@@ -83,16 +83,19 @@ class Filtration:
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
 
     def __init__(self, shape: InertiaShape, breaks):
-        bs = tuple((c if type(c) is Fraction else _fraction(c, f"break {i}"), int(l))
-                   for i, (c, l) in enumerate(breaks, 1))
         p, m = shape.p, shape.m
         cap = m * 2**64
-        den = 1
-        for i, (c, _) in enumerate(bs, 1):
+        bs, den = [], 1
+        for i, (c, l) in enumerate(breaks, 1):
+            if type(c) is not Fraction:
+                c = parse_rational(c, "break", i) if isinstance(c, str) else Fraction(c)
+            l = int(l)
             den = math.lcm(den, c.denominator)
             if den > cap:
                 raise ValueError(f"break {i}: the lcm of the break denominators exceeds "
                                  "the bound m*2^64")
+            bs.append((c, l))
+        bs = tuple(bs)
         upper, lower, slope = [0], [0], [m]
         u0, j, s, mults, problems = 0, 0, m, 0, []
         for c, l in bs:
@@ -150,7 +153,7 @@ def psi(filt: Filtration, c) -> Fraction:
     dropped so far, i.e. the index of the break's group in the inertia group.
     """
     if type(c) is not Fraction:
-        c = _fraction(c, "psi argument")
+        c = parse_rational(c, "psi argument") if isinstance(c, str) else Fraction(c)
     a, b = c.numerator, c.denominator
     if a < 0:
         raise ValueError(f"psi argument must be >= 0, got {c}")
@@ -164,7 +167,8 @@ def psi(filt: Filtration, c) -> Fraction:
 def phi(filt: Filtration, cprime) -> Fraction:
     """Exact inverse of psi."""
     if type(cprime) is not Fraction:
-        cprime = _fraction(cprime, "phi argument")
+        cprime = (parse_rational(cprime, "phi argument") if isinstance(cprime, str)
+                  else Fraction(cprime))
     a, b = cprime.numerator, cprime.denominator
     if a < 0:
         raise ValueError(f"phi argument must be >= 0, got {cprime}")
@@ -434,29 +438,25 @@ def random_filtration(
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(value, field: str) -> Fraction:
+def parse_rational(value, field: str, index: int = 0) -> Fraction:
     """The wire rational value, an ASCII string -?[0-9]+(/[0-9]+)?, as a
-    Fraction; ValueError naming the field on anything else, a zero
-    denominator or a numeral past Python's int string-conversion limit."""
+    Fraction; ValueError on anything else, a zero denominator or a numeral
+    past Python's int string-conversion limit, naming the field and, when
+    given, its 1-based index (formatted only then)."""
     match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
     if match is None:
-        raise ValueError(f"{field}: {value!r} is not an integer or num/den string")
-    num, den = match.groups()
-    try:
-        num, den = int(num), int(den) if den else 1
-    except ValueError:  # the pattern matched, so only int()'s digit limit is left
-        raise ValueError(f"{field}: a numeral has more than "
-                         f"{sys.get_int_max_str_digits()} digits") from None
-    if not den:
-        raise ValueError(f"{field}: {value!r} has a zero denominator")
-    return Fraction(num, den)
-
-
-def _fraction(value, field: str) -> Fraction:
-    """A library argument as a Fraction: a string by the wire grammar of
-    `parse_rational`, naming the field when it fails; anything else through
-    Fraction()."""
-    return parse_rational(value, field) if isinstance(value, str) else Fraction(value)
+        problem = f"{value!r} is not an integer or num/den string"
+    else:
+        num, den = match.groups()
+        try:
+            num, den = int(num), int(den) if den else 1
+        except ValueError:  # the pattern matched, so only int()'s digit limit is left
+            problem = f"a numeral has more than {sys.get_int_max_str_digits()} digits"
+        else:
+            if den:
+                return Fraction(num, den)
+            problem = f"{value!r} has a zero denominator"
+    raise ValueError(f"{field} {index}: {problem}" if index else f"{field}: {problem}")
 
 
 def json_typed(value, kind: type, field: str):

@@ -13,7 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramforge import asext, grids
+from ramforge import aschreier, asext, grids
 from ramforge.algebra import (
     INFINITY,
     FieldElement,
@@ -301,6 +301,31 @@ def test_ext_as_reduce_agrees_with_the_element_engine_at_the_largest_p():
         red = ext_as_reduce(F)
         assert (red.reduced, red.jump, red.substitution) == element_ext_as_reduce(F)
         assert (red.jump, len(red.substitution.terms)) == (jump, steps)
+
+
+LINE_PRIME = 2**64 - 59  # the largest prime below 2^64
+
+
+def test_line_reduction_reads_no_binomial_rows(monkeypatch, capsys):
+    # the line's kills all have y-degree 0, so a field near 2^64 costs what
+    # F_2 does; a Pascal table mod p would not fit in memory there
+    def no_rows(p):
+        raise AssertionError(f"binomial rows built for the line over F_{p}")
+
+    monkeypatch.setattr(aschreier, "_binomial_rows", no_rows)
+    F = FieldSpec(LINE_PRIME)
+    for text, reduced, conductor, h in [
+            (f"x^-{LINE_PRIME}", "x^-1", 1, "x^-1"),
+            (f"x^-{LINE_PRIME} + 2*x^-1", "3*x^-1", 1, "x^-1"),
+            ("x^-5 + 1", "x^-5 + 1", 5, "0")]:
+        red = as_reduce(parse_laurent(F, text))
+        assert (format_laurent(red.f_reduced), red.conductor,
+                format_laurent(red.substitution)) == (reduced, conductor, h)
+    assert main(["reduce", "--p", "65537", "x^-131074 + 5*x^-3"]) == 0
+    assert capsys.readouterr().out == (
+        "f_reduced: 5*x^-3 + x^-2\nconductor: 3\nsubstitution: x^-2\n")
+    assert main(["conductor", "--p", "65537", "x^-65537 + x^-2"]) == 0
+    assert capsys.readouterr().out == "conductor: 2\n"
 
 
 WEIGHT_SPECS = {p: FieldSpec(p) for p in (2, 3, 5, 7, MAX_EXT_P)}
