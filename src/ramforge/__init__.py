@@ -21,11 +21,9 @@ from .aschreier import (
     UNRAMIFIED,
     ASReduced,
     Connectedness,
-    action_add,
     action_connectedness,
     as_conductor,
     as_deform,
-    as_genus_affine_line,
     as_reduce,
 )
 from .asext import (

@@ -414,8 +414,8 @@ class FieldSpec:
     arithmetic on them once per (p, n), and `fmt` is their text form.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "frobenius_matrix", "inv_frobenius_matrix",
-                 "add", "sub", "neg", "mul", "inv", "frob", "root", "fmt")
+    __slots__ = ("p", "n", "q", "modulus", "add", "sub", "neg", "mul", "inv", "frob", "root",
+                 "fmt")
 
     def __init__(self, p: int, n: int = 1):
         require_prime(p)
@@ -427,7 +427,6 @@ class FieldSpec:
         self.n = n
         self.q = p**n
         self.modulus = canonical_modulus(p, n)
-        self.frobenius_matrix, self.inv_frobenius_matrix = _frobenius_matrices(p, n)
         (self.add, self.sub, self.neg, self.mul, self.inv,
          self.frob, self.root) = _kernels(p, n)
         self.fmt = _formatter(p, n)
@@ -693,14 +692,7 @@ class LaurentPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers of Laurent polynomials are not defined")
-        acc = LaurentPoly.x_pow(self.spec, 0)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return _power(LaurentPoly.__mul__, LaurentPoly.x_pow(self.spec, 0), self, k)
 
     def frobenius(self) -> "LaurentPoly":
         """p-th power: coefficients to the p, exponents times p."""
@@ -732,7 +724,7 @@ MAX_EXPONENT = 2**64
 # scalar or, with neither, a lookahead for the x power; then the optional x
 # power.  A term is an optional sign and a body.  `_TERMS_RE` captures
 # (sign, vector, scalar, x, exponent); a vector's components are checked as
-# they are read.
+# they are read, and by `_VECTOR_RE` when one fails.
 _BODY = (r"(?:({0}\[[-0-9,]*\])|({0}[0-9]+)|(?=\*?x))"
          r"(?:\*?({0}x)(?:\^({0}[+-]?[0-9]+))?)?")
 _TERMS_RE = re.compile("([+-]?)" + _BODY.format(""))
@@ -741,59 +733,11 @@ _TERMS_RE = re.compile("([+-]?)" + _BODY.format(""))
 # nothing after a repetition can fail, so the engine never backtracks into
 # earlier terms.
 _GRAMMAR_RE = re.compile("[+-]?{0}(?:[+-]{0})*".format(_BODY.format("?:")))
-# One term as the grammar's error messages describe it: any bracketed text
-# is a vector, and its components must match _VECTOR_RE.
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-])?(?P<coeff>\[(?P<vec>[^\[\]]*)\]|[0-9]+)?"
-    r"(?:\*?(?P<x>x)(?:\^(?P<exp>[+-]?[0-9]+))?)?"
-)
 _VECTOR_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _length_error(length: int, n: int) -> ParseError:
     return ParseError(f"coefficient vector of length {length} in a degree-{n} field")
-
-
-def _vector_error(coeff: str) -> ParseError | None:
-    """The error for the bracketed vector coeff with bad components, or None."""
-    parts = coeff[1:-1].split(",")
-    if "" in parts:
-        return ParseError(f"empty component in coefficient vector {coeff!r}")
-    if not _VECTOR_RE.fullmatch(coeff, 1, len(coeff) - 1):
-        return ParseError(f"bad coefficient vector {coeff!r}")
-    return None
-
-
-def _bad_term(s: str, text: str, pos: int) -> ParseError:
-    """The error for the term at pos of the stripped text s, the first term
-    `_GRAMMAR_RE` does not match."""
-    m = _TERM_RE.match(s, pos)
-    sign, coeff, vec, x = m.group("sign", "coeff", "vec", "x")
-    if coeff is None and x is None and s.startswith(("+", "-"), m.end()):
-        return ParseError(f"sign follows a sign in {s!r}")
-    if vec is None or (pos and sign is None):
-        return ParseError(f"bad term {s[pos:]!r} in {text!r}")
-    return _vector_error(coeff)
-
-
-def _term_error(k: int, n: int, vec: str) -> ParseError:
-    """The error of term k, whose fast read failed, with the bracketed
-    vector vec or ''.  The checks run in the grammar's order: the vector's
-    components, their numerals, its length, then the exponent's numeral."""
-    if vec:
-        if error := _vector_error(vec):
-            return error
-        parts = vec[1:-1].split(",")
-        if len(parts) > n:
-            try:
-                for d in parts:
-                    int(d)
-            except ValueError:  # each component is -?[0-9]+: only the digit limit is left
-                pass
-            else:
-                return _length_error(len(parts), n)
-    return ParseError(f"term {k}: a numeral has more than "
-                      f"{sys.get_int_max_str_digits()} digits")
 
 
 def _parse_ints(spec: FieldSpec, text: str) -> dict:
@@ -809,23 +753,32 @@ def _parse_ints(spec: FieldSpec, text: str) -> dict:
         try:
             if vec:
                 parts = vec[1:-1].split(",")
-                if len(parts) > n:
-                    raise _term_error(k, n, vec)
+                if len(parts) > n:  # its components are checked before its length
+                    for d in parts:
+                        int(d)
+                    raise _length_error(len(parts), n)
                 c = 0
                 for d in reversed(parts):  # Horner; int() rejects '' and misplaced '-'
                     c = c * p + int(d) % p
             else:
                 c = int(num) % p if num else 1
             e = int(exp) if exp else 1 if x else 0
+        except ParseError:  # the length error
+            raise
         except ValueError:
-            raise _term_error(k, n, vec) from None
+            if vec and not _VECTOR_RE.fullmatch(vec, 1, len(vec) - 1):
+                # a malformed vector: the read ends where its term starts
+                end = list(_TERMS_RE.finditer(s, 0, end))[k - 1].start()
+                break
+            raise ParseError(f"term {k}: a numeral has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
         if not -MAX_EXPONENT <= e <= MAX_EXPONENT:
             raise ParseError(f"term {k}: exponent outside the bound |e| <= 2^64")
         if sign == "-":
             c = neg(c)
         terms[e] = add(terms[e], c) if e in terms else c
     if end < len(s):
-        raise _bad_term(s, text, end)
+        raise ParseError(f"bad term {s[end:]!r} in {text!r}")
     return {e: c for e, c in terms.items() if c}
 
 
@@ -840,8 +793,8 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     exponents signed ``[0-9]+`` with |e| <= 2^64; only ASCII digits are
     accepted.  One regex match finds the longest prefix of valid terms and
     one `findall` reads them, left to right, so a numeral or vector-length
-    error names the first term that has one; a malformed term after them
-    is then described by `_bad_term`.
+    error names the first term that has one; a term the grammar does not
+    match or a malformed vector stops the read: ``bad term REST in TEXT``.
     """
     return LaurentPoly._trusted(spec, _parse_ints(spec, text))
 

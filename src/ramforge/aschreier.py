@@ -188,16 +188,6 @@ def as_conductor(f):
     return as_reduce(f).conductor
 
 
-def as_genus_affine_line(p: int, j: int) -> int:
-    """Genus of the smooth projective model of y^p - y = f(x) with deg f = j."""
-    if j < 1 or j % p == 0:
-        raise InvalidJump(f"conductor {j} must be positive and prime to {p}")
-    num = (p - 1) * (j - 1)
-    if num % 2:
-        raise InvariantViolation(f"(p-1)(j-1) = {num} is odd")
-    return num // 2
-
-
 def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
     """Add the dominating pole t0*x^(-s); the result has conductor exactly s."""
     spec = f.spec
@@ -217,11 +207,6 @@ def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
     if as_conductor(out) != s:
         raise InvariantViolation("deformed cover does not have the target conductor")
     return out
-
-
-def action_add(f_phi: LaurentPoly, f_alpha: LaurentPoly) -> LaurentPoly:
-    """Group action at equation level: add the right-hand sides."""
-    return f_phi + f_alpha
 
 
 def action_connectedness(f_phi: LaurentPoly, f_alpha: LaurentPoly) -> Connectedness:

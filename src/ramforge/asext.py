@@ -32,6 +32,7 @@ from .algebra import (
     LaurentPoly,
     _parse_ints,
     _plus,
+    _power,
     format_laurent,
 )
 from .aschreier import UNRAMIFIED, _certify, _pow_p, _reduce_terms, _Unramified
@@ -146,14 +147,7 @@ class ExtElement:
 
     @classmethod
     def y_pow(cls, ext: ExtFieldSpec, k: int) -> "ExtElement":
-        acc = cls.x_pow(ext, 0)
-        base = cls.y(ext)
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return _power(cls.__mul__, cls.x_pow(ext, 0), cls.y(ext), k)
 
     @property
     def terms(self) -> dict:

@@ -53,7 +53,11 @@ def _parse_seq(text: str, flag: str) -> tuple[int, ...]:
     seq = text.replace(" ", "")
     if not re.fullmatch(r"[0-9]+(?:,[0-9]+)*", seq):
         raise InputError(f"{flag}: {text!r} is not a comma-separated list of integers")
-    return tuple(map(int, seq.split(",")))
+    try:
+        return tuple(map(int, seq.split(",")))
+    except ValueError:  # the pattern matched, so only int()'s digit limit is left
+        raise InputError(f"{flag}: a numeral has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _load_json(text: str, what: str):
@@ -304,7 +308,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

@@ -3,6 +3,11 @@
 Input problems (bad flags, violated preconditions) exit the CLI with
 status 2; invariant violations, which signal a library bug or data that is
 arithmetically inconsistent, exit with status 3.
+
+`InputError` is a `ValueError`, and the CLI catches `ValueError`, not
+`InputError` alone: Python's own `ValueError`s must exit 2 as well, e.g.
+`genus` with 3,000-digit `--G` and `--gx`, whose ~6,000-digit genus fails
+`str()` at the int conversion digit limit while the result is rendered.
 """
 
 
@@ -10,7 +15,7 @@ class RamforgeError(Exception):
     """Base class for all library errors."""
 
 
-class InputError(RamforgeError):
+class InputError(RamforgeError, ValueError):
     """A caller-supplied value violates a documented precondition."""
 
 

@@ -11,6 +11,7 @@ from ramforge.algebra import (
     FieldElement,
     FieldSpec,
     LaurentPoly,
+    _frobenius_matrices,
     artin_schreier,
     canonical_modulus,
     format_laurent,
@@ -27,6 +28,11 @@ F5 = FieldSpec(5)
 
 def L(spec, text):
     return parse_laurent(spec, text)
+
+
+def exactly(message):
+    """A `pytest.raises` pattern that matches exactly this message."""
+    return "^" + re.escape(message) + "$"
 
 
 # ---------------------------------------------------------------- field spec
@@ -137,13 +143,13 @@ def test_inverse_frobenius_matrix_inverts_frobenius(pn):
     # column k of the Frobenius matrix: coordinates of (x^k)^p, by repeated products
     cols = [(b**p).coords for b in basis]
     frob = [[col[r] for col in cols] for r in range(n)]
-    inv = spec.inv_frobenius_matrix
+    matrix, inv = _frobenius_matrices(p, n)
     product = [
         [sum(inv[r][i] * frob[i][c] for i in range(n)) % p for c in range(n)]
         for r in range(n)
     ]
     assert product == [[int(r == c) for c in range(n)] for r in range(n)]
-    assert [list(row) for row in spec.frobenius_matrix] == frob
+    assert [list(row) for row in matrix] == frob
 
 
 def test_field_inverse_and_axioms_f9():
@@ -282,7 +288,7 @@ def test_constructor_rejects_float_coefficients():
 def test_element_constructor_rejects_int_forms_out_of_range(spec, v):
     # 7 used to print as "7 in F_3" and 300 as a 9-digit vector over F_2^8
     message = f"int form {v} of an element of {spec} is not in 0..{spec.q - 1}"
-    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+    with pytest.raises(ValueError, match=exactly(message)):
         FieldElement(spec, v)
     assert FieldElement(spec, spec.q - 1) == spec.element([spec.p - 1] * spec.n)
 
@@ -395,34 +401,34 @@ def test_parse_errors():
 
 
 def test_parse_rejects_empty_vector_component():
-    with pytest.raises(ParseError, match="empty component"):
+    with pytest.raises(ParseError, match=exactly("bad term '[1,,1]*x^-3' in '[1,,1]*x^-3'")):
         L(FieldSpec(2, 3), "[1,,1]*x^-3")
 
 
 def test_parse_rejects_doubled_plus():
-    with pytest.raises(ParseError, match="sign follows a sign"):
+    with pytest.raises(ParseError, match=exactly("bad term '++x' in 'x^-3 ++ x'")):
         L(F3, "x^-3 ++ x")
 
 
 def test_parse_rejects_sign_after_sign():
-    with pytest.raises(ParseError, match="sign follows a sign"):
+    with pytest.raises(ParseError, match=exactly("bad term '+-x' in 'x^-3 + - x'")):
         L(F3, "x^-3 + - x")
 
 
 @pytest.mark.parametrize(
     "spec,text,message",
     [
-        (FieldSpec(2, 3), "[1_1,0]*x^-3", "bad coefficient vector"),
-        (FieldSpec(2, 3), "[+1,0,0]*x^-3", "bad coefficient vector"),
-        (FieldSpec(2, 3), "[\u0661,0]*x^-3", "bad coefficient vector"),
-        (F5, "\u0663*x^-3", "bad term"),
-        (F5, "x^-\u0663", "bad term"),
+        (FieldSpec(2, 3), "[1_1,0]*x^-3", "bad term '[1_1,0]*x^-3' in '[1_1,0]*x^-3'"),
+        (FieldSpec(2, 3), "[+1,0,0]*x^-3", "bad term '[+1,0,0]*x^-3' in '[+1,0,0]*x^-3'"),
+        (FieldSpec(2, 3), "[\u0661,0]*x^-3", "bad term '[\u0661,0]*x^-3' in '[\u0661,0]*x^-3'"),
+        (F5, "\u0663*x^-3", "bad term '\u0663*x^-3' in '\u0663*x^-3'"),
+        (F5, "x^-\u0663", "bad term '^-\u0663' in 'x^-\u0663'"),
     ],
     ids=["underscore-component", "plus-component", "unicode-component",
          "unicode-scalar", "unicode-exponent"],
 )
 def test_parse_accepts_only_ascii_decimal_digits(spec, text, message):
-    with pytest.raises(ParseError, match=message):
+    with pytest.raises(ParseError, match=exactly(message)):
         L(spec, text)
 
 

@@ -9,11 +9,9 @@ from ramforge.algebra import FieldSpec, LaurentPoly, artin_schreier, parse_laure
 from ramforge.aschreier import (
     UNRAMIFIED,
     Connectedness,
-    action_add,
     action_connectedness,
     as_conductor,
     as_deform,
-    as_genus_affine_line,
     as_reduce,
 )
 from ramforge.errors import (
@@ -23,6 +21,8 @@ from ramforge.errors import (
     SplitInput,
     ZeroParameter,
 )
+from ramforge.genus import BranchPoint, CoverData, branch_from_dict, rh_genus
+from ramforge.ramfilt import InertiaShape
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -143,17 +143,25 @@ def test_wp_invariance():
 
 # --------------------------------------------------------------- genus on A1
 
+def affine_line_genus(p, j):
+    """rh_genus of y^p - y = f with deg f = j: one Z/p point with jump j."""
+    return rh_genus(CoverData(p, 0, (BranchPoint(InertiaShape(p, 1, 1), (j,)),)))
+
+
 def test_genus_affine_line_values():
-    assert as_genus_affine_line(3, 4) == 3
-    assert as_genus_affine_line(2, 1) == 0
-    assert as_genus_affine_line(5, 3) == 4
+    assert affine_line_genus(3, 4) == 3
+    assert affine_line_genus(2, 1) == 0
+    assert affine_line_genus(5, 3) == 4
+    for p, j in [(2, 7), (3, 5), (7, 9)]:
+        assert affine_line_genus(p, j) == (p - 1) * (j - 1) // 2
 
 
 def test_genus_affine_line_rejects_p_dividing_j():
-    with pytest.raises(InvalidJump):
-        as_genus_affine_line(3, 6)
-    with pytest.raises(InvalidJump):
-        as_genus_affine_line(2, 0)
+    message = "^invalid branch point: break 6: lower jump 6 divisible by 3$"
+    with pytest.raises(ValueError, match=message):
+        branch_from_dict({"p": 3, "e": 1, "upper_jumps": ["6"]})
+    with pytest.raises(ValueError):
+        branch_from_dict({"p": 2, "e": 1, "upper_jumps": ["0"]})
 
 
 # --------------------------------------------------------------- deformation
@@ -198,18 +206,18 @@ def test_deform_from_split_cover():
 def test_action_identity_and_inverse():
     f = L(F3, "x^-4 + x^-1")
     zero = LaurentPoly.zero(F3)
-    assert action_add(f, zero) == f
+    assert f + zero == f
     inv = f.scale(F3.scalar(2))  # (p-1) * f is the inverse in characteristic 3
-    assert as_conductor(action_add(f, inv)) is UNRAMIFIED
+    assert as_conductor(f + inv) is UNRAMIFIED
 
 
 def test_action_ultrametric_dominance():
-    assert as_conductor(action_add(L(F2, "x^-3"), L(F2, "x^-5"))) == 5
+    assert as_conductor(L(F2, "x^-3") + L(F2, "x^-5")) == 5
 
 
 def test_action_field_mismatch():
     with pytest.raises(FieldMismatch):
-        action_add(L(F2, "x^-1"), L(F3, "x^-1"))
+        L(F2, "x^-1") + L(F3, "x^-1")
 
 
 def test_action_group_law():
@@ -219,11 +227,11 @@ def test_action_group_law():
         f1 = _random_laurent(rng, F3)
         f2 = _random_laurent(rng, F3)
         f3 = _random_laurent(rng, F3)
-        lhs = action_add(action_add(f1, f2), f3)
-        rhs = action_add(f1, action_add(f2, f3))
+        lhs = (f1 + f2) + f3
+        rhs = f1 + (f2 + f3)
         assert lhs == rhs
-        assert action_add(f1, f2) == action_add(f2, f1)
-        assert action_add(f1, zero) == f1
+        assert f1 + f2 == f2 + f1
+        assert f1 + zero == f1
 
 
 def test_action_ultrametric_exhaustive_grid():

@@ -10,7 +10,11 @@ The second is the per-term scan: one term regex matched term by term from
 the left, each term checked and folded before the next is matched.  The
 library now reads the whole text with one grammar regex and one `findall`;
 it must give the same value, or the same exception type and message, on
-every string.
+every string.  Wherever the scan stops at a term it cannot read (a term
+the grammar does not match, a sign after a sign, a malformed or empty
+vector component) the message is ``bad term REST in TEXT``, REST being the
+text from that term on; the numeral, vector-length and exponent errors
+name the term by its number.
 
 Also here: the round-trip fuzz targets, parsing the canonical text form is
 the identity for Laurent polynomials and for tower extension elements.
@@ -127,7 +131,9 @@ SCAN_TERM_RE = re.compile(
 
 def scan_parse_laurent(spec, text):
     """The per-term scan, plus the exponent bound |e| <= 2^64 that the
-    library added to it, at the same point of the same term."""
+    library added to it, at the same point of the same term.  A sign after
+    a sign, an empty vector component and a malformed vector are each a
+    `bad term` from where the failing term starts, as in the library."""
     s = "".join(text.split())
     if not s:
         raise ParseError("empty Laurent polynomial")
@@ -138,16 +144,11 @@ def scan_parse_laurent(spec, text):
         m = SCAN_TERM_RE.match(s, pos)
         k += 1
         sign, coeff, vec, x, exp = m.groups()
-        if coeff is None and x is None and s.startswith(("+", "-"), m.end()):
-            raise ParseError(f"sign follows a sign in {s!r}")
-        if (pos and sign is None) or (coeff is None and x is None):
+        if ((pos and sign is None) or (coeff is None and x is None)
+                or (vec is not None and not REF_VECTOR_RE.fullmatch(vec))):
             raise ParseError(f"bad term {s[pos:]!r} in {text!r}")
         if vec is not None:
             parts = vec.split(",")
-            if "" in parts:
-                raise ParseError(f"empty component in coefficient vector {coeff!r}")
-            if not REF_VECTOR_RE.fullmatch(vec):
-                raise ParseError(f"bad coefficient vector {coeff!r}")
             coords = [int(d) % p for d in parts]
             if len(coords) > n:
                 raise ParseError(f"coefficient vector of length {len(coords)} "
@@ -301,6 +302,7 @@ def test_error_order_across_and_within_terms(text):
     ("x^-" + "1" * 4301, "term 1: a numeral has more than 4300 digits"),
     ("x + x + [1," + "1" * 5000 + "]", "term 3: a numeral has more than 4300 digits"),
     ("[1,1,1," + "1" * 5000 + "]", "term 1: a numeral has more than 4300 digits"),
+    ("[1," + "1" * 4301 + "]", "term 1: a numeral has more than 4300 digits"),
 ])
 def test_exponents_and_numerals_are_bounded(text, message):
     with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
@@ -333,10 +335,19 @@ def test_adversarial_inputs_fail_fast(text):
     ("+", "+"),
     ("x^-3 +", "+"),
     ("x2", "2"),
+    ("[1,,1]*x^-3", "[1,,1]*x^-3"),
+    ("x^-3 ++ x", "++x"),
+    ("x^-3 + - x", "+-x"),
+    ("[1_1,0]*x^-3", "[1_1,0]*x^-3"),
+    ("[--1]*x", "[--1]*x"),
+    ("x + [1,,1]*x", "+[1,,1]*x"),
+    ("[1,," + "1" * 4301 + "]", "[1,," + "1" * 4301 + "]"),
 ])
 def test_former_bracket_and_empty_term_errors_are_bad_terms(text, rest):
     # the chunking parser said "unbalanced '['", "unbalanced ']'" or "empty
-    # term", or quoted the whole chunk; the scan quotes the unparsed rest
+    # term", or quoted the whole chunk; the scan said "empty component",
+    # "bad coefficient vector" or "sign follows a sign" for the vectors and
+    # signs.  Now each quotes the unparsed rest from the failing term on.
     with pytest.raises(ParseError, match="^" + re.escape(f"bad term {rest!r} in {text!r}") + "$"):
         parse_laurent(FIELDS[2], text)
 

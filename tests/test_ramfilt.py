@@ -351,6 +351,8 @@ def test_tower_plan_errors():
         tower_plan((1, 2), (3, 8), 2)
     with pytest.raises(LengthMismatch):
         tower_plan((1,), (3, 7), 2)
+    with pytest.raises(ValueError):  # every input error is a ValueError
+        tower_plan((1, 4), (3, 7), 2)
 
 
 def test_tower_plan_final_level_reproduces_target():
