@@ -395,14 +395,22 @@ def _kernels(p: int, n: int) -> tuple:
             times, inv, linear(frob), linear(root))
 
 
+@lru_cache(maxsize=None)
 def _formatter(p: int, n: int):
     """The text form of an int form: the int itself over F_p, else the
-    coordinate vector [c0,c1,...], lowest degree first."""
+    coordinate vector [c0,c1,...], lowest degree first: the bits of v for
+    p = 2, where `_kernels` tables the field an index into all q vectors in
+    increasing v (`product` yields the digits highest first), else the digits
+    one by one."""
     if n == 1:
         return str
     if p == 2:  # the digits are the bits, lowest first
         bits = f"0{n}b"
         return lambda v: "[" + ",".join(format(v, bits)[::-1]) + "]"
+    if p**n <= ZECH_MAX_Q:
+        digits = [str(c) for c in range(p)]
+        return tuple("[" + ",".join(cs[::-1]) + "]"
+                     for cs in itertools.product(digits, repeat=n)).__getitem__
     return lambda v: "[" + ",".join(map(str, _digits(v, p, n))) + "]"
 
 
@@ -746,12 +754,18 @@ def _parse_ints(spec: FieldSpec, text: str) -> dict:
     if not s:
         raise ParseError("empty Laurent polynomial")
     p, n, add, neg = spec.p, spec.n, spec.add, spec.neg
+    digits = "0123456789"[:p] if p <= 36 else ""  # int(d, p) takes bases up to 36
     m = _GRAMMAR_RE.match(s)
     end = m.end() if m else 0
     terms: dict[int, int] = {}
     for k, (sign, vec, num, x, exp) in enumerate(_TERMS_RE.findall(s, 0, end), 1):
         try:
-            if vec:
+            # at most n components, each one base-p digit: one int() call on
+            # the characters at the odd offsets, highest first
+            if (vec and not (d := vec[-2:0:-2]).strip(digits)
+                    and vec.count(",") == len(d) - 1 < n and len(vec) == 2 * len(d) + 1):
+                c = int(d, p)
+            elif vec:
                 parts = vec[1:-1].split(",")
                 if len(parts) > n:  # its components are checked before its length
                     for d in parts:
@@ -795,6 +809,10 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     one `findall` reads them, left to right, so a numeral or vector-length
     error names the first term that has one; a term the grammar does not
     match or a malformed vector stops the read: ``bad term REST in TEXT``.
+    A vector of at most n one-digit components, each a base-p digit (so
+    p <= 36), is read by one ``int(digits, p)`` call on its digits highest
+    first; every other vector is split at its commas and folded by Horner
+    with each component taken mod p, which yields the same value or error.
     """
     return LaurentPoly._trusted(spec, _parse_ints(spec, text))
 

@@ -299,14 +299,21 @@ def tower_jumps(F: ExtElement) -> tuple[int, int]:
 
 
 def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
-    """Parse `;`-separated Laurent coefficients in increasing y-degree."""
+    """Parse `;`-separated Laurent coefficients in increasing y-degree.
+
+    Each coefficient is read without its surrounding whitespace, and its
+    error names its y-degree: ``coefficient of y^i: MESSAGE``.
+    """
     segments = text.split(";")
     if len(segments) > ext.p:
         raise ParseError(f"more than {ext.p} coefficients in {text!r}")
-    return ExtElement._trusted(ext, {
-        (e, i): v for i, seg in enumerate(segments)
-        for e, v in _parse_ints(ext.field, seg).items()
-    })
+    ints = {}
+    for i, seg in enumerate(segments):
+        try:
+            ints.update(((e, i), v) for e, v in _parse_ints(ext.field, seg.strip()).items())
+        except ParseError as exc:
+            raise ParseError(f"coefficient of y^{i}: {exc}") from None
+    return ExtElement._trusted(ext, ints)
 
 
 def format_ext(F: ExtElement) -> str:

@@ -5,9 +5,9 @@ status 2; invariant violations, which signal a library bug or data that is
 arithmetically inconsistent, exit with status 3.
 
 `InputError` is a `ValueError`, and the CLI catches `ValueError`, not
-`InputError` alone: Python's own `ValueError`s must exit 2 as well, e.g.
-`genus` with 3,000-digit `--G` and `--gx`, whose ~6,000-digit genus fails
-`str()` at the int conversion digit limit while the result is rendered.
+`InputError` alone: some preconditions (`FieldSpec`'s field size,
+`CoverData`'s positive group order) raise a plain `ValueError`, and those
+must exit 2 as well.
 """
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import (
     InconsistentInput,
+    InputError,
     InvalidJump,
     InvariantViolation,
     NotLarger,
@@ -84,8 +85,12 @@ class CoverData:
         object.__setattr__(self, "branch", tuple(self.branch))
         if self.group_order < 1:
             raise ValueError("group order must be positive")
+        if self.group_order > 2**64:
+            raise InputError("group order exceeds the bound |G| <= 2^64")
         if self.g_X < 0:
             raise ValueError("base genus must be >= 0")
+        if self.g_X > 2**64:
+            raise InputError("base genus exceeds the bound g_X <= 2^64")
         for bp in self.branch:
             if self.group_order % bp.shape.order:
                 raise ValueError(

@@ -295,9 +295,11 @@ def test_bad_laurent_exits_2(capsys):
          "bad term '[1,,1]*x^-3' in '[1,,1]*x^-3'"),
         (["conductor", "--p", "3", "x^-3 ++ x"], "bad term '++x' in 'x^-3 ++ x'"),
         (["tower", "--p", "3", "--j", "1", "--F", "x^-3 + - x ; 0"],
-         "bad term '+-x' in 'x^-3 + - x '"),
+         "coefficient of y^0: bad term '+-x' in 'x^-3 + - x'"),
+        (["tower", "--p", "2", "--n", "3", "--j", "1", "--F", "x^-3 ; x^-3 ++ x"],
+         "coefficient of y^1: bad term '++x' in 'x^-3 ++ x'"),
     ],
-    ids=["empty-component", "doubled-sign", "sign-after-sign"],
+    ids=["empty-component", "doubled-sign", "sign-after-sign", "tower-y-degree"],
 )
 def test_malformed_laurent_exits_2(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -472,7 +474,7 @@ def test_grid_with_failing_rows_exits_3(capsys, monkeypatch):
         (["conductor", "--p", "2", "--n", "3", "x^-3 + [1,%s]*x^-5" % ("1" * 5000)],
          "term 2: a numeral has more than 4300 digits"),
         (["tower", "--p", "3", "--j", "1", "--F", "x^-4 ; %s*x^-4" % ("2" * 4301)],
-         "term 1: a numeral has more than 4300 digits"),
+         "coefficient of y^1: term 1: a numeral has more than 4300 digits"),
         (["admissible", "--p", "2", "--check", "1" * 5000],
          "--check: a numeral has more than 4300 digits"),
         (["plan", "--p", "2", "--start", "1,2", "--target", "3," + "7" * 4301],
@@ -572,7 +574,7 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
         (["conductor", "--p", "3", "x^-1 + x^" + str(2**64 + 1)],
          "term 2: exponent outside the bound |e| <= 2^64"),
         (["tower", "--p", "2", "--j", "1", "--F", "x^-5 ; x^-%d" % 2**65],
-         "term 1: exponent outside the bound |e| <= 2^64"),
+         "coefficient of y^1: term 1: exponent outside the bound |e| <= 2^64"),
         (["deform", "--p", "2", "--s", "1180591620717411303425", "--t0", "1", "--", "x^-3"],
          "target conductor exceeds the bound s <= 2^64"),
         (["deform", "--p", "3", "--s", "7" * 4000, "--", "x^-1"],
@@ -610,8 +612,18 @@ def test_bad_arguments_exit_2(capsys, argv, message):
         (["admissible", "--p", str(2**61 - 1), "--e", "1", "--bound", "1"], 0, "1\n", ""),
         (["admissible", "--p", str(2**61 + 1), "--e", "1", "--bound", "1"], 2, "",
          f"error: characteristic must be prime, got {2**61 + 1}\n"),
+        (["genus", "--G", "9" * 3000, "--gx", "9" * 3000], 2, "",
+         "error: group order exceeds the bound |G| <= 2^64\n"),
+        (["genus", "--G", "2", "--gx", "9" * 3000], 2, "",
+         "error: base genus exceeds the bound g_X <= 2^64\n"),
+        (["genus", "--G", str(2**64 + 1), "--gx", "0"], 2, "",
+         "error: group order exceeds the bound |G| <= 2^64\n"),
+        (["genus", "--G", str(2**64), "--gx", str(2**64)], 0,
+         f"genus: {2**64 * (2**64 - 1) + 1}\n", ""),
     ],
-    ids=["n-65", "p-above-2^64", "n-64", "mersenne-61", "composite-2^61+1"],
+    ids=["n-65", "p-above-2^64", "n-64", "mersenne-61", "composite-2^61+1",
+         "genus-G-3000-digits", "genus-gx-3000-digits", "genus-G-above-2^64",
+         "genus-G-gx-at-2^64"],
 )
 def test_field_and_prime_bounds_are_fast(capsys, argv, code, out, err):
     start = time.perf_counter()

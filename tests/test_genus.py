@@ -9,6 +9,7 @@ same values and raise the same errors.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ramforge.errors import (
     InconsistentInput,
+    InputError,
     InvalidJump,
     InvariantViolation,
     NotLarger,
@@ -322,6 +324,21 @@ def test_cover_data_requires_inertia_dividing_group():
     bp = BranchPoint(InertiaShape(2, 2, 1), (1, 2))
     with pytest.raises(ValueError):
         CoverData(6, 0, (bp,))
+
+
+@pytest.mark.parametrize("G,gx,message", [
+    (2**64 + 1, 0, "group order exceeds the bound |G| <= 2^64"),
+    (10**3000 - 1, 10**3000 - 1, "group order exceeds the bound |G| <= 2^64"),
+    (2, 2**64 + 1, "base genus exceeds the bound g_X <= 2^64"),
+    (2, 10**3000 - 1, "base genus exceeds the bound g_X <= 2^64"),
+])
+def test_cover_data_bounds_group_order_and_base_genus(G, gx, message):
+    with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
+        CoverData(G, gx)
+
+
+def test_cover_data_at_the_bounds():
+    assert rh_genus(CoverData(2**64, 2**64)) == 2**64 * (2**64 - 1) + 1
 
 
 def test_rh_genus_parity_identity():

@@ -17,7 +17,9 @@ text from that term on; the numeral, vector-length and exponent errors
 name the term by its number.
 
 Also here: the round-trip fuzz targets, parsing the canonical text form is
-the identity for Laurent polynomials and for tower extension elements.
+the identity for Laurent polynomials and for tower extension elements; the
+one-call read of one-digit vectors against split plus Horner; and the
+string tables of the tabled fields against the digit formula.
 """
 
 import re
@@ -26,7 +28,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramforge.algebra import FieldElement, FieldSpec, LaurentPoly, format_laurent, parse_laurent
+from ramforge.algebra import (
+    ZECH_MAX_Q,
+    FieldElement,
+    FieldSpec,
+    LaurentPoly,
+    _is_prime,
+    format_laurent,
+    parse_laurent,
+)
 from ramforge.asext import ExtElement, ExtFieldSpec, format_ext, parse_ext
 from ramforge.errors import ParseError
 
@@ -382,3 +392,74 @@ def test_parse_laurent_inverts_format_laurent(f):
 @given(ext_elements())
 def test_parse_ext_inverts_format_ext(F):
     assert parse_ext(F.ext, format_ext(F)) == F
+
+
+# ------------------------------------------ one-call vector read, table format
+
+VECTOR_FIELDS = [FieldSpec(2), FieldSpec(2, 3), FieldSpec(2, 8), FieldSpec(3), FieldSpec(3, 2),
+                 FieldSpec(3, 5), FieldSpec(5, 2), FieldSpec(7, 3), FieldSpec(11),
+                 FieldSpec(11, 2), FieldSpec(37), FieldSpec(37, 2)]
+
+
+def horner_read(spec, text):
+    """The rule the one-call read must match, for a text `[BODY]` or
+    `[BODY]*x^-3` whose BODY is drawn from [0-9,-]: split at the commas,
+    read every component by int(), then the length, then Horner mod p."""
+    body, _, suffix = text[1:].partition("]")
+    try:
+        comps = [int(d) for d in body.split(",")]
+    except ValueError:
+        raise ParseError(f"bad term {text!r} in {text!r}") from None
+    if len(comps) > spec.n:
+        raise ParseError(f"coefficient vector of length {len(comps)} "
+                         f"in a degree-{spec.n} field")
+    c = 0
+    for d in reversed(comps):
+        c = c * spec.p + d % spec.p
+    return LaurentPoly(spec, {-3 if suffix else 0: FieldElement(spec, c)})
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from(VECTOR_FIELDS), st.text("0123456789,-", max_size=14),
+       st.sampled_from(["", "*x^-3"]))
+def test_vector_read_matches_split_and_horner(spec, body, suffix):
+    text = f"[{body}]{suffix}"
+    want = full_outcome(horner_read, spec, text)
+    assert full_outcome(parse_laurent, spec, text) == want, (spec, text)
+
+
+@pytest.mark.parametrize("spec,text,value", [
+    (FieldSpec(5, 2), "[9,9]", 4 + 4 * 5),              # digits >= p are taken mod p
+    (FieldSpec(2, 3), "[1,2]", 1),
+    (FieldSpec(3, 2), "[01]", 1),                      # a multi-digit component
+    (FieldSpec(3, 2), "[-1,2]", 2 + 2 * 3),
+    (FieldSpec(3, 2), "[1,]", None),
+    (FieldSpec(3, 2), "[1,-]", None),
+    (FieldSpec(3, 2), "[1,0,1]", None),                # too long
+    (FieldSpec(5, 2), "[12,3]", 2 + 3 * 5),
+    (FieldSpec(61, 2), "[60,3]", 60 + 3 * 61),
+    (FieldSpec(37, 2), "[9,9]", 9 + 9 * 37),           # p > 36: no one-call read
+    (FieldSpec(11, 2), "[9,1]", 9 + 11),
+])
+def test_vector_read_edge_cases(spec, text, value):
+    want = full_outcome(horner_read, spec, text)
+    assert full_outcome(parse_laurent, spec, text) == want
+    if value is not None:
+        assert parse_laurent(spec, text)[0].v == value
+
+
+TABLED = [(p, n) for p in range(3, 64, 2) if _is_prime(p)
+          for n in range(2, 8) if p**n <= ZECH_MAX_Q]
+
+
+@pytest.mark.parametrize("p,n", TABLED, ids=[f"F_{p}^{n}" for p, n in TABLED])
+def test_table_format_is_the_digit_formula_and_parses_back(p, n):
+    spec = FieldSpec(p, n)
+    for v in range(spec.q):
+        coords, r = [], v
+        for _ in range(n):
+            r, c = divmod(r, p)
+            coords.append(c)
+        text = "[" + ",".join(map(str, coords)) + "]"
+        assert spec.fmt(v) == text
+        assert parse_laurent(spec, text)[0].v == v
