@@ -37,13 +37,20 @@ class BranchPoint(Filtration):
     """A Filtration built from its upper jumps, listed with multiplicity in
     ascending order: each run of equal jumps becomes one break.  A jump is
     a Fraction, a wire string -?[0-9]+(/[0-9]+)? (ValueError naming the
-    jump by its 1-based index otherwise) or anything Fraction() takes."""
+    jump by its 1-based index otherwise) or anything Fraction() takes.
+    A jump that repeats the previous one as given (the same object, or an
+    equal string) adds to the run without being read again; any other
+    jump is read, then compared with the previous break's value."""
 
     __slots__ = ()
 
     def __init__(self, shape: InertiaShape, upper_jumps=()):
-        breaks = []
+        breaks, given = [], None
         for i, s in enumerate(upper_jumps, 1):
+            if breaks and (s is given or (type(s) is type(given) is str and s == given)):
+                breaks[-1][1] += 1
+                continue
+            given = s
             if type(s) is not Fraction:
                 s = parse_rational(s, "upper jump", i) if isinstance(s, str) else Fraction(s)
             if breaks and breaks[-1][0] == s:
@@ -157,8 +164,10 @@ def rh_genus(cd: CoverData) -> int:
 def _deformation_gap(p: int, m: int, sigma, s: int) -> tuple[int, int]:
     """s/m - sigma for a deformation target s, as the unreduced fraction
     (s*den - m*num, m*den) over sigma = num/den: InvalidJump unless s is
-    positive and prime to p, NotLarger unless s > m*sigma."""
-    sigma = Fraction(sigma)
+    positive and prime to p, NotLarger unless s > m*sigma.  A string sigma
+    is read by the wire grammar of `parse_rational`."""
+    if type(sigma) is not Fraction:
+        sigma = parse_rational(sigma, "sigma") if isinstance(sigma, str) else Fraction(sigma)
     if s % p == 0 or s < 1:
         raise InvalidJump(f"conductor {s} must be positive and prime to {p}")
     num, den = sigma.numerator, sigma.denominator
@@ -232,17 +241,22 @@ def genus_spectrum(
     to s_iota mod m, prime to p and larger than m*sigma0; the base genus
     itself is included since the undeformed cover exists.  The deformed
     values fall into p - 1 arithmetic progressions with the returned
-    increment.  The inertia order p^a*m must divide |G|, with m prime to p;
-    sigma0 > 0, g0 >= 0 and limit >= 0.  The window g0..limit holds about
-    (limit - g0)*(p - 1)/increment genera, at most MAX_SPECTRUM_GENERA.
+    increment.  The inertia order p^a*m must divide |G| <= 2^64, with m
+    prime to p; sigma0 > 0 (a string is read by the wire grammar of
+    `parse_rational`), g0 >= 0 and limit >= 0.  The window g0..limit holds
+    about (limit - g0)*(p - 1)/increment genera, at most MAX_SPECTRUM_GENERA.
     """
     require_prime(p)
     if a < 1:
         raise ValueError(f"subgroup exponent {a} must be >= 1")
     if group_order < 1:
         raise ValueError(f"group order must be positive, got {group_order}")
-    sigma0 = Fraction(sigma0)
-    if sigma0 <= 0:
+    if group_order > 2**64:
+        raise InputError("group order exceeds the bound |G| <= 2^64")
+    if type(sigma0) is not Fraction:
+        sigma0 = (parse_rational(sigma0, "base conductor") if isinstance(sigma0, str)
+                  else Fraction(sigma0))
+    if sigma0.numerator <= 0:
         raise ValueError(f"base conductor {sigma0} must be positive")
     if g0 < 0:
         raise ValueError(f"base genus {g0} must be >= 0")

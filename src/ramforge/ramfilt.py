@@ -42,7 +42,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class InertiaShape:
-    """Group-order data of an inertia group: wild part p^e <= 2^64, tame part m."""
+    """Group-order data of an inertia group: wild part p^e <= 2^64, tame part m.
+
+    The order |I| = m*p^e is computed once, when the shape is built, and
+    kept as the plain attribute `order`, not a field: `fields`, ==, hash
+    and repr see (p, e, m) only."""
 
     p: int
     e: int
@@ -52,14 +56,12 @@ class InertiaShape:
         require_prime(self.p)
         if self.e < 0:
             raise ValueError(f"wild exponent must be >= 0, got {self.e}")
-        if self.e > 64 or self.p**self.e > 2**64:  # e first: p**e for a huge e is costly
+        # e first: p**e for a huge e is costly
+        if self.e > 64 or (wild := self.p**self.e) > 2**64:
             raise ValueError(f"wild order {self.p}^{self.e} exceeds the bound p^e <= 2^64")
         if self.m < 1 or math.gcd(self.m, self.p) != 1:
             raise ValueError(f"tame order {self.m} must be positive and prime to {self.p}")
-
-    @property
-    def order(self) -> int:
-        return self.m * self.p**self.e
+        object.__setattr__(self, "order", self.m * wild)
 
 
 class Filtration:
@@ -242,9 +244,10 @@ def action_transform(filt: Filtration, a: int, s: int, s_iota: int | None = None
     """Shift the top a-fold piece of the filtration out to the break s/m.
 
     If s/m does not exceed the conductor the filtration is returned
-    unchanged.  Otherwise the top break loses multiplicity a (dropping out
-    entirely at zero) and a new break (s/m, a) is appended; the result is
-    validated before it is returned.
+    unchanged; that test is s*D <= m*(the top upper knot), in integers.
+    Otherwise the top break loses multiplicity a (dropping out entirely at
+    zero) and a new break (s/m, a) is appended, the one Fraction built
+    here; the result is validated before it is returned.
     """
     shape = filt.shape
     p, m = shape.p, shape.m
@@ -265,13 +268,12 @@ def action_transform(filt: Filtration, a: int, s: int, s_iota: int | None = None
             raise CongruenceViolation(
                 f"conductor {s} is not congruent to {s_iota} mod {m}"
             )
-    new_sigma = Fraction(s, m)
-    if new_sigma <= top_sigma:
+    if s * filt._den <= m * filt._upper[-1]:  # s/m <= top_sigma
         return filt
     breaks = list(filt.breaks[:-1])
     if top_mult - a > 0:
         breaks.append((top_sigma, top_mult - a))
-    breaks.append((new_sigma, a))
+    breaks.append((Fraction(s, m), a))
     out = Filtration(shape, breaks)
     if out._problems:
         raise InvariantViolation("transformed filtration is invalid: "

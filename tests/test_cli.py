@@ -1,6 +1,7 @@
 """CLI adapter: rendering, exit codes, JSON round trips."""
 
 import doctest
+import importlib
 import json
 import shlex
 import time
@@ -620,10 +621,18 @@ def test_bad_arguments_exit_2(capsys, argv, message):
          "error: group order exceeds the bound |G| <= 2^64\n"),
         (["genus", "--G", str(2**64), "--gx", str(2**64)], 0,
          f"genus: {2**64 * (2**64 - 1) + 1}\n", ""),
+        (["spectrum", "--G", str(2**64 + 1), "--p", "2", "--limit", "10"], 2, "",
+         "error: group order exceeds the bound |G| <= 2^64\n"),
+        (["spectrum", "--G", str((10**4299 - 1) // (2**61 - 1) * (2**61 - 1)),
+          "--p", str(2**61 - 1), "--limit", "10"], 2, "",
+         "error: group order exceeds the bound |G| <= 2^64\n"),
+        (["spectrum", "--G", str(2**64), "--p", "2", "--limit", "10"], 0,
+         f"genera: 0\nincrement: {2**63}\nresidues: \n", ""),
     ],
     ids=["n-65", "p-above-2^64", "n-64", "mersenne-61", "composite-2^61+1",
          "genus-G-3000-digits", "genus-gx-3000-digits", "genus-G-above-2^64",
-         "genus-G-gx-at-2^64"],
+         "genus-G-gx-at-2^64", "spectrum-G-above-2^64", "spectrum-G-4299-digits",
+         "spectrum-G-at-2^64"],
 )
 def test_field_and_prime_bounds_are_fast(capsys, argv, code, out, err):
     start = time.perf_counter()
@@ -784,3 +793,20 @@ def test_readme_python_session():
     report = []
     failed, attempted = doctest.DocTestRunner().run(test, out=report.append)
     assert attempted > 0 and failed == 0, "".join(report)
+
+
+# ---------------------------------------------------------------- packaging
+
+def test_console_script_target_resolves():
+    # the [project.scripts] entry names a callable in a package that
+    # [tool.setuptools.packages.find] finds; installing it is left to CI
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    target = project["project"]["scripts"]["ramforge"]
+    assert target == "ramforge.cli:main"
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    where = project["tool"]["setuptools"]["packages"]["find"]["where"]
+    package = Path(importlib.import_module(module.split(".")[0]).__file__).parent
+    assert package.parent in [root / w for w in where]

@@ -44,6 +44,7 @@ from ramforge.ramfilt import (
     InertiaShape,
     action_transform,
     conductor_congruence,
+    parse_rational,
     phi,
     psi,
     random_filtration,
@@ -209,6 +210,68 @@ def test_branch_point_reads_wire_strings_like_fraction(p, texts, ascending):
         assert all(type(c) is Fraction for c, _ in got.breaks)
 
 
+@st.composite
+def jump_runs(draw):
+    """Upper jumps as runs of equal values, each copy in a form a caller may
+    pass: the run's one shared Fraction, an equal but distinct Fraction, an
+    int, the canonical string, or the canonical string followed by a
+    non-canonical twin ("2/4" after "1/2", "007" after "7", "4/2" after
+    "2"); with the (value, run length) breaks they stand for."""
+    values = draw(st.lists(st.fractions(Fraction(1, 6), 30, max_denominator=6),
+                           min_size=1, max_size=4, unique=True))
+    jumps, runs = [], []
+    for v in sorted(values):
+        start = len(jumps)
+        for form in draw(st.lists(st.sampled_from(["shared", "fresh", "int", "str", "twin"]),
+                                  min_size=1, max_size=3)):
+            if form == "shared":
+                jumps.append(v)
+            elif form == "fresh":
+                jumps.append(Fraction(v.numerator, v.denominator))
+            elif form == "int" and v.denominator == 1:
+                jumps.append(int(v))
+            else:
+                jumps.append(str(v))
+            if form == "twin":
+                k = draw(st.integers(2, 4))
+                jumps.append(f"{v.numerator * k}/{v.denominator * k}" if v.denominator > 1
+                             or draw(st.booleans()) else "00" + str(v))
+        runs.append((v, len(jumps) - start))
+    return jumps, runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), jump_runs())
+@example(2, (["1/2", "2/4", "7", "007"], [(Fraction(1, 2), 2), (Fraction(7), 2)]))
+@example(3, (["2", "4/2", "4/2", 2], [(Fraction(2), 4)]))
+def test_branch_point_merges_runs_as_the_filtration_of_their_values(p, given_runs):
+    jumps, runs = given_runs
+    shape = InertiaShape(p, sum(n for _, n in runs), 1)
+    bp, filt = BranchPoint(shape, jumps), Filtration(shape, runs)
+    assert bp == filt and bp.breaks == filt.breaks and validate(bp) == validate(filt)
+    knots = ("_den", "_upper", "_lower", "_slope")
+    assert [getattr(bp, k) for k in knots] == [getattr(filt, k) for k in knots]
+    assert bp.upper_jumps == tuple(Fraction(j) for j in jumps)
+
+
+def test_branch_point_reads_a_repeated_jump_once(monkeypatch):
+    # a jump equal to the previous one as given is counted, not read again;
+    # a new spelling of the same value is read, then merged by value
+    import ramforge.genus as genus
+
+    read = []
+
+    def reading(value, field, index=0):
+        read.append(index)
+        return parse_rational(value, field, index)
+
+    monkeypatch.setattr(genus, "parse_rational", reading)
+    bp = BranchPoint(InertiaShape(2, 5, 1), ["1", "1", "3", "3/1", "3/1"])
+    assert bp.breaks == ((1, 2), (3, 3)) and read == [1, 3, 4]
+    with pytest.raises(ValueError, match="^upper jump 3: '1.5' is not an integer"):
+        BranchPoint(InertiaShape(2, 3, 1), ["1", "1", "1.5"])
+
+
 OUTSIDE_THE_GRAMMAR = pytest.mark.parametrize("text,message", [
     ("1.5", "'1.5' is not an integer or num/den string"),
     (" 1/2", "' 1/2' is not an integer or num/den string"),
@@ -251,14 +314,23 @@ def test_psi_phi_read_wire_strings_like_fraction(filt, text):
         assert outcome(fn, filt, text) == outcome(fn, filt, Fraction(text))
 
 
+# the library functions that take a conductor sigma, with the field they name
+SIGMA_READERS = [
+    ("sigma", lambda sigma: genus_increment(8, 2, 1, 1, sigma, 5)),
+    ("sigma", lambda sigma: last_lower_jump_increment(2, 3, 2, 1, 1, sigma, 5)),
+    ("base conductor", lambda sigma: genus_spectrum(8, 2, 1, 1, sigma, 0, 1, 20)),
+]
+
+
 @OUTSIDE_THE_GRAMMAR
 def test_filtration_psi_phi_reject_strings_outside_the_grammar(text, message):
-    # the grammar of BranchPoint and the JSON edge, naming the break or argument
+    # the grammar of BranchPoint and the JSON edge, naming the break, argument or sigma
     shape = InertiaShape(2, 2, 1)
     filt = Filtration(shape, [(1, 1), (2, 1)])
     for field, call in [("break 2", lambda: Filtration(shape, [("1", 1), (text, 1)])),
                         ("psi argument", lambda: psi(filt, text)),
-                        ("phi argument", lambda: phi(filt, text))]:
+                        ("phi argument", lambda: phi(filt, text)),
+                        *[(name, lambda read=read: read(text)) for name, read in SIGMA_READERS]]:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == f"{field}: {message}"
@@ -273,6 +345,20 @@ def test_library_strings_that_fraction_would_read():
     with pytest.raises(ValueError, match="^phi argument: '1.5' is not an integer"):
         phi(filt, "1.5")
     assert (psi(filt, "3/2"), phi(filt, "2")) == (2, Fraction(3, 2))
+    with pytest.raises(ValueError, match="^sigma: '1.5' is not an integer"):
+        genus_increment(8, 2, 1, 1, "1.5", 5)
+    with pytest.raises(ValueError, match="^base conductor: ' 3/2 ' is not an integer"):
+        genus_spectrum(8, 2, 1, 1, " 3/2 ", 0, 1, 60)
+    with pytest.raises(ValueError, match="^sigma: '3e0' is not an integer"):
+        last_lower_jump_increment(2, 3, 2, 1, 1, "3e0", 5)
+    assert genus_increment(8, 2, 1, 1, "3/2", 5) == 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_rationals)
+def test_sigma_readers_read_wire_strings_like_fraction(text):
+    for _, read in SIGMA_READERS:
+        assert outcome(read, text) == outcome(read, Fraction(text))
 
 
 def test_genus_builds_no_filtration(monkeypatch):
@@ -505,6 +591,15 @@ def test_spectrum_at_p_2_with_half_genus_steps():
     assert result.genera == tuple(range(21))
     assert result.deformed == tuple(range(1, 21))
     assert (result.increment, result.residues) == (1, (0,))
+
+
+def test_spectrum_bounds_the_group_order():
+    # |G| <= 2^64 as in CoverData, checked before any value is formatted
+    assert genus_spectrum(2**64, 2, 1, 1, 1, 0, 1, 10).increment == 2**63
+    mersenne = 2**61 - 1
+    for G, p in [(2**64 + 1, 2), ((10**4299 - 1) // mersenne * mersenne, mersenne)]:
+        with pytest.raises(InputError, match=r"^group order exceeds the bound \|G\| <= 2\^64$"):
+            genus_spectrum(G, p, 1, 1, 1, 0, 1, 10)
 
 
 def ref_genus_spectrum(group_order, p, a, m, sigma0, g0, s_iota, limit):

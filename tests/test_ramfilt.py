@@ -1,5 +1,6 @@
 """Herbrand functions, filtration validation, transforms, admissibility."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -187,6 +188,51 @@ def test_transform_errors():
     # j_e = 7 forces s odd; 4 is in the wrong class mod m = 2
     with pytest.raises(CongruenceViolation):
         action_transform(filt, 1, 4)
+
+
+def test_transform_boundary_on_the_integer_knots():
+    # m = 2 and a fractional top break 5/2: s = 5 lands on it, s = 7 is one step of m above
+    filt = lower_to_upper(InertiaShape(3, 2, 2), [(5, 2)])
+    assert filt.breaks == ((Fraction(5, 2), 2),)
+    assert action_transform(filt, 1, 5) is filt and action_transform(filt, 1, 1) is filt
+    out = action_transform(filt, 1, 7)
+    assert out.breaks == ((Fraction(5, 2), 1), (Fraction(7, 2), 1))
+    assert type(out.breaks[-1][0]) is Fraction and validate(out) == []
+    with pytest.raises(CongruenceViolation, match="^conductor 4 is not congruent to 1 mod 2$"):
+        action_transform(filt, 1, 4)
+    with pytest.raises(InvalidJump,
+                       match="^conductor candidate 9 must be positive and prime to 3$"):
+        action_transform(filt, 1, 9)
+
+
+def test_transform_keeps_the_filtration_exactly_when_s_over_m_is_not_above_the_top():
+    rng = random.Random(113)
+    for _ in range(200):
+        filt = random_filtration(rng, e_max=4, m_max=12)
+        (top, mult), m = filt.breaks[-1], filt.shape.m
+        a = rng.randint(1, mult)
+        s_iota = conductor_congruence(filt.shape.p, upper_to_lower(filt)[-1][0],
+                                      filt.shape.e - a, m)
+        for s in range(s_iota + m * (int(m * top) // m - 2), int(m * top) + 3 * m, m):
+            if s < 1 or s % filt.shape.p == 0:
+                continue
+            out = action_transform(filt, a, s)
+            assert (out is filt) == (Fraction(s, m) <= top)
+            if out is not filt:
+                assert out.breaks[-1] == (Fraction(s, m), a)
+
+
+def test_inertia_shape_order_is_no_field():
+    shape = InertiaShape(3, 2, 2)
+    assert shape.order == 18
+    assert [f.name for f in dataclasses.fields(InertiaShape)] == ["p", "e", "m"]
+    assert dataclasses.astuple(shape) == (3, 2, 2)
+    assert shape == InertiaShape(3, 2, 2) and shape != InertiaShape(3, 1, 2)
+    assert hash(shape) == hash((3, 2, 2))
+    assert repr(shape) == "InertiaShape(p=3, e=2, m=2)"
+    assert dataclasses.replace(shape, e=0).order == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shape.order = 1
 
 
 def test_transform_congruence_derived_internally():
