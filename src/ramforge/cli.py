@@ -167,11 +167,12 @@ def cmd_spectrum(args):
         args.G, args.p, args.a, args.m, parse_rational(args.sigma0, "--sigma0"),
         args.g0, args.s_iota, args.limit,
     )
-    genera = ", ".join(str(g) for g in result.genera)
-    residues = ", ".join(str(r) for r in result.residues)
+    # each value brings its own space, so an empty list prints the bare label
+    genera = ",".join(f" {g}" for g in result.genera)
+    residues = ",".join(f" {r}" for r in result.residues)
     return ({"genera": list(result.genera), "increment": result.increment,
              "residues": list(result.residues)},
-            f"genera: {genera}\nincrement: {result.increment}\nresidues: {residues}")
+            f"genera:{genera}\nincrement: {result.increment}\nresidues:{residues}")
 
 
 def cmd_kato(args):

@@ -26,6 +26,7 @@ from .algebra import require_prime
 from .ramfilt import (
     Filtration,
     InertiaShape,
+    _read_rational,
     json_typed,
     parse_rational,
     reject_unknown_keys,
@@ -52,7 +53,7 @@ class BranchPoint(Filtration):
                 continue
             given = s
             if type(s) is not Fraction:
-                s = parse_rational(s, "upper jump", i) if isinstance(s, str) else Fraction(s)
+                s = _read_rational(s, "upper jump", i)
             if breaks and breaks[-1][0] == s:
                 breaks[-1][1] += 1
             else:
@@ -167,10 +168,10 @@ def _deformation_gap(p: int, m: int, sigma, s: int) -> tuple[int, int]:
     positive and prime to p, NotLarger unless s > m*sigma.  A string sigma
     is read by the wire grammar of `parse_rational`."""
     if type(sigma) is not Fraction:
-        sigma = parse_rational(sigma, "sigma") if isinstance(sigma, str) else Fraction(sigma)
+        sigma = _read_rational(sigma, "sigma")
     if s % p == 0 or s < 1:
         raise InvalidJump(f"conductor {s} must be positive and prime to {p}")
-    num, den = sigma.numerator, sigma.denominator
+    num, den = sigma.as_integer_ratio()
     if s * den <= m * num:
         raise NotLarger(f"conductor {s} does not exceed m*sigma = {m * sigma}")
     return s * den - m * num, m * den
@@ -254,9 +255,9 @@ def genus_spectrum(
     if group_order > 2**64:
         raise InputError("group order exceeds the bound |G| <= 2^64")
     if type(sigma0) is not Fraction:
-        sigma0 = (parse_rational(sigma0, "base conductor") if isinstance(sigma0, str)
-                  else Fraction(sigma0))
-    if sigma0.numerator <= 0:
+        sigma0 = _read_rational(sigma0, "base conductor")
+    num, den = sigma0.as_integer_ratio()
+    if num <= 0:
         raise ValueError(f"base conductor {sigma0} must be positive")
     if g0 < 0:
         raise ValueError(f"base genus {g0} must be >= 0")
@@ -278,7 +279,7 @@ def genus_spectrum(
         )
     # the first candidate s = s_iota + k*m above m*sigma0, stepped once more
     # if p divides it (m is prime to p, so s + m is not)
-    above = m * sigma0.numerator // sigma0.denominator + 1
+    above = m * num // den + 1
     s = s_iota + m * max(0, -((s_iota - above) // m))
     if s % p == 0:
         s += m
@@ -290,7 +291,6 @@ def genus_spectrum(
         raise ValueError(f"base conductor {sigma0} does not fit the inertia data: {exc}") from exc
     # genus_increment in integers: g(s) = g0 + inc*(s - m*sigma0)/(p*m), above g0 and
     # rising with s; for p = 2 a step of m can be worth half a genus, so g is read from s
-    num, den = sigma0.numerator, sigma0.denominator
     deformed = []
     while g <= limit:
         deformed.append(g)

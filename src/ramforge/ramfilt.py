@@ -12,8 +12,9 @@ as integer knots over the common denominator D (the lcm of the break
 denominators): the upper knots sigma_i*D, the lower knots psi(sigma_i)*D
 and the integer slope of every segment.  The same loop records which
 invariants fail, so a Filtration is checked once, when it is built, and
-`validate` reads the record.  psi and phi then cost one integer bisect
-plus one Fraction for the result, jump conversion tests the integer knots
+`validate` reads the record.  psi and phi then cost one
+`as_integer_ratio()` read, one integer bisect bounded below at knot 1 and
+one Fraction for the result, jump conversion tests the integer knots
 for divisibility by D, and lower_to_upper is the only other walk over the
 slopes (the inverse one, in integers).
 """
@@ -76,10 +77,9 @@ class Filtration:
     lower knot is an integer over D too.  The multiplicities need not sum
     to e (`validate` reports that), but p^(their sum) <= 2^64 as for p^e,
     and D <= m*2^64: a valid filtration has sigma_i*m*p^(l_1+...+l_(i-1))
-    integral, so D divides m*p^(their sum).  A string break value is read
-    by the wire grammar of `parse_rational`; any other value that is not a
-    Fraction goes through Fraction().  The violated invariants are recorded
-    in the knot loop, in `validate`'s order and wording.
+    integral, so D divides m*p^(their sum).  A break value that is not a
+    Fraction is read by `_read_rational`.  The violated invariants are
+    recorded in the knot loop, in `validate`'s order and wording.
     """
 
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
@@ -90,7 +90,7 @@ class Filtration:
         bs, den = [], 1
         for i, (c, l) in enumerate(breaks, 1):
             if type(c) is not Fraction:
-                c = parse_rational(c, "break", i) if isinstance(c, str) else Fraction(c)
+                c = _read_rational(c, "break", i)
             l = int(l)
             den = math.lcm(den, c.denominator)
             if den > cap:
@@ -155,28 +155,28 @@ def psi(filt: Filtration, c) -> Fraction:
     dropped so far, i.e. the index of the break's group in the inertia group.
     """
     if type(c) is not Fraction:
-        c = parse_rational(c, "psi argument") if isinstance(c, str) else Fraction(c)
-    a, b = c.numerator, c.denominator
+        c = _read_rational(c, "psi argument")
+    a, b = c.as_integer_ratio()
     if a < 0:
         raise ValueError(f"psi argument must be >= 0, got {c}")
     den = filt._den
     ad = a * den
-    # an integer knot K is >= a*D/b exactly when K >= ceil(a*D/b)
-    i = max(bisect_left(filt._upper, -(-ad // b)) - 1, 0)
+    # an integer knot K is >= a*D/b exactly when K >= ceil(a*D/b); the knots
+    # start at 0 and strictly increase, so searching from knot 1 puts c = 0 on segment 0
+    i = bisect_left(filt._upper, -(-ad // b), 1) - 1
     return Fraction(filt._lower[i] * b + filt._slope[i] * (ad - filt._upper[i] * b), den * b)
 
 
 def phi(filt: Filtration, cprime) -> Fraction:
     """Exact inverse of psi."""
     if type(cprime) is not Fraction:
-        cprime = (parse_rational(cprime, "phi argument") if isinstance(cprime, str)
-                  else Fraction(cprime))
-    a, b = cprime.numerator, cprime.denominator
+        cprime = _read_rational(cprime, "phi argument")
+    a, b = cprime.as_integer_ratio()
     if a < 0:
         raise ValueError(f"phi argument must be >= 0, got {cprime}")
     den = filt._den
     ad = a * den
-    i = max(bisect_left(filt._lower, -(-ad // b)) - 1, 0)
+    i = bisect_left(filt._lower, -(-ad // b), 1) - 1
     s = filt._slope[i]
     return Fraction(filt._upper[i] * s * b + ad - filt._lower[i] * b, den * b * s)
 
@@ -459,6 +459,12 @@ def parse_rational(value, field: str, index: int = 0) -> Fraction:
                 return Fraction(num, den)
             problem = f"{value!r} has a zero denominator"
     raise ValueError(f"{field} {index}: {problem}" if index else f"{field}: {problem}")
+
+
+def _read_rational(value, field: str, index: int = 0) -> Fraction:
+    """A value that is not exactly a Fraction (callers test that first): a
+    string by the wire grammar of `parse_rational`, anything else through Fraction()."""
+    return parse_rational(value, field, index) if isinstance(value, str) else Fraction(value)
 
 
 def json_typed(value, kind: type, field: str):

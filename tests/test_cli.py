@@ -231,6 +231,22 @@ def test_spectrum(capsys):
     assert data["residues"] == [0, 1]
 
 
+@pytest.mark.parametrize(
+    "argv,out,payload",
+    [
+        (["--G", str(2**64), "--p", "2", "--limit", "10"],
+         f"genera: 0\nincrement: {2**63}\nresidues:\n",
+         f'{{"genera":[0],"increment":{2**63},"residues":[]}}\n'),
+        (["--G", "8", "--p", "2", "--g0", "20", "--limit", "10"],
+         "genera:\nincrement: 4\nresidues:\n", '{"genera":[],"increment":4,"residues":[]}\n'),
+    ],
+    ids=["no-deformed-genus", "window-below-g0"],
+)
+def test_spectrum_empty_lists_print_the_bare_label(capsys, argv, out, payload):
+    assert run(capsys, "spectrum", *argv) == (0, out, "")
+    assert run(capsys, "spectrum", *argv, "--json") == (0, payload, "")
+
+
 # ---------------------------------------------------------------------- kato
 
 def test_kato(capsys):
@@ -627,7 +643,7 @@ def test_bad_arguments_exit_2(capsys, argv, message):
           "--p", str(2**61 - 1), "--limit", "10"], 2, "",
          "error: group order exceeds the bound |G| <= 2^64\n"),
         (["spectrum", "--G", str(2**64), "--p", "2", "--limit", "10"], 0,
-         f"genera: 0\nincrement: {2**63}\nresidues: \n", ""),
+         f"genera: 0\nincrement: {2**63}\nresidues:\n", ""),
     ],
     ids=["n-65", "p-above-2^64", "n-64", "mersenne-61", "composite-2^61+1",
          "genus-G-3000-digits", "genus-gx-3000-digits", "genus-G-above-2^64",

@@ -256,8 +256,9 @@ def test_branch_point_merges_runs_as_the_filtration_of_their_values(p, given_run
 
 def test_branch_point_reads_a_repeated_jump_once(monkeypatch):
     # a jump equal to the previous one as given is counted, not read again;
-    # a new spelling of the same value is read, then merged by value
-    import ramforge.genus as genus
+    # a new spelling of the same value is read, then merged by value; a string
+    # jump is read by ramfilt's parse_rational, through its _read_rational
+    import ramforge.ramfilt as ramfilt
 
     read = []
 
@@ -265,7 +266,7 @@ def test_branch_point_reads_a_repeated_jump_once(monkeypatch):
         read.append(index)
         return parse_rational(value, field, index)
 
-    monkeypatch.setattr(genus, "parse_rational", reading)
+    monkeypatch.setattr(ramfilt, "parse_rational", reading)
     bp = BranchPoint(InertiaShape(2, 5, 1), ["1", "1", "3", "3/1", "3/1"])
     assert bp.breaks == ((1, 2), (3, 3)) and read == [1, 3, 4]
     with pytest.raises(ValueError, match="^upper jump 3: '1.5' is not an integer"):
@@ -359,6 +360,41 @@ def test_library_strings_that_fraction_would_read():
 def test_sigma_readers_read_wire_strings_like_fraction(text):
     for _, read in SIGMA_READERS:
         assert outcome(read, text) == outcome(read, Fraction(text))
+
+
+class FractionSubclass(Fraction):
+    """Not exactly a Fraction, so a reader takes its Fraction() branch."""
+
+
+# every reader of a rational argument: a break, an upper jump, the Herbrand
+# argument and the conductor sigma of the genus functions
+HERBRAND = Filtration(InertiaShape(2, 2, 3), [(Fraction(1, 3), 1), (Fraction(5, 3), 1)])
+RATIONAL_READERS = {
+    "Filtration": lambda c: Filtration(InertiaShape(2, 1, 3), [(c, 1)]),
+    "BranchPoint": lambda c: BranchPoint(InertiaShape(2, 1, 3), [c]),
+    "psi": lambda c: psi(HERBRAND, c),
+    "phi": lambda c: phi(HERBRAND, c),
+    "genus_increment": SIGMA_READERS[0][1],
+    "last_lower_jump_increment": SIGMA_READERS[1][1],
+    "genus_spectrum": SIGMA_READERS[2][1],
+}
+
+
+@pytest.mark.parametrize("read", RATIONAL_READERS.values(), ids=RATIONAL_READERS.keys())
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.fractions(-3, 40, max_denominator=12),
+                 st.integers(-3, 10**30).map(Fraction)))
+def test_rational_readers_read_every_form_as_the_equal_fraction(read, x):
+    # a Fraction, its string, a Fraction subclass and, when integral, an int
+    def seen(c):
+        got = outcome(read, c)
+        if isinstance(got, Filtration):
+            return got, validate(got), [type(s) for s, _ in got.breaks]
+        return got, type(got)
+
+    forms = [str(x), FractionSubclass(x)] + ([int(x)] if x.denominator == 1 else [])
+    want = seen(x)
+    assert all(seen(c) == want for c in forms), want
 
 
 def test_genus_builds_no_filtration(monkeypatch):
