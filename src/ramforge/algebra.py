@@ -24,9 +24,9 @@ import itertools
 import re
 import sys
 from functools import lru_cache
-from operator import index, mul, xor
+from operator import attrgetter, index, mul, xor
 
-from .errors import FieldMismatch, ParseError
+from .errors import FieldMismatch, InputError, ParseError
 
 
 class _Infinity:
@@ -86,11 +86,11 @@ def _is_prime(p: int) -> bool:
 
 
 def require_prime(p: int) -> None:
-    """ValueError unless the characteristic p is a prime below 2^64."""
+    """InputError unless the characteristic p is a prime below 2^64."""
     if p >= 2**64:
-        raise ValueError(f"characteristic must be below 2^64, got {p}")
+        raise InputError(f"characteristic must be below 2^64, got {p}")
     if not _is_prime(p):
-        raise ValueError(f"characteristic must be prime, got {p}")
+        raise InputError(f"characteristic must be prime, got {p}")
 
 
 # F_p[x]: coefficient lists, lowest degree first; every modulus is monic.
@@ -199,7 +199,7 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
         cand = (*reversed(digits), 1)
         if _is_irreducible(cand, p):
             return cand
-    raise ValueError(f"no irreducible polynomial of degree {n} over F_{p}")
+    raise InputError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
 @lru_cache(maxsize=None)
@@ -428,9 +428,9 @@ class FieldSpec:
     def __init__(self, p: int, n: int = 1):
         require_prime(p)
         if n < 1:
-            raise ValueError(f"extension degree must be >= 1, got {n}")
+            raise InputError(f"extension degree must be >= 1, got {n}")
         if n > 64 or p**n > 2**64:  # n first: p**n for a huge n is itself costly
-            raise ValueError(f"field size {p}^{n} exceeds the bound p^n <= 2^64")
+            raise InputError(f"field size {p}^{n} exceeds the bound p^n <= 2^64")
         self.p = p
         self.n = n
         self.q = p**n
@@ -482,7 +482,7 @@ class FieldElement:
     """Element of F_{p^n} as its int form v (see FieldSpec).
 
     The constructor checks caller input: v must be an integer
-    (`operator.index`) with 0 <= v < q, else TypeError or ValueError.
+    (`operator.index`) with 0 <= v < q, else TypeError or InputError.
     Results of field operations are built by `_trusted`.
     """
 
@@ -491,7 +491,7 @@ class FieldElement:
     def __init__(self, spec: FieldSpec, v: int):
         v = index(v)
         if not 0 <= v < spec.q:
-            raise ValueError(f"int form {v} of an element of {spec} is not in 0..{spec.q - 1}")
+            raise InputError(f"int form {v} of an element of {spec} is not in 0..{spec.q - 1}")
         self.spec = spec
         self.v = v
 
@@ -594,57 +594,33 @@ def _plus(terms: dict, pairs, add) -> dict:
     return out
 
 
-class LaurentPoly:
-    """Finite Laurent polynomial over F_{p^n}, stored sparsely as the map
-    `_ints` from exponents to nonzero int forms.
+class _IntMap:
+    """The shared arithmetic of the sparse rings: an element over `_over`
+    (the field itself, or an `asext.ExtFieldSpec`) is the map `_ints` from
+    keys to nonzero int forms of the field `_field`.  Sums and negatives
+    act key by key; a subclass adds its keys' meaning, its product and its
+    public constructor, which checks caller input once."""
 
-    Only the pole part ever matters for ramification, so finite supports
-    lose nothing and keep every operation exact.  The constructor checks
-    caller input once: exponents must be integers, coefficients elements of
-    `spec` or integers (TypeError otherwise).  Arithmetic results are built
-    by `_trusted`; `terms` builds the `FieldElement`s on request.
-    """
-
-    __slots__ = ("spec", "_ints")
-
-    def __init__(self, spec: FieldSpec, terms=None):
-        clean: dict[int, int] = {}
-        for e, c in (terms or {}).items():
-            e = index(e)
-            if v := _form(spec, c):
-                clean[e] = v
-        self.spec = spec
-        self._ints = clean
+    __slots__ = ("_over", "_ints")
 
     @classmethod
-    def _trusted(cls, spec: FieldSpec, ints: dict) -> "LaurentPoly":
-        """Internal results: `ints` already maps int exponents to nonzero
-        int forms of `spec`, so it is adopted as is, without a check."""
+    def _trusted(cls, over, ints: dict):
+        """Internal results: `ints` is already an int map over `over`, so it
+        is adopted as is, without a check."""
         out = object.__new__(cls)
-        out.spec = spec
+        out._over = over
         out._ints = ints
         return out
 
     @classmethod
-    def zero(cls, spec: FieldSpec) -> "LaurentPoly":
-        return cls(spec, {})
-
-    @classmethod
-    def x_pow(cls, spec: FieldSpec, e: int, coeff=1) -> "LaurentPoly":
-        return cls(spec, {e: coeff})
+    def zero(cls, over):
+        return cls._trusted(over, {})
 
     @property
     def terms(self) -> dict:
-        """{exponent: nonzero FieldElement}, a fresh dict on every call."""
-        spec = self.spec
-        return {e: FieldElement._trusted(spec, v) for e, v in self._ints.items()}
-
-    @property
-    def valuation(self):
-        """Minimum exponent with nonzero coefficient; INFINITY for zero."""
-        if not self._ints:
-            return INFINITY
-        return min(self._ints)
+        """{key: nonzero FieldElement}, a fresh dict on every call."""
+        spec = self._field
+        return {k: FieldElement._trusted(spec, v) for k, v in self._ints.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -653,26 +629,64 @@ class LaurentPoly:
     def __bool__(self):
         return not self.is_zero
 
-    def __getitem__(self, e: int) -> FieldElement:
-        return FieldElement._trusted(self.spec, self._ints.get(e, 0))
-
-    def _check(self, other: "LaurentPoly"):
-        if not isinstance(other, LaurentPoly):
-            raise TypeError(f"expected LaurentPoly, got {other!r}")
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise FieldMismatch(f"{self.spec} vs {other.spec}")
+    def _check(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {other!r}")
+        if other._over is not self._over and other._over != self._over:
+            raise FieldMismatch(f"{self._over} vs {other._over}")
 
     def __add__(self, other):
         self._check(other)
-        spec = self.spec
-        return LaurentPoly._trusted(spec, _plus(self._ints, other._ints.items(), spec.add))
+        return self._trusted(self._over, _plus(self._ints, other._ints.items(), self._field.add))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        neg = self.spec.neg
-        return LaurentPoly._trusted(self.spec, {e: neg(v) for e, v in self._ints.items()})
+        neg = self._field.neg
+        return self._trusted(self._over, {k: neg(v) for k, v in self._ints.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        same = self._over is other._over or self._over == other._over
+        return same and self._ints == other._ints
+
+
+class LaurentPoly(_IntMap):
+    """Finite Laurent polynomial over the field `spec`, stored sparsely as
+    the map `_ints` from exponents to nonzero int forms.
+
+    Only the pole part ever matters for ramification, so finite supports
+    lose nothing and keep every operation exact.  The constructor checks
+    caller input once: exponents must be integers, coefficients elements of
+    `spec` or integers (TypeError otherwise).  Arithmetic results are built
+    by `_trusted`; `terms` builds the `FieldElement`s on request.
+    """
+
+    __slots__ = ()
+    spec = _field = property(attrgetter("_over"))
+
+    def __init__(self, spec: FieldSpec, terms=None):
+        clean: dict[int, int] = {}
+        for e, c in (terms or {}).items():
+            e = index(e)
+            if v := _form(spec, c):
+                clean[e] = v
+        self._over = spec
+        self._ints = clean
+
+    @classmethod
+    def x_pow(cls, spec: FieldSpec, e: int, coeff=1) -> "LaurentPoly":
+        return cls(spec, {e: coeff})
+
+    @property
+    def valuation(self):
+        """Minimum exponent with nonzero coefficient; INFINITY for zero."""
+        return min(self._ints, default=INFINITY)
+
+    def __getitem__(self, e: int) -> FieldElement:
+        return FieldElement._trusted(self.spec, self._ints.get(e, 0))
 
     def scale(self, c) -> "LaurentPoly":
         spec = self.spec
@@ -699,19 +713,13 @@ class LaurentPoly:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative powers of Laurent polynomials are not defined")
+            raise InputError("negative powers of Laurent polynomials are not defined")
         return _power(LaurentPoly.__mul__, LaurentPoly.x_pow(self.spec, 0), self, k)
 
     def frobenius(self) -> "LaurentPoly":
         """p-th power: coefficients to the p, exponents times p."""
         p, frob = self.spec.p, self.spec.frob
         return LaurentPoly._trusted(self.spec, {p * e: frob(v) for e, v in self._ints.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        same = self.spec is other.spec or self.spec == other.spec
-        return same and self._ints == other._ints
 
     def __str__(self):
         return format_laurent(self)

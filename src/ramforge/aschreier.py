@@ -60,7 +60,7 @@ UNRAMIFIED = _Unramified()
 
 class Connectedness(enum.Enum):
     CONNECTED = "connected"
-    POSSIBLY_DISCONNECTED = "possibly-disconnected"
+    DISCONNECTED = "disconnected"
 
     def __str__(self):
         return self.value
@@ -210,19 +210,14 @@ def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
 
 
 def action_connectedness(f_phi: LaurentPoly, f_alpha: LaurentPoly) -> Connectedness:
-    """Conservative connectedness check for the acted-on cover.
-
-    Unequal conductors force connectedness.  With equal conductors, losing
-    the common leading pole in the reduced sum is necessary (not sufficient)
-    for disconnection, so that case is reported as POSSIBLY_DISCONNECTED.
-    """
-    c1 = as_conductor(f_phi)
-    c2 = as_conductor(f_alpha)
-    if c1 is UNRAMIFIED or c2 is UNRAMIFIED:
+    """Connectedness of the acted-on cover y^p - y = f_phi + f_alpha of two
+    ramified covers, over the algebraically closed k they stand in for: it
+    is split (DISCONNECTED) exactly when as_conductor of the sum is
+    UNRAMIFIED, as every constant is c^p - c in k.  Over F_q a reduced sum
+    with a constant of nonzero trace is connected but not geometrically
+    connected (the constant-field extension); it reads DISCONNECTED."""
+    if as_conductor(f_phi) is UNRAMIFIED or as_conductor(f_alpha) is UNRAMIFIED:
         raise SplitInput("connectedness check requires two ramified covers")
-    if c1 != c2:
-        return Connectedness.CONNECTED
-    c_sum = as_conductor(f_phi + f_alpha)
-    if c_sum == c1:
-        return Connectedness.CONNECTED
-    return Connectedness.POSSIBLY_DISCONNECTED
+    if as_conductor(f_phi + f_alpha) is UNRAMIFIED:
+        return Connectedness.DISCONNECTED
+    return Connectedness.CONNECTED

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .algebra import (
     INFINITY,
-    FieldElement,
     FieldSpec,
     LaurentPoly,
+    _IntMap,
     _parse_ints,
     _plus,
     _power,
@@ -39,6 +40,7 @@ from .aschreier import UNRAMIFIED, _certify, _pow_p, _reduce_terms, _Unramified
 from .errors import (
     DegenerateTower,
     FieldMismatch,
+    InputError,
     NotATower,
     ParseError,
 )
@@ -61,11 +63,11 @@ class ExtFieldSpec:
 
     def __post_init__(self):
         if self.field.p > MAX_EXT_P:
-            raise ValueError(
+            raise InputError(
                 f"extension characteristic {self.field.p} exceeds the cap p <= {MAX_EXT_P}"
             )
         if self.j < 1 or self.j % self.field.p == 0:
-            raise ValueError(f"first jump {self.j} must be positive and prime to p")
+            raise InputError(f"first jump {self.j} must be positive and prime to p")
 
     @property
     def p(self) -> int:
@@ -93,49 +95,36 @@ class ExtFieldSpec:
         return out
 
 
-class ExtElement:
+class ExtElement(_IntMap):
     """The map `_ints` {(e, i): v} of sum c x^e y^i: int e, 0 <= i < p, and v
     the nonzero int form of c in ext.field.  The constructor checks caller
     input, the p Laurent coefficients a_i of sum a_i(x) y^i; `_trusted`
     builds internal results."""
 
-    __slots__ = ("ext", "_ints")
+    __slots__ = ()
+    ext = property(attrgetter("_over"))
+    _field = property(attrgetter("_over.field"))
 
     def __init__(self, ext: ExtFieldSpec, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != ext.p:
-            raise ValueError(f"expected {ext.p} coefficients, got {len(coeffs)}")
+            raise InputError(f"expected {ext.p} coefficients, got {len(coeffs)}")
         ints = {}
         for i, a in enumerate(coeffs):
             if a.spec is not ext.field and a.spec != ext.field:
                 raise FieldMismatch(f"{ext.field} vs {a.spec}")
             for e, v in a._ints.items():
                 ints[e, i] = v
-        self.ext = ext
+        self._over = ext
         self._ints = ints
-
-    @classmethod
-    def _trusted(cls, ext: ExtFieldSpec, ints: dict) -> "ExtElement":
-        """Internal results: `ints` is already an int map of ext, so it is
-        adopted as is, without a check."""
-        out = object.__new__(cls)
-        out.ext = ext
-        out._ints = ints
-        return out
-
-    @classmethod
-    def zero(cls, ext: ExtFieldSpec) -> "ExtElement":
-        return cls._trusted(ext, {})
 
     @classmethod
     def from_coeffs(cls, ext: ExtFieldSpec, coeffs) -> "ExtElement":
         """Build from up to p Laurent coefficients, padding with zeros."""
         coeffs = list(coeffs)
         if len(coeffs) > ext.p:
-            raise ValueError(f"more than {ext.p} coefficients")
-        z = LaurentPoly.zero(ext.field)
-        coeffs += [z] * (ext.p - len(coeffs))
-        return cls(ext, coeffs)
+            raise InputError(f"more than {ext.p} coefficients")
+        return cls(ext, coeffs + [LaurentPoly.zero(ext.field)] * (ext.p - len(coeffs)))
 
     @classmethod
     def x_pow(cls, ext: ExtFieldSpec, e: int, coeff=1) -> "ExtElement":
@@ -150,25 +139,12 @@ class ExtElement:
         return _power(cls.__mul__, cls.x_pow(ext, 0), cls.y(ext), k)
 
     @property
-    def terms(self) -> dict:
-        """{(e, i): nonzero FieldElement}, a fresh dict on every call."""
-        spec = self.ext.field
-        return {k: FieldElement._trusted(spec, v) for k, v in self._ints.items()}
-
-    @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:
         """The p Laurent coefficients a_i of sum a_i(x) y^i."""
         rows = [{} for _ in range(self.ext.p)]
         for (e, i), v in self._ints.items():
             rows[i][e] = v
         return tuple(LaurentPoly._trusted(self.ext.field, r) for r in rows)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._ints
-
-    def __bool__(self):
-        return not self.is_zero
 
     @property
     def valuation(self):
@@ -180,24 +156,6 @@ class ExtElement:
         """
         p, j = self.ext.p, self.ext.j
         return min((p * e - j * i for e, i in self._ints), default=INFINITY)
-
-    def _check(self, other: "ExtElement"):
-        if not isinstance(other, ExtElement):
-            raise TypeError(f"expected ExtElement, got {other!r}")
-        if other.ext != self.ext:
-            raise FieldMismatch(f"{self.ext} vs {other.ext}")
-
-    def __add__(self, other):
-        self._check(other)
-        add = self.ext.field.add
-        return ExtElement._trusted(self.ext, _plus(self._ints, other._ints.items(), add))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        neg = self.ext.field.neg
-        return ExtElement._trusted(self.ext, {k: neg(v) for k, v in self._ints.items()})
 
     def __mul__(self, other):
         """Ring product, rewriting y^k for k >= p via y^p = y + x^(-j)."""
@@ -222,11 +180,6 @@ class ExtElement:
         ext = self.ext
         return ExtElement._trusted(
             ext, ext._keys(_pow_p(ext.field, *ext._ring, ext._weights(self._ints))))
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtElement):
-            return NotImplemented
-        return self.ext == other.ext and self._ints == other._ints
 
     def __str__(self):
         return format_ext(self)

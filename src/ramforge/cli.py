@@ -65,6 +65,11 @@ def _load_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad {what} JSON: {exc}") from exc
+    except ValueError:  # the one other ValueError: an int numeral past int()'s digit limit
+        raise InputError(f"bad {what} JSON: a numeral has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise InputError(f"bad {what} JSON: nested too deeply") from None
 
 
 def cmd_reduce(args):
@@ -127,6 +132,8 @@ def cmd_herbrand(args):
         at = getattr(args, name)
         if at is not None:
             c = parse_rational(at, f"--{name}")
+            if c.numerator > 2**64 or c.denominator > 2**64:
+                raise InputError(f"--{name}: numerator or denominator exceeds the bound 2^64")
             v = fn(filt, c)
             return {name: {"at": str(c), "value": str(v)}}, f"{name}({c}) = {v}"
     lower = upper_to_lower(filt)
@@ -309,7 +316,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

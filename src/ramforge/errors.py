@@ -2,12 +2,8 @@
 
 Input problems (bad flags, violated preconditions) exit the CLI with
 status 2; invariant violations, which signal a library bug or data that is
-arithmetically inconsistent, exit with status 3.
-
-`InputError` is a `ValueError`, and the CLI catches `ValueError`, not
-`InputError` alone: some preconditions (`FieldSpec`'s field size,
-`CoverData`'s positive group order) raise a plain `ValueError`, and those
-must exit 2 as well.
+arithmetically inconsistent, exit with status 3.  The CLI catches these
+two classes and nothing else, so any other exception is a bug.
 """
 
 

@@ -37,7 +37,7 @@ from .ramfilt import (
 class BranchPoint(Filtration):
     """A Filtration built from its upper jumps, listed with multiplicity in
     ascending order: each run of equal jumps becomes one break.  A jump is
-    a Fraction, a wire string -?[0-9]+(/[0-9]+)? (ValueError naming the
+    a Fraction, a wire string -?[0-9]+(/[0-9]+)? (InputError naming the
     jump by its 1-based index otherwise) or anything Fraction() takes.
     A jump that repeats the previous one as given (the same object, or an
     equal string) adds to the run without being read again; any other
@@ -67,17 +67,17 @@ class BranchPoint(Filtration):
 
 def branch_from_dict(d: dict) -> BranchPoint:
     """Decode a branch-point JSON object; upper jumps are num/den strings
-    and must form a valid filtration (ValueError otherwise)."""
+    and must form a valid filtration (InputError otherwise)."""
     try:
         reject_unknown_keys(d, ("p", "e", "m", "upper_jumps"), "branch point")
         shape = shape_from_dict(d)
         listed = json_typed(d.get("upper_jumps", []), list, '"upper_jumps"')
         jumps = tuple(parse_rational(s, "upper jump", i) for i, s in enumerate(listed, 1))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad branch point object: {exc}") from exc
+        raise InputError(f"bad branch point object: {exc}") from exc
     bp = BranchPoint(shape, jumps)
     if bp._problems:
-        raise ValueError("invalid branch point: " + "; ".join(bp._problems))
+        raise InputError("invalid branch point: " + "; ".join(bp._problems))
     return bp
 
 
@@ -92,16 +92,16 @@ class CoverData:
     def __post_init__(self):
         object.__setattr__(self, "branch", tuple(self.branch))
         if self.group_order < 1:
-            raise ValueError("group order must be positive")
+            raise InputError("group order must be positive")
         if self.group_order > 2**64:
             raise InputError("group order exceeds the bound |G| <= 2^64")
         if self.g_X < 0:
-            raise ValueError("base genus must be >= 0")
+            raise InputError("base genus must be >= 0")
         if self.g_X > 2**64:
             raise InputError("base genus exceeds the bound g_X <= 2^64")
         for bp in self.branch:
             if self.group_order % bp.shape.order:
-                raise ValueError(
+                raise InputError(
                     f"inertia order {bp.shape.order} does not divide |G| = {self.group_order}"
                 )
 
@@ -110,7 +110,7 @@ class CoverData:
 class KatoInput:
     """Degrees of the ramification divisors over the generic and special
     fibres, plus the number of points over the singularity in the
-    normalization."""
+    normalization; each at most 2^64, which keeps mu short enough for str()."""
 
     n: int
     d_K: int
@@ -126,6 +126,12 @@ class KatoInput:
             raise InconsistentInput(
                 f"generic degree {self.d_K} below special degree {self.d_k}"
             )
+        for what, name in (("cover degree", "n"), ("generic degree", "d_K"),
+                           ("special degree", "d_k"), ("point count", "m_w")):
+            if getattr(self, name) > 2**64:
+                raise InputError(f"{what} exceeds the bound {name} <= 2^64")
+        if self.d_k < 0:
+            raise InconsistentInput(f"special degree {self.d_k} must be >= 0")
 
     @property
     def delta(self) -> Fraction:
@@ -181,7 +187,7 @@ def genus_increment(group_order: int, p: int, a: int, m: int, sigma, s: int) -> 
     """Genus gained by moving an a-fold top break from sigma out to s/m:
     |G| * (s/m - sigma) * (1 - p^-a) / 2."""
     if a < 1:
-        raise ValueError(f"subgroup exponent {a} must be >= 1")
+        raise InputError(f"subgroup exponent {a} must be >= 1")
     t, d = _deformation_gap(p, m, sigma, s)
     num, den = group_order * (p**a - 1) * t, 2 * p**a * d
     if num % den or num // den < 0:
@@ -195,7 +201,7 @@ def last_lower_jump_increment(
     """New last lower jump j_e + p^(e-a) * m * (s/m - sigma); always an
     integer prime to p for data coming from a valid filtration."""
     if not 1 <= a <= e:
-        raise ValueError(f"subgroup exponent {a} outside [1, {e}]")
+        raise InputError(f"subgroup exponent {a} outside [1, {e}]")
     t, d = _deformation_gap(p, m, sigma, s)
     j, rem = divmod(j_e * d + p ** (e - a) * m * t, d)
     if rem:
@@ -249,31 +255,31 @@ def genus_spectrum(
     """
     require_prime(p)
     if a < 1:
-        raise ValueError(f"subgroup exponent {a} must be >= 1")
+        raise InputError(f"subgroup exponent {a} must be >= 1")
     if group_order < 1:
-        raise ValueError(f"group order must be positive, got {group_order}")
+        raise InputError(f"group order must be positive, got {group_order}")
     if group_order > 2**64:
         raise InputError("group order exceeds the bound |G| <= 2^64")
     if type(sigma0) is not Fraction:
         sigma0 = _read_rational(sigma0, "base conductor")
     num, den = sigma0.as_integer_ratio()
     if num <= 0:
-        raise ValueError(f"base conductor {sigma0} must be positive")
+        raise InputError(f"base conductor {sigma0} must be positive")
     if g0 < 0:
-        raise ValueError(f"base genus {g0} must be >= 0")
+        raise InputError(f"base genus {g0} must be >= 0")
     if limit < 0:
-        raise ValueError(f"genus limit {limit} must be >= 0")
+        raise InputError(f"genus limit {limit} must be >= 0")
     if not 1 <= s_iota <= m:
-        raise ValueError(f"s_iota must lie in [1, {m}], got {s_iota}")
+        raise InputError(f"s_iota must lie in [1, {m}], got {s_iota}")
     if math.gcd(m, p) != 1:
-        raise ValueError(f"tame order m = {m} is not prime to p = {p}")
+        raise InputError(f"tame order m = {m} is not prime to p = {p}")
     if a > max(64, group_order.bit_length()):  # p^a > |G|; spare the power
-        raise ValueError(f"p^a*m = {p}^{a}*{m} does not divide the group order {group_order}")
+        raise InputError(f"p^a*m = {p}^{a}*{m} does not divide the group order {group_order}")
     if group_order % (p**a * m):
-        raise ValueError(f"p^a*m = {p**a * m} does not divide the group order {group_order}")
+        raise InputError(f"p^a*m = {p**a * m} does not divide the group order {group_order}")
     inc = p * group_order * (p**a - 1) // (2 * p**a)  # exact: p^a | |G|, 2 | p*(p^a - 1)
     if (limit - g0) * (p - 1) > MAX_SPECTRUM_GENERA * inc:
-        raise ValueError(
+        raise InputError(
             f"window {g0}..{limit} holds about {(limit - g0) * (p - 1) // inc} genera, "
             f"above the cap {MAX_SPECTRUM_GENERA}"
         )
@@ -288,7 +294,7 @@ def genus_spectrum(
     try:
         g = g0 + genus_increment(group_order, p, a, m, sigma0, s)
     except InvariantViolation as exc:
-        raise ValueError(f"base conductor {sigma0} does not fit the inertia data: {exc}") from exc
+        raise InputError(f"base conductor {sigma0} does not fit the inertia data: {exc}") from exc
     # genus_increment in integers: g(s) = g0 + inc*(s - m*sigma0)/(p*m), above g0 and
     # rising with s; for p = 2 a step of m can be worth half a genus, so g is read from s
     deformed = []
@@ -324,7 +330,7 @@ def spectrum_density(group_order: int, p: int, a: int) -> Fraction:
     """Lower bound 2*(p^a - p^(a-1)) / (|G| * (p^a - 1)) on the natural
     density of achieved genera."""
     if a < 1:
-        raise ValueError(f"subgroup exponent {a} must be >= 1")
+        raise InputError(f"subgroup exponent {a} must be >= 1")
     return Fraction(2 * (p**a - p ** (a - 1)), group_order * (p**a - 1))
 
 

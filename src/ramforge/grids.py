@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .algebra import FieldSpec, require_prime
 from .asext import ExtElement, ExtFieldSpec, ext_as_reduce, minimal_tower_element, upper_jumps
+from .errors import InputError
 from .genus import (
     BranchPoint,
     CoverData,
@@ -45,7 +46,7 @@ class GridResult:
 
 def _finish(name: str, columns: list[str], rows: list[dict]) -> GridResult:
     if not rows:
-        raise ValueError(f"grid {name} has no rows for these parameters")
+        raise InputError(f"grid {name} has no rows for these parameters")
     ok = sum(1 for r in rows if r["pass"])
     passed = ok == len(rows)
     verdict = "PASS" if passed else "FAIL"
@@ -62,7 +63,7 @@ def genus_grid(p: int, jmax: int) -> GridResult:
     wildly ramified point on the line, j <= jmax <= MAX_GENUS_GRID_JMAX."""
     require_prime(p)
     if jmax > MAX_GENUS_GRID_JMAX:
-        raise ValueError(f"jmax {jmax} exceeds the cap {MAX_GENUS_GRID_JMAX}")
+        raise InputError(f"jmax {jmax} exceeds the cap {MAX_GENUS_GRID_JMAX}")
     rows = []
     for j in range(1, jmax + 1):
         if j % p == 0:
@@ -90,7 +91,7 @@ def econd_grid(p: int, jmax: int, smax: int) -> GridResult:
     to p, so it is reduced and that weight is its jump."""
     field = FieldSpec(p)
     if jmax * smax * (p + 10) > MAX_ECOND_WORK:
-        raise ValueError(
+        raise InputError(
             f"jmax {jmax} and smax {smax} at p = {p} exceed the cap "
             f"jmax*smax*(p + 10) <= {MAX_ECOND_WORK}"
         )
@@ -146,7 +147,7 @@ def herbrand_roundtrip(count: int = 1000, seed: int = 1, points: int = 10) -> Gr
     upper/lower jump conversion, on count <= MAX_ROUNDTRIP_COUNT random valid
     filtrations."""
     if count > MAX_ROUNDTRIP_COUNT:
-        raise ValueError(f"count {count} exceeds the cap {MAX_ROUNDTRIP_COUNT}")
+        raise InputError(f"count {count} exceeds the cap {MAX_ROUNDTRIP_COUNT}")
     rng = random.Random(seed)
     rows = []
     for idx in range(count):
@@ -193,7 +194,7 @@ def admissible_count(p: int, e: int, bound: int) -> GridResult:
         width *= max(bound, 1)
         tuples += width
         if tuples > MAX_BRUTE_FORCE_TUPLES:
-            raise ValueError(
+            raise InputError(
                 f"e {e} and bound {bound} leave more than {MAX_BRUTE_FORCE_TUPLES} "
                 "tuples to brute-force"
             )
@@ -234,13 +235,13 @@ def density_check(p: int, gmax: int) -> GridResult:
     congruence classes, with the density ratio on an increment-aligned range;
     one row per g <= gmax <= MAX_DENSITY_GMAX."""
     if gmax > MAX_DENSITY_GMAX:
-        raise ValueError(f"gmax {gmax} exceeds the cap {MAX_DENSITY_GMAX}")
+        raise InputError(f"gmax {gmax} exceeds the cap {MAX_DENSITY_GMAX}")
     spectrum = genus_spectrum(p, p, 1, 1, Fraction(1), 0, 1, gmax)
     achieved = set(spectrum.genera)
     predicted = predicted_line_genera(p, gmax)
     inc = spectrum.increment
     if gmax < inc:
-        raise ValueError(f"gmax {gmax} is below the progression increment {inc}")
+        raise InputError(f"gmax {gmax} is below the progression increment {inc}")
     aligned = (gmax // inc) * inc
     count = sum(1 for g in achieved if g < aligned)
     density = Fraction(count, aligned)

@@ -32,6 +32,7 @@ from fractions import Fraction
 from .algebra import require_prime
 from .errors import (
     CongruenceViolation,
+    InputError,
     InvalidJump,
     InvalidSubgroup,
     InvariantViolation,
@@ -43,7 +44,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class InertiaShape:
-    """Group-order data of an inertia group: wild part p^e <= 2^64, tame part m.
+    """Group-order data of an inertia group: wild part p^e, tame part m, each <= 2^64.
 
     The order |I| = m*p^e is computed once, when the shape is built, and
     kept as the plain attribute `order`, not a field: `fields`, ==, hash
@@ -56,12 +57,14 @@ class InertiaShape:
     def __post_init__(self):
         require_prime(self.p)
         if self.e < 0:
-            raise ValueError(f"wild exponent must be >= 0, got {self.e}")
+            raise InputError(f"wild exponent must be >= 0, got {self.e}")
         # e first: p**e for a huge e is costly
         if self.e > 64 or (wild := self.p**self.e) > 2**64:
-            raise ValueError(f"wild order {self.p}^{self.e} exceeds the bound p^e <= 2^64")
+            raise InputError(f"wild order {self.p}^{self.e} exceeds the bound p^e <= 2^64")
+        if self.m > 2**64:
+            raise InputError("tame order exceeds the bound m <= 2^64")
         if self.m < 1 or math.gcd(self.m, self.p) != 1:
-            raise ValueError(f"tame order {self.m} must be positive and prime to {self.p}")
+            raise InputError(f"tame order {self.m} must be positive and prime to {self.p}")
         object.__setattr__(self, "order", self.m * wild)
 
 
@@ -77,9 +80,11 @@ class Filtration:
     lower knot is an integer over D too.  The multiplicities need not sum
     to e (`validate` reports that), but p^(their sum) <= 2^64 as for p^e,
     and D <= m*2^64: a valid filtration has sigma_i*m*p^(l_1+...+l_(i-1))
-    integral, so D divides m*p^(their sum).  A break value that is not a
-    Fraction is read by `_read_rational`.  The violated invariants are
-    recorded in the knot loop, in `validate`'s order and wording.
+    integral, so D divides m*p^(their sum).  The top break is at most 2^64,
+    which keeps the values read off the table short enough for str().  A
+    break value that is not a Fraction is read by `_read_rational`.  The
+    violated invariants are recorded in the knot loop, in `validate`'s
+    order and wording.
     """
 
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
@@ -94,7 +99,7 @@ class Filtration:
             l = int(l)
             den = math.lcm(den, c.denominator)
             if den > cap:
-                raise ValueError(f"break {i}: the lcm of the break denominators exceeds "
+                raise InputError(f"break {i}: the lcm of the break denominators exceeds "
                                  "the bound m*2^64")
             bs.append((c, l))
         bs = tuple(bs)
@@ -103,11 +108,11 @@ class Filtration:
         for c, l in bs:
             u = c.numerator * (den // c.denominator)
             if u <= u0:
-                raise ValueError("break indices must be positive and strictly increasing")
+                raise InputError("break indices must be positive and strictly increasing")
             if l < 1:
-                raise ValueError(f"break multiplicity must be >= 1, got {l}")
+                raise InputError(f"break multiplicity must be >= 1, got {l}")
             if l > 64 or (steeper := s * p**l) > cap:
-                raise ValueError("break multiplicities exceed the bound p^(their sum) <= 2^64")
+                raise InputError("break multiplicities exceed the bound p^(their sum) <= 2^64")
             j += s * (u - u0)
             # the validity findings, in `validate`'s order: sigma*|I|/|I^sigma| (the
             # slope up to sigma is m*p^(dropped so far)) and the lower jump psi(sigma)
@@ -122,6 +127,8 @@ class Filtration:
             lower.append(j)
             slope.append(steeper)
             u0, s, mults = u, steeper, mults + l
+        if u0 > den << 64:
+            raise InputError(f"break {len(bs)}: the break index exceeds the bound 2^64")
         if mults != shape.e:
             problems.insert(0, f"break multiplicities sum to {mults}, expected e = {shape.e}")
         self.shape = shape
@@ -158,7 +165,7 @@ def psi(filt: Filtration, c) -> Fraction:
         c = _read_rational(c, "psi argument")
     a, b = c.as_integer_ratio()
     if a < 0:
-        raise ValueError(f"psi argument must be >= 0, got {c}")
+        raise InputError(f"psi argument must be >= 0, got {c}")
     den = filt._den
     ad = a * den
     # an integer knot K is >= a*D/b exactly when K >= ceil(a*D/b); the knots
@@ -173,7 +180,7 @@ def phi(filt: Filtration, cprime) -> Fraction:
         cprime = _read_rational(cprime, "phi argument")
     a, b = cprime.as_integer_ratio()
     if a < 0:
-        raise ValueError(f"phi argument must be >= 0, got {cprime}")
+        raise InputError(f"phi argument must be >= 0, got {cprime}")
     den = filt._den
     ad = a * den
     i = bisect_left(filt._lower, -(-ad // b), 1) - 1
@@ -229,11 +236,11 @@ def conductor_congruence(p: int, j_e: int, d: int, m: int) -> int:
     not literally divide j_e.
     """
     if m < 1:
-        raise ValueError(f"tame order must be positive, got {m}")
+        raise InputError(f"tame order must be positive, got {m}")
     if d < 0:
-        raise ValueError(f"exponent d must be >= 0, got {d}")
+        raise InputError(f"exponent d must be >= 0, got {d}")
     if math.gcd(p, m) != 1:
-        raise ValueError(f"gcd({p}, {m}) != 1")
+        raise InputError(f"gcd({p}, {m}) != 1")
     if m == 1:
         return 1
     r = (j_e * pow(pow(p, d, m), -1, m)) % m
@@ -312,11 +319,11 @@ def admissible_enumerate(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
     lexicographic order; at most MAX_ADMISSIBLE_SEQUENCES of them."""
     require_prime(p)
     if e < 1:
-        raise ValueError(f"length must be >= 1, got {e}")
+        raise InputError(f"length must be >= 1, got {e}")
     if e - 1 > max(64, bound.bit_length()):  # p^(e-1) > bound; spare the power
-        raise ValueError(f"bound {bound} is below the minimal final jump {p}^{e - 1}")
+        raise InputError(f"bound {bound} is below the minimal final jump {p}^{e - 1}")
     if bound < p ** (e - 1):
-        raise ValueError(
+        raise InputError(
             f"bound {bound} is below the minimal final jump {p ** (e - 1)}"
         )
     out: list[tuple[int, ...]] = []
@@ -325,7 +332,7 @@ def admissible_enumerate(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
         i = len(prefix)
         if i == e:
             if len(out) == MAX_ADMISSIBLE_SEQUENCES:
-                raise ValueError(
+                raise InputError(
                     f"e {e} and bound {bound} give more than "
                     f"{MAX_ADMISSIBLE_SEQUENCES} admissible sequences"
                 )
@@ -442,7 +449,7 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 def parse_rational(value, field: str, index: int = 0) -> Fraction:
     """The wire rational value, an ASCII string -?[0-9]+(/[0-9]+)?, as a
-    Fraction; ValueError on anything else, a zero denominator or a numeral
+    Fraction; InputError on anything else, a zero denominator or a numeral
     past Python's int string-conversion limit, naming the field and, when
     given, its 1-based index (formatted only then)."""
     match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
@@ -458,7 +465,7 @@ def parse_rational(value, field: str, index: int = 0) -> Fraction:
             if den:
                 return Fraction(num, den)
             problem = f"{value!r} has a zero denominator"
-    raise ValueError(f"{field} {index}: {problem}" if index else f"{field}: {problem}")
+    raise InputError(f"{field} {index}: {problem}" if index else f"{field}: {problem}")
 
 
 def _read_rational(value, field: str, index: int = 0) -> Fraction:
@@ -468,22 +475,22 @@ def _read_rational(value, field: str, index: int = 0) -> Fraction:
 
 
 def json_typed(value, kind: type, field: str):
-    """value if its type is exactly kind (int or list), else ValueError naming
+    """value if its type is exactly kind (int or list), else InputError naming
     the field; a bool or a float is not a JSON integer."""
     if type(value) is not kind:
-        raise ValueError(
+        raise InputError(
             f"{field}: {value!r} is not a JSON {'integer' if kind is int else 'array'}"
         )
     return value
 
 
 def reject_unknown_keys(obj, known: tuple[str, ...], what: str) -> None:
-    """ValueError naming the first key of the JSON object obj outside known."""
+    """InputError naming the first key of the JSON object obj outside known."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
+        raise InputError(f"{what} must be a JSON object")
     for key in obj:
         if key not in known:
-            raise ValueError(f"unknown key {key!r} in {what}")
+            raise InputError(f"unknown key {key!r} in {what}")
 
 
 def filtration_to_dict(filt: Filtration) -> dict:
@@ -505,7 +512,7 @@ def shape_from_dict(d: dict) -> InertiaShape:
 
 def filtration_from_dict(d: dict) -> Filtration:
     """Decode a filtration JSON object; the breaks' "c" values are num/den
-    strings and must form a valid filtration (ValueError otherwise)."""
+    strings and must form a valid filtration (InputError otherwise)."""
     try:
         reject_unknown_keys(d, ("p", "e", "m", "breaks"), "filtration")
         shape = shape_from_dict(d)
@@ -515,8 +522,8 @@ def filtration_from_dict(d: dict) -> Filtration:
             breaks.append((parse_rational(b["c"], f'break {i} "c"'),
                            json_typed(b["mult"], int, f'break {i} "mult"')))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad filtration object: {exc}") from exc
+        raise InputError(f"bad filtration object: {exc}") from exc
     filt = Filtration(shape, breaks)
     if filt._problems:
-        raise ValueError("invalid filtration: " + "; ".join(filt._problems))
+        raise InputError("invalid filtration: " + "; ".join(filt._problems))
     return filt

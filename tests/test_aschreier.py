@@ -1,7 +1,9 @@
 """Artin-Schreier reduction, conductors, deformation and the cover action."""
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,12 @@ from ramforge.errors import (
 )
 from ramforge.genus import BranchPoint, CoverData, branch_from_dict, rh_genus
 from ramforge.ramfilt import InertiaShape
+
+# the benchmark's reference arithmetic, written without ramforge
+_ORACLE = importlib.util.spec_from_file_location(
+    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+O = importlib.util.module_from_spec(_ORACLE)
+_ORACLE.loader.exec_module(O)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -253,18 +261,26 @@ def test_connectedness_unequal_conductors():
 
 
 def test_connectedness_exact_cancellation():
+    # the sum is 0: the acted-on cover is split
     assert (
         action_connectedness(L(F2, "x^-3"), L(F2, "x^-3"))
-        is Connectedness.POSSIBLY_DISCONNECTED
+        is Connectedness.DISCONNECTED
     )
 
 
 def test_connectedness_leading_term_cancellation():
-    # the sum reduces to x^-1, dropping the common conductor 3
+    # the sum reduces to x^-1, dropping the common conductor 3, and is still ramified
     f_phi = L(F2, "x^-3 + x^-1")
     f_alpha = L(F2, "x^-3")
     assert as_conductor(f_phi + f_alpha) == 1
-    assert action_connectedness(f_phi, f_alpha) is Connectedness.POSSIBLY_DISCONNECTED
+    assert action_connectedness(f_phi, f_alpha) is Connectedness.CONNECTED
+
+
+def test_connectedness_sum_in_the_image():
+    # the sum x^-2 + x^-1 is h^2 - h for h = x^-1, so the cover is split
+    f_phi = L(F2, "x^-3 + x^-2 + x^-1")
+    f_alpha = L(F2, "x^-3")
+    assert action_connectedness(f_phi, f_alpha) is Connectedness.DISCONNECTED
 
 
 def test_connectedness_retained_conductor():
@@ -288,7 +304,44 @@ def test_connected_action_takes_max_conductor():
         c1, c2 = as_conductor(f1), as_conductor(f2)
         if c1 is UNRAMIFIED or c2 is UNRAMIFIED:
             continue
-        if action_connectedness(f1, f2) is Connectedness.CONNECTED:
+        if c1 != c2:
+            assert action_connectedness(f1, f2) is Connectedness.CONNECTED
             assert as_conductor(f1 + f2) == max(c1, c2)
             checked += 1
     assert checked > 30
+
+
+def _split_by_brute_force(F, g):
+    """True iff h^p - h - g has no pole for some h in x^-1 F_p[x^-1], for a
+    pole-only g over the oracle field F.  The leading pole of h^p is then
+    g's, so the pole order of h is at most that of g over p."""
+    if not g:
+        return True
+    for coeffs in itertools.product(range(F.p), repeat=-min(g) // F.p):
+        h = {-i: (c,) for i, c in enumerate(coeffs, 1) if c}
+        if not O.l_add(F, O.l_frob_minus_id(F, h), g, -1):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p,depth", [(2, 8), (3, 6)])
+def test_connectedness_matches_brute_force(p, depth):
+    # every pole-only sum g of order at most depth, split as f_phi + f_alpha
+    # with f_alpha drawn from the ramified ones; h -> h^p - h is injective on
+    # x^-1 F_p[x^-1], so exactly p^(depth // p) of the sums are split
+    F, spec, rng = O.field(p, 1), FieldSpec(p), random.Random(p)
+    sums = [{-e: (c,) for e, c in enumerate(cs, 1) if c}
+            for cs in itertools.product(range(p), repeat=depth)]
+    polys = [LaurentPoly(spec, {e: c for e, (c,) in g.items()}) for g in sums]
+    ramified = [f for f in polys if as_conductor(f) is not UNRAMIFIED]
+    seen = []
+    for g, f in zip(sums, polys):
+        f_alpha = rng.choice(ramified)
+        f_phi = f - f_alpha
+        if as_conductor(f_phi) is UNRAMIFIED:
+            continue
+        split = _split_by_brute_force(F, g)
+        want = Connectedness.DISCONNECTED if split else Connectedness.CONNECTED
+        assert action_connectedness(f_phi, f_alpha) is want, (g, f_alpha)
+        seen.append(split)
+    assert seen.count(True) == p ** (depth // p) and seen.count(False) > 100

@@ -1,5 +1,6 @@
 """CLI adapter: rendering, exit codes, JSON round trips."""
 
+import ast
 import doctest
 import importlib
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ramforge import grids
+from ramforge import cli, grids
 from ramforge.cli import main
 
 
@@ -644,11 +645,19 @@ def test_bad_arguments_exit_2(capsys, argv, message):
          "error: group order exceeds the bound |G| <= 2^64\n"),
         (["spectrum", "--G", str(2**64), "--p", "2", "--limit", "10"], 0,
          f"genera: 0\nincrement: {2**63}\nresidues:\n", ""),
+        (["kato", "--n", str(2**64), "--dK", str(2**64), "--dk", "0", "--mw", str(2**64)], 0,
+         "mu: 1, smooth: false\n", ""),
+        (["herbrand", "--psi", f"{2**64}/{2**64 - 1}",
+          '{"p":3,"e":0,"m":%d,"breaks":[]}' % 2**64], 0,
+         f"psi({2**64}/{2**64 - 1}) = {2**128}/{2**64 - 1}\n", ""),
+        (["genus", "--G", "3", "--branch", '{"p":3,"e":1,"upper_jumps":["%d"]}' % 2**64], 0,
+         f"genus: {2**64 - 1}\n", ""),
     ],
     ids=["n-65", "p-above-2^64", "n-64", "mersenne-61", "composite-2^61+1",
          "genus-G-3000-digits", "genus-gx-3000-digits", "genus-G-above-2^64",
          "genus-G-gx-at-2^64", "spectrum-G-above-2^64", "spectrum-G-4299-digits",
-         "spectrum-G-at-2^64"],
+         "spectrum-G-at-2^64", "kato-at-2^64", "herbrand-psi-and-m-at-2^64",
+         "genus-jump-at-2^64"],
 )
 def test_field_and_prime_bounds_are_fast(capsys, argv, code, out, err):
     start = time.perf_counter()
@@ -759,6 +768,70 @@ def test_genus_with_no_branch_point_over_the_line_exits_3(capsys):
     # each flag is valid on its own; together they describe no cover
     assert run(capsys, "genus", "--G", "4") == (
         3, "", "invariant violation: genus -3 is negative; no such cover exists\n")
+
+
+# ---------------------------------------------------------------- error edge
+
+# a 4300-digit numeral, the longest int() reads: results built from it are
+# longer than str() writes, so the values that would build them are bounded
+_N = "9" * 4299 + "7"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["kato", "--n", "1", "--dK", _N, "--dk", "-" + _N, "--mw", "1"],
+         "generic degree exceeds the bound d_K <= 2^64"),
+        (["kato", "--n", "1", "--dK", "1", "--dk", "-1", "--mw", "1"],
+         "special degree -1 must be >= 0"),
+        (["genus", "--G", str(2**64), "--branch", '{"p":2,"e":1,"upper_jumps":["%s"]}' % _N],
+         "break 1: the break index exceeds the bound 2^64"),
+        (["herbrand", "--psi", _N, '{"p":2,"e":2,"breaks":[{"c":"1","mult":2}]}'],
+         "--psi: numerator or denominator exceeds the bound 2^64"),
+        (["herbrand", "--phi", f"1/{2**64 + 1}", '{"p":2,"e":1,"breaks":[{"c":"1","mult":1}]}'],
+         "--phi: numerator or denominator exceeds the bound 2^64"),
+        (["herbrand", "--psi", "9", '{"p":2,"e":0,"m":%s,"breaks":[]}' % _N],
+         "bad filtration object: tame order exceeds the bound m <= 2^64"),
+        (["herbrand", '{"p": %s, "e": 1, "breaks": []}' % ("1" * 4400)],
+         "bad filtration JSON: a numeral has more than 4300 digits"),
+        (["genus", "--G", "2", "--branch", '{"p": 2, "e": %s}' % ("1" * 4400)],
+         "bad branch point JSON: a numeral has more than 4300 digits"),
+        (["herbrand", "[" * 100000], "bad filtration JSON: nested too deeply"),
+        (["act", "--a", "1", "--s", "3", '{"a":' * 5000 + "1" + "}" * 5000],
+         "bad filtration JSON: nested too deeply"),
+    ],
+    ids=["kato-huge-degrees", "kato-negative-special-degree", "genus-huge-jump",
+         "herbrand-huge-psi", "herbrand-huge-phi-denominator", "herbrand-huge-m",
+         "json-numeral-past-the-digit-limit", "branch-json-numeral-past-the-digit-limit",
+         "json-array-past-the-recursion-limit", "json-object-past-the-recursion-limit"],
+)
+@pytest.mark.parametrize("js", [[], ["--json"]], ids=["text", "json"])
+def test_inputs_past_python_limits_exit_2(capsys, argv, message, js):
+    assert run(capsys, *argv, *js) == (2, "", f"error: {message}\n")
+
+
+def test_main_lets_a_library_value_error_through(monkeypatch):
+    # only InputError exits 2: a plain ValueError is a bug, not bad input
+    def broken(k):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "kato_mu", broken)
+    with pytest.raises(ValueError, match="^a bug$"):
+        main(["kato", "--n", "1", "--dK", "0", "--dk", "0", "--mw", "1"])
+
+
+def test_the_library_raises_no_plain_value_error():
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # ------------------------------------------------------------------ README

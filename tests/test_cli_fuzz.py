@@ -15,7 +15,7 @@ import io
 import json
 import time
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ramforge import grids
 from ramforge.cli import build_parser, main
@@ -37,11 +37,18 @@ SUBCOMMANDS = _subcommands()
 
 # ------------------------------------------------------------------ values
 
+# the longest numeral int() reads; results built from it are longer than str() writes
+N4300 = int("9" * 4299 + "7")
+# json.dumps cannot write a numeral past int()'s digit limit, so `_dumps`
+# writes one in place of this value
+LONG_JSON_INT = 31415926535897932384626
+
 small_ints = st.one_of(st.sampled_from([2, 3, 5, 7, 1, 13, 251, 257]), st.integers(-2, 40))
 huge_ints = st.one_of(
     st.integers(10**6, 10**40),
     st.integers(-(10**40), -(10**6)),
-    st.sampled_from([2**61 - 1, 2**64 - 59, 2**64 + 13, 10**4000]),
+    st.sampled_from([2**61 - 1, 2**64 - 59, 2**64 + 13, 10**4000, N4300, -N4300,
+                     LONG_JSON_INT]),
 )
 int_texts = st.one_of(
     huge_ints.map(str),
@@ -67,6 +74,7 @@ ext_texts = st.lists(st.one_of(laurent_texts, st.just("0")), min_size=1, max_siz
 rationals = st.one_of(
     st.builds("{}/{}".format, st.integers(-5, 60), st.integers(0, 13)),
     st.one_of(small_ints, huge_ints).map(str),
+    st.builds("{}/{}".format, st.one_of(small_ints, huge_ints), st.sampled_from([3, N4300])),
 )
 sequences = st.lists(st.one_of(st.integers(0, 300), huge_ints), min_size=1, max_size=6).map(
     lambda xs: ",".join(map(str, xs))
@@ -89,12 +97,18 @@ any_json = st.recursive(
                             st.dictionaries(st.text(max_size=6), inner, max_size=3)),
     max_leaves=8,
 )
+
+
+def _dumps(obj):
+    return json.dumps(obj).replace(str(LONG_JSON_INT), "1" * 4400)
+
+
 TEXT_VALUES = {
     "f": laurent_texts,
     "t0": laurent_texts,
     "F": ext_texts,
-    "filtration": st.one_of(filtrations, filtrations, any_json).map(json.dumps),
-    "branch": st.one_of(branch_points, branch_points, any_json).map(json.dumps),
+    "filtration": st.one_of(filtrations, filtrations, any_json).map(_dumps),
+    "branch": st.one_of(branch_points, branch_points, any_json).map(_dumps),
     "psi": rationals,
     "phi": rationals,
     "sigma0": rationals,
@@ -168,6 +182,14 @@ def _check(argv):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(argvs())
+# results longer than str() writes, and a JSON numeral past int()'s digit limit
+@example(["kato", "--n", "1", "--dK", str(N4300), "--dk", str(-N4300), "--mw", "1"])
+@example(["genus", "--G", str(2**64), "--branch",
+          '{"p":2,"e":1,"upper_jumps":["%d"]}' % N4300])
+@example(["herbrand", "--psi", str(N4300), '{"p":2,"e":2,"breaks":[{"c":"1","mult":2}]}'])
+@example(["herbrand", "--psi", "9", '{"p":2,"e":0,"m":%d,"breaks":[]}' % N4300])
+@example(["herbrand", '{"p": %s, "e": 1, "breaks": []}' % ("1" * 4400)])
+@example(["herbrand", "[" * 100000])  # past the JSON decoder's recursion limit
 def test_main_exits_0_2_or_3_within_budget(argv):
     _check(argv)
 

@@ -644,29 +644,29 @@ def ref_genus_spectrum(group_order, p, a, m, sigma0, g0, s_iota, limit):
     a <= 3 and the window is small here, so the library's primality, huge-a
     and window-cap checks are not repeated."""
     if a < 1:
-        raise ValueError(f"subgroup exponent {a} must be >= 1")
+        raise InputError(f"subgroup exponent {a} must be >= 1")
     if group_order < 1:
-        raise ValueError(f"group order must be positive, got {group_order}")
+        raise InputError(f"group order must be positive, got {group_order}")
     sigma0 = Fraction(sigma0)
     if sigma0 <= 0:
-        raise ValueError(f"base conductor {sigma0} must be positive")
+        raise InputError(f"base conductor {sigma0} must be positive")
     if g0 < 0:
-        raise ValueError(f"base genus {g0} must be >= 0")
+        raise InputError(f"base genus {g0} must be >= 0")
     if limit < 0:
-        raise ValueError(f"genus limit {limit} must be >= 0")
+        raise InputError(f"genus limit {limit} must be >= 0")
     if not 1 <= s_iota <= m:
-        raise ValueError(f"s_iota must lie in [1, {m}], got {s_iota}")
+        raise InputError(f"s_iota must lie in [1, {m}], got {s_iota}")
     if math.gcd(m, p) != 1:
-        raise ValueError(f"tame order m = {m} is not prime to p = {p}")
+        raise InputError(f"tame order m = {m} is not prime to p = {p}")
     if group_order % (p**a * m):
-        raise ValueError(f"p^a*m = {p**a * m} does not divide the group order {group_order}")
+        raise InputError(f"p^a*m = {p**a * m} does not divide the group order {group_order}")
     inc = p * group_order * (p**a - 1) // (2 * p**a)
     assert (limit - g0) * (p - 1) <= MAX_SPECTRUM_GENERA * inc
 
     def genus(s):
         delta = group_order * (Fraction(s, m) - sigma0) * (1 - Fraction(1, p**a)) / 2
         if delta.denominator != 1:
-            raise ValueError(f"base conductor {sigma0} does not fit the inertia data: "
+            raise InputError(f"base conductor {sigma0} does not fit the inertia data: "
                              f"genus increment {delta} is not a natural number")
         return g0 + int(delta)
 
