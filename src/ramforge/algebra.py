@@ -683,7 +683,9 @@ class LaurentPoly(_IntMap):
     @property
     def valuation(self):
         """Minimum exponent with nonzero coefficient; INFINITY for zero."""
-        return min(self._ints, default=INFINITY)
+        if not self._ints:
+            return INFINITY
+        return min(self._ints)
 
     def __getitem__(self, e: int) -> FieldElement:
         return FieldElement._trusted(self.spec, self._ints.get(e, 0))

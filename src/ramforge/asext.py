@@ -56,7 +56,7 @@ MAX_EXT_P = 251
 @dataclass(frozen=True)
 class ExtFieldSpec:
     """Degree-p extension of k((x)) with defining equation y^p - y = x^(-j);
-    p <= MAX_EXT_P."""
+    p <= MAX_EXT_P and j <= 2^64."""
 
     field: FieldSpec
     j: int
@@ -68,6 +68,8 @@ class ExtFieldSpec:
             )
         if self.j < 1 or self.j % self.field.p == 0:
             raise InputError(f"first jump {self.j} must be positive and prime to p")
+        if self.j > 2**64:  # as for exponents, so the upper jumps print
+            raise InputError("first jump exceeds the bound j <= 2^64")
 
     @property
     def p(self) -> int:
@@ -124,7 +126,9 @@ class ExtElement(_IntMap):
         coeffs = list(coeffs)
         if len(coeffs) > ext.p:
             raise InputError(f"more than {ext.p} coefficients")
-        return cls(ext, coeffs + [LaurentPoly.zero(ext.field)] * (ext.p - len(coeffs)))
+        z = LaurentPoly.zero(ext.field)
+        coeffs += [z] * (ext.p - len(coeffs))
+        return cls(ext, coeffs)
 
     @classmethod
     def x_pow(cls, ext: ExtFieldSpec, e: int, coeff=1) -> "ExtElement":

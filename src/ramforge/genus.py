@@ -126,8 +126,9 @@ class KatoInput:
             raise InconsistentInput(
                 f"generic degree {self.d_K} below special degree {self.d_k}"
             )
+        # d_k <= d_K, so the bound on d_K bounds d_k too
         for what, name in (("cover degree", "n"), ("generic degree", "d_K"),
-                           ("special degree", "d_k"), ("point count", "m_w")):
+                           ("point count", "m_w")):
             if getattr(self, name) > 2**64:
                 raise InputError(f"{what} exceeds the bound {name} <= 2^64")
         if self.d_k < 0:
@@ -249,7 +250,8 @@ def genus_spectrum(
     itself is included since the undeformed cover exists.  The deformed
     values fall into p - 1 arithmetic progressions with the returned
     increment.  The inertia order p^a*m must divide |G| <= 2^64, with m
-    prime to p; sigma0 > 0 (a string is read by the wire grammar of
+    prime to p; sigma0 > 0 with a denominator at most m*2^64, as for
+    `Filtration` breaks (a string is read by the wire grammar of
     `parse_rational`), g0 >= 0 and limit >= 0.  The window g0..limit holds
     about (limit - g0)*(p - 1)/increment genera, at most MAX_SPECTRUM_GENERA.
     """
@@ -271,6 +273,10 @@ def genus_spectrum(
         raise InputError(f"genus limit {limit} must be >= 0")
     if not 1 <= s_iota <= m:
         raise InputError(f"s_iota must lie in [1, {m}], got {s_iota}")
+    if m > 2**64:
+        raise InputError("tame order exceeds the bound m <= 2^64")
+    if den > m << 64:
+        raise InputError("base conductor denominator exceeds the bound m*2^64")
     if math.gcd(m, p) != 1:
         raise InputError(f"tame order m = {m} is not prime to p = {p}")
     if a > max(64, group_order.bit_length()):  # p^a > |G|; spare the power

@@ -90,7 +90,8 @@ def econd_grid(p: int, jmax: int, smax: int) -> GridResult:
     The base tower minimal_tower_element has leading weight (p^2-p+1)j, prime
     to p, so it is reduced and that weight is its jump."""
     field = FieldSpec(p)
-    if jmax * smax * (p + 10) > MAX_ECOND_WORK:
+    # smax counts as at least 1: each j costs a base tower even with no s
+    if jmax * max(smax, 1) * (p + 10) > MAX_ECOND_WORK:
         raise InputError(
             f"jmax {jmax} and smax {smax} at p = {p} exceed the cap "
             f"jmax*smax*(p + 10) <= {MAX_ECOND_WORK}"

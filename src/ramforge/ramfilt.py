@@ -80,11 +80,11 @@ class Filtration:
     lower knot is an integer over D too.  The multiplicities need not sum
     to e (`validate` reports that), but p^(their sum) <= 2^64 as for p^e,
     and D <= m*2^64: a valid filtration has sigma_i*m*p^(l_1+...+l_(i-1))
-    integral, so D divides m*p^(their sum).  The top break is at most 2^64,
-    which keeps the values read off the table short enough for str().  A
-    break value that is not a Fraction is read by `_read_rational`.  The
-    violated invariants are recorded in the knot loop, in `validate`'s
-    order and wording.
+    integral, so D divides m*p^(their sum).  Each break is at most 2^64,
+    checked before the loop formats a finding, which keeps the values read
+    off the table short enough for str().  A break value that is not a
+    Fraction is read by `_read_rational`.  The violated invariants are
+    recorded in the knot loop, in `validate`'s order and wording.
     """
 
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
@@ -104,11 +104,13 @@ class Filtration:
             bs.append((c, l))
         bs = tuple(bs)
         upper, lower, slope = [0], [0], [m]
-        u0, j, s, mults, problems = 0, 0, m, 0, []
+        u0, j, s, mults, problems, top = 0, 0, m, 0, [], den << 64
         for c, l in bs:
             u = c.numerator * (den // c.denominator)
             if u <= u0:
                 raise InputError("break indices must be positive and strictly increasing")
+            if u > top:  # this is break len(upper): one knot is appended per break
+                raise InputError(f"break {len(upper)}: the break index exceeds the bound 2^64")
             if l < 1:
                 raise InputError(f"break multiplicity must be >= 1, got {l}")
             if l > 64 or (steeper := s * p**l) > cap:
@@ -127,8 +129,6 @@ class Filtration:
             lower.append(j)
             slope.append(steeper)
             u0, s, mults = u, steeper, mults + l
-        if u0 > den << 64:
-            raise InputError(f"break {len(bs)}: the break index exceeds the bound 2^64")
         if mults != shape.e:
             problems.insert(0, f"break multiplicities sum to {mults}, expected e = {shape.e}")
         self.shape = shape
@@ -320,12 +320,11 @@ def admissible_enumerate(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
     require_prime(p)
     if e < 1:
         raise InputError(f"length must be >= 1, got {e}")
-    if e - 1 > max(64, bound.bit_length()):  # p^(e-1) > bound; spare the power
-        raise InputError(f"bound {bound} is below the minimal final jump {p}^{e - 1}")
-    if bound < p ** (e - 1):
-        raise InputError(
-            f"bound {bound} is below the minimal final jump {p ** (e - 1)}"
-        )
+    # p^(e-1) > bound; spare the power, and print it in decimal only while it
+    # is short (p < 2^64, so e <= 65 keeps it under 1300 digits)
+    if e - 1 > max(64, bound.bit_length()) or bound < p ** (e - 1):
+        least = p ** (e - 1) if e <= 65 else f"{p}^{e - 1}"
+        raise InputError(f"bound {bound} is below the minimal final jump {least}")
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int]):

@@ -705,6 +705,8 @@ _HUGE = str(10**12)
          "jmax 10001 exceeds the cap 10000"),
         (["grid", "econd-grid", "--p", "251", "--jmax", "1", "--smax", "230"],
          "jmax 1 and smax 230 at p = 251 exceed the cap jmax*smax*(p + 10) <= 60000"),
+        (["grid", "econd-grid", "--p", "2", "--jmax", _HUGE, "--smax", "-1"],
+         f"jmax {_HUGE} and smax -1 at p = 2 exceed the cap jmax*smax*(p + 10) <= 60000"),
         (["grid", "density-check", "--p", "2003", "--gmax", "20000000"],
          "gmax 20000000 exceeds the cap 100000"),
         (["spectrum", "--G", "2", "--p", "2", "--a", _HUGE, "--limit", "5"],
@@ -718,8 +720,8 @@ _HUGE = str(10**12)
     ids=["admissible-above-sequence-cap", "admissible-e-4", "admissible-huge-e",
          "admissible-count-above-tuple-cap", "admissible-count-huge-e",
          "genus-grid-above-jmax-cap", "econd-grid-above-work-cap",
-         "density-check-above-gmax-cap", "spectrum-huge-a", "genus-huge-wild-exponent",
-         "herbrand-huge-multiplicity"],
+         "econd-grid-huge-jmax-negative-smax", "density-check-above-gmax-cap",
+         "spectrum-huge-a", "genus-huge-wild-exponent", "herbrand-huge-multiplicity"],
 )
 def test_inputs_above_the_cost_caps_exit_2_fast(capsys, argv, message):
     start = time.perf_counter()
@@ -786,6 +788,20 @@ _N = "9" * 4299 + "7"
          "special degree -1 must be >= 0"),
         (["genus", "--G", str(2**64), "--branch", '{"p":2,"e":1,"upper_jumps":["%s"]}' % _N],
          "break 1: the break index exceeds the bound 2^64"),
+        (["genus", "--G", "6", "--branch", '{"p":2,"e":1,"m":3,"upper_jumps":["%s/2"]}' % _N],
+         "break 1: the break index exceeds the bound 2^64"),
+        (["herbrand", '{"p":2,"e":1,"m":3,"breaks":[{"c":"%s/2","mult":1}]}' % _N],
+         "break 1: the break index exceeds the bound 2^64"),
+        (["act", "--a", "1", "--s", "5", '{"p":2,"e":1,"m":3,"breaks":[{"c":"%s/2","mult":1}]}'
+          % _N], "break 1: the break index exceeds the bound 2^64"),
+        (["spectrum", "--G", "2", "--p", "2", "--m", _N, "--limit", "10"],
+         "tame order exceeds the bound m <= 2^64"),
+        (["spectrum", "--G", "8", "--p", "2", "--a", "2", "--sigma0", "1/" + _N, "--limit", "10"],
+         "base conductor denominator exceeds the bound m*2^64"),
+        (["tower", "--p", "2", "--j", _N, "--F", "x^-5 ; x^-18446744073709551616"],
+         "first jump exceeds the bound j <= 2^64"),
+        (["admissible", "--p", str(2**61 - 1), "--e", "1000", "--bound", _N],
+         f"bound {_N} is below the minimal final jump {2**61 - 1}^999"),
         (["herbrand", "--psi", _N, '{"p":2,"e":2,"breaks":[{"c":"1","mult":2}]}'],
          "--psi: numerator or denominator exceeds the bound 2^64"),
         (["herbrand", "--phi", f"1/{2**64 + 1}", '{"p":2,"e":1,"breaks":[{"c":"1","mult":1}]}'],
@@ -801,6 +817,9 @@ _N = "9" * 4299 + "7"
          "bad filtration JSON: nested too deeply"),
     ],
     ids=["kato-huge-degrees", "kato-negative-special-degree", "genus-huge-jump",
+         "genus-huge-tame-jump", "herbrand-huge-tame-break", "act-huge-tame-break",
+         "spectrum-huge-m", "spectrum-huge-sigma0-denominator", "tower-huge-first-jump",
+         "admissible-huge-final-jump",
          "herbrand-huge-psi", "herbrand-huge-phi-denominator", "herbrand-huge-m",
          "json-numeral-past-the-digit-limit", "branch-json-numeral-past-the-digit-limit",
          "json-array-past-the-recursion-limit", "json-object-past-the-recursion-limit"],

@@ -74,7 +74,7 @@ ext_texts = st.lists(st.one_of(laurent_texts, st.just("0")), min_size=1, max_siz
 rationals = st.one_of(
     st.builds("{}/{}".format, st.integers(-5, 60), st.integers(0, 13)),
     st.one_of(small_ints, huge_ints).map(str),
-    st.builds("{}/{}".format, st.one_of(small_ints, huge_ints), st.sampled_from([3, N4300])),
+    st.builds("{}/{}".format, st.one_of(small_ints, huge_ints), st.sampled_from([2, 3, N4300])),
 )
 sequences = st.lists(st.one_of(st.integers(0, 300), huge_ints), min_size=1, max_size=6).map(
     lambda xs: ",".join(map(str, xs))
@@ -188,8 +188,16 @@ def _check(argv):
           '{"p":2,"e":1,"upper_jumps":["%d"]}' % N4300])
 @example(["herbrand", "--psi", str(N4300), '{"p":2,"e":2,"breaks":[{"c":"1","mult":2}]}'])
 @example(["herbrand", "--psi", "9", '{"p":2,"e":0,"m":%d,"breaks":[]}' % N4300])
+@example(["herbrand", '{"p":2,"e":1,"m":3,"breaks":[{"c":"%d/2","mult":1}]}' % N4300])
+@example(["genus", "--G", "6", "--branch", '{"p":2,"e":1,"m":3,"upper_jumps":["%d/2"]}' % N4300])
+@example(["spectrum", "--G", "2", "--p", "2", "--m", str(N4300), "--limit", "10"])
+@example(["spectrum", "--G", "8", "--p", "2", "--a", "2", "--sigma0", f"1/{N4300}",
+          "--limit", "10"])
+@example(["admissible", "--p", str(2**61 - 1), "--e", "1000", "--bound", str(N4300)])
+@example(["tower", "--p", "2", "--j", str(N4300), "--F", "x^-5 ; x^-18446744073709551616"])
 @example(["herbrand", '{"p": %s, "e": 1, "breaks": []}' % ("1" * 4400)])
 @example(["herbrand", "[" * 100000])  # past the JSON decoder's recursion limit
+@example(["grid", "econd-grid", "--p", "2", "--jmax", str(N4300), "--smax", "-1"])
 def test_main_exits_0_2_or_3_within_budget(argv):
     _check(argv)
 
