@@ -9,8 +9,11 @@ for p = 2; log, antilog and Zech tables for odd p with q <= ZECH_MAX_Q, the
 idiom of the galois library (https://github.com/mhostetter/galois); and
 above that the F_p[x] routines (product mod the modulus, extended Euclid,
 the Frobenius matrices) on the digits.  p-th roots (inverse Frobenius) are
-exact in every kernel.  Laurent polynomials are finite maps from integer
-exponents to nonzero int forms, and text is parsed to and formatted from
+exact in every kernel.  Both sparse rings, the Laurent polynomials here
+and `asext`'s tower, store an element as one map from integer weights to
+nonzero int forms (`_IntMap`), so the sum, product, p-th power, power and
+valuation are written once for both; the pair (e, i) of x^e y^i appears
+only at the tower's public views.  Text is parsed to and formatted from
 those maps; a `FieldElement` is built only when a caller asks for a
 coefficient.  Nothing here touches floating point.
 
@@ -24,6 +27,7 @@ import itertools
 import re
 import sys
 from functools import lru_cache
+from math import comb
 from operator import attrgetter, index, mul, xor
 
 from .errors import FieldMismatch, InputError, ParseError
@@ -478,6 +482,22 @@ class FieldSpec:
         return f"F_{self.p}" if self.n == 1 else f"F_{self.p}^{self.n}"
 
 
+def _kernel_operator(name: str, reflected: bool = False):
+    """The FieldElement operator applying the spec's kernel `name` to the int
+    forms of self and other, other first when reflected.  An operand that is
+    neither an element nor an integer gets NotImplemented, so Python tries
+    its reflected method: c * f for a LaurentPoly f scales f."""
+    kernel = attrgetter(name)
+
+    def op(self, other):
+        if not (isinstance(other, FieldElement) or hasattr(other, "__index__")):
+            return NotImplemented
+        a, b = self.v, _form(self.spec, other)
+        return self._trusted(self.spec, kernel(self.spec)(*((b, a) if reflected else (a, b))))
+
+    return op
+
+
 class FieldElement:
     """Element of F_{p^n} as its int form v (see FieldSpec).
 
@@ -515,24 +535,13 @@ class FieldElement:
     def __bool__(self) -> bool:
         return self.v != 0
 
-    def __add__(self, other):
-        return self._trusted(self.spec, self.spec.add(self.v, _form(self.spec, other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._trusted(self.spec, self.spec.sub(self.v, _form(self.spec, other)))
-
-    def __rsub__(self, other):
-        return self._trusted(self.spec, self.spec.sub(_form(self.spec, other), self.v))
+    __add__ = __radd__ = _kernel_operator("add")
+    __sub__ = _kernel_operator("sub")
+    __rsub__ = _kernel_operator("sub", reflected=True)
+    __mul__ = __rmul__ = _kernel_operator("mul")
 
     def __neg__(self):
         return self._trusted(self.spec, self.spec.neg(self.v))
-
-    def __mul__(self, other):
-        return self._trusted(self.spec, self.spec.mul(self.v, _form(self.spec, other)))
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
@@ -578,10 +587,9 @@ def _form(spec: FieldSpec, c) -> int:
 
 
 def _plus(terms: dict, pairs, add) -> dict:
-    """The sparse term map {key: nonzero int form} of `terms` plus the
-    (key, nonzero int form) pairs under a field's add kernel; a key whose
-    sum cancels drops out.  Keys are x-exponents here, (x-exponent,
-    y-degree) pairs in `asext` and weights in `aschreier`'s engine."""
+    """The sparse term map {weight: nonzero int form} of `terms` plus the
+    (weight, nonzero int form) pairs under a field's add kernel; a weight
+    whose sum cancels drops out."""
     out = dict(terms)
     for k, c in pairs:
         s = out.get(k)
@@ -594,12 +602,33 @@ def _plus(terms: dict, pairs, add) -> dict:
     return out
 
 
+class _BinomialRows(dict):
+    """The tower's binomial rows mod p, one table per p (`_binomial_rows`),
+    row beta < p built on first use: the pairs (b, C(beta, b) as an int form
+    of F_p) for b = 1..beta, the terms of (y + x^-j)^beta past y^beta, term
+    b lying step*b = j*(p - 1)*b above it in weight.  None is 0, as beta < p."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __missing__(self, beta: int) -> tuple:
+        row = self[beta] = tuple((b, comb(beta, b) % self.p) for b in range(1, beta + 1))
+        return row
+
+
+_binomial_rows = lru_cache(maxsize=None)(_BinomialRows)
+
+
 class _IntMap:
-    """The shared arithmetic of the sparse rings: an element over `_over`
-    (the field itself, or an `asext.ExtFieldSpec`) is the map `_ints` from
-    keys to nonzero int forms of the field `_field`.  Sums and negatives
-    act key by key; a subclass adds its keys' meaning, its product and its
-    public constructor, which checks caller input once."""
+    """The arithmetic of the two sparse rings, each element the map `_ints`
+    from weights to nonzero int forms of the field `_field`, over `_over`
+    (the field itself, or an `asext.ExtFieldSpec`).  The weight of x^e is e
+    on the line and p*e - j*i for x^e y^i in the tower over y^p - y = x^-j,
+    a bijection onto the integers there, so a weight names one monomial and
+    its y-degree is -w/j mod p.  `_ring` is (1/j mod p, j*(p - 1)) in the
+    tower and (0, 0) on the line, where every y-degree is 0; `_keys` maps
+    weights to the public keys.  A subclass adds its public constructor,
+    which checks caller input once."""
 
     __slots__ = ("_over", "_ints")
 
@@ -620,7 +649,7 @@ class _IntMap:
     def terms(self) -> dict:
         """{key: nonzero FieldElement}, a fresh dict on every call."""
         spec = self._field
-        return {k: FieldElement._trusted(spec, v) for k, v in self._ints.items()}
+        return {k: FieldElement._trusted(spec, v) for k, v in self._keys(self._ints).items()}
 
     @property
     def is_zero(self) -> bool:
@@ -628,6 +657,12 @@ class _IntMap:
 
     def __bool__(self):
         return not self.is_zero
+
+    @property
+    def valuation(self):
+        """The least weight, INFINITY for zero; in the tower one term has it,
+        as the weight is a bijection."""
+        return min(self._ints, default=INFINITY)
 
     def _check(self, other):
         if not isinstance(other, type(self)):
@@ -645,6 +680,44 @@ class _IntMap:
     def __neg__(self):
         neg = self._field.neg
         return self._trusted(self._over, {k: neg(v) for k, v in self._ints.items()})
+
+    def __mul__(self, other):
+        """Ring product: weights add.  Where two y-degrees sum to i >= p,
+        y^i = y^(i-p+1) + x^-j y^(i-p) by y^p = y + x^-j: the second term
+        keeps the weight and the first lies step = j*(p - 1) above it."""
+        self._check(other)
+        spec, (jinv, step) = self._field, self._ring
+        p, mul = spec.p, spec.mul
+        rhs = [(w, c, -w * jinv % p) for w, c in other._ints.items()]
+
+        def products():
+            for w1, c1 in self._ints.items():
+                i1 = -w1 * jinv % p
+                for w2, c2, i2 in rhs:
+                    c = mul(c1, c2)
+                    yield w1 + w2, c
+                    if i1 + i2 >= p:
+                        yield w1 + w2 + step, c
+
+        return self._trusted(self._over, _plus({}, products(), spec.add))
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise InputError("negative powers of Laurent polynomials are not defined")
+        return _power(_IntMap.__mul__, self._trusted(self._over, {0: 1}), self, k)
+
+    def _pow_p(self):
+        """p-th power: (c m)^p = c^p x^(p*e) (y + x^-j)^beta for each term c m
+        of weight w and y-degree beta, its term b at weight p*w + step*b.  On
+        the line beta = 0, so only the b = 0 terms c^p at p*w remain."""
+        spec, (jinv, step) = self._field, self._ring
+        p, mul = spec.p, spec.mul
+        hp = {p * w: spec.frob(c) for w, c in self._ints.items()}
+        if step:  # b >= 1: weights prime to p, apart from the b = 0 terms at multiples of p
+            rows = _binomial_rows(p)
+            hp = _plus(hp, [(p * w + step * b, mul(hp[p * w], m))
+                            for w in self._ints for b, m in rows[-w * jinv % p]], spec.add)
+        return self._trusted(self._over, hp)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -666,6 +739,9 @@ class LaurentPoly(_IntMap):
 
     __slots__ = ()
     spec = _field = property(attrgetter("_over"))
+    _ring = (0, 0)
+    _keys = staticmethod(_identity)
+    frobenius = _IntMap._pow_p
 
     def __init__(self, spec: FieldSpec, terms=None):
         clean: dict[int, int] = {}
@@ -680,13 +756,6 @@ class LaurentPoly(_IntMap):
     def x_pow(cls, spec: FieldSpec, e: int, coeff=1) -> "LaurentPoly":
         return cls(spec, {e: coeff})
 
-    @property
-    def valuation(self):
-        """Minimum exponent with nonzero coefficient; INFINITY for zero."""
-        if not self._ints:
-            return INFINITY
-        return min(self._ints)
-
     def __getitem__(self, e: int) -> FieldElement:
         return FieldElement._trusted(self.spec, self._ints.get(e, 0))
 
@@ -700,28 +769,12 @@ class LaurentPoly(_IntMap):
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
             return self.scale(other)
-        self._check(other)
-        spec = self.spec
-        mul = spec.mul
-        return LaurentPoly._trusted(spec, _plus({}, (
-            (e1 + e2, mul(c1, c2))
-            for e1, c1 in self._ints.items() for e2, c2 in other._ints.items()
-        ), spec.add))
+        return _IntMap.__mul__(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise InputError("negative powers of Laurent polynomials are not defined")
-        return _power(LaurentPoly.__mul__, LaurentPoly.x_pow(self.spec, 0), self, k)
-
-    def frobenius(self) -> "LaurentPoly":
-        """p-th power: coefficients to the p, exponents times p."""
-        p, frob = self.spec.p, self.spec.frob
-        return LaurentPoly._trusted(self.spec, {p * e: frob(v) for e, v in self._ints.items()})
 
     def __str__(self):
         return format_laurent(self)

@@ -6,14 +6,14 @@ h -> h^p - h and therefore not the isomorphism class.  The conductor is the
 prime-to-p pole order of the reduced right-hand side.
 
 One engine, `_reduce_terms`, runs this loop for both rings, here and for
-the tower extension in `asext`, on a {weight: int form} map: the weight of
-x^e is e here and p*e - j*i for x^e y^i in the tower, a bijection onto the
-integers.  A kill at weight v is the same rule in both rings, its updates
-all weigh more than v, and a heap of plain ints finds the leading term, so
-k steps cost O(k log k) heap work plus k p-th roots.  One p-th power in
-weight space, `_pow_p`, shares the kill's binomial rows; the certificate
-f - f_reduced = h^p - h is checked once, at the end, on the same int
-maps.  No `FieldElement` is built.
+the tower extension in `asext`, on the element's own {weight: int form}
+map (`algebra._IntMap`): the weight of x^e is e here and p*e - j*i for
+x^e y^i in the tower, a bijection onto the integers.  A kill at weight v
+is the same rule in both rings, its updates all weigh more than v, and a
+heap of plain ints finds the leading term, so k steps cost O(k log k)
+heap work plus k p-th roots.  `_reduce` runs it on a copy and checks the
+certificate f - f_reduced = h^p - h with the ring's own arithmetic, whose
+p-th power shares the kill's binomial rows.  No `FieldElement` is built.
 
 Terms of exponent >= 0 never affect ramification at x = 0 here: over the
 algebraically closed field these covers stand in for, every regular part is
@@ -26,11 +26,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import comb
 
-from .algebra import MAX_EXPONENT, LaurentPoly, _plus
+from .algebra import MAX_EXPONENT, LaurentPoly, _binomial_rows
 from .errors import (
     InvalidJump,
     InvariantViolation,
@@ -76,39 +74,7 @@ class ASReduced:
     substitution: LaurentPoly
 
 
-class _BinomialRows(dict):
-    """The tower's binomial rows mod p, one table per p (`_binomial_rows`),
-    row beta < p built on first use: the pairs (b, C(beta, b) as an int form
-    of F_p) for b = 1..beta, the terms of (y + x^-j)^beta past y^beta, term
-    b lying step*b = j*(p - 1)*b above it in weight.  None is 0, as beta < p."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def __missing__(self, beta: int) -> tuple:
-        row = self[beta] = tuple((b, comb(beta, b) % self.p) for b in range(1, beta + 1))
-        return row
-
-
-_binomial_rows = lru_cache(maxsize=None)(_BinomialRows)
-
-
-def _pow_p(spec, jinv: int, step: int, terms: dict) -> dict:
-    """The p-th power of the element with the {weight: int form} map
-    `terms`: (c m)^p = c^p x^(p*e) (y + x^-j)^beta for each term c m of
-    weight w and y-degree beta = -w/j mod p, its term b at weight
-    p*w + step*b.  On the line jinv = step = 0, so beta = 0 and only the
-    b = 0 terms c^p at p*w remain."""
-    p, frob, mul = spec.p, spec.frob, spec.mul
-    hp = {p * w: frob(c) for w, c in terms.items()}
-    if step:  # b >= 1: weights prime to p, apart from the b = 0 terms at multiples of p
-        rows = _binomial_rows(p)
-        hp = _plus(hp, [(p * w + step * b, mul(hp[p * w], m))
-                        for w in terms for b, m in rows[-w * jinv % p]], spec.add)
-    return hp
-
-
-def _reduce_terms(terms: dict, spec, jinv: int = 0, step: int = 0):
+def _reduce_terms(terms: dict, spec, jinv: int, step: int):
     """The Artin-Schreier reduction loop, in place on a {weight: int form}
     map over spec: the line (jinv = step = 0, weight e for x^e) or the tower
     (jinv = 1/j mod p, step = j*(p - 1)).
@@ -158,13 +124,16 @@ def _reduce_terms(terms: dict, spec, jinv: int = 0, step: int = 0):
     return UNRAMIFIED, h
 
 
-def _certify(spec, f: dict, g: dict, hp: dict, h: dict) -> None:
-    """Check the certificate f - g = hp - h, as f + h - g = hp, of a
-    reduction of f to g by the substitution h with p-th power hp, all
-    {weight: int form} maps over spec."""
-    neg = spec.neg
-    if _plus(f, [*h.items(), *((k, neg(c)) for k, c in g.items())], spec.add) != hp:
+def _reduce(f):
+    """(reduced, conductor, substitution) of f, an element of either ring:
+    `_reduce_terms` on a copy of its weight map, then the certificate
+    f - reduced = substitution^p - substitution, checked on the results."""
+    terms = dict(f._ints)
+    conductor, h = _reduce_terms(terms, f._field, *f._ring)
+    g, h = f._trusted(f._over, terms), f._trusted(f._over, h)
+    if f - g != h._pow_p() - h:
         raise InvariantViolation("reduction substitution does not account for the change")
+    return g, conductor, h
 
 
 def as_reduce(f: LaurentPoly) -> ASReduced:
@@ -175,12 +144,7 @@ def as_reduce(f: LaurentPoly) -> ASReduced:
     terminates.  The accumulated substitution h satisfies
     f - f_reduced = h^p - h, which is checked before returning.
     """
-    spec = f.spec
-    terms = dict(f._ints)  # on the line the weight of x^e is e
-    conductor, h = _reduce_terms(terms, spec)
-    _certify(spec, f._ints, terms, _pow_p(spec, 0, 0, h), h)
-    return ASReduced(LaurentPoly._trusted(spec, terms), conductor,
-                     LaurentPoly._trusted(spec, h))
+    return ASReduced(*_reduce(f))
 
 
 def as_conductor(f):

@@ -1,23 +1,23 @@
 """Arithmetic in the degree-p extension k((x))[y]/(y^p - y - x^(-j)).
 
-An element is a sum of monomials c * x^e * y^i with 0 <= i < p, stored as
-the sparse map {(e, i): int form of c}, the form the reduction engine
-edits; `terms` and `coeffs` build the public views on request.  The
+An element is a sum of monomials c * x^e * y^i with 0 <= i < p.  The
 valuation is normalised so that val(x) = p and val(y) = -j, hence
-val(c x^e y^i) = p*e - j*i and an element's valuation is the least weight
-of its terms; that minimum is attained by a single term (see `valuation`).
+val(c x^e y^i) = p*e - j*i, its weight, and an element is stored as the
+sparse map {weight: int form of c}, the form the reduction engine edits
+and `algebra._IntMap`'s arithmetic acts on, as for a Laurent polynomial.
+The pair (e, i) appears only at the public edges: the constructor and
+`parse_ext` map to weights, `terms` and `coeffs` (hence `format_ext`) map
+back, all through `ExtFieldSpec`.
 
 This module is the jump engine for towers whose base layer is
 y^p - y = x^(-j): reducing w^p - w = F over the extension yields the second
 lower jump, and the Herbrand conversion turns it into the pair of upper
-jumps.  `ext_as_reduce` maps F's terms to their weights once, runs the
-shared engine `aschreier._reduce_terms` there through the field's kernels,
-and maps the results back once: O(k log k) heap work plus k p-th roots for
-k steps.  `pow_p` uses the same weight-space p-th power.  Every step is an
-exact polynomial identity; in particular the fractional-exponent binomial
-expansion that would appear in a power-series treatment is replaced by
-explicit monomial substitutions h with F -> F - (h^p - h), so no
-truncation ever occurs.
+jumps.  `ext_as_reduce` runs the shared engine `aschreier._reduce_terms`
+on F's own map through the field's kernels: O(k log k) heap work plus k
+p-th roots for k steps.  Every step is an exact polynomial identity; in
+particular the fractional-exponent binomial expansion that would appear
+in a power-series treatment is replaced by explicit monomial
+substitutions h with F -> F - (h^p - h), so no truncation ever occurs.
 """
 
 from __future__ import annotations
@@ -26,17 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .algebra import (
-    INFINITY,
-    FieldSpec,
-    LaurentPoly,
-    _IntMap,
-    _parse_ints,
-    _plus,
-    _power,
-    format_laurent,
-)
-from .aschreier import UNRAMIFIED, _certify, _pow_p, _reduce_terms, _Unramified
+from .algebra import FieldSpec, LaurentPoly, _IntMap, _parse_ints, format_laurent
+from .aschreier import UNRAMIFIED, _reduce, _Unramified
 from .errors import (
     DegenerateTower,
     FieldMismatch,
@@ -82,8 +73,9 @@ class ExtFieldSpec:
 
     def _weights(self, ints: dict) -> dict:
         """{(e, i): c} -> {p*e - j*i: c}.  The weight is a bijection from the
-        monomials x^e y^i, 0 <= i < p, onto the integers, as p does not
-        divide j; `_keys` is its inverse."""
+        monomials x^e y^i, 0 <= i < p, onto the integers: p*e - j*i =
+        p*e' - j*i' forces p | j*(i - i'), so i = i' as p does not divide j
+        and |i - i'| < p, and then e = e'.  `_keys` is its inverse."""
         p, j = self.p, self.j
         return {p * e - j * i: c for (e, i), c in ints.items()}
 
@@ -98,14 +90,17 @@ class ExtFieldSpec:
 
 
 class ExtElement(_IntMap):
-    """The map `_ints` {(e, i): v} of sum c x^e y^i: int e, 0 <= i < p, and v
-    the nonzero int form of c in ext.field.  The constructor checks caller
-    input, the p Laurent coefficients a_i of sum a_i(x) y^i; `_trusted`
-    builds internal results."""
+    """The map `_ints` {p*e - j*i: v} of sum c x^e y^i: int e, 0 <= i < p,
+    and v the nonzero int form of c in ext.field.  The constructor checks
+    caller input, the p Laurent coefficients a_i of sum a_i(x) y^i;
+    `_trusted` builds internal results."""
 
     __slots__ = ()
     ext = property(attrgetter("_over"))
     _field = property(attrgetter("_over.field"))
+    _ring = property(attrgetter("_over._ring"))
+    _keys = property(attrgetter("_over._keys"))
+    pow_p = _IntMap._pow_p
 
     def __init__(self, ext: ExtFieldSpec, coeffs):
         coeffs = tuple(coeffs)
@@ -113,12 +108,15 @@ class ExtElement(_IntMap):
             raise InputError(f"expected {ext.p} coefficients, got {len(coeffs)}")
         ints = {}
         for i, a in enumerate(coeffs):
+            if not isinstance(a, LaurentPoly):
+                raise TypeError(f"coefficient of y^{i}: expected LaurentPoly, "
+                                f"got {type(a).__name__}")
             if a.spec is not ext.field and a.spec != ext.field:
                 raise FieldMismatch(f"{ext.field} vs {a.spec}")
             for e, v in a._ints.items():
                 ints[e, i] = v
         self._over = ext
-        self._ints = ints
+        self._ints = ext._weights(ints)
 
     @classmethod
     def from_coeffs(cls, ext: ExtFieldSpec, coeffs) -> "ExtElement":
@@ -136,54 +134,19 @@ class ExtElement(_IntMap):
 
     @classmethod
     def y(cls, ext: ExtFieldSpec) -> "ExtElement":
-        return cls._trusted(ext, {(0, 1): 1})
+        return cls._trusted(ext, {-ext.j: 1})
 
     @classmethod
     def y_pow(cls, ext: ExtFieldSpec, k: int) -> "ExtElement":
-        return _power(cls.__mul__, cls.x_pow(ext, 0), cls.y(ext), k)
+        return cls.y(ext) ** k
 
     @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:
         """The p Laurent coefficients a_i of sum a_i(x) y^i."""
         rows = [{} for _ in range(self.ext.p)]
-        for (e, i), v in self._ints.items():
+        for (e, i), v in self._keys(self._ints).items():
             rows[i][e] = v
         return tuple(LaurentPoly._trusted(self.ext.field, r) for r in rows)
-
-    @property
-    def valuation(self):
-        """min (p*e - j*i) over the terms; INFINITY iff zero.
-
-        One term attains it: p*e - j*i = p*e' - j*i' forces p | j*(i - i'),
-        and as p does not divide j (checked by ExtFieldSpec) and
-        |i - i'| < p, that means i = i' and then e = e'.
-        """
-        p, j = self.ext.p, self.ext.j
-        return min((p * e - j * i for e, i in self._ints), default=INFINITY)
-
-    def __mul__(self, other):
-        """Ring product, rewriting y^k for k >= p via y^p = y + x^(-j)."""
-        self._check(other)
-        ext = self.ext
-        p, j, mul = ext.p, ext.j, ext.field.mul
-
-        def products():
-            for (e1, i1), c1 in self._ints.items():
-                for (e2, i2), c2 in other._ints.items():
-                    e, i, c = e1 + e2, i1 + i2, mul(c1, c2)
-                    if i < p:
-                        yield (e, i), c
-                    else:  # y^i = y^(i-p+1) + x^-j y^(i-p), both of degree < p
-                        yield (e, i - p + 1), c
-                        yield (e - j, i - p), c
-
-        return ExtElement._trusted(ext, _plus({}, products(), ext.field.add))
-
-    def pow_p(self) -> "ExtElement":
-        """p-th power: the sum of the (c x^e y^i)^p, exact and finite."""
-        ext = self.ext
-        return ExtElement._trusted(
-            ext, ext._keys(_pow_p(ext.field, *ext._ring, ext._weights(self._ints))))
 
     def __str__(self):
         return format_ext(self)
@@ -213,13 +176,7 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
     step strictly raises the valuation, so the loop terminates; the final
     negative valuation is automatically prime to p.
     """
-    ext, spec = F.ext, F.ext.field
-    f = ext._weights(F._ints)
-    terms = dict(f)
-    jump, h = _reduce_terms(terms, spec, *ext._ring)
-    _certify(spec, f, terms, _pow_p(spec, *ext._ring, h), h)
-    return ExtReduced(ExtElement._trusted(ext, ext._keys(terms)), jump,
-                      ExtElement._trusted(ext, ext._keys(h)))
+    return ExtReduced(*_reduce(F))
 
 
 def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:
@@ -270,7 +227,7 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
             ints.update(((e, i), v) for e, v in _parse_ints(ext.field, seg.strip()).items())
         except ParseError as exc:
             raise ParseError(f"coefficient of y^{i}: {exc}") from None
-    return ExtElement._trusted(ext, ints)
+    return ExtElement._trusted(ext, ext._weights(ints))
 
 
 def format_ext(F: ExtElement) -> str:

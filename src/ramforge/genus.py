@@ -173,12 +173,24 @@ def _deformation_gap(p: int, m: int, sigma, s: int) -> tuple[int, int]:
     """s/m - sigma for a deformation target s, as the unreduced fraction
     (s*den - m*num, m*den) over sigma = num/den: InvalidJump unless s is
     positive and prime to p, NotLarger unless s > m*sigma.  A string sigma
-    is read by the wire grammar of `parse_rational`."""
+    is read by the wire grammar of `parse_rational`.  The bounds of
+    `require_prime`, `as_deform`, `InertiaShape` and `Filtration` on p, s,
+    m and sigma come first, so every value a message prints is short
+    enough for str()."""
     if type(sigma) is not Fraction:
         sigma = _read_rational(sigma, "sigma")
+    num, den = sigma.as_integer_ratio()
+    if not 2 <= p < 2**64:
+        raise InputError("characteristic must lie in 2..2^64 - 1")
+    if abs(s) > 2**64:
+        raise InvalidJump("conductor exceeds the bound |s| <= 2^64")
+    if not 1 <= m <= 2**64:
+        raise InputError("tame order must lie in 1..2^64")
+    if abs(num) > den << 64 or den > m << 64:
+        raise InputError("sigma exceeds the bound |sigma| <= 2^64 with a denominator "
+                         "at most m*2^64")
     if s % p == 0 or s < 1:
         raise InvalidJump(f"conductor {s} must be positive and prime to {p}")
-    num, den = sigma.as_integer_ratio()
     if s * den <= m * num:
         raise NotLarger(f"conductor {s} does not exceed m*sigma = {m * sigma}")
     return s * den - m * num, m * den

@@ -83,8 +83,10 @@ class Filtration:
     integral, so D divides m*p^(their sum).  Each break is at most 2^64,
     checked before the loop formats a finding, which keeps the values read
     off the table short enough for str().  A break value that is not a
-    Fraction is read by `_read_rational`.  The violated invariants are
-    recorded in the knot loop, in `validate`'s order and wording.
+    Fraction is read by `_read_rational`; a multiplicity must be an int
+    (TypeError naming the break otherwise, so 1.7 is not read as 1).  The
+    violated invariants are recorded in the knot loop, in `validate`'s
+    order and wording.
     """
 
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
@@ -96,7 +98,8 @@ class Filtration:
         for i, (c, l) in enumerate(breaks, 1):
             if type(c) is not Fraction:
                 c = _read_rational(c, "break", i)
-            l = int(l)
+            if type(l) is not int:
+                raise TypeError(f"break {i}: multiplicity must be an int, got {type(l).__name__}")
             den = math.lcm(den, c.denominator)
             if den > cap:
                 raise InputError(f"break {i}: the lcm of the break denominators exceeds "

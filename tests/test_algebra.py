@@ -198,6 +198,15 @@ def test_characteristic_two_cancellation():
     assert L(F2, "x^-1") * L(F2, "x^-1") == L(F2, "x^-2")
 
 
+def test_a_field_element_scales_a_polynomial_from_either_side():
+    # c * f once raised: FieldElement.__mul__ read f as an integer
+    spec = FieldSpec(2, 2)
+    c, f = spec.element([0, 1]), L(spec, "x^-3 + [1,1]*x^-1 + 1")
+    assert c * f == f * c == f.scale(c)
+    with pytest.raises(TypeError):
+        c + f
+
+
 def test_frobenius_freshmans_dream():
     f = L(F2, "x^-1 + x^-2")
     assert f.frobenius() == L(F2, "x^-2 + x^-4")

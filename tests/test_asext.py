@@ -1,6 +1,8 @@
 """The degree-p extension arithmetic and the tower jump engine."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,12 @@ F3 = FieldSpec(3)
 E21 = ExtFieldSpec(F2, 1)
 E23 = ExtFieldSpec(F2, 3)
 E31 = ExtFieldSpec(F3, 1)
+
+# the benchmark's reference arithmetic, written without ramforge
+_ORACLE = importlib.util.spec_from_file_location(
+    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+O = importlib.util.module_from_spec(_ORACLE)
+_ORACLE.loader.exec_module(O)
 
 
 def _random_ext(rng, ext, lo=-6, hi=2, maxterms=2):
@@ -102,6 +110,52 @@ def test_product_associative():
     for _ in range(15):
         F, G, H = (_random_ext(rng, E31, maxterms=1) for _ in range(3))
         assert (F * G) * H == F * (G * H)
+
+
+ORACLE_EXTS = [ExtFieldSpec(FieldSpec(p, n), j)
+               for p, n, js in [(2, 1, (1, 3)), (2, 2, (1, 5)), (3, 1, (1, 2)), (3, 2, (1, 4)),
+                                (5, 1, (2, 3))] for j in js]
+
+
+@st.composite
+def oracle_operands(draw):
+    """(ext, F, G) with a term of F at y-degree p - 1 and one of G at y-degree
+    >= 1, so that F * G meets y^p = y + x^-j."""
+    ext = draw(st.sampled_from(ORACLE_EXTS))
+    field, p = ext.field, ext.p
+    forms = st.integers(1, field.q - 1)
+
+    def element(forced):
+        rows = []
+        for i in range(p):
+            exps = draw(st.lists(st.integers(-6, 3), min_size=int(i == forced), max_size=3,
+                                 unique=True))
+            rows.append(LaurentPoly(field, {e: FieldElement(field, draw(forms)) for e in exps}))
+        return ExtElement(ext, rows)
+
+    return ext, element(p - 1), element(draw(st.integers(1, p - 1)))
+
+
+def _oracle_product(Fo, j, A, B):
+    """A * B in the oracle: the sum over b of (A y^b) times B's y^b coefficient,
+    one Laurent term at a time."""
+    out = [{} for _ in range(Fo.p)]
+    for b_coeff in B:
+        for e, c in b_coeff.items():
+            out = O.x_add(Fo, out, [{e1 + e: Fo.mul(c1, c) for e1, c1 in a.items()} for a in A])
+        A = O.x_times_y(Fo, j, A)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_operands(), st.integers(0, 12))
+def test_tower_arithmetic_matches_the_oracle(case, k):
+    ext, F, G = case
+    Fo, j = O.field(ext.p, ext.field.n), ext.j
+    A, B = (O.x_parse(Fo, format_ext(X)) for X in (F, G))
+    assert format_ext(F * G) == O.x_text(Fo, _oracle_product(Fo, j, A, B))
+    assert format_ext(F.pow_p()) == O.x_text(Fo, O.x_add(Fo, O.x_frob_minus_id(Fo, j, A), A))
+    assert format_ext(ExtElement.y_pow(ext, k)) == O.x_text(Fo, O.y_power(Fo, j, k))
 
 
 # ------------------------------------------------------------------ p-th power
@@ -309,11 +363,12 @@ def ext_operands(draw):
 
 
 def _assert_canonical(r, ext):
-    """Every key of r is (int e, i) with 0 <= i < p and every coefficient a
-    nonzero element of ext.field, so the checked constructor rebuilds r."""
+    """r stores int weights and nonzero int forms of ext.field only, every
+    public key is (int e, i) with 0 <= i < p and every coefficient a nonzero
+    element of ext.field, so the checked constructor rebuilds r."""
     assert r.ext == ext
-    for (e, i), v in r._ints.items():
-        assert type(v) is int and 0 < v < ext.field.q
+    for w, v in r._ints.items():
+        assert type(w) is int and type(v) is int and 0 < v < ext.field.q
     for (e, i), c in r.terms.items():
         assert type(e) is int and type(i) is int and 0 <= i < ext.p
         assert isinstance(c, FieldElement) and c.spec == ext.field and not c.is_zero
@@ -365,6 +420,14 @@ def test_parse_ext_too_many_segments():
 def test_ext_field_mismatch():
     with pytest.raises(FieldMismatch):
         ExtElement.y(E21) + ExtElement.y(ExtFieldSpec(F2, 3))
+
+
+@pytest.mark.parametrize("coeffs, i", [([1, 0], 0), (["x^-1", 0], 0),
+                                       ([LaurentPoly.zero(F2), 1], 1)])
+def test_ext_element_rejects_a_coefficient_that_is_not_a_laurent_poly(coeffs, i):
+    # these used to raise AttributeError on the missing .spec
+    with pytest.raises(TypeError, match=rf"^coefficient of y\^{i}: expected LaurentPoly"):
+        ExtElement(E21, coeffs)
 
 
 def test_ext_spec_rejects_bad_jump():

@@ -511,6 +511,25 @@ def test_deformation_target_preconditions(increment):
         increment(3)
 
 
+N4300 = int("9" * 4299 + "7")
+
+
+@pytest.mark.parametrize("probe, message", [
+    (lambda: genus_increment(2, 2, 1, 3, Fraction(N4300, 2), 5), "sigma exceeds the bound"),
+    (lambda: genus_increment(2, 2, 1, 1, Fraction(1, N4300), 5), "sigma exceeds the bound"),
+    (lambda: genus_increment(2, 2, 1, 1, 1, 2 * N4300), "conductor exceeds the bound"),
+    (lambda: genus_increment(2, 2, 1, 1, 1, -N4300), "conductor exceeds the bound"),
+    (lambda: genus_increment(2, 2, 1, N4300, 1, 3), "tame order must lie in"),
+    (lambda: genus_increment(2, 2 * N4300, 1, 1, 1, -1), "characteristic must lie in"),
+    (lambda: last_lower_jump_increment(2, 1, 1, 1, 1, 1, 2 * N4300),
+     "conductor exceeds the bound"),
+], ids=["sigma", "sigma-denominator", "s", "negative-s", "m", "p", "last-lower-jump-s"])
+def test_deformation_helpers_bound_what_their_messages_print(probe, message):
+    # str() of a 4,300-digit int raises a plain ValueError past Python's digit limit
+    with pytest.raises(InputError, match=f"^{message}"):
+        probe()
+
+
 def test_last_lower_jump_increment_examples():
     assert last_lower_jump_increment(2, 3, 2, 1, 1, 2, 5) == 9
     # e = a collapses to j_e + (s - m*sigma); a full-multiplicity break has j_e = m*sigma

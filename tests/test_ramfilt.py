@@ -141,6 +141,15 @@ def test_filtration_constructor_rejects_garbage():
         InertiaShape(2, 1, 2)  # m not prime to p
 
 
+@pytest.mark.parametrize("mult", [1.7, True, Fraction(1), "1"])
+def test_filtration_rejects_a_multiplicity_that_is_not_an_int(mult):
+    # 1.7 used to be truncated to 1 and the result called valid
+    with pytest.raises(TypeError, match="^break 1: multiplicity must be an int"):
+        Filtration(InertiaShape(2, 1, 1), [(Fraction(3), mult)])
+    with pytest.raises(TypeError, match="^break 2: "):
+        Filtration(InertiaShape(2, 2, 1), [(Fraction(1), 1), (Fraction(3), mult)])
+
+
 def test_filtration_constructor_bounds_the_denominator_lcm():
     # D divides m*p^(sum of mults) <= m*2^64 in a valid filtration; the odd
     # primes 3..59 multiply past 2^64 at the 16th, which the error names
