@@ -602,6 +602,13 @@ def _plus(terms: dict, pairs, add) -> dict:
     return out
 
 
+def _ydeg(w: int, jinv: int, p: int) -> int:
+    """The y-degree -w/j mod p of the tower monomial of weight w, for
+    jinv = 1/j mod p; 0 on the line, where jinv = 0.  The reduction loop in
+    `aschreier._reduce_terms` inlines it."""
+    return -w * jinv % p
+
+
 class _BinomialRows(dict):
     """The tower's binomial rows mod p, one table per p (`_binomial_rows`),
     row beta < p built on first use: the pairs (b, C(beta, b) as an int form
@@ -625,10 +632,10 @@ class _IntMap:
     (the field itself, or an `asext.ExtFieldSpec`).  The weight of x^e is e
     on the line and p*e - j*i for x^e y^i in the tower over y^p - y = x^-j,
     a bijection onto the integers there, so a weight names one monomial and
-    its y-degree is -w/j mod p.  `_ring` is (1/j mod p, j*(p - 1)) in the
-    tower and (0, 0) on the line, where every y-degree is 0; `_keys` maps
-    weights to the public keys.  A subclass adds its public constructor,
-    which checks caller input once."""
+    its y-degree is `_ydeg`, -w/j mod p.  `_ring` is (1/j mod p, j*(p - 1))
+    in the tower and (0, 0) on the line, where every y-degree is 0; `_keys`
+    maps weights to the public keys and `_noun` names the elements.  A
+    subclass adds its public constructor, which checks caller input once."""
 
     __slots__ = ("_over", "_ints")
 
@@ -688,11 +695,11 @@ class _IntMap:
         self._check(other)
         spec, (jinv, step) = self._field, self._ring
         p, mul = spec.p, spec.mul
-        rhs = [(w, c, -w * jinv % p) for w, c in other._ints.items()]
+        rhs = [(w, c, _ydeg(w, jinv, p)) for w, c in other._ints.items()]
 
         def products():
             for w1, c1 in self._ints.items():
-                i1 = -w1 * jinv % p
+                i1 = _ydeg(w1, jinv, p)
                 for w2, c2, i2 in rhs:
                     c = mul(c1, c2)
                     yield w1 + w2, c
@@ -703,7 +710,7 @@ class _IntMap:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise InputError("negative powers of Laurent polynomials are not defined")
+            raise InputError(f"negative powers of {self._noun} are not defined")
         return _power(_IntMap.__mul__, self._trusted(self._over, {0: 1}), self, k)
 
     def _pow_p(self):
@@ -716,7 +723,7 @@ class _IntMap:
         if step:  # b >= 1: weights prime to p, apart from the b = 0 terms at multiples of p
             rows = _binomial_rows(p)
             hp = _plus(hp, [(p * w + step * b, mul(hp[p * w], m))
-                            for w in self._ints for b, m in rows[-w * jinv % p]], spec.add)
+                            for w in self._ints for b, m in rows[_ydeg(w, jinv, p)]], spec.add)
         return self._trusted(self._over, hp)
 
     def __eq__(self, other):
@@ -741,6 +748,7 @@ class LaurentPoly(_IntMap):
     spec = _field = property(attrgetter("_over"))
     _ring = (0, 0)
     _keys = staticmethod(_identity)
+    _noun = "Laurent polynomials"
     frobenius = _IntMap._pow_p
 
     def __init__(self, spec: FieldSpec, terms=None):

@@ -109,7 +109,7 @@ def _reduce_terms(terms: dict, spec, jinv: int, step: int):
         del terms[v]
         w = v // p
         h[w] = r = root(c)
-        row = rows[-w * jinv % p]
+        row = rows[-w * jinv % p]  # algebra._ydeg, inlined
         if row:
             c = neg(c)
         for k, d in [(w, r), *[(v + step * b, mul(c, m)) for b, m in row]]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .algebra import FieldSpec, LaurentPoly, _IntMap, _parse_ints, format_laurent
+from .algebra import FieldSpec, LaurentPoly, _IntMap, _parse_ints, _ydeg, format_laurent
 from .aschreier import UNRAMIFIED, _reduce, _Unramified
 from .errors import (
     DegenerateTower,
@@ -84,7 +84,7 @@ class ExtFieldSpec:
         p, j, jinv = self.p, self.j, self._ring[0]
         out = {}
         for w, c in weights.items():
-            i = -w * jinv % p
+            i = _ydeg(w, jinv, p)
             out[(w + j * i) // p, i] = c
         return out
 
@@ -100,6 +100,7 @@ class ExtElement(_IntMap):
     _field = property(attrgetter("_over.field"))
     _ring = property(attrgetter("_over._ring"))
     _keys = property(attrgetter("_over._keys"))
+    _noun = "tower elements"
     pow_p = _IntMap._pow_p
 
     def __init__(self, ext: ExtFieldSpec, coeffs):

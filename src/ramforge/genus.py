@@ -174,18 +174,18 @@ def _deformation_gap(p: int, m: int, sigma, s: int) -> tuple[int, int]:
     (s*den - m*num, m*den) over sigma = num/den: InvalidJump unless s is
     positive and prime to p, NotLarger unless s > m*sigma.  A string sigma
     is read by the wire grammar of `parse_rational`.  The bounds of
-    `require_prime`, `as_deform`, `InertiaShape` and `Filtration` on p, s,
-    m and sigma come first, so every value a message prints is short
+    `require_prime`, `InertiaShape` and `Filtration` on p, m and sigma, and
+    |s| <= m*2^65, come first, so every value a message prints is short
     enough for str()."""
     if type(sigma) is not Fraction:
         sigma = _read_rational(sigma, "sigma")
     num, den = sigma.as_integer_ratio()
     if not 2 <= p < 2**64:
         raise InputError("characteristic must lie in 2..2^64 - 1")
-    if abs(s) > 2**64:
-        raise InvalidJump("conductor exceeds the bound |s| <= 2^64")
     if not 1 <= m <= 2**64:
         raise InputError("tame order must lie in 1..2^64")
+    if abs(s) > m << 65:  # s/m up to 2^65 leaves room past m*sigma <= m*2^64
+        raise InvalidJump("conductor exceeds the bound |s| <= m*2^65")
     if abs(num) > den << 64 or den > m << 64:
         raise InputError("sigma exceeds the bound |sigma| <= 2^64 with a denominator "
                          "at most m*2^64")
@@ -198,9 +198,12 @@ def _deformation_gap(p: int, m: int, sigma, s: int) -> tuple[int, int]:
 
 def genus_increment(group_order: int, p: int, a: int, m: int, sigma, s: int) -> int:
     """Genus gained by moving an a-fold top break from sigma out to s/m:
-    |G| * (s/m - sigma) * (1 - p^-a) / 2."""
-    if a < 1:
-        raise InputError(f"subgroup exponent {a} must be >= 1")
+    |G| * (s/m - sigma) * (1 - p^-a) / 2, with 1 <= |G| <= 2^64 and so
+    1 <= a <= 64, as p^a divides |G|."""
+    if not 1 <= group_order <= 2**64:
+        raise InputError("group order must lie in 1..2^64")
+    if not 1 <= a <= 64:
+        raise InputError("subgroup exponent must lie in 1..64")
     t, d = _deformation_gap(p, m, sigma, s)
     num, den = group_order * (p**a - 1) * t, 2 * p**a * d
     if num % den or num // den < 0:
@@ -212,10 +215,16 @@ def last_lower_jump_increment(
     p: int, j_e: int, e: int, a: int, m: int, sigma, s: int
 ) -> int:
     """New last lower jump j_e + p^(e-a) * m * (s/m - sigma); always an
-    integer prime to p for data coming from a valid filtration."""
-    if not 1 <= a <= e:
-        raise InputError(f"subgroup exponent {a} outside [1, {e}]")
+    integer prime to p for data coming from a valid filtration.  As for
+    `InertiaShape`, p^e <= 2^64; the lower jump |j_e| <= m*p^e*2^64 holds
+    for every break of a `Filtration`."""
     t, d = _deformation_gap(p, m, sigma, s)
+    if not 1 <= e <= 64 or p**e > 2**64:
+        raise InputError("wild order p^e must lie in p..2^64")
+    if not 1 <= a <= e:
+        raise InputError(f"subgroup exponent outside [1, {e}]")
+    if abs(j_e) > m * p**e << 64:
+        raise InputError("last lower jump exceeds the bound |j_e| <= m*p^e*2^64")
     j, rem = divmod(j_e * d + p ** (e - a) * m * t, d)
     if rem:
         raise InvariantViolation(f"new last lower jump {j + Fraction(rem, d)} is not an integer")

@@ -18,7 +18,7 @@ from ramforge.asext import (
     parse_ext,
     tower_jumps,
 )
-from ramforge.errors import DegenerateTower, FieldMismatch, NotATower, ParseError
+from ramforge.errors import DegenerateTower, FieldMismatch, InputError, NotATower, ParseError
 from ramforge.ramfilt import admissible_check
 
 F2 = FieldSpec(2)
@@ -428,6 +428,13 @@ def test_ext_element_rejects_a_coefficient_that_is_not_a_laurent_poly(coeffs, i)
     # these used to raise AttributeError on the missing .spec
     with pytest.raises(TypeError, match=rf"^coefficient of y\^{i}: expected LaurentPoly"):
         ExtElement(E21, coeffs)
+
+
+def test_negative_powers_name_the_ring():
+    with pytest.raises(InputError, match="^negative powers of tower elements are not defined$"):
+        ExtElement.y_pow(E21, -1)
+    with pytest.raises(InputError, match="^negative powers of Laurent polynomials are not"):
+        LaurentPoly.x_pow(F2, 1) ** -1
 
 
 def test_ext_spec_rejects_bad_jump():

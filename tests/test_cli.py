@@ -645,6 +645,10 @@ def test_bad_arguments_exit_2(capsys, argv, message):
          "error: group order exceeds the bound |G| <= 2^64\n"),
         (["spectrum", "--G", str(2**64), "--p", "2", "--limit", "10"], 0,
          f"genera: 0\nincrement: {2**63}\nresidues:\n", ""),
+        (["spectrum", "--G", "4", "--p", "2", "--sigma0", str(2**64), "--limit", "10"], 0,
+         "genera: 0, 1, 3, 5, 7, 9\nincrement: 2\nresidues: 1\n", ""),
+        (["spectrum", "--G", "12", "--p", "2", "--m", "3", "--sigma0", str(2**63),
+          "--limit", "10"], 0, "genera: 0, 1, 7\nincrement: 6\nresidues: 1\n", ""),
         (["kato", "--n", str(2**64), "--dK", str(2**64), "--dk", "0", "--mw", str(2**64)], 0,
          "mu: 1, smooth: false\n", ""),
         (["herbrand", "--psi", f"{2**64}/{2**64 - 1}",
@@ -656,7 +660,8 @@ def test_bad_arguments_exit_2(capsys, argv, message):
     ids=["n-65", "p-above-2^64", "n-64", "mersenne-61", "composite-2^61+1",
          "genus-G-3000-digits", "genus-gx-3000-digits", "genus-G-above-2^64",
          "genus-G-gx-at-2^64", "spectrum-G-above-2^64", "spectrum-G-4299-digits",
-         "spectrum-G-at-2^64", "kato-at-2^64", "herbrand-psi-and-m-at-2^64",
+         "spectrum-G-at-2^64", "spectrum-sigma0-at-2^64", "spectrum-m-3-sigma0-at-2^63",
+         "kato-at-2^64", "herbrand-psi-and-m-at-2^64",
          "genus-jump-at-2^64"],
 )
 def test_field_and_prime_bounds_are_fast(capsys, argv, code, out, err):

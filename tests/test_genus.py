@@ -521,13 +521,28 @@ N4300 = int("9" * 4299 + "7")
     (lambda: genus_increment(2, 2, 1, 1, 1, -N4300), "conductor exceeds the bound"),
     (lambda: genus_increment(2, 2, 1, N4300, 1, 3), "tame order must lie in"),
     (lambda: genus_increment(2, 2 * N4300, 1, 1, 1, -1), "characteristic must lie in"),
+    (lambda: genus_increment(2, 2, 1, 1, 1, 3 << 65), "conductor exceeds the bound"),
+    (lambda: genus_increment(N4300, 2, 1, 1, 1, 7), "group order must lie in"),
+    (lambda: genus_increment(2, 2, N4300, 1, 1, 3), "subgroup exponent must lie in"),
     (lambda: last_lower_jump_increment(2, 1, 1, 1, 1, 1, 2 * N4300),
      "conductor exceeds the bound"),
-], ids=["sigma", "sigma-denominator", "s", "negative-s", "m", "p", "last-lower-jump-s"])
+    (lambda: last_lower_jump_increment(2, 1, N4300, 1, 1, 1, 3), "wild order p\\^e must"),
+    (lambda: last_lower_jump_increment(2, 1, 1, N4300, 1, 1, 3), "subgroup exponent outside"),
+    (lambda: last_lower_jump_increment(2, N4300, 2, 1, 1, 1, 3), "last lower jump exceeds"),
+], ids=["sigma", "sigma-denominator", "s", "negative-s", "m", "p", "s-above-m-2^65",
+        "group-order", "a", "last-lower-jump-s", "last-lower-jump-e", "last-lower-jump-a",
+        "last-lower-jump-j_e"])
 def test_deformation_helpers_bound_what_their_messages_print(probe, message):
     # str() of a 4,300-digit int raises a plain ValueError past Python's digit limit
     with pytest.raises(InputError, match=f"^{message}"):
         probe()
+
+
+def test_deformation_targets_reach_past_2_to_the_64():
+    # s/m may exceed 2^64 by a few steps of m, as genus_spectrum's first candidate does
+    assert genus_increment(4, 2, 1, 1, 2**64, 2**64 + 1) == 1
+    assert genus_increment(12, 2, 1, 3, 2**64, (3 << 64) + 1) == 1
+    assert last_lower_jump_increment(2, 2**64, 1, 1, 1, 2**64, 2**64 + 1) == 2**64 + 1
 
 
 def test_last_lower_jump_increment_examples():
@@ -729,6 +744,22 @@ def spectrum_inputs(draw):
 @example((8, 2, 1, 1, Fraction(3, 2), 0, 1, 60))  # first increment 9/2
 def test_spectrum_matches_the_fraction_loop(args):
     assert outcome(genus_spectrum, *args) == outcome(ref_genus_spectrum, *args)
+
+
+@pytest.mark.parametrize("args, first_s", [
+    ((4, 2, 1, 1, 2**64, 0, 1, 10), 2**64 + 1),
+    ((12, 2, 1, 3, 2**63, 0, 1, 10), 3 * 2**63 + 1),
+], ids=["sigma0-2^64", "m-3-sigma0-2^63"])
+def test_spectrum_at_the_base_conductor_bound(args, first_s):
+    # the first candidate conductor passes 2^64; the fraction loop would walk
+    # 2^64 candidates from s_iota, so the genera are checked one s at a time
+    G, p, a, m, sigma0, g0, _, limit = args
+    genera, s = [], first_s
+    while (g := g0 + G * (Fraction(s, m) - sigma0) * (1 - Fraction(1, p**a)) / 2) <= limit:
+        assert g.denominator == 1
+        genera.append(int(g))
+        s += 2 * m  # p = 2: the next s prime to p
+    assert genus_spectrum(*args).genera == (g0, *genera)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
