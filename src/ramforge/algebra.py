@@ -89,12 +89,37 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def require_prime(p: int) -> None:
-    """InputError unless the characteristic p is a prime below 2^64."""
-    if p >= 2**64:
-        raise InputError(f"characteristic must be below 2^64, got {p}")
-    if not _is_prime(p):
+def _bound_text(b: int) -> str:
+    """A bound of `require_int` as printed: 2^k or 2^k - 1 past 2^32, else decimal."""
+    for t, tail in ((b, ""), (b + 1, " - 1")):
+        if t > 2**32 and not t & (t - 1):
+            return f"2^{t.bit_length() - 1}{tail}"
+    return str(b)
+
+
+def require_int(value, name: str, lo: int, hi: int = 2**64, error: type = InputError) -> int:
+    """value, if it is an int in lo..hi; the one check of every int parameter.
+
+    TypeError naming the parameter unless type(value) is int, so a bool or
+    a float is refused; else `error` naming the parameter and its bounds:
+    ``NAME must lie in LO..HI, got VALUE``.  The value is printed only
+    while |value| <= 2^64 and callers pass bounds already checked, so the
+    message is always short enough for str().
+    """
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if lo <= value <= hi:
+        return value
+    got = f", got {value}" if abs(value) <= 2**64 else ""
+    raise error(f"{name} must lie in {_bound_text(lo)}..{_bound_text(hi)}{got}")
+
+
+def require_prime(p: int) -> int:
+    """p, if it is a prime below 2^64: `require_int`'s TypeError or
+    InputError outside 0..2^64 - 1, then InputError unless p is prime."""
+    if not _is_prime(require_int(p, "characteristic p", 0, 2**64 - 1)):
         raise InputError(f"characteristic must be prime, got {p}")
+    return p
 
 
 # F_p[x]: coefficient lists, lowest degree first; every modulus is monic.
@@ -183,7 +208,7 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree n over F_p.
 
@@ -192,7 +217,15 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     constant term 0 makes x a factor, so the candidates are the base-p
     numerals c0 c1 ... c_{n-1} with c0 != 0, taken in increasing order and
     read off one at a time (p may be near 2^32, so no range(p) is stored).
+
+    This is the one check of a field's (p, n), p prime and p^n <= 2^64: it
+    runs on the first call for each pair, and the cache is typed, so a bool
+    never reaches a cached pair.
     """
+    require_prime(p)
+    # n > 64 first: p**n for a huge n is itself costly
+    if require_int(n, "extension degree n", 1) > 64 or p**n > 2**64:
+        raise InputError(f"field size {p}^{n} exceeds the bound p^n <= 2^64")
     if n == 1:
         return (0, 1)
     for code in range(p ** (n - 1), p**n):
@@ -430,15 +463,10 @@ class FieldSpec:
                  "fmt")
 
     def __init__(self, p: int, n: int = 1):
-        require_prime(p)
-        if n < 1:
-            raise InputError(f"extension degree must be >= 1, got {n}")
-        if n > 64 or p**n > 2**64:  # n first: p**n for a huge n is itself costly
-            raise InputError(f"field size {p}^{n} exceeds the bound p^n <= 2^64")
+        self.modulus = canonical_modulus(p, n)  # which checks p and n
         self.p = p
         self.n = n
         self.q = p**n
-        self.modulus = canonical_modulus(p, n)
         (self.add, self.sub, self.neg, self.mul, self.inv,
          self.frob, self.root) = _kernels(p, n)
         self.fmt = _formatter(p, n)
@@ -501,19 +529,16 @@ def _kernel_operator(name: str, reflected: bool = False):
 class FieldElement:
     """Element of F_{p^n} as its int form v (see FieldSpec).
 
-    The constructor checks caller input: v must be an integer
-    (`operator.index`) with 0 <= v < q, else TypeError or InputError.
-    Results of field operations are built by `_trusted`.
+    The constructor checks caller input: v must be an int in 0..q - 1
+    (`require_int`: TypeError for a bool or any other type, else
+    InputError).  Results of field operations are built by `_trusted`.
     """
 
     __slots__ = ("spec", "v")
 
     def __init__(self, spec: FieldSpec, v: int):
-        v = index(v)
-        if not 0 <= v < spec.q:
-            raise InputError(f"int form {v} of an element of {spec} is not in 0..{spec.q - 1}")
+        self.v = require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)
         self.spec = spec
-        self.v = v
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, v: int) -> "FieldElement":
@@ -673,7 +698,7 @@ class _IntMap:
 
     def _check(self, other):
         if not isinstance(other, type(self)):
-            raise TypeError(f"expected {type(self).__name__}, got {other!r}")
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if other._over is not self._over and other._over != self._over:
             raise FieldMismatch(f"{self._over} vs {other._over}")
 

@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .algebra import MAX_EXPONENT, LaurentPoly, _binomial_rows
+from .algebra import MAX_EXPONENT, LaurentPoly, _binomial_rows, require_int
 from .errors import (
     InvalidJump,
     InvariantViolation,
@@ -153,13 +153,12 @@ def as_conductor(f):
 
 
 def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
-    """Add the dominating pole t0*x^(-s); the result has conductor exactly s."""
+    """Add the dominating pole t0*x^(-s); the result has conductor exactly s.
+    s <= 2^64, the grammar's exponent bound, so x^(-s) parses back."""
     spec = f.spec
     if isinstance(t0, int):
         t0 = spec.scalar(t0)
-    if s > MAX_EXPONENT:  # the grammar's exponent bound: x^(-s) must parse back
-        raise InvalidJump("target conductor exceeds the bound s <= 2^64")
-    if s % spec.p == 0 or s < 1:
+    if require_int(s, "target conductor s", 1, MAX_EXPONENT, InvalidJump) % spec.p == 0:
         raise InvalidJump(f"target conductor {s} must be positive and prime to {spec.p}")
     if t0.is_zero:
         raise ZeroParameter("deformation parameter must be nonzero")

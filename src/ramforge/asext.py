@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .algebra import FieldSpec, LaurentPoly, _IntMap, _parse_ints, _ydeg, format_laurent
+from .algebra import (FieldSpec, LaurentPoly, _IntMap, _parse_ints, _ydeg, format_laurent,
+                      require_int)
 from .aschreier import UNRAMIFIED, _reduce, _Unramified
 from .errors import (
     DegenerateTower,
@@ -47,20 +48,15 @@ MAX_EXT_P = 251
 @dataclass(frozen=True)
 class ExtFieldSpec:
     """Degree-p extension of k((x)) with defining equation y^p - y = x^(-j);
-    p <= MAX_EXT_P and j <= 2^64."""
+    p <= MAX_EXT_P and j <= 2^64, as for exponents, so the upper jumps print."""
 
     field: FieldSpec
     j: int
 
     def __post_init__(self):
-        if self.field.p > MAX_EXT_P:
-            raise InputError(
-                f"extension characteristic {self.field.p} exceeds the cap p <= {MAX_EXT_P}"
-            )
-        if self.j < 1 or self.j % self.field.p == 0:
+        require_int(self.field.p, "extension characteristic p", 2, MAX_EXT_P)
+        if require_int(self.j, "first jump j", 1) % self.field.p == 0:
             raise InputError(f"first jump {self.j} must be positive and prime to p")
-        if self.j > 2**64:  # as for exponents, so the upper jumps print
-            raise InputError("first jump exceeds the bound j <= 2^64")
 
     @property
     def p(self) -> int:

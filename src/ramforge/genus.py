@@ -11,7 +11,6 @@ data comes from an actual cover.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .errors import (
     InvariantViolation,
     NotLarger,
 )
-from .algebra import require_prime
+from .algebra import require_int, require_prime
 from .ramfilt import (
     Filtration,
     InertiaShape,
@@ -37,8 +36,9 @@ from .ramfilt import (
 class BranchPoint(Filtration):
     """A Filtration built from its upper jumps, listed with multiplicity in
     ascending order: each run of equal jumps becomes one break.  A jump is
-    a Fraction, a wire string -?[0-9]+(/[0-9]+)? (InputError naming the
-    jump by its 1-based index otherwise) or anything Fraction() takes.
+    a Fraction, an int or a wire string -?[0-9]+(/[0-9]+)? (InputError
+    naming the jump by its 1-based index otherwise); any other type, a
+    float among them, is a TypeError naming it (`_read_rational`).
     A jump that repeats the previous one as given (the same object, or an
     equal string) adds to the run without being read again; any other
     jump is read, then compared with the previous break's value."""
@@ -83,7 +83,7 @@ def branch_from_dict(d: dict) -> BranchPoint:
 
 @dataclass(frozen=True)
 class CoverData:
-    """Group order, base genus and branch data of a Galois cover."""
+    """Group order |G| >= 1, base genus and branch data of a Galois cover."""
 
     group_order: int
     g_X: int
@@ -91,14 +91,8 @@ class CoverData:
 
     def __post_init__(self):
         object.__setattr__(self, "branch", tuple(self.branch))
-        if self.group_order < 1:
-            raise InputError("group order must be positive")
-        if self.group_order > 2**64:
-            raise InputError("group order exceeds the bound |G| <= 2^64")
-        if self.g_X < 0:
-            raise InputError("base genus must be >= 0")
-        if self.g_X > 2**64:
-            raise InputError("base genus exceeds the bound g_X <= 2^64")
+        require_int(self.group_order, "group order |G|", 1)
+        require_int(self.g_X, "base genus g_X", 0)
         for bp in self.branch:
             if self.group_order % bp.shape.order:
                 raise InputError(
@@ -118,21 +112,10 @@ class KatoInput:
     m_w: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InconsistentInput(f"cover degree {self.n} must be >= 1")
-        if self.m_w < 1:
-            raise InconsistentInput(f"point count {self.m_w} must be >= 1")
-        if self.d_K < self.d_k:
-            raise InconsistentInput(
-                f"generic degree {self.d_K} below special degree {self.d_k}"
-            )
-        # d_k <= d_K, so the bound on d_K bounds d_k too
-        for what, name in (("cover degree", "n"), ("generic degree", "d_K"),
-                           ("point count", "m_w")):
-            if getattr(self, name) > 2**64:
-                raise InputError(f"{what} exceeds the bound {name} <= 2^64")
-        if self.d_k < 0:
-            raise InconsistentInput(f"special degree {self.d_k} must be >= 0")
+        require_int(self.n, "cover degree n", 1, error=InconsistentInput)
+        require_int(self.m_w, "point count m_w", 1, error=InconsistentInput)
+        require_int(self.d_K, "generic degree d_K", 0, error=InconsistentInput)
+        require_int(self.d_k, "special degree d_k", 0, self.d_K, InconsistentInput)
 
     @property
     def delta(self) -> Fraction:
@@ -169,27 +152,22 @@ def rh_genus(cd: CoverData) -> int:
     return g
 
 
-def _deformation_gap(p: int, m: int, sigma, s: int) -> tuple[int, int]:
+def _deformation_gap(shape: InertiaShape, sigma, s: int) -> tuple[int, int]:
     """s/m - sigma for a deformation target s, as the unreduced fraction
-    (s*den - m*num, m*den) over sigma = num/den: InvalidJump unless s is
-    positive and prime to p, NotLarger unless s > m*sigma.  A string sigma
-    is read by the wire grammar of `parse_rational`.  The bounds of
-    `require_prime`, `InertiaShape` and `Filtration` on p, m and sigma, and
-    |s| <= m*2^65, come first, so every value a message prints is short
-    enough for str()."""
+    (s*den - m*num, m*den) over sigma = num/den, with p and m read off the
+    shape: InvalidJump unless s is an int in 1..m*2^65 prime to p, NotLarger
+    unless s > m*sigma.  A string sigma is read by the wire grammar of
+    `parse_rational`.  The bound of `Filtration` on sigma comes first, so
+    every value a message prints is short enough for str()."""
+    p, m = shape.p, shape.m
     if type(sigma) is not Fraction:
         sigma = _read_rational(sigma, "sigma")
     num, den = sigma.as_integer_ratio()
-    if not 2 <= p < 2**64:
-        raise InputError("characteristic must lie in 2..2^64 - 1")
-    if not 1 <= m <= 2**64:
-        raise InputError("tame order must lie in 1..2^64")
-    if abs(s) > m << 65:  # s/m up to 2^65 leaves room past m*sigma <= m*2^64
-        raise InvalidJump("conductor exceeds the bound |s| <= m*2^65")
     if abs(num) > den << 64 or den > m << 64:
         raise InputError("sigma exceeds the bound |sigma| <= 2^64 with a denominator "
                          "at most m*2^64")
-    if s % p == 0 or s < 1:
+    # s/m up to 2^65 leaves room past m*sigma <= m*2^64
+    if require_int(s, "conductor s", 1, m << 65, InvalidJump) % p == 0:
         raise InvalidJump(f"conductor {s} must be positive and prime to {p}")
     if s * den <= m * num:
         raise NotLarger(f"conductor {s} does not exceed m*sigma = {m * sigma}")
@@ -199,13 +177,17 @@ def _deformation_gap(p: int, m: int, sigma, s: int) -> tuple[int, int]:
 def genus_increment(group_order: int, p: int, a: int, m: int, sigma, s: int) -> int:
     """Genus gained by moving an a-fold top break from sigma out to s/m:
     |G| * (s/m - sigma) * (1 - p^-a) / 2, with 1 <= |G| <= 2^64 and so
-    1 <= a <= 64, as p^a divides |G|."""
-    if not 1 <= group_order <= 2**64:
-        raise InputError("group order must lie in 1..2^64")
-    if not 1 <= a <= 64:
-        raise InputError("subgroup exponent must lie in 1..64")
-    t, d = _deformation_gap(p, m, sigma, s)
-    num, den = group_order * (p**a - 1) * t, 2 * p**a * d
+    1 <= a <= 64, as p^a divides |G|; (p, a, m) must form an `InertiaShape`."""
+    require_int(group_order, "group order |G|", 1)
+    require_int(a, "subgroup exponent a", 1, 64)
+    return _genus_increment(group_order, InertiaShape(p, a, m), sigma, s)
+
+
+def _genus_increment(group_order: int, shape: InertiaShape, sigma, s: int) -> int:
+    """`genus_increment` on a checked |G| and the shape (p, a, m)."""
+    t, d = _deformation_gap(shape, sigma, s)
+    pa = shape.p**shape.e
+    num, den = group_order * (pa - 1) * t, 2 * pa * d
     if num % den or num // den < 0:
         raise InvariantViolation(f"genus increment {Fraction(num, den)} is not a natural number")
     return num // den
@@ -215,16 +197,13 @@ def last_lower_jump_increment(
     p: int, j_e: int, e: int, a: int, m: int, sigma, s: int
 ) -> int:
     """New last lower jump j_e + p^(e-a) * m * (s/m - sigma); always an
-    integer prime to p for data coming from a valid filtration.  As for
-    `InertiaShape`, p^e <= 2^64; the lower jump |j_e| <= m*p^e*2^64 holds
-    for every break of a `Filtration`."""
-    t, d = _deformation_gap(p, m, sigma, s)
-    if not 1 <= e <= 64 or p**e > 2**64:
-        raise InputError("wild order p^e must lie in p..2^64")
-    if not 1 <= a <= e:
-        raise InputError(f"subgroup exponent outside [1, {e}]")
-    if abs(j_e) > m * p**e << 64:
-        raise InputError("last lower jump exceeds the bound |j_e| <= m*p^e*2^64")
+    integer prime to p for data coming from a valid filtration.  (p, e, m)
+    must form an `InertiaShape`, 1 <= a <= e, and the lower jump j_e lies in
+    1..m*p^e*2^64, as for every break of a `Filtration`."""
+    shape = InertiaShape(p, e, m)
+    t, d = _deformation_gap(shape, sigma, s)
+    require_int(a, "subgroup exponent a", 1, e)
+    require_int(j_e, "last lower jump j_e", 1, shape.order << 64)
     j, rem = divmod(j_e * d + p ** (e - a) * m * t, d)
     if rem:
         raise InvariantViolation(f"new last lower jump {j + Fraction(rem, d)} is not an integer")
@@ -270,40 +249,26 @@ def genus_spectrum(
     to s_iota mod m, prime to p and larger than m*sigma0; the base genus
     itself is included since the undeformed cover exists.  The deformed
     values fall into p - 1 arithmetic progressions with the returned
-    increment.  The inertia order p^a*m must divide |G| <= 2^64, with m
-    prime to p; sigma0 > 0 with a denominator at most m*2^64, as for
-    `Filtration` breaks (a string is read by the wire grammar of
-    `parse_rational`), g0 >= 0 and limit >= 0.  The window g0..limit holds
-    about (limit - g0)*(p - 1)/increment genera, at most MAX_SPECTRUM_GENERA.
+    increment.  The inertia order p^a*m of the `InertiaShape` (p, a, m) must
+    divide |G| <= 2^64; 0 < sigma0 <= 2^64 with a denominator at most m*2^64,
+    as the first increment checks (a string is read by the wire grammar of
+    `parse_rational`), and the ints 0 <= g0, limit <= 2^64 and
+    1 <= s_iota <= m.  The window g0..limit holds about
+    (limit - g0)*(p - 1)/increment genera, at most MAX_SPECTRUM_GENERA.
     """
-    require_prime(p)
-    if a < 1:
-        raise InputError(f"subgroup exponent {a} must be >= 1")
-    if group_order < 1:
-        raise InputError(f"group order must be positive, got {group_order}")
-    if group_order > 2**64:
-        raise InputError("group order exceeds the bound |G| <= 2^64")
+    require_int(a, "subgroup exponent a", 1, 64)
+    require_int(group_order, "group order |G|", 1)
     if type(sigma0) is not Fraction:
         sigma0 = _read_rational(sigma0, "base conductor")
     num, den = sigma0.as_integer_ratio()
     if num <= 0:
-        raise InputError(f"base conductor {sigma0} must be positive")
-    if g0 < 0:
-        raise InputError(f"base genus {g0} must be >= 0")
-    if limit < 0:
-        raise InputError(f"genus limit {limit} must be >= 0")
-    if not 1 <= s_iota <= m:
-        raise InputError(f"s_iota must lie in [1, {m}], got {s_iota}")
-    if m > 2**64:
-        raise InputError("tame order exceeds the bound m <= 2^64")
-    if den > m << 64:
-        raise InputError("base conductor denominator exceeds the bound m*2^64")
-    if math.gcd(m, p) != 1:
-        raise InputError(f"tame order m = {m} is not prime to p = {p}")
-    if a > max(64, group_order.bit_length()):  # p^a > |G|; spare the power
-        raise InputError(f"p^a*m = {p}^{a}*{m} does not divide the group order {group_order}")
-    if group_order % (p**a * m):
-        raise InputError(f"p^a*m = {p**a * m} does not divide the group order {group_order}")
+        raise InputError("base conductor sigma0 must be positive")
+    require_int(g0, "base genus g0", 0)
+    require_int(limit, "genus limit", 0)
+    require_int(s_iota, "s_iota", 1, require_int(m, "tame order m", 1))
+    shape = InertiaShape(p, a, m)
+    if group_order % shape.order:
+        raise InputError(f"p^a*m = {shape.order} does not divide the group order {group_order}")
     inc = p * group_order * (p**a - 1) // (2 * p**a)  # exact: p^a | |G|, 2 | p*(p^a - 1)
     if (limit - g0) * (p - 1) > MAX_SPECTRUM_GENERA * inc:
         raise InputError(
@@ -319,7 +284,7 @@ def genus_spectrum(
     # candidates prime to p differ by multiples of m (of 2m when p = 2), so
     # with p^a | |G| every increment is integral iff this first one is
     try:
-        g = g0 + genus_increment(group_order, p, a, m, sigma0, s)
+        g = g0 + _genus_increment(group_order, shape, sigma0, s)
     except InvariantViolation as exc:
         raise InputError(f"base conductor {sigma0} does not fit the inertia data: {exc}") from exc
     # genus_increment in integers: g(s) = g0 + inc*(s - m*sigma0)/(p*m), above g0 and
@@ -343,7 +308,7 @@ def genus_spectrum(
 def contains_progressions(result: SpectrumResult, p: int) -> bool:
     """Check the deformed family really forms p - 1 gapless arithmetic
     progressions of the stated increment inside the computed window."""
-    if len(result.residues) != p - 1:
+    if len(result.residues) != require_prime(p) - 1:
         return False
     inc = result.increment
     for r in result.residues:
@@ -356,8 +321,9 @@ def contains_progressions(result: SpectrumResult, p: int) -> bool:
 def spectrum_density(group_order: int, p: int, a: int) -> Fraction:
     """Lower bound 2*(p^a - p^(a-1)) / (|G| * (p^a - 1)) on the natural
     density of achieved genera."""
-    if a < 1:
-        raise InputError(f"subgroup exponent {a} must be >= 1")
+    require_int(group_order, "group order |G|", 1)
+    require_int(a, "subgroup exponent a", 1, 64)
+    require_prime(p)
     return Fraction(2 * (p**a - p ** (a - 1)), group_order * (p**a - 1))
 
 

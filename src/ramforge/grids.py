@@ -188,8 +188,7 @@ MAX_BRUTE_FORCE_TUPLES = 300000
 def admissible_count(p: int, e: int, bound: int) -> GridResult:
     """Recursive enumeration vs the brute-force filter, for every length up
     to e; the brute force walks bound + bound^2 + ... + bound^e tuples, at
-    most MAX_BRUTE_FORCE_TUPLES."""
-    require_prime(p)
+    most MAX_BRUTE_FORCE_TUPLES; `admissible_enumerate` checks p."""
     tuples, width = 0, 1
     for _ in range(e):
         width *= max(bound, 1)

@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import require_prime
+from .algebra import require_int, require_prime
 from .errors import (
     CongruenceViolation,
     InputError,
@@ -44,7 +44,8 @@ from .errors import (
 
 @dataclass(frozen=True)
 class InertiaShape:
-    """Group-order data of an inertia group: wild part p^e, tame part m, each <= 2^64.
+    """Group-order data of an inertia group: wild part p^e, tame part m prime
+    to p, each <= 2^64.
 
     The order |I| = m*p^e is computed once, when the shape is built, and
     kept as the plain attribute `order`, not a field: `fields`, ==, hash
@@ -55,16 +56,12 @@ class InertiaShape:
     m: int = 1
 
     def __post_init__(self):
-        require_prime(self.p)
-        if self.e < 0:
-            raise InputError(f"wild exponent must be >= 0, got {self.e}")
-        # e first: p**e for a huge e is costly
-        if self.e > 64 or (wild := self.p**self.e) > 2**64:
-            raise InputError(f"wild order {self.p}^{self.e} exceeds the bound p^e <= 2^64")
-        if self.m > 2**64:
-            raise InputError("tame order exceeds the bound m <= 2^64")
-        if self.m < 1 or math.gcd(self.m, self.p) != 1:
-            raise InputError(f"tame order {self.m} must be positive and prime to {self.p}")
+        p = require_prime(self.p)
+        # e > 64 first: p**e for a huge e is costly
+        if require_int(self.e, "wild exponent e", 0) > 64 or (wild := p**self.e) > 2**64:
+            raise InputError(f"wild order {p}^{self.e} exceeds the bound p^e <= 2^64")
+        if math.gcd(require_int(self.m, "tame order m", 1), p) != 1:
+            raise InputError(f"tame order {self.m} must be positive and prime to {p}")
         object.__setattr__(self, "order", self.m * wild)
 
 
@@ -83,8 +80,8 @@ class Filtration:
     integral, so D divides m*p^(their sum).  Each break is at most 2^64,
     checked before the loop formats a finding, which keeps the values read
     off the table short enough for str().  A break value that is not a
-    Fraction is read by `_read_rational`; a multiplicity must be an int
-    (TypeError naming the break otherwise, so 1.7 is not read as 1).  The
+    Fraction is read by `_read_rational`; a multiplicity must be a positive
+    int (`require_int`, naming the break, so 1.7 is not read as 1).  The
     violated invariants are recorded in the knot loop, in `validate`'s
     order and wording.
     """
@@ -98,8 +95,8 @@ class Filtration:
         for i, (c, l) in enumerate(breaks, 1):
             if type(c) is not Fraction:
                 c = _read_rational(c, "break", i)
-            if type(l) is not int:
-                raise TypeError(f"break {i}: multiplicity must be an int, got {type(l).__name__}")
+            if type(l) is not int or not 1 <= l <= 2**64:  # inline per break; the reader raises
+                require_int(l, f"break {i}: multiplicity", 1)
             den = math.lcm(den, c.denominator)
             if den > cap:
                 raise InputError(f"break {i}: the lcm of the break denominators exceeds "
@@ -114,8 +111,6 @@ class Filtration:
                 raise InputError("break indices must be positive and strictly increasing")
             if u > top:  # this is break len(upper): one knot is appended per break
                 raise InputError(f"break {len(upper)}: the break index exceeds the bound 2^64")
-            if l < 1:
-                raise InputError(f"break multiplicity must be >= 1, got {l}")
             if l > 64 or (steeper := s * p**l) > cap:
                 raise InputError("break multiplicities exceed the bound p^(their sum) <= 2^64")
             j += s * (u - u0)
@@ -236,18 +231,19 @@ def conductor_congruence(p: int, j_e: int, d: int, m: int) -> int:
     """Residue class s_iota in [1, m] that any compatible conductor must hit.
 
     s_iota is j_e / p^d taken mod m; the division is modular, so p^d need
-    not literally divide j_e.
+    not literally divide j_e.  A lower jump of a `Filtration` is at most
+    m*p^e*2^64 <= m*2^128.
     """
-    if m < 1:
-        raise InputError(f"tame order must be positive, got {m}")
-    if d < 0:
-        raise InputError(f"exponent d must be >= 0, got {d}")
-    if math.gcd(p, m) != 1:
+    require_prime(p)
+    require_int(d, "exponent d", 0, 64)
+    if math.gcd(require_int(m, "tame order m", 1), p) != 1:
         raise InputError(f"gcd({p}, {m}) != 1")
-    if m == 1:
-        return 1
-    r = (j_e * pow(pow(p, d, m), -1, m)) % m
-    return r if r else m
+    return _congruence(p, require_int(j_e, "lower jump j_e", 1, m << 128), d, m)
+
+
+def _congruence(p: int, j_e: int, d: int, m: int) -> int:
+    """`conductor_congruence` on arguments already checked (1 for m = 1)."""
+    return j_e * pow(pow(p, d, m), -1, m) % m or m
 
 
 def action_transform(filt: Filtration, a: int, s: int, s_iota: int | None = None) -> Filtration:
@@ -257,23 +253,22 @@ def action_transform(filt: Filtration, a: int, s: int, s_iota: int | None = None
     unchanged; that test is s*D <= m*(the top upper knot), in integers.
     Otherwise the top break loses multiplicity a (dropping out entirely at
     zero) and a new break (s/m, a) is appended, the one Fraction built
-    here; the result is validated before it is returned.
+    here; the result is validated before it is returned.  As a break,
+    s/m is at most 2^64.
     """
     shape = filt.shape
     p, m = shape.p, shape.m
     if not filt.breaks:
         raise InvalidSubgroup("tame filtration has no wild part to act on")
-    if s < 1 or s % p == 0:
+    if require_int(s, "conductor candidate s", 1, m << 64, InvalidJump) % p == 0:
         raise InvalidJump(f"conductor candidate {s} must be positive and prime to {p}")
     top_sigma, top_mult = filt.breaks[-1]
-    if a < 1 or a > top_mult:
-        raise InvalidSubgroup(
-            f"subgroup exponent {a} exceeds the top break multiplicity {top_mult}"
-        )
+    require_int(a, "subgroup exponent a", 1, top_mult, InvalidSubgroup)
+    if s_iota is not None:
+        require_int(s_iota, "s_iota", 1, m)
     if m > 1:
-        if s_iota is None:
-            j_e = _lower_jump(filt, len(filt.breaks))
-            s_iota = conductor_congruence(p, j_e, shape.e - a, m)
+        if s_iota is None:  # the filtration's own p, e - a and m are checked already
+            s_iota = _congruence(p, _lower_jump(filt, len(filt.breaks)), shape.e - a, m)
         if s % m != s_iota % m:
             raise CongruenceViolation(
                 f"conductor {s} is not congruent to {s_iota} mod {m}"
@@ -297,6 +292,7 @@ def admissible_check(seq, p: int) -> bool:
     Requires p not dividing the first entry, and each next entry either
     exactly p times the previous or larger and prime to p.
     """
+    require_prime(p)
     seq = list(seq)
     if any(not isinstance(s, int) or s < 1 for s in seq):
         return False
@@ -319,15 +315,12 @@ MAX_ADMISSIBLE_SEQUENCES = 150000
 
 def admissible_enumerate(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
     """All admissible sequences of length e with last entry <= bound, in
-    lexicographic order; at most MAX_ADMISSIBLE_SEQUENCES of them."""
+    lexicographic order; at most MAX_ADMISSIBLE_SEQUENCES of them.  The
+    bound is at most 2^64, so e <= 65 and p^(e-1) is under 1300 digits."""
     require_prime(p)
-    if e < 1:
-        raise InputError(f"length must be >= 1, got {e}")
-    # p^(e-1) > bound; spare the power, and print it in decimal only while it
-    # is short (p < 2^64, so e <= 65 keeps it under 1300 digits)
-    if e - 1 > max(64, bound.bit_length()) or bound < p ** (e - 1):
-        least = p ** (e - 1) if e <= 65 else f"{p}^{e - 1}"
-        raise InputError(f"bound {bound} is below the minimal final jump {least}")
+    require_int(e, "length e", 1, 65)
+    if require_int(bound, "bound", 1) < p ** (e - 1):
+        raise InputError(f"bound {bound} is below the minimal final jump {p ** (e - 1)}")
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int]):
@@ -390,8 +383,7 @@ class LevelStep:
 def tower_plan(start_seq, target_seq, p: int) -> list[LevelStep]:
     """Level-by-level deformation plan from one admissible sequence to a
     strictly larger one, following the inductive minimal-dominating-layer
-    construction."""
-    require_prime(p)
+    construction; `admissible_check` checks p first."""
     start_seq, target_seq = tuple(start_seq), tuple(target_seq)
     if not admissible_check(start_seq, p):
         raise NotAdmissible(f"{start_seq} is not admissible for p = {p}")
@@ -425,11 +417,11 @@ def random_filtration(
 
     Builds ascending prime-to-p lower jumps with random multiplicities and
     converts them to upper numbering, which makes every invariant hold by
-    construction.
+    construction.  m_max is at most 2^16, as the candidate tame orders are listed.
     """
-    if p is None:
-        p = rng.choice([2, 3, 5, 7])
-    e = rng.randint(1, e_max)
+    p = rng.choice([2, 3, 5, 7]) if p is None else require_prime(p)
+    e = rng.randint(1, require_int(e_max, "e_max", 1, 64))
+    m_max = require_int(m_max, "m_max", 1, 2**16)
     m = rng.choice([m for m in range(1, m_max + 1) if math.gcd(m, p) == 1])
     r = rng.randint(1, e)
     cuts = sorted(rng.sample(range(1, e), r - 1)) if r > 1 else []
@@ -472,8 +464,16 @@ def parse_rational(value, field: str, index: int = 0) -> Fraction:
 
 def _read_rational(value, field: str, index: int = 0) -> Fraction:
     """A value that is not exactly a Fraction (callers test that first): a
-    string by the wire grammar of `parse_rational`, anything else through Fraction()."""
-    return parse_rational(value, field, index) if isinstance(value, str) else Fraction(value)
+    string by the wire grammar of `parse_rational`, a Fraction subclass or
+    an int as the equal Fraction; TypeError naming the field for anything
+    else, so no float, bool or Decimal is read as a rational."""
+    if isinstance(value, str):
+        return parse_rational(value, field, index)
+    if isinstance(value, Fraction) or type(value) is int:
+        return Fraction(value)
+    name = f"{field} {index}" if index else field
+    raise TypeError(f"{name}: {type(value).__name__} is not a Fraction, an int "
+                    "or a num/den string")
 
 
 def json_typed(value, kind: type, field: str):

@@ -267,6 +267,14 @@ def test_public_constructor_checks_caller_input():
         LaurentPoly(F8, {-1: FieldSpec(2, 2).one})
 
 
+def test_ring_operand_check_names_the_type_not_the_value():
+    # the repr of an int past str()'s digit limit would raise a plain ValueError
+    huge = 2 * int("9" * 4299 + "7")
+    for other in (huge, 2.5, F3.one):
+        with pytest.raises(TypeError, match=f"^expected LaurentPoly, got {type(other).__name__}$"):
+            LaurentPoly(F2, {-1: 1}) + other
+
+
 def test_scalar_rejects_a_float():
     with pytest.raises(TypeError):
         F3.scalar(2.0)
@@ -296,7 +304,7 @@ def test_constructor_rejects_float_coefficients():
                          ids=["7-in-F_3", "300-in-F_2^8", "negative"])
 def test_element_constructor_rejects_int_forms_out_of_range(spec, v):
     # 7 used to print as "7 in F_3" and 300 as a 9-digit vector over F_2^8
-    message = f"int form {v} of an element of {spec} is not in 0..{spec.q - 1}"
+    message = f"int form of an element of {spec} must lie in 0..{spec.q - 1}, got {v}"
     with pytest.raises(ValueError, match=exactly(message)):
         FieldElement(spec, v)
     assert FieldElement(spec, spec.q - 1) == spec.element([spec.p - 1] * spec.n)

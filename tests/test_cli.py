@@ -514,13 +514,13 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
     "argv,message",
     [
         (["spectrum", "--G", "2", "--p", "2", "--a", "-1", "--limit", "5"],
-         "subgroup exponent -1 must be >= 1"),
+         "subgroup exponent a must lie in 1..64, got -1"),
         (["spectrum", "--G", "2", "--p", "1", "--limit", "5"],
          "characteristic must be prime, got 1"),
         (["spectrum", "--G", "2", "--p", "2", "--a", "0", "--limit", "5"],
-         "subgroup exponent 0 must be >= 1"),
+         "subgroup exponent a must lie in 1..64, got 0"),
         (["spectrum", "--G", "0", "--p", "2", "--limit", "5"],
-         "group order must be positive, got 0"),
+         "group order |G| must lie in 1..2^64, got 0"),
         (["grid", "genus-grid", "--p", "1", "--jmax", "3"],
          "characteristic must be prime, got 1"),
         (["grid", "admissible-count", "--p", "1", "--e", "2", "--bound", "3"],
@@ -532,7 +532,7 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
         (["spectrum", "--G", "3", "--p", "2", "--limit", "5"],
          "p^a*m = 2 does not divide the group order 3"),
         (["spectrum", "--G", "2", "--p", "2", "--m", "2", "--limit", "5"],
-         "tame order m = 2 is not prime to p = 2"),
+         "tame order 2 must be positive and prime to 2"),
         (["admissible", "--p", "4", "--e", "2", "--bound", "9"],
          "characteristic must be prime, got 4"),
         (["admissible", "--p", "1", "--e", "1", "--bound", "3"],
@@ -571,22 +571,22 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "base conductor 1/3 does not fit the inertia data: "
          "genus increment 1/3 is not a natural number"),
         (["spectrum", "--G", "2", "--p", "2", "--sigma0", "-1", "--limit", "5"],
-         "base conductor -1 must be positive"),
+         "base conductor sigma0 must be positive"),
         (["spectrum", "--G", "2", "--p", "2", "--sigma0", "0", "--limit", "5"],
-         "base conductor 0 must be positive"),
+         "base conductor sigma0 must be positive"),
         (["spectrum", "--G", "2", "--p", "2", "--g0", "-3", "--limit", "5"],
-         "base genus -3 must be >= 0"),
+         "base genus g0 must lie in 0..2^64, got -3"),
         (["spectrum", "--G", "2", "--p", "2", "--limit", "-4"],
-         "genus limit -4 must be >= 0"),
+         "genus limit must lie in 0..2^64, got -4"),
         (["spectrum", "--G", "2", "--p", "2", "--limit", "20001"],
          "window 0..20001 holds about 20001 genera, above the cap 20000"),
         (["grid", "density-check", "--p", "2", "--gmax", "40000"],
          "window 0..40000 holds about 40000 genera, above the cap 20000"),
         (["grid", "herbrand-roundtrip", "--count", "2001"], "count 2001 exceeds the cap 2000"),
         (["tower", "--p", "257", "--j", "1", "--F", "x^-5"],
-         "extension characteristic 257 exceeds the cap p <= 251"),
+         "extension characteristic p must lie in 2..251, got 257"),
         (["grid", "econd-grid", "--p", "257", "--jmax", "3", "--smax", "5"],
-         "extension characteristic 257 exceeds the cap p <= 251"),
+         "extension characteristic p must lie in 2..251, got 257"),
         (["reduce", "--p", "2", "x^-" + str(2**14270)],
          "term 1: exponent outside the bound |e| <= 2^64"),
         (["conductor", "--p", "3", "x^-1 + x^" + str(2**64 + 1)],
@@ -594,9 +594,9 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
         (["tower", "--p", "2", "--j", "1", "--F", "x^-5 ; x^-%d" % 2**65],
          "coefficient of y^1: term 1: exponent outside the bound |e| <= 2^64"),
         (["deform", "--p", "2", "--s", "1180591620717411303425", "--t0", "1", "--", "x^-3"],
-         "target conductor exceeds the bound s <= 2^64"),
+         "target conductor s must lie in 1..2^64"),
         (["deform", "--p", "3", "--s", "7" * 4000, "--", "x^-1"],
-         "target conductor exceeds the bound s <= 2^64"),
+         "target conductor s must lie in 1..2^64"),
     ],
     ids=["spectrum-negative-a", "spectrum-p-1", "spectrum-a-0", "spectrum-G-0",
          "genus-grid-p-1", "admissible-count-p-1", "density-check-gmax-0",
@@ -625,24 +625,24 @@ def test_bad_arguments_exit_2(capsys, argv, message):
         (["conductor", "--p", "2", "--n", "65", "x^-1"], 2, "",
          "error: field size 2^65 exceeds the bound p^n <= 2^64\n"),
         (["conductor", "--p", str(2**64 + 13), "x^-1"], 2, "",
-         f"error: characteristic must be below 2^64, got {2**64 + 13}\n"),
+         "error: characteristic p must lie in 0..2^64 - 1\n"),
         (["conductor", "--p", "2", "--n", "64", "x^-1"], 0, "conductor: 1\n", ""),
         (["admissible", "--p", str(2**61 - 1), "--e", "1", "--bound", "1"], 0, "1\n", ""),
         (["admissible", "--p", str(2**61 + 1), "--e", "1", "--bound", "1"], 2, "",
          f"error: characteristic must be prime, got {2**61 + 1}\n"),
         (["genus", "--G", "9" * 3000, "--gx", "9" * 3000], 2, "",
-         "error: group order exceeds the bound |G| <= 2^64\n"),
+         "error: group order |G| must lie in 1..2^64\n"),
         (["genus", "--G", "2", "--gx", "9" * 3000], 2, "",
-         "error: base genus exceeds the bound g_X <= 2^64\n"),
+         "error: base genus g_X must lie in 0..2^64\n"),
         (["genus", "--G", str(2**64 + 1), "--gx", "0"], 2, "",
-         "error: group order exceeds the bound |G| <= 2^64\n"),
+         "error: group order |G| must lie in 1..2^64\n"),
         (["genus", "--G", str(2**64), "--gx", str(2**64)], 0,
          f"genus: {2**64 * (2**64 - 1) + 1}\n", ""),
         (["spectrum", "--G", str(2**64 + 1), "--p", "2", "--limit", "10"], 2, "",
-         "error: group order exceeds the bound |G| <= 2^64\n"),
+         "error: group order |G| must lie in 1..2^64\n"),
         (["spectrum", "--G", str((10**4299 - 1) // (2**61 - 1) * (2**61 - 1)),
           "--p", str(2**61 - 1), "--limit", "10"], 2, "",
-         "error: group order exceeds the bound |G| <= 2^64\n"),
+         "error: group order |G| must lie in 1..2^64\n"),
         (["spectrum", "--G", str(2**64), "--p", "2", "--limit", "10"], 0,
          f"genera: 0\nincrement: {2**63}\nresidues:\n", ""),
         (["spectrum", "--G", "4", "--p", "2", "--sigma0", str(2**64), "--limit", "10"], 0,
@@ -701,7 +701,7 @@ _HUGE = str(10**12)
         (["admissible", "--p", "2", "--e", "4", "--bound", "2000"],
          "e 4 and bound 2000 give more than 150000 admissible sequences"),
         (["admissible", "--p", "3", "--e", _HUGE, "--bound", "5"],
-         f"bound 5 is below the minimal final jump 3^{10**12 - 1}"),
+         f"length e must lie in 1..65, got {_HUGE}"),
         (["grid", "admissible-count", "--p", "2", "--e", "4", "--bound", "40"],
          "e 4 and bound 40 leave more than 300000 tuples to brute-force"),
         (["grid", "admissible-count", "--p", "2", "--e", _HUGE, "--bound", "1"],
@@ -715,7 +715,7 @@ _HUGE = str(10**12)
         (["grid", "density-check", "--p", "2003", "--gmax", "20000000"],
          "gmax 20000000 exceeds the cap 100000"),
         (["spectrum", "--G", "2", "--p", "2", "--a", _HUGE, "--limit", "5"],
-         f"p^a*m = 2^{_HUGE}*1 does not divide the group order 2"),
+         f"subgroup exponent a must lie in 1..64, got {_HUGE}"),
         (["genus", "--G", "4", "--branch",
           '{"p":2,"e":%s,"m":1,"upper_jumps":["1"]}' % _HUGE],
          f"bad branch point object: wild order 2^{_HUGE} exceeds the bound p^e <= 2^64"),
@@ -788,9 +788,9 @@ _N = "9" * 4299 + "7"
     "argv,message",
     [
         (["kato", "--n", "1", "--dK", _N, "--dk", "-" + _N, "--mw", "1"],
-         "generic degree exceeds the bound d_K <= 2^64"),
+         "generic degree d_K must lie in 0..2^64"),
         (["kato", "--n", "1", "--dK", "1", "--dk", "-1", "--mw", "1"],
-         "special degree -1 must be >= 0"),
+         "special degree d_k must lie in 0..1, got -1"),
         (["genus", "--G", str(2**64), "--branch", '{"p":2,"e":1,"upper_jumps":["%s"]}' % _N],
          "break 1: the break index exceeds the bound 2^64"),
         (["genus", "--G", "6", "--branch", '{"p":2,"e":1,"m":3,"upper_jumps":["%s/2"]}' % _N],
@@ -800,19 +800,19 @@ _N = "9" * 4299 + "7"
         (["act", "--a", "1", "--s", "5", '{"p":2,"e":1,"m":3,"breaks":[{"c":"%s/2","mult":1}]}'
           % _N], "break 1: the break index exceeds the bound 2^64"),
         (["spectrum", "--G", "2", "--p", "2", "--m", _N, "--limit", "10"],
-         "tame order exceeds the bound m <= 2^64"),
+         "tame order m must lie in 1..2^64"),
         (["spectrum", "--G", "8", "--p", "2", "--a", "2", "--sigma0", "1/" + _N, "--limit", "10"],
-         "base conductor denominator exceeds the bound m*2^64"),
+         "sigma exceeds the bound |sigma| <= 2^64 with a denominator at most m*2^64"),
         (["tower", "--p", "2", "--j", _N, "--F", "x^-5 ; x^-18446744073709551616"],
-         "first jump exceeds the bound j <= 2^64"),
+         "first jump j must lie in 1..2^64"),
         (["admissible", "--p", str(2**61 - 1), "--e", "1000", "--bound", _N],
-         f"bound {_N} is below the minimal final jump {2**61 - 1}^999"),
+         "length e must lie in 1..65, got 1000"),
         (["herbrand", "--psi", _N, '{"p":2,"e":2,"breaks":[{"c":"1","mult":2}]}'],
          "--psi: numerator or denominator exceeds the bound 2^64"),
         (["herbrand", "--phi", f"1/{2**64 + 1}", '{"p":2,"e":1,"breaks":[{"c":"1","mult":1}]}'],
          "--phi: numerator or denominator exceeds the bound 2^64"),
         (["herbrand", "--psi", "9", '{"p":2,"e":0,"m":%s,"breaks":[]}' % _N],
-         "bad filtration object: tame order exceeds the bound m <= 2^64"),
+         "bad filtration object: tame order m must lie in 1..2^64"),
         (["herbrand", '{"p": %s, "e": 1, "breaks": []}' % ("1" * 4400)],
          "bad filtration JSON: a numeral has more than 4300 digits"),
         (["genus", "--G", "2", "--branch", '{"p": 2, "e": %s}' % ("1" * 4400)],
