@@ -90,11 +90,20 @@ def _is_prime(p: int) -> bool:
 
 
 def _bound_text(b: int) -> str:
-    """A bound of `require_int` as printed: 2^k or 2^k - 1 past 2^32, else decimal."""
-    for t, tail in ((b, ""), (b + 1, " - 1")):
+    """A bound of `require_int` as printed: 2^k, 2^k - 1 or -2^k past 2^32 in
+    magnitude, else decimal."""
+    for t, form in ((b, "2^{}"), (b + 1, "2^{} - 1"), (-b, "-2^{}")):
         if t > 2**32 and not t & (t - 1):
-            return f"2^{t.bit_length() - 1}{tail}"
+            return form.format(t.bit_length() - 1)
     return str(b)
+
+
+def _shown(value) -> str:
+    """The tail ", got VALUE" of a message, for an int or a rational whose
+    numerator and denominator are at most 2^64 in size; else empty, so the
+    message stays short enough for str()."""
+    num, den = value.as_integer_ratio()
+    return f", got {value}" if abs(num) <= 2**64 and den <= 2**64 else ""
 
 
 def require_int(value, name: str, lo: int, hi: int = 2**64, error: type = InputError) -> int:
@@ -110,8 +119,7 @@ def require_int(value, name: str, lo: int, hi: int = 2**64, error: type = InputE
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if lo <= value <= hi:
         return value
-    got = f", got {value}" if abs(value) <= 2**64 else ""
-    raise error(f"{name} must lie in {_bound_text(lo)}..{_bound_text(hi)}{got}")
+    raise error(f"{name} must lie in {_bound_text(lo)}..{_bound_text(hi)}{_shown(value)}")
 
 
 def require_prime(p: int) -> int:
@@ -229,11 +237,7 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     if n == 1:
         return (0, 1)
     for code in range(p ** (n - 1), p**n):
-        digits = []
-        for _ in range(n):
-            code, c = divmod(code, p)
-            digits.append(c)
-        cand = (*reversed(digits), 1)
+        cand = (*reversed(_digits(code, p, n)), 1)
         if _is_irreducible(cand, p):
             return cand
     raise InputError(f"no irreducible polynomial of degree {n} over F_{p}")
@@ -764,9 +768,10 @@ class LaurentPoly(_IntMap):
 
     Only the pole part ever matters for ramification, so finite supports
     lose nothing and keep every operation exact.  The constructor checks
-    caller input once: exponents must be integers, coefficients elements of
-    `spec` or integers (TypeError otherwise).  Arithmetic results are built
-    by `_trusted`; `terms` builds the `FieldElement`s on request.
+    caller input once: exponents are ints with |e| <= MAX_EXPONENT, read by
+    `require_int`, coefficients elements of `spec` or integers (TypeError
+    otherwise).  Arithmetic results are built by `_trusted`; `terms` builds
+    the `FieldElement`s on request.
     """
 
     __slots__ = ()
@@ -779,7 +784,7 @@ class LaurentPoly(_IntMap):
     def __init__(self, spec: FieldSpec, terms=None):
         clean: dict[int, int] = {}
         for e, c in (terms or {}).items():
-            e = index(e)
+            e = require_int(e, "exponent", -MAX_EXPONENT, MAX_EXPONENT)
             if v := _form(spec, c):
                 clean[e] = v
         self._over = spec
@@ -800,12 +805,12 @@ class LaurentPoly(_IntMap):
         return LaurentPoly._trusted(spec, ints)
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if type(other) is int or isinstance(other, FieldElement):
             return self.scale(other)
         return _IntMap.__mul__(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if type(other) is int or isinstance(other, FieldElement):
             return self.scale(other)
         return NotImplemented
 

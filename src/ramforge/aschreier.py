@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .algebra import MAX_EXPONENT, LaurentPoly, _binomial_rows, require_int
+from .algebra import MAX_EXPONENT, LaurentPoly, _binomial_rows, _form, require_int
 from .errors import (
     InvalidJump,
     InvariantViolation,
@@ -156,17 +156,16 @@ def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
     """Add the dominating pole t0*x^(-s); the result has conductor exactly s.
     s <= 2^64, the grammar's exponent bound, so x^(-s) parses back."""
     spec = f.spec
-    if isinstance(t0, int):
-        t0 = spec.scalar(t0)
+    t0 = _form(spec, t0)
     if require_int(s, "target conductor s", 1, MAX_EXPONENT, InvalidJump) % spec.p == 0:
         raise InvalidJump(f"target conductor {s} must be positive and prime to {spec.p}")
-    if t0.is_zero:
+    if not t0:
         raise ZeroParameter("deformation parameter must be nonzero")
     current = as_conductor(f)
     floor = 0 if current is UNRAMIFIED else current
     if s <= floor:
         raise NotLarger(f"target conductor {s} does not exceed current {current}")
-    out = f + LaurentPoly.x_pow(spec, -s, t0)
+    out = f + LaurentPoly._trusted(spec, {-s: t0})
     if as_conductor(out) != s:
         raise InvariantViolation("deformed cover does not have the target conductor")
     return out

@@ -88,8 +88,8 @@ class ExtFieldSpec:
 class ExtElement(_IntMap):
     """The map `_ints` {p*e - j*i: v} of sum c x^e y^i: int e, 0 <= i < p,
     and v the nonzero int form of c in ext.field.  The constructor checks
-    caller input, the p Laurent coefficients a_i of sum a_i(x) y^i;
-    `_trusted` builds internal results."""
+    caller input, up to p Laurent coefficients a_i of sum a_i(x) y^i (the
+    missing ones are zero); `_trusted` builds internal results."""
 
     __slots__ = ()
     ext = property(attrgetter("_over"))
@@ -101,8 +101,8 @@ class ExtElement(_IntMap):
 
     def __init__(self, ext: ExtFieldSpec, coeffs):
         coeffs = tuple(coeffs)
-        if len(coeffs) != ext.p:
-            raise InputError(f"expected {ext.p} coefficients, got {len(coeffs)}")
+        if len(coeffs) > ext.p:
+            raise InputError(f"more than {ext.p} coefficients")
         ints = {}
         for i, a in enumerate(coeffs):
             if not isinstance(a, LaurentPoly):
@@ -116,26 +116,12 @@ class ExtElement(_IntMap):
         self._ints = ext._weights(ints)
 
     @classmethod
-    def from_coeffs(cls, ext: ExtFieldSpec, coeffs) -> "ExtElement":
-        """Build from up to p Laurent coefficients, padding with zeros."""
-        coeffs = list(coeffs)
-        if len(coeffs) > ext.p:
-            raise InputError(f"more than {ext.p} coefficients")
-        z = LaurentPoly.zero(ext.field)
-        coeffs += [z] * (ext.p - len(coeffs))
-        return cls(ext, coeffs)
-
-    @classmethod
     def x_pow(cls, ext: ExtFieldSpec, e: int, coeff=1) -> "ExtElement":
-        return cls.from_coeffs(ext, [LaurentPoly.x_pow(ext.field, e, coeff)])
+        return cls(ext, [LaurentPoly.x_pow(ext.field, e, coeff)])
 
     @classmethod
     def y(cls, ext: ExtFieldSpec) -> "ExtElement":
         return cls._trusted(ext, {-ext.j: 1})
-
-    @classmethod
-    def y_pow(cls, ext: ExtFieldSpec, k: int) -> "ExtElement":
-        return cls.y(ext) ** k
 
     @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:
@@ -179,7 +165,8 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
 def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:
     """y^(p^2 - p + 1), the least valuation a second tower layer can have;
     (y^(p-1))^p * y by the exact Frobenius, since p^2 - p + 1 = (p - 1)p + 1."""
-    return ExtElement.y_pow(ext, ext.p - 1).pow_p() * ExtElement.y(ext)
+    y = ExtElement.y(ext)
+    return (y ** (ext.p - 1)).pow_p() * y
 
 
 def upper_jumps(ext: ExtFieldSpec, J) -> tuple[int, int]:

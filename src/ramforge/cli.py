@@ -105,7 +105,7 @@ def cmd_deform(args):
 
 def cmd_act(args):
     filt = filtration_from_dict(_load_json(args.filtration, "filtration"))
-    out = action_transform(filt, args.a, args.s, args.s_iota)
+    out = action_transform(filt, args.a, args.s)
     if out == filt:
         note = "s/m equals the conductor; the acted cover may be disconnected" \
             if Fraction(args.s, filt.shape.m) == filt.conductor \
@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("act", cmd_act, "transform a filtration by an order-p^a action")
     sp.add_argument("--a", type=int, required=True, help="subgroup exponent")
     sp.add_argument("--s", type=int, required=True, help="conductor of the acting cover")
-    sp.add_argument("--s-iota", dest="s_iota", type=int, default=None,
-                    help="override the congruence class (default: derived)")
     sp.add_argument("filtration", help="filtration JSON")
 
     sp = command("tower", cmd_tower, "upper jumps of a degree-p^2 tower layer", field=True)

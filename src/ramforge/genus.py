@@ -180,13 +180,8 @@ def genus_increment(group_order: int, p: int, a: int, m: int, sigma, s: int) -> 
     1 <= a <= 64, as p^a divides |G|; (p, a, m) must form an `InertiaShape`."""
     require_int(group_order, "group order |G|", 1)
     require_int(a, "subgroup exponent a", 1, 64)
-    return _genus_increment(group_order, InertiaShape(p, a, m), sigma, s)
-
-
-def _genus_increment(group_order: int, shape: InertiaShape, sigma, s: int) -> int:
-    """`genus_increment` on a checked |G| and the shape (p, a, m)."""
-    t, d = _deformation_gap(shape, sigma, s)
-    pa = shape.p**shape.e
+    t, d = _deformation_gap(InertiaShape(p, a, m), sigma, s)
+    pa = p**a
     num, den = group_order * (pa - 1) * t, 2 * pa * d
     if num % den or num // den < 0:
         raise InvariantViolation(f"genus increment {Fraction(num, den)} is not a natural number")
@@ -250,10 +245,9 @@ def genus_spectrum(
     itself is included since the undeformed cover exists.  The deformed
     values fall into p - 1 arithmetic progressions with the returned
     increment.  The inertia order p^a*m of the `InertiaShape` (p, a, m) must
-    divide |G| <= 2^64; 0 < sigma0 <= 2^64 with a denominator at most m*2^64,
-    as the first increment checks (a string is read by the wire grammar of
-    `parse_rational`), and the ints 0 <= g0, limit <= 2^64 and
-    1 <= s_iota <= m.  The window g0..limit holds about
+    divide |G| <= 2^64; 0 < sigma0 <= 2^64 with a denominator at most m*2^64
+    (a string is read by the wire grammar of `parse_rational`), and the ints
+    0 <= g0, limit <= 2^64 and 1 <= s_iota <= m.  The window g0..limit holds about
     (limit - g0)*(p - 1)/increment genera, at most MAX_SPECTRUM_GENERA.
     """
     require_int(a, "subgroup exponent a", 1, 64)
@@ -263,9 +257,12 @@ def genus_spectrum(
     num, den = sigma0.as_integer_ratio()
     if num <= 0:
         raise InputError("base conductor sigma0 must be positive")
+    if num > den << 64 or den > require_int(m, "tame order m", 1) << 64:
+        raise InputError("sigma exceeds the bound |sigma| <= 2^64 with a denominator "
+                         "at most m*2^64")
     require_int(g0, "base genus g0", 0)
     require_int(limit, "genus limit", 0)
-    require_int(s_iota, "s_iota", 1, require_int(m, "tame order m", 1))
+    require_int(s_iota, "s_iota", 1, m)
     shape = InertiaShape(p, a, m)
     if group_order % shape.order:
         raise InputError(f"p^a*m = {shape.order} does not divide the group order {group_order}")
@@ -281,21 +278,22 @@ def genus_spectrum(
     s = s_iota + m * max(0, -((s_iota - above) // m))
     if s % p == 0:
         s += m
-    # candidates prime to p differ by multiples of m (of 2m when p = 2), so
-    # with p^a | |G| every increment is integral iff this first one is
-    try:
-        g = g0 + _genus_increment(group_order, shape, sigma0, s)
-    except InvariantViolation as exc:
-        raise InputError(f"base conductor {sigma0} does not fit the inertia data: {exc}") from exc
     # genus_increment in integers: g(s) = g0 + inc*(s - m*sigma0)/(p*m), above g0 and
-    # rising with s; for p = 2 a step of m can be worth half a genus, so g is read from s
+    # rising with s; for p = 2 a step of m can be worth half a genus, so g is read from s.
+    # Candidates prime to p differ by multiples of m (of 2m when p = 2), so
+    # with p^a | |G| every increment is integral iff this first one is
+    t, d = s * den - m * num, p * m * den
+    if inc * t % d:
+        raise InputError(f"base conductor {sigma0} does not fit the inertia data: genus "
+                         f"increment {Fraction(inc * t, d)} is not a natural number")
     deformed = []
+    g = g0 + inc * t // d
     while g <= limit:
         deformed.append(g)
         s += m
         if s % p == 0:
             s += m
-        g = g0 + inc * (s * den - m * num) // (p * m * den)
+        g = g0 + inc * (s * den - m * num) // d
     deformed = tuple(deformed)
     residues = tuple(sorted({g % inc for g in deformed}))
     if len(residues) > p - 1:

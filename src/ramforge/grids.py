@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FieldSpec, require_prime
+from .algebra import FieldSpec, require_int, require_prime
 from .asext import ExtElement, ExtFieldSpec, ext_as_reduce, minimal_tower_element, upper_jumps
 from .errors import InputError
 from .genus import (
@@ -62,8 +62,7 @@ def genus_grid(p: int, jmax: int) -> GridResult:
     """Riemann-Hurwitz pipeline vs the closed form (p-1)(j-1)/2 for one
     wildly ramified point on the line, j <= jmax <= MAX_GENUS_GRID_JMAX."""
     require_prime(p)
-    if jmax > MAX_GENUS_GRID_JMAX:
-        raise InputError(f"jmax {jmax} exceeds the cap {MAX_GENUS_GRID_JMAX}")
+    require_int(jmax, "jmax", 0, MAX_GENUS_GRID_JMAX)
     rows = []
     for j in range(1, jmax + 1):
         if j % p == 0:
@@ -84,12 +83,15 @@ MAX_ECOND_WORK = 60000
 
 def econd_grid(p: int, jmax: int, smax: int) -> GridResult:
     """Tower jump engine vs the closed forms J = max(ps - j(p-1), (p^2-p+1)j)
-    and conductor = max(s, pj), for jmax*smax*(p + 10) <= MAX_ECOND_WORK; and
+    and conductor = max(s, pj), for jmax*smax*(p + 10) <= MAX_ECOND_WORK with
+    |jmax|, |smax| <= 2^64, so the cap's message prints them; and
     the tower's Riemann-Hurwitz genus (one Z/p^2 point over the line) vs the
     base tower's genus plus genus_increment from the conductor pj out to s.
     The base tower minimal_tower_element has leading weight (p^2-p+1)j, prime
     to p, so it is reduced and that weight is its jump."""
     field = FieldSpec(p)
+    require_int(jmax, "jmax", -2**64)
+    require_int(smax, "smax", -2**64)
     # smax counts as at least 1: each j costs a base tower even with no s
     if jmax * max(smax, 1) * (p + 10) > MAX_ECOND_WORK:
         raise InputError(
@@ -135,27 +137,22 @@ def econd_grid(p: int, jmax: int, smax: int) -> GridResult:
     )
 
 
-def _random_rational(rng: random.Random, lo: int = 0, hi: int = 40) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 12))
-
-
 # The roundtrip grid's cost is linear in its count.
 MAX_ROUNDTRIP_COUNT = 2000
 
 
-def herbrand_roundtrip(count: int = 1000, seed: int = 1, points: int = 10) -> GridResult:
-    """phi(psi(c)) = c at random rational points, plus exact inversion of the
+def herbrand_roundtrip(count: int = 1000, seed: int = 1) -> GridResult:
+    """phi(psi(c)) = c at ten random rational points, plus exact inversion of the
     upper/lower jump conversion, on count <= MAX_ROUNDTRIP_COUNT random valid
     filtrations."""
-    if count > MAX_ROUNDTRIP_COUNT:
-        raise InputError(f"count {count} exceeds the cap {MAX_ROUNDTRIP_COUNT}")
+    require_int(count, "count", 0, MAX_ROUNDTRIP_COUNT)
     rng = random.Random(seed)
     rows = []
     for idx in range(count):
         filt = random_filtration(rng)
         ok = True
-        for _ in range(points):
-            c = _random_rational(rng)
+        for _ in range(10):
+            c = Fraction(rng.randint(0, 40), rng.randint(1, 12))
             if phi(filt, psi(filt, c)) != c or psi(filt, phi(filt, c)) != c:
                 ok = False
         lower = upper_to_lower(filt)
@@ -173,12 +170,10 @@ def herbrand_roundtrip(count: int = 1000, seed: int = 1, points: int = 10) -> Gr
 
 
 def brute_force_admissible(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
-    """Filter every integer tuple up to the bound with the definition."""
-    out = []
-    for seq in itertools.product(range(1, bound + 1), repeat=e):
-        if admissible_check(list(seq), p):
-            out.append(seq)
-    return sorted(out)
+    """Filter every integer tuple up to the bound with the definition, in the
+    lexicographic order `itertools.product` yields them."""
+    return [seq for seq in itertools.product(range(1, bound + 1), repeat=e)
+            if admissible_check(seq, p)]
 
 
 # The brute force costs ~1 us per tuple.
@@ -188,7 +183,10 @@ MAX_BRUTE_FORCE_TUPLES = 300000
 def admissible_count(p: int, e: int, bound: int) -> GridResult:
     """Recursive enumeration vs the brute-force filter, for every length up
     to e; the brute force walks bound + bound^2 + ... + bound^e tuples, at
-    most MAX_BRUTE_FORCE_TUPLES; `admissible_enumerate` checks p."""
+    most MAX_BRUTE_FORCE_TUPLES, with |e|, |bound| <= 2^64 so the cap's
+    message prints them; `admissible_enumerate` checks p."""
+    require_int(e, "e", -2**64)
+    require_int(bound, "bound", -2**64)
     tuples, width = 0, 1
     for _ in range(e):
         width *= max(bound, 1)
@@ -234,8 +232,7 @@ def density_check(p: int, gmax: int) -> GridResult:
     """Achieved genus set for a cyclic-p cover of the line vs the predicted
     congruence classes, with the density ratio on an increment-aligned range;
     one row per g <= gmax <= MAX_DENSITY_GMAX."""
-    if gmax > MAX_DENSITY_GMAX:
-        raise InputError(f"gmax {gmax} exceeds the cap {MAX_DENSITY_GMAX}")
+    require_int(gmax, "gmax", 0, MAX_DENSITY_GMAX)
     spectrum = genus_spectrum(p, p, 1, 1, Fraction(1), 0, 1, gmax)
     achieved = set(spectrum.genera)
     predicted = predicted_line_genera(p, gmax)

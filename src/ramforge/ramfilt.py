@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import require_int, require_prime
+from .algebra import _shown, require_int, require_prime
 from .errors import (
     CongruenceViolation,
     InputError,
@@ -163,7 +163,7 @@ def psi(filt: Filtration, c) -> Fraction:
         c = _read_rational(c, "psi argument")
     a, b = c.as_integer_ratio()
     if a < 0:
-        raise InputError(f"psi argument must be >= 0, got {c}")
+        raise InputError(f"psi argument must be >= 0{_shown(c)}")
     den = filt._den
     ad = a * den
     # an integer knot K is >= a*D/b exactly when K >= ceil(a*D/b); the knots
@@ -178,7 +178,7 @@ def phi(filt: Filtration, cprime) -> Fraction:
         cprime = _read_rational(cprime, "phi argument")
     a, b = cprime.as_integer_ratio()
     if a < 0:
-        raise InputError(f"phi argument must be >= 0, got {cprime}")
+        raise InputError(f"phi argument must be >= 0{_shown(cprime)}")
     den = filt._den
     ad = a * den
     i = bisect_left(filt._lower, -(-ad // b), 1) - 1
@@ -246,9 +246,11 @@ def _congruence(p: int, j_e: int, d: int, m: int) -> int:
     return j_e * pow(pow(p, d, m), -1, m) % m or m
 
 
-def action_transform(filt: Filtration, a: int, s: int, s_iota: int | None = None) -> Filtration:
+def action_transform(filt: Filtration, a: int, s: int) -> Filtration:
     """Shift the top a-fold piece of the filtration out to the break s/m.
 
+    For m > 1, s must lie in the class s_iota = j_e/p^(e-a) mod m that the
+    filtration's last lower jump j_e forces (CongruenceViolation otherwise).
     If s/m does not exceed the conductor the filtration is returned
     unchanged; that test is s*D <= m*(the top upper knot), in integers.
     Otherwise the top break loses multiplicity a (dropping out entirely at
@@ -264,11 +266,8 @@ def action_transform(filt: Filtration, a: int, s: int, s_iota: int | None = None
         raise InvalidJump(f"conductor candidate {s} must be positive and prime to {p}")
     top_sigma, top_mult = filt.breaks[-1]
     require_int(a, "subgroup exponent a", 1, top_mult, InvalidSubgroup)
-    if s_iota is not None:
-        require_int(s_iota, "s_iota", 1, m)
-    if m > 1:
-        if s_iota is None:  # the filtration's own p, e - a and m are checked already
-            s_iota = _congruence(p, _lower_jump(filt, len(filt.breaks)), shape.e - a, m)
+    if m > 1:  # the filtration's own p, e - a and m are checked already
+        s_iota = _congruence(p, _lower_jump(filt, len(filt.breaks)), shape.e - a, m)
         if s % m != s_iota % m:
             raise CongruenceViolation(
                 f"conductor {s} is not congruent to {s_iota} mod {m}"
@@ -294,7 +293,7 @@ def admissible_check(seq, p: int) -> bool:
     """
     require_prime(p)
     seq = list(seq)
-    if any(not isinstance(s, int) or s < 1 for s in seq):
+    if any(type(s) is not int or s < 1 for s in seq):
         return False
     if not seq:
         return True

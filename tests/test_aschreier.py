@@ -204,6 +204,16 @@ def test_deform_bounds_the_target_like_the_grammar():
             as_deform(L(F2, "x^-3"), s, F2.one)
 
 
+def test_deform_reads_t0_as_a_field_scalar():
+    # an int t0 is taken mod p, as the equal element; anything else is a TypeError
+    f = L(F3, "x^-1")
+    assert as_deform(f, 5, 2) == as_deform(f, 5, F3.scalar(2)) == as_deform(f, 5, -1)
+    with pytest.raises(TypeError):
+        as_deform(f, 5, 1.5)
+    with pytest.raises(ZeroParameter):
+        as_deform(f, 5, 3)
+
+
 def test_deform_from_split_cover():
     out = as_deform(L(F2, "x^-2 + x^-1"), 3, F2.one)
     assert as_conductor(out) == 3

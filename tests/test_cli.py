@@ -188,6 +188,17 @@ def test_act_json_roundtrip(capsys):
     assert out2 == out
 
 
+def test_act_derives_its_congruence_class(capsys):
+    # m = 3: the class of s is forced by the last lower jump; no flag overrides it
+    filt = '{"p":2,"e":1,"m":3,"breaks":[{"c":"1/3","mult":1}]}'
+    assert run(capsys, "act", "--a", "1", "--s", "5", filt) == (
+        2, "", "error: conductor 5 is not congruent to 1 mod 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["act", "--a", "1", "--s", "5", "--s-iota", "2", filt])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --s-iota" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- admissible
 
 def test_admissible_enumerate(capsys):
@@ -582,7 +593,7 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "window 0..20001 holds about 20001 genera, above the cap 20000"),
         (["grid", "density-check", "--p", "2", "--gmax", "40000"],
          "window 0..40000 holds about 40000 genera, above the cap 20000"),
-        (["grid", "herbrand-roundtrip", "--count", "2001"], "count 2001 exceeds the cap 2000"),
+        (["grid", "herbrand-roundtrip", "--count", "2001"], "count must lie in 0..2000, got 2001"),
         (["tower", "--p", "257", "--j", "1", "--F", "x^-5"],
          "extension characteristic p must lie in 2..251, got 257"),
         (["grid", "econd-grid", "--p", "257", "--jmax", "3", "--smax", "5"],
@@ -707,13 +718,13 @@ _HUGE = str(10**12)
         (["grid", "admissible-count", "--p", "2", "--e", _HUGE, "--bound", "1"],
          f"e {_HUGE} and bound 1 leave more than 300000 tuples to brute-force"),
         (["grid", "genus-grid", "--p", "2", "--jmax", "10001"],
-         "jmax 10001 exceeds the cap 10000"),
+         "jmax must lie in 0..10000, got 10001"),
         (["grid", "econd-grid", "--p", "251", "--jmax", "1", "--smax", "230"],
          "jmax 1 and smax 230 at p = 251 exceed the cap jmax*smax*(p + 10) <= 60000"),
         (["grid", "econd-grid", "--p", "2", "--jmax", _HUGE, "--smax", "-1"],
          f"jmax {_HUGE} and smax -1 at p = 2 exceed the cap jmax*smax*(p + 10) <= 60000"),
         (["grid", "density-check", "--p", "2003", "--gmax", "20000000"],
-         "gmax 20000000 exceeds the cap 100000"),
+         "gmax must lie in 0..100000, got 20000000"),
         (["spectrum", "--G", "2", "--p", "2", "--a", _HUGE, "--limit", "5"],
          f"subgroup exponent a must lie in 1..64, got {_HUGE}"),
         (["genus", "--G", "4", "--branch",
@@ -854,6 +865,21 @@ def test_the_library_raises_no_plain_value_error():
             if isinstance(exc, ast.Call):
                 exc = exc.func
             if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_library_has_no_isinstance_int():
+    # a bool passes isinstance(x, int); the library tests type(x) is int instead
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                continue
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(k, ast.Name) and k.id == "int" for k in kinds):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -34,7 +34,8 @@ from ramforge import (
     spectrum_density,
     tower_plan,
 )
-from ramforge.algebra import require_int, require_prime
+from ramforge import grids
+from ramforge.algebra import LaurentPoly, format_laurent, require_int, require_prime
 from ramforge.errors import (
     CongruenceViolation,
     InconsistentInput,
@@ -69,7 +70,7 @@ CALLS = {
     "contains_progressions": (contains_progressions,
                               dict(result=genus_spectrum(3, 3, 1, 1, 1, 0, 1, 20), p=3)),
     "conductor_congruence": (conductor_congruence, dict(p=2, j_e=5, d=1, m=3)),
-    "action_transform": (action_transform, dict(filt=ACTED, a=1, s=7, s_iota=1)),
+    "action_transform": (action_transform, dict(filt=ACTED, a=1, s=7)),
     "admissible_check": (admissible_check, dict(seq=(1, 2), p=2)),
     "admissible_enumerate": (admissible_enumerate, dict(p=2, e=2, bound=5)),
     "tower_plan": (tower_plan, dict(start_seq=(1,), target_seq=(3,), p=2)),
@@ -155,8 +156,7 @@ def test_every_int_parameter_refuses_hostile_values(name, param, kind, value):
      "subgroup exponent a must lie in 1..1, got 2"),
     (lambda: action_transform(ACTED, 1, (3 << 64) + 1), InvalidJump,
      "conductor candidate s must lie in 1..55340232221128654848"),
-    (lambda: action_transform(ACTED, 1, 7, 4), InputError, "s_iota must lie in 1..3, got 4"),
-    (lambda: action_transform(ACTED, 1, 5, 1), CongruenceViolation,
+    (lambda: action_transform(ACTED, 1, 5), CongruenceViolation,
      "conductor 5 is not congruent to 1 mod 3"),
     (lambda: as_deform(parse_laurent(FieldSpec(3), "x^-1"), -2 * N, 1), InvalidJump,
      "target conductor s must lie in 1..2^64"),
@@ -174,7 +174,7 @@ def test_every_int_parameter_refuses_hostile_values(name, param, kind, value):
         "shape-m-0", "field-n-0", "element-minus-2N", "ext-j-0", "kato-d_k-above-d_K",
         "kato-m_w-minus-2N", "congruence-j_e-minus-2N", "admissible-bound-minus-2N",
         "admissible-e-66", "spectrum-s_iota-above-m", "density-G-minus-2N",
-        "act-a-above-top", "act-s-above-m-2^64", "act-s_iota-above-m", "act-off-congruence",
+        "act-a-above-top", "act-s-above-m-2^64", "act-off-congruence",
         "deform-s-minus-2N", "random-m_max-above-2^16", "multiplicity-minus-2N",
         "multiplicity-0", "multiplicity-bool"])
 def test_int_probes_raise_the_reader_error(probe, error, message):
@@ -214,3 +214,56 @@ def test_every_int_parameter_of_every_export_is_in_the_table():
     assert missing == []
     assert set(CALLS) <= {name for name, _ in _exports()}
     assert RESULT_RECORDS <= {name for name, _ in _exports()}
+
+
+@pytest.mark.parametrize("probe, error, message", [
+    # the grids print their cap parameters only once require_int bounds them
+    (lambda: grids.genus_grid(2, 2 * N), InputError, "jmax must lie in 0..10000"),
+    (lambda: grids.genus_grid(2, 5.5), TypeError, "jmax must be an int, got float"),
+    (lambda: grids.herbrand_roundtrip(2 * N), InputError, "count must lie in 0..2000"),
+    (lambda: grids.density_check(2, 2 * N), InputError, "gmax must lie in 0..100000"),
+    (lambda: grids.econd_grid(2, 2 * N, 3), InputError, "jmax must lie in -2^64..2^64"),
+    (lambda: grids.econd_grid(2, 1, -2 * N), InputError, "smax must lie in -2^64..2^64"),
+    (lambda: grids.admissible_count(2, 2 * N, 3), InputError, "e must lie in -2^64..2^64"),
+    (lambda: grids.admissible_count(2, 2, 2 * N), InputError, "bound must lie in -2^64..2^64"),
+    # Laurent exponents obey the grammar's bound |e| <= 2^64
+    (lambda: LaurentPoly(FieldSpec(2), {-(2**70): 1}), InputError,
+     "exponent must lie in -2^64..2^64"),
+    (lambda: LaurentPoly(FieldSpec(2), {True: 1}), TypeError, "exponent must be an int, got bool"),
+    (lambda: LaurentPoly.x_pow(FieldSpec(2), 1.0), TypeError, "exponent must be an int, got float"),
+], ids=["genus-grid-jmax-2N", "genus-grid-jmax-float", "roundtrip-count-2N",
+        "density-gmax-2N", "econd-jmax-2N", "econd-smax-minus-2N", "admissible-count-e-2N",
+        "admissible-count-bound-2N", "exponent-minus-2^70", "exponent-bool", "exponent-float"])
+def test_grid_and_exponent_probes_raise_the_reader_error(probe, error, message):
+    with pytest.raises(error) as info:
+        probe()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_exponents_at_the_bound_format_and_parse_back():
+    F = FieldSpec(2)
+    for e in (-(2**64), 2**64):
+        f = LaurentPoly(F, {e: 1})
+        assert parse_laurent(F, format_laurent(f)) == f
+
+
+def test_a_negative_power_of_two_bound_prints_as_a_power():
+    for lo, hi, value, message in [
+            (-(2**64), 2**64, -(2**64) - 1, "x must lie in -2^64..2^64"),
+            (-(2**40), -10, -5, "x must lie in -2^40..-10, got -5"),
+            (1 - 2**64, 0, -(2**64), "x must lie in -18446744073709551615..0, got "
+             "-18446744073709551616")]:
+        with pytest.raises(InputError) as info:
+            require_int(value, "x", lo, hi)
+        assert str(info.value) == message
+
+
+def test_a_bool_is_not_an_int_scalar_or_sequence_entry():
+    f = parse_laurent(FieldSpec(3), "x^-1")
+    assert f * 2 == 2 * f == parse_laurent(FieldSpec(3), "2*x^-1")
+    with pytest.raises(TypeError):
+        f * True
+    with pytest.raises(TypeError):
+        True * f
+    assert admissible_check([1, 2], 2)
+    assert not admissible_check([True, 2], 2)

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ramforge.errors import InvariantViolation
+from ramforge.errors import InputError, InvariantViolation
 from ramforge.ramfilt import (
     Filtration,
     InertiaShape,
@@ -311,3 +311,22 @@ def test_negative_arguments_keep_their_message(fn, arg, shown):
     with pytest.raises(ValueError) as info:
         fn(EDGE_FAMILY[0], arg)
     assert str(info.value) == f"{fn.__name__} argument must be >= 0, got {shown}"
+
+
+# the longest numeral int() reads: 2*N has 4,301 digits, past str()'s limit
+N = int("9" * 4299 + "7")
+
+
+@pytest.mark.parametrize("fn", [psi, phi])
+@pytest.mark.parametrize("arg,shown", [
+    (-(2**64), ", got -18446744073709551616"),
+    (Fraction(-1, 2**64), ", got -1/18446744073709551616"),
+    (-(2**64) - 1, ""),
+    (Fraction(-1, 2**64 + 1), ""),
+    (-2 * N, ""),
+    (Fraction(-1, 2 * N), ""),
+], ids=["-2^64", "-1/2^64", "-2^64-1", "-1/(2^64+1)", "-2N", "-1/2N"])
+def test_negative_arguments_print_only_a_short_value(fn, arg, shown):
+    with pytest.raises(InputError) as info:
+        fn(EDGE_FAMILY[0], arg)
+    assert str(info.value) == f"{fn.__name__} argument must be >= 0{shown}"
