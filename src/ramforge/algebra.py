@@ -640,7 +640,7 @@ def _plus(terms: dict, pairs, add) -> dict:
 def _ydeg(w: int, jinv: int, p: int) -> int:
     """The y-degree -w/j mod p of the tower monomial of weight w, for
     jinv = 1/j mod p; 0 on the line, where jinv = 0.  The reduction loop in
-    `aschreier._reduce_terms` inlines it."""
+    `aschreier._reduce_terms` and `asext.ExtElement.coeffs` inline it."""
     return -w * jinv % p
 
 
@@ -748,18 +748,24 @@ class _IntMap:
             raise InputError(f"negative powers of {self._noun} are not defined")
         return _power(_IntMap.__mul__, self._trusted(self._over, {0: 1}), self, k)
 
-    def _pow_p(self):
-        """p-th power: (c m)^p = c^p x^(p*e) (y + x^-j)^beta for each term c m
-        of weight w and y-degree beta, its term b at weight p*w + step*b.  On
-        the line beta = 0, so only the b = 0 terms c^p at p*w remain."""
+    def _frob_terms(self) -> list:
+        """The (weight, nonzero int form) pairs that `_plus` sums to the p-th
+        power: (c m)^p = c^p x^(p*e) (y + x^-j)^beta for each term c m of
+        weight w and y-degree beta, its term b at weight p*w + step*b.  The
+        b = 0 terms, the only ones on the line, come first at distinct
+        weights p*w; the b >= 1 weights are prime to p and may repeat."""
         spec, (jinv, step) = self._field, self._ring
-        p, mul = spec.p, spec.mul
-        hp = {p * w: spec.frob(c) for w, c in self._ints.items()}
-        if step:  # b >= 1: weights prime to p, apart from the b = 0 terms at multiples of p
-            rows = _binomial_rows(p)
-            hp = _plus(hp, [(p * w + step * b, mul(hp[p * w], m))
-                            for w in self._ints for b, m in rows[_ydeg(w, jinv, p)]], spec.add)
-        return self._trusted(self._over, hp)
+        p = spec.p
+        hp = [(p * w, spec.frob(c)) for w, c in self._ints.items()]
+        if step:
+            mul, rows = spec.mul, _binomial_rows(p)
+            hp += [(pw + step * b, mul(fc, m)) for (pw, fc), w in zip(hp, self._ints)
+                   for b, m in rows[_ydeg(w, jinv, p)]]
+        return hp
+
+    def _pow_p(self):
+        """p-th power, the sum of `_frob_terms`."""
+        return self._trusted(self._over, _plus({}, self._frob_terms(), self._field.add))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

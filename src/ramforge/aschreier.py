@@ -9,11 +9,13 @@ One engine, `_reduce_terms`, runs this loop for both rings, here and for
 the tower extension in `asext`, on the element's own {weight: int form}
 map (`algebra._IntMap`): the weight of x^e is e here and p*e - j*i for
 x^e y^i in the tower, a bijection onto the integers.  A kill at weight v
-is the same rule in both rings, its updates all weigh more than v, and a
-heap of plain ints finds the leading term, so k steps cost O(k log k)
-heap work plus k p-th roots.  `_reduce` runs it on a copy and checks the
-certificate f - f_reduced = h^p - h with the ring's own arithmetic, whose
-p-th power shares the kill's binomial rows.  No `FieldElement` is built.
+is the same rule in both rings, its updates all weigh more than v and
+are written into the map and the heap of plain int weights in place, so k
+steps cost O(k log k) heap work plus k p-th roots.  `_reduce` runs it on a
+copy and checks the certificate f - f_reduced = h^p - h as one sum of
+term maps: f_reduced plus the terms of h^p, recomputed from h by the
+field's Frobenius (`_IntMap._frob_terms`, the rule `_pow_p` sums), plus
+those of -h must give f.  No `FieldElement` is built.
 
 Terms of exponent >= 0 never affect ramification at x = 0 here: over the
 algebraically closed field these covers stand in for, every regular part is
@@ -28,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .algebra import MAX_EXPONENT, LaurentPoly, _binomial_rows, _form, require_int
+from .algebra import MAX_EXPONENT, LaurentPoly, _binomial_rows, _form, _plus, require_int
 from .errors import (
     InvalidJump,
     InvariantViolation,
@@ -92,7 +94,9 @@ def _reduce_terms(terms: dict, spec, jinv: int, step: int):
     and the substitution h as {v/p: r}.
     """
     p, add, neg, mul, root = spec.p, spec.add, spec.neg, spec.mul, spec.root
-    rows = _binomial_rows(p) if step else ((),)  # the line's kills have beta = 0
+    # the line's kills have beta = 0; the rows fill on first use, so the
+    # tower is told by step, never by rows
+    rows = _binomial_rows(p) if step else None
     heap = list(terms)
     heapify(heap)
     get = terms.get
@@ -109,29 +113,40 @@ def _reduce_terms(terms: dict, spec, jinv: int, step: int):
         del terms[v]
         w = v // p
         h[w] = r = root(c)
-        row = rows[-w * jinv % p]  # algebra._ydeg, inlined
-        if row:
+        old = get(w)
+        if old is None:
+            terms[w] = r
+            heappush(heap, w)
+        elif s := add(old, r):
+            terms[w] = s
+        else:
+            del terms[w]
+        if step:
             c = neg(c)
-        for k, d in [(w, r), *[(v + step * b, mul(c, m)) for b, m in row]]:
-            old = get(k)
-            if old is None:
-                terms[k] = d
-                heappush(heap, k)
-            elif s := add(old, d):
-                terms[k] = s
-            else:
-                del terms[k]
+            for b, m in rows[-w * jinv % p]:  # algebra._ydeg, inlined
+                k, d = v + step * b, mul(c, m)
+                old = get(k)
+                if old is None:
+                    terms[k] = d
+                    heappush(heap, k)
+                elif s := add(old, d):
+                    terms[k] = s
+                else:
+                    del terms[k]
     return UNRAMIFIED, h
 
 
 def _reduce(f):
     """(reduced, conductor, substitution) of f, an element of either ring:
     `_reduce_terms` on a copy of its weight map, then the certificate
-    f - reduced = substitution^p - substitution, checked on the results."""
-    terms = dict(f._ints)
-    conductor, h = _reduce_terms(terms, f._field, *f._ring)
+    f - reduced = h^p - h as one sum: reduced + (the terms of h^p, which
+    `_frob_terms` recomputes) + (the terms of -h) must give f exactly."""
+    spec, terms = f._field, dict(f._ints)
+    conductor, h = _reduce_terms(terms, spec, *f._ring)
     g, h = f._trusted(f._over, terms), f._trusted(f._over, h)
-    if f - g != h._pow_p() - h:
+    pairs = h._frob_terms()
+    pairs += [(w, spec.neg(r)) for w, r in h._ints.items()]
+    if _plus(terms, pairs, spec.add) != f._ints:
         raise InvariantViolation("reduction substitution does not account for the change")
     return g, conductor, h
 

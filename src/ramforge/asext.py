@@ -6,15 +6,17 @@ val(c x^e y^i) = p*e - j*i, its weight, and an element is stored as the
 sparse map {weight: int form of c}, the form the reduction engine edits
 and `algebra._IntMap`'s arithmetic acts on, as for a Laurent polynomial.
 The pair (e, i) appears only at the public edges: the constructor and
-`parse_ext` map to weights, `terms` and `coeffs` (hence `format_ext`) map
-back, all through `ExtFieldSpec`.
+`parse_ext` map each exponent e of the coefficient of y^i to p*e - j*i as
+they read it, `coeffs` (hence `format_ext`) splits the weights straight
+into those p rows, and `terms` maps back through `ExtFieldSpec._keys`.
 
 This module is the jump engine for towers whose base layer is
 y^p - y = x^(-j): reducing w^p - w = F over the extension yields the second
 lower jump, and the Herbrand conversion turns it into the pair of upper
 jumps.  `ext_as_reduce` runs the shared engine `aschreier._reduce_terms`
 on F's own map through the field's kernels: O(k log k) heap work plus k
-p-th roots for k steps.  Every step is an exact polynomial identity; in
+p-th roots for k steps, and its certificate is the same one sum of term
+maps as on the line.  Every step is an exact polynomial identity; in
 particular the fractional-exponent binomial expansion that would appear
 in a power-series treatment is replaced by explicit monomial
 substitutions h with F -> F - (h^p - h), so no truncation ever occurs.
@@ -67,16 +69,12 @@ class ExtFieldSpec:
         """(1/j mod p, j*(p - 1)): the tower's parameters in weight space."""
         return pow(self.j, -1, self.p), self.j * (self.p - 1)
 
-    def _weights(self, ints: dict) -> dict:
-        """{(e, i): c} -> {p*e - j*i: c}.  The weight is a bijection from the
+    def _keys(self, weights: dict) -> dict:
+        """{w: c} -> {(e, i): c} with i = -w/j mod p and e = (w + j*i)/p, the
+        inverse of the weight p*e - j*i.  The weight is a bijection from the
         monomials x^e y^i, 0 <= i < p, onto the integers: p*e - j*i =
         p*e' - j*i' forces p | j*(i - i'), so i = i' as p does not divide j
-        and |i - i'| < p, and then e = e'.  `_keys` is its inverse."""
-        p, j = self.p, self.j
-        return {p * e - j * i: c for (e, i), c in ints.items()}
-
-    def _keys(self, weights: dict) -> dict:
-        """{w: c} -> {(e, i): c} with i = -w/j mod p and e = (w + j*i)/p."""
+        and |i - i'| < p, and then e = e'."""
         p, j, jinv = self.p, self.j, self._ring[0]
         out = {}
         for w, c in weights.items():
@@ -100,9 +98,9 @@ class ExtElement(_IntMap):
     pow_p = _IntMap._pow_p
 
     def __init__(self, ext: ExtFieldSpec, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) > ext.p:
-            raise InputError(f"more than {ext.p} coefficients")
+        coeffs, p, j = tuple(coeffs), ext.p, ext.j
+        if len(coeffs) > p:
+            raise InputError(f"more than {p} coefficients")
         ints = {}
         for i, a in enumerate(coeffs):
             if not isinstance(a, LaurentPoly):
@@ -110,10 +108,9 @@ class ExtElement(_IntMap):
                                 f"got {type(a).__name__}")
             if a.spec is not ext.field and a.spec != ext.field:
                 raise FieldMismatch(f"{ext.field} vs {a.spec}")
-            for e, v in a._ints.items():
-                ints[e, i] = v
+            ints.update((p * e - j * i, v) for e, v in a._ints.items())
         self._over = ext
-        self._ints = ext._weights(ints)
+        self._ints = ints
 
     @classmethod
     def x_pow(cls, ext: ExtFieldSpec, e: int, coeff=1) -> "ExtElement":
@@ -126,10 +123,13 @@ class ExtElement(_IntMap):
     @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:
         """The p Laurent coefficients a_i of sum a_i(x) y^i."""
-        rows = [{} for _ in range(self.ext.p)]
-        for (e, i), v in self._keys(self._ints).items():
-            rows[i][e] = v
-        return tuple(LaurentPoly._trusted(self.ext.field, r) for r in rows)
+        ext = self.ext
+        p, j, jinv = ext.p, ext.j, ext._ring[0]
+        rows = [{} for _ in range(p)]
+        for w, v in self._ints.items():
+            i = -w * jinv % p  # algebra._ydeg, inlined
+            rows[i][(w + j * i) // p] = v
+        return tuple(LaurentPoly._trusted(ext.field, r) for r in rows)
 
     def __str__(self):
         return format_ext(self)
@@ -206,13 +206,14 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
     segments = text.split(";")
     if len(segments) > ext.p:
         raise ParseError(f"more than {ext.p} coefficients in {text!r}")
+    p, j = ext.p, ext.j
     ints = {}
     for i, seg in enumerate(segments):
         try:
-            ints.update(((e, i), v) for e, v in _parse_ints(ext.field, seg.strip()).items())
+            ints.update((p * e - j * i, v) for e, v in _parse_ints(ext.field, seg.strip()).items())
         except ParseError as exc:
             raise ParseError(f"coefficient of y^{i}: {exc}") from None
-    return ExtElement._trusted(ext, ext._weights(ints))
+    return ExtElement._trusted(ext, ints)
 
 
 def format_ext(F: ExtElement) -> str:

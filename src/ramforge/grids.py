@@ -22,6 +22,7 @@ from .genus import (
     genus_increment,
     genus_spectrum,
     rh_genus,
+    spectrum_density,
 )
 from .ramfilt import (
     InertiaShape,
@@ -241,10 +242,11 @@ def density_check(p: int, gmax: int) -> GridResult:
             {"p": p, "g": g, "achieved": g in achieved, "predicted": g in predicted,
              "pass": (g in achieved) == (g in predicted)}
         )
+    bound = spectrum_density(p, p, 1)  # 2/p for G = Z/p
     rows.append(
         {"p": p, "g": f"density[0,{aligned})", "achieved": str(density),
-         "predicted": str(Fraction(2, p)),
-         "pass": density == Fraction(2, p) and contains_progressions(spectrum, p)}
+         "predicted": str(bound),
+         "pass": density == bound and contains_progressions(spectrum, p)}
     )
     return _finish("density-check", rows)
 

@@ -366,6 +366,15 @@ class LevelStep:
         return self.target != self.start
 
 
+def _seq_shown(seq: tuple) -> str:
+    """seq as a message prints it: whole while it has at most 64 entries,
+    each an int of at most 2^64 in size, as `algebra._shown` prints a value;
+    else only its length, so the message stays short enough for str()."""
+    if len(seq) <= 64 and all(type(s) is int and abs(s) <= 2**64 for s in seq):
+        return str(seq)
+    return f"the sequence of length {len(seq)}"
+
+
 def tower_plan(start_seq, target_seq, p: int) -> list[LevelStep]:
     """Level-by-level deformation plan from one admissible sequence to a
     strictly larger one, following the inductive minimal-dominating-layer
@@ -375,11 +384,10 @@ def tower_plan(start_seq, target_seq, p: int) -> list[LevelStep]:
     start_seq, target_seq = tuple(start_seq), tuple(target_seq)
     for seq in (start_seq, target_seq):
         if not _admissible(seq, p):
-            raise NotAdmissible(f"{seq} is not admissible for p = {p}")
+            raise NotAdmissible(f"{_seq_shown(seq)} is not admissible for p = {p}")
     if not seq_less(start_seq, target_seq):
-        raise NotComparable(
-            f"{target_seq} is not strictly larger than {start_seq} componentwise"
-        )
+        raise NotComparable(f"{_seq_shown(target_seq)} is not strictly larger than "
+                            f"{_seq_shown(start_seq)} componentwise")
     return [LevelStep(i + 1, start_seq[0] if i == 0 else p * target_seq[i - 1], target)
             for i, target in enumerate(target_seq)]
 

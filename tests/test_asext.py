@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramforge import algebra, aschreier
 from ramforge.algebra import INFINITY, FieldElement, FieldSpec, LaurentPoly, parse_laurent
 from ramforge.aschreier import UNRAMIFIED
 from ramforge.asext import (
@@ -18,7 +19,14 @@ from ramforge.asext import (
     parse_ext,
     tower_jumps,
 )
-from ramforge.errors import DegenerateTower, FieldMismatch, InputError, NotATower, ParseError
+from ramforge.errors import (
+    DegenerateTower,
+    FieldMismatch,
+    InputError,
+    InvariantViolation,
+    NotATower,
+    ParseError,
+)
 from ramforge.ramfilt import admissible_check
 
 F2 = FieldSpec(2)
@@ -239,6 +247,51 @@ def test_reduce_split_layer():
     assert ext_as_reduce(F).jump is UNRAMIFIED
 
 
+def _planted_tower():
+    """(F, H) as text over E31: F = y^7 + H^p - H for H = x^-1 (1 + y + y^2),
+    built by the oracle.  Its kills have y-degrees 2, 1 and 0, so two of
+    them make binomial updates, and the reduction leaves y^7 with h = H."""
+    Fo = O.field(3, 1)
+    H = O.x_parse(Fo, "x^-1 ; x^-1 ; x^-1")
+    return O.x_text(Fo, O.x_add(Fo, O.y_power(Fo, 1, 7), O.x_frob_minus_id(Fo, 1, H))), H
+
+
+def test_a_cold_binomial_table_still_reduces_the_tower():
+    # the rows are a dict that fills on first use, so a loop that tested the
+    # table instead of the ring would skip every binomial update on a cold one
+    F, H = _planted_tower()
+    Fo = O.field(3, 1)
+    algebra._binomial_rows.cache_clear()
+    assert algebra._binomial_rows.cache_info().currsize == 0
+    red = ext_as_reduce(parse_ext(E31, F))
+    assert red.jump == 7
+    assert format_ext(red.substitution) == O.x_text(Fo, H)
+    assert format_ext(red.reduced) == O.x_text(Fo, O.y_power(Fo, 1, 7))
+
+
+def test_certificate_catches_one_dropped_binomial_update(monkeypatch):
+    rows = algebra._binomial_rows(3)
+
+    class DropOne(dict):
+        """The true rows, but the first nonempty row read loses its last pair."""
+
+        dropped = False
+
+        def __getitem__(self, beta):
+            row = rows[beta]
+            if row and not self.dropped:
+                self.dropped = True
+                return row[:-1]
+            return row
+
+    drop = DropOne()
+    monkeypatch.setattr(aschreier, "_binomial_rows", lambda p: drop)
+    with pytest.raises(InvariantViolation,
+                       match="reduction substitution does not account for the change"):
+        ext_as_reduce(parse_ext(E31, _planted_tower()[0]))
+    assert drop.dropped
+
+
 # ---------------------------------------------------------------- tower jumps
 
 def test_tower_jumps_minimal():
@@ -429,6 +482,8 @@ def test_parse_ext_too_many_segments():
 def test_ext_field_mismatch():
     with pytest.raises(FieldMismatch):
         ExtElement.y(E21) + ExtElement.y(ExtFieldSpec(F2, 3))
+    with pytest.raises(FieldMismatch, match="^F_2 vs F_3$"):
+        ExtElement(E21, [LaurentPoly.zero(F2), LaurentPoly.x_pow(F3, -1)])
 
 
 @pytest.mark.parametrize("coeffs, i", [([1, 0], 0), (["x^-1", 0], 0),

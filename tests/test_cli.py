@@ -466,6 +466,13 @@ def test_grid_with_failing_rows_exits_3(capsys, monkeypatch):
     )
 
 
+def test_herbrand_roundtrip_fails_a_row_whose_jumps_do_not_invert(capsys, monkeypatch):
+    # the upper -> lower -> upper inversion is one of the row's checks
+    monkeypatch.setattr(grids, "lower_to_upper", lambda shape, lower: None)
+    code, out, err = run(capsys, "grid", "herbrand-roundtrip", "--count", "2")
+    assert (code, out.splitlines()[-1], err) == (3, "# FAIL 0/2", "")
+
+
 # ------------------------------------------------------------ strict wire
 
 @pytest.mark.parametrize(
@@ -577,6 +584,10 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "invalid filtration: break 2: lower jump 2 divisible by 2"),
         (["act", "--a", "1", "--s", "5", '{"p":2,"e":2,"m":1,"breaks":[{"c":"1","mult":1}]}'],
          "invalid filtration: break multiplicities sum to 1, expected e = 2"),
+        (["act", "--a", "1", "--s", "5", '{"p":2,"e":0,"m":3,"breaks":[]}'],
+         "tame filtration has no wild part to act on"),
+        (["herbrand", "{"], "bad filtration JSON: Expecting property name enclosed in "
+         "double quotes: line 1 column 2 (char 1)"),
         (["spectrum", "--G", "2", "--p", "2", "--sigma0", "1/3", "--limit", "5"],
          "base conductor 1/3 does not fit the inertia data: "
          "genus increment 1/3 is not a natural number"),
@@ -616,6 +627,7 @@ def test_strict_wire_exits_2_naming_the_field(capsys, argv, message):
          "check-empty", "target-empty-field", "start-empty-field",
          "genus-non-admissible-jump", "genus-jump-count", "genus-descending-jumps",
          "genus-zero-jump", "herbrand-invalid-filtration", "act-invalid-filtration",
+         "act-tame-filtration", "herbrand-unclosed-json",
          "spectrum-sigma0-off-lattice", "spectrum-sigma0-negative",
          "spectrum-sigma0-0", "spectrum-g0-negative", "spectrum-limit-negative",
          "spectrum-above-genera-cap", "density-check-above-genera-cap",

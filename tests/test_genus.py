@@ -633,6 +633,16 @@ def test_spectrum_z3():
     assert contains_progressions(result, 3)
 
 
+def test_contains_progressions_rejects_a_gap_or_a_wrong_residue_count():
+    result = genus_spectrum(3, 3, 1, 1, Fraction(1), 0, 1, 20)
+    genera, deformed, inc, residues = (result.genera, result.deformed, result.increment,
+                                       result.residues)
+    assert 9 in deformed and contains_progressions(result, 3)
+    gapped = tuple(g for g in deformed if g != 9)  # 6 -> 12 in the class 0 mod 3
+    assert not contains_progressions(SpectrumResult(genera, gapped, inc, residues), 3)
+    assert not contains_progressions(SpectrumResult(genera, deformed, inc, residues[:1]), 3)
+
+
 def test_spectrum_matches_conductor_enumeration():
     # oracle: enumerate conductors prime to p directly
     for p in (2, 3, 5):

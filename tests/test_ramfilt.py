@@ -446,6 +446,24 @@ def test_tower_plan_errors():
         tower_plan((1, 4), (3, 7), 2)
 
 
+@pytest.mark.parametrize("start, target, p, error, message", [
+    ((1, 4), (3, 7), 2, NotAdmissible, "(1, 4) is not admissible for p = 2"),
+    ((1, 2), (1, 2), 2, NotComparable, "(1, 2) is not strictly larger than (1, 2) componentwise"),
+    # entries past str()'s digit limit, or too many of them, print as a length
+    ((10**5000 + 1,), (4,), 3, NotComparable,
+     "(4,) is not strictly larger than the sequence of length 1 componentwise"),
+    ((10**5000,), (4,), 2, NotAdmissible, "the sequence of length 1 is not admissible for p = 2"),
+    ((2**64 + 1,), (1,), 2, NotComparable,
+     "(1,) is not strictly larger than the sequence of length 1 componentwise"),
+    ((1,) * 65, (3,) * 65, 2, NotAdmissible,
+     "the sequence of length 65 is not admissible for p = 2"),
+])
+def test_tower_plan_messages_stay_short(start, target, p, error, message):
+    with pytest.raises(error) as exc:
+        tower_plan(start, target, p)
+    assert str(exc.value) == message
+
+
 def test_tower_plan_final_level_reproduces_target():
     for p, start, target in [(2, (1, 2, 4), (3, 7, 15)), (3, (1, 3), (2, 7))]:
         steps = tower_plan(start, target, p)

@@ -341,13 +341,22 @@ def tower_monomials(draw):
 @settings(max_examples=300, deadline=None)
 @given(tower_monomials(), st.integers(-10**9, 10**9))
 def test_weights_and_monomials_round_trip(case, e):
+    # the edges that map to weights (the constructor, parse_ext) and back
+    # (coeffs, _keys) agree on every monomial x^e y^i
     ext, w = case
-    p, j = ext.p, ext.j
+    p, j, spec = ext.p, ext.j, ext.field
     (key, c), = ext._keys({w: 7}).items()
     assert c == 7 and 0 <= key[1] < p and p * key[0] - j * key[1] == w
-    assert ext._weights({key: 7}) == {w: 7}
-    i = e % p
-    assert ext._keys(ext._weights({(e, i): 7})) == {(e, i): 7}
+
+    def monomial(e, i):
+        return [LaurentPoly.zero(spec)] * i + [LaurentPoly.x_pow(spec, e)]
+
+    for e, i in (key, (e, e % p)):
+        F = ExtElement(ext, monomial(e, i))
+        assert F._ints == {p * e - j * i: 1}
+        assert ext._keys(F._ints) == {(e, i): 1}
+        assert list(F.coeffs) == monomial(e, i) + [LaurentPoly.zero(spec)] * (p - 1 - i)
+        assert parse_ext(ext, "0;" * i + f"x^{e}")._ints == F._ints
 
 
 def test_certificate_catches_a_wrong_root_kernel():
