@@ -63,6 +63,45 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+class _Record:
+    """Base of the immutable records.  A subclass names its fields, two or
+    more, in `_fields`, in constructor order, and lists them first in its
+    `__slots__`; a slot past them (`InertiaShape.order`) is derived, and
+    ==, hash, repr and `_values` see the fields only, as those of a frozen
+    dataclass do: `InertiaShape(p=3, e=2, m=2)`.  Assignment and deletion
+    raise AttributeError, so a constructor fills its slots through
+    `_setters`: each slot descriptor's `__set__`, bound once per class."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

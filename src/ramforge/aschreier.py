@@ -27,10 +27,10 @@ never by 0.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .algebra import MAX_EXPONENT, LaurentPoly, _binomial_rows, _form, _plus, require_int
+from .algebra import (MAX_EXPONENT, LaurentPoly, _binomial_rows, _form, _plus, _Record,
+                      require_int)
 from .errors import (
     InvalidJump,
     InvariantViolation,
@@ -66,14 +66,18 @@ class Connectedness(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ASReduced:
+class ASReduced(_Record):
     """Reduction result: f_reduced is in reduced form and differs from the
     input by artin_schreier(substitution) exactly."""
 
-    f_reduced: LaurentPoly
-    conductor: "int | _Unramified"
-    substitution: LaurentPoly
+    __slots__ = _fields = ("f_reduced", "conductor", "substitution")
+
+    def __init__(self, f_reduced: LaurentPoly, conductor: "int | _Unramified",
+                 substitution: LaurentPoly):
+        set_f_reduced, set_conductor, set_substitution = self._setters
+        set_f_reduced(self, f_reduced)
+        set_conductor(self, conductor)
+        set_substitution(self, substitution)
 
 
 def _reduce_terms(terms: dict, spec, jinv: int, step: int):

@@ -24,12 +24,10 @@ substitutions h with F -> F - (h^p - h), so no truncation ever occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 
-from .algebra import (FieldSpec, LaurentPoly, _IntMap, _parse_ints, _ydeg, format_laurent,
-                      require_int)
+from .algebra import (FieldSpec, LaurentPoly, _IntMap, _parse_ints, _Record, _ydeg,
+                      format_laurent, require_int)
 from .aschreier import UNRAMIFIED, _reduce, _Unramified
 from .errors import (
     DegenerateTower,
@@ -47,27 +45,29 @@ from .ramfilt import _admissible
 MAX_EXT_P = 251
 
 
-@dataclass(frozen=True)
-class ExtFieldSpec:
+class ExtFieldSpec(_Record):
     """Degree-p extension of k((x)) with defining equation y^p - y = x^(-j);
-    p <= MAX_EXT_P and j <= 2^64, as for exponents, so the upper jumps print."""
+    p <= MAX_EXT_P and j <= 2^64, as for exponents, so the upper jumps print.
+    `_ring` is (1/j mod p, j*(p - 1)), the tower's parameters in weight
+    space, computed when the extension is built."""
 
-    field: FieldSpec
-    j: int
+    _fields = ("field", "j")
+    __slots__ = (*_fields, "_ring")
 
-    def __post_init__(self):
-        require_int(self.field.p, "extension characteristic p", 2, MAX_EXT_P)
-        if require_int(self.j, "first jump j", 1) % self.field.p == 0:
-            raise InputError(f"first jump {self.j} must be positive and prime to p")
+    def __init__(self, field: FieldSpec, j: int):
+        if not isinstance(field, FieldSpec):
+            raise TypeError(f"field must be a FieldSpec, got {type(field).__name__}")
+        p = require_int(field.p, "extension characteristic p", 2, MAX_EXT_P)
+        if require_int(j, "first jump j", 1) % p == 0:
+            raise InputError(f"first jump {j} must be positive and prime to p")
+        set_field, set_j, set_ring = self._setters
+        set_field(self, field)
+        set_j(self, j)
+        set_ring(self, (pow(j, -1, p), j * (p - 1)))
 
     @property
     def p(self) -> int:
         return self.field.p
-
-    @cached_property
-    def _ring(self) -> tuple[int, int]:
-        """(1/j mod p, j*(p - 1)): the tower's parameters in weight space."""
-        return pow(self.j, -1, self.p), self.j * (self.p - 1)
 
     def _keys(self, weights: dict) -> dict:
         """{w: c} -> {(e, i): c} with i = -w/j mod p and e = (w + j*i)/p, the
@@ -138,14 +138,18 @@ class ExtElement(_IntMap):
         return f"<{self} in y^{self.ext.p} - y = x^-{self.ext.j}>"
 
 
-@dataclass(frozen=True)
-class ExtReduced:
+class ExtReduced(_Record):
     """Reduction result; the original element minus `reduced` equals
     substitution^p - substitution exactly."""
 
-    reduced: ExtElement
-    jump: "int | _Unramified"
-    substitution: ExtElement
+    __slots__ = _fields = ("reduced", "jump", "substitution")
+
+    def __init__(self, reduced: ExtElement, jump: "int | _Unramified",
+                 substitution: ExtElement):
+        set_reduced, set_jump, set_substitution = self._setters
+        set_reduced(self, reduced)
+        set_jump(self, jump)
+        set_substitution(self, substitution)
 
 
 def ext_as_reduce(F: ExtElement) -> ExtReduced:

@@ -11,7 +11,6 @@ data comes from an actual cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     InvariantViolation,
     NotLarger,
 )
-from .algebra import require_int, require_prime
+from .algebra import _Record, require_int, require_prime
 from .ramfilt import (
     Filtration,
     InertiaShape,
@@ -81,41 +80,46 @@ def branch_from_dict(d: dict) -> BranchPoint:
     return bp
 
 
-@dataclass(frozen=True)
-class CoverData:
-    """Group order |G| >= 1, base genus and branch data of a Galois cover."""
+class CoverData(_Record):
+    """Group order |G| >= 1, base genus and branch data of a Galois cover:
+    each branch point a Filtration."""
 
-    group_order: int
-    g_X: int
-    branch: tuple = ()
+    __slots__ = _fields = ("group_order", "g_X", "branch")
 
-    def __post_init__(self):
-        object.__setattr__(self, "branch", tuple(self.branch))
-        require_int(self.group_order, "group order |G|", 1)
-        require_int(self.g_X, "base genus g_X", 0)
-        for bp in self.branch:
-            if self.group_order % bp.shape.order:
+    def __init__(self, group_order: int, g_X: int, branch: tuple = ()):
+        branch = tuple(branch)
+        require_int(group_order, "group order |G|", 1)
+        require_int(g_X, "base genus g_X", 0)
+        for i, bp in enumerate(branch, 1):
+            if not isinstance(bp, Filtration):
+                raise TypeError(f"branch point {i} must be a Filtration, got {type(bp).__name__}")
+            if group_order % bp.shape.order:
                 raise InputError(
-                    f"inertia order {bp.shape.order} does not divide |G| = {self.group_order}"
+                    f"inertia order {bp.shape.order} does not divide |G| = {group_order}"
                 )
+        set_group_order, set_g_X, set_branch = self._setters
+        set_group_order(self, group_order)
+        set_g_X(self, g_X)
+        set_branch(self, branch)
 
 
-@dataclass(frozen=True)
-class KatoInput:
+class KatoInput(_Record):
     """Degrees of the ramification divisors over the generic and special
     fibres, plus the number of points over the singularity in the
     normalization; each at most 2^64, which keeps mu short enough for str()."""
 
-    n: int
-    d_K: int
-    d_k: int
-    m_w: int
+    __slots__ = _fields = ("n", "d_K", "d_k", "m_w")
 
-    def __post_init__(self):
-        require_int(self.n, "cover degree n", 1, error=InconsistentInput)
-        require_int(self.m_w, "point count m_w", 1, error=InconsistentInput)
-        require_int(self.d_K, "generic degree d_K", 0, error=InconsistentInput)
-        require_int(self.d_k, "special degree d_k", 0, self.d_K, InconsistentInput)
+    def __init__(self, n: int, d_K: int, d_k: int, m_w: int):
+        require_int(n, "cover degree n", 1, error=InconsistentInput)
+        require_int(m_w, "point count m_w", 1, error=InconsistentInput)
+        require_int(d_K, "generic degree d_K", 0, error=InconsistentInput)
+        require_int(d_k, "special degree d_k", 0, d_K, InconsistentInput)
+        set_n, set_d_K, set_d_k, set_m_w = self._setters
+        set_n(self, n)
+        set_d_K(self, d_K)
+        set_d_k(self, d_k)
+        set_m_w(self, m_w)
 
     @property
     def delta(self) -> Fraction:
@@ -211,8 +215,7 @@ def last_lower_jump_increment(
 MAX_SPECTRUM_GENERA = 20000
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(_Record):
     """Achieved genera plus the arithmetic-progression structure.
 
     `genera` holds everything achieved including the base genus; `deformed`
@@ -221,10 +224,15 @@ class SpectrumResult:
     those progressions).
     """
 
-    genera: tuple[int, ...]
-    deformed: tuple[int, ...]
-    increment: int
-    residues: tuple[int, ...]
+    __slots__ = _fields = ("genera", "deformed", "increment", "residues")
+
+    def __init__(self, genera: tuple[int, ...], deformed: tuple[int, ...], increment: int,
+                 residues: tuple[int, ...]):
+        set_genera, set_deformed, set_increment, set_residues = self._setters
+        set_genera(self, genera)
+        set_deformed(self, deformed)
+        set_increment(self, increment)
+        set_residues(self, residues)
 
 
 def genus_spectrum(

@@ -26,11 +26,10 @@ import random
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import _shown, require_int, require_prime
+from .algebra import _Record, _shown, require_int, require_prime
 from .errors import (
     CongruenceViolation,
     InputError,
@@ -43,27 +42,29 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class InertiaShape:
+class InertiaShape(_Record):
     """Group-order data of an inertia group: wild part p^e, tame part m prime
     to p, each <= 2^64.
 
     The order |I| = m*p^e is computed once, when the shape is built, and
-    kept as the plain attribute `order`, not a field: `fields`, ==, hash
-    and repr see (p, e, m) only."""
+    kept in the slot `order`, not a field: `_fields`, ==, hash and repr see
+    (p, e, m) only."""
 
-    p: int
-    e: int
-    m: int = 1
+    _fields = ("p", "e", "m")
+    __slots__ = (*_fields, "order")
 
-    def __post_init__(self):
-        p = require_prime(self.p)
+    def __init__(self, p: int, e: int, m: int = 1):
+        require_prime(p)
         # e > 64 first: p**e for a huge e is costly
-        if require_int(self.e, "wild exponent e", 0) > 64 or (wild := p**self.e) > 2**64:
-            raise InputError(f"wild order {p}^{self.e} exceeds the bound p^e <= 2^64")
-        if math.gcd(require_int(self.m, "tame order m", 1), p) != 1:
-            raise InputError(f"tame order {self.m} must be positive and prime to {p}")
-        object.__setattr__(self, "order", self.m * wild)
+        if require_int(e, "wild exponent e", 0) > 64 or (wild := p**e) > 2**64:
+            raise InputError(f"wild order {p}^{e} exceeds the bound p^e <= 2^64")
+        if math.gcd(require_int(m, "tame order m", 1), p) != 1:
+            raise InputError(f"tame order {m} must be positive and prime to {p}")
+        set_p, set_e, set_m, set_order = self._setters
+        set_p(self, p)
+        set_e(self, e)
+        set_m(self, m)
+        set_order(self, m * wild)
 
 
 class Filtration:
@@ -347,8 +348,7 @@ def seq_less(first, second) -> bool:
     return all(a < b for a, b in zip(first, second))
 
 
-@dataclass(frozen=True)
-class LevelStep:
+class LevelStep(_Record):
     """One level of a tower deformation plan.
 
     `start` is the conductor the level begins with (for level 1 the base
@@ -357,9 +357,13 @@ class LevelStep:
     start and target means the minimal layer already realises the target.
     """
 
-    level: int
-    start: int
-    target: int
+    __slots__ = _fields = ("level", "start", "target")
+
+    def __init__(self, level: int, start: int, target: int):
+        set_level, set_start, set_target = self._setters
+        set_level(self, level)
+        set_start(self, start)
+        set_target(self, target)
 
     @property
     def deforms(self) -> bool:

@@ -5,6 +5,8 @@ import doctest
 import importlib
 import json
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -974,3 +976,19 @@ def test_console_script_target_resolves():
     where = project["tool"]["setuptools"]["packages"]["find"]["where"]
     package = Path(importlib.import_module(module.split(".")[0]).__file__).parent
     assert package.parent in [root / w for w in where]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a cost check that reads no clock: a fresh interpreter compiles and runs
+    # every module a cold command imports, and `dataclasses` brings `inspect`,
+    # `ast`, `dis` and `tokenize`; the modules loaded before the import (by
+    # `site`, say) are left out.  The child imports the ramforge under test.
+    code = ("import sys; before = set(sys.modules); import ramforge.cli; "
+            "print(ramforge.cli.__file__); print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    path, added = proc.stdout.splitlines()
+    assert Path(path).resolve() == Path(cli.__file__).resolve()
+    added = set(added.split())
+    assert "ramforge.cli" in added
+    assert {"dataclasses", "inspect"}.isdisjoint(added), sorted(added)

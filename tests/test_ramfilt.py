@@ -1,6 +1,5 @@
 """Herbrand functions, filtration validation, transforms, admissibility."""
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -240,13 +239,13 @@ def test_transform_keeps_the_filtration_exactly_when_s_over_m_is_not_above_the_t
 def test_inertia_shape_order_is_no_field():
     shape = InertiaShape(3, 2, 2)
     assert shape.order == 18
-    assert [f.name for f in dataclasses.fields(InertiaShape)] == ["p", "e", "m"]
-    assert dataclasses.astuple(shape) == (3, 2, 2)
+    assert InertiaShape._fields == ("p", "e", "m")
+    assert shape._values == (3, 2, 2)
     assert shape == InertiaShape(3, 2, 2) and shape != InertiaShape(3, 1, 2)
     assert hash(shape) == hash((3, 2, 2))
     assert repr(shape) == "InertiaShape(p=3, e=2, m=2)"
-    assert dataclasses.replace(shape, e=0).order == 2
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert InertiaShape(shape.p, 0, shape.m).order == 2  # a changed copy derives its order
+    with pytest.raises(AttributeError):
         shape.order = 1
 
 

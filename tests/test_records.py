@@ -1,0 +1,82 @@
+"""The nine immutable records, each built on `algebra._Record`."""
+
+import copy
+import inspect
+
+import pytest
+
+from ramforge import (
+    ASReduced,
+    BranchPoint,
+    CoverData,
+    ExtElement,
+    ExtFieldSpec,
+    ExtReduced,
+    FieldSpec,
+    InertiaShape,
+    KatoInput,
+    LevelStep,
+    SpectrumResult,
+    parse_laurent,
+)
+from ramforge.grids import GridResult
+
+F3 = FieldSpec(3)
+E32 = ExtFieldSpec(F3, 2)
+BP = BranchPoint(InertiaShape(3, 1), ["2"])
+
+# each record with keyword arguments in field order
+RECORDS = [
+    (ASReduced, dict(f_reduced=parse_laurent(F3, "x^-1"), conductor=1,
+                     substitution=parse_laurent(F3, "x^-2"))),
+    (ExtFieldSpec, dict(field=F3, j=2)),
+    (ExtReduced, dict(reduced=ExtElement.y(E32), jump=2, substitution=ExtElement.y(E32))),
+    (InertiaShape, dict(p=3, e=2, m=2)),
+    (LevelStep, dict(level=1, start=2, target=3)),
+    (CoverData, dict(group_order=3, g_X=0, branch=(BP,))),
+    (KatoInput, dict(n=4, d_K=10, d_k=8, m_w=1)),
+    (SpectrumResult, dict(genera=(1, 2), deformed=(2,), increment=3, residues=(1,))),
+    (GridResult, dict(name="g", columns=["a"], rows=[{"a": 1}], passed=True,
+                      summary="PASS 1/1")),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_compare_print_and_refuse_assignment_by_their_fields(cls, kwargs):
+    record = cls(**kwargs)
+    values = tuple(kwargs.values())
+    assert cls._fields == tuple(kwargs) == tuple(inspect.signature(cls).parameters)
+    assert record._values == values
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"
+    assert record == cls(**kwargs) and record != values
+    assert copy.copy(record) == record
+    try:
+        expected = hash(values)
+    except TypeError:  # a field is unhashable: a LaurentPoly, an ExtElement or a list
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+    for name in (*cls._fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record._values == values
+
+
+def test_records_differ_across_classes_with_equal_values():
+    f = parse_laurent(F3, "x^-1")
+    assert ASReduced(f, 1, f)._values == ExtReduced(f, 1, f)._values
+    assert ASReduced(f, 1, f) != ExtReduced(f, 1, f)
+
+
+@pytest.mark.parametrize("probe, message", [
+    (lambda: ExtFieldSpec(3, 1), "field must be a FieldSpec, got int"),
+    (lambda: CoverData(4, 0, [1]), "branch point 1 must be a Filtration, got int"),
+    (lambda: CoverData(3, 0, [BP, "2"]), "branch point 2 must be a Filtration, got str"),
+], ids=["ext-field-int", "cover-branch-int", "cover-branch-str"])
+def test_record_constructors_name_a_parameter_of_the_wrong_type(probe, message):
+    with pytest.raises(TypeError) as info:
+        probe()
+    assert str(info.value) == message
