@@ -64,21 +64,23 @@ INFINITY = _Infinity()
 
 
 class _Record:
-    """Base of the immutable records.  A subclass names its fields, two or
-    more, in `_fields`, in constructor order, and lists them first in its
-    `__slots__`; a slot past them (`InertiaShape.order`) is derived, and
-    ==, hash, repr and `_values` see the fields only, as those of a frozen
-    dataclass do: `InertiaShape(p=3, e=2, m=2)`.  Assignment and deletion
-    raise AttributeError, so a constructor fills its slots through
-    `_setters`: each slot descriptor's `__set__`, bound once per class."""
+    """Base of the immutable records.  A subclass names its fields in
+    `_fields`, in constructor order, and its constructor, after its checks,
+    stores them with one `_store(self, (f1, f2, ...))`: that tuple,
+    `_values`, is the record's storage, and each field is a read-only
+    property over its entry.  ==, hash, repr, copy and pickle read
+    `_values`, as those of a frozen dataclass read the fields:
+    `InertiaShape(p=3, e=2, m=2)`.  A derived value (`InertiaShape.order`)
+    is a slot of its own class, outside the fields.  Assignment and
+    deletion raise AttributeError."""
 
-    __slots__ = ()
+    __slots__ = ("_values",)
     _fields: tuple = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-        cls._values = property(attrgetter(*cls._fields))
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(lambda self, i=i: self._values[i]))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -89,7 +91,7 @@ class _Record:
         return hash(self._values)
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):
@@ -100,6 +102,9 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+_store = _Record._values.__set__
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -820,9 +825,9 @@ class LaurentPoly(_IntMap):
     Only the pole part ever matters for ramification, so finite supports
     lose nothing and keep every operation exact.  The constructor checks
     caller input once: exponents are ints with |e| <= MAX_EXPONENT, read by
-    `require_int`, coefficients elements of `spec` or ints (TypeError
-    otherwise).  Arithmetic results are built by `_trusted`; `terms` builds
-    the `FieldElement`s on request.
+    `require_int`, coefficients elements of `spec` or ints, and `spec` a
+    `FieldSpec` (TypeError otherwise).  Arithmetic results are built by
+    `_trusted`; `terms` builds the `FieldElement`s on request.
     """
 
     __slots__ = ()
@@ -833,6 +838,8 @@ class LaurentPoly(_IntMap):
     frobenius = _IntMap._pow_p
 
     def __init__(self, spec: FieldSpec, terms=None):
+        if not isinstance(spec, FieldSpec):
+            raise TypeError(f"spec must be a FieldSpec, got {type(spec).__name__}")
         clean: dict[int, int] = {}
         for e, c in (terms or {}).items():
             e = require_int(e, "exponent", -MAX_EXPONENT, MAX_EXPONENT)

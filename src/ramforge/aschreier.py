@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from heapq import heapify, heappop, heappush
 
-from .algebra import (MAX_EXPONENT, LaurentPoly, _binomial_rows, _form, _plus, _Record,
+from .algebra import (MAX_EXPONENT, LaurentPoly, _binomial_rows, _form, _plus, _Record, _store,
                       require_int)
 from .errors import (
     InvalidJump,
@@ -70,14 +70,12 @@ class ASReduced(_Record):
     """Reduction result: f_reduced is in reduced form and differs from the
     input by artin_schreier(substitution) exactly."""
 
-    __slots__ = _fields = ("f_reduced", "conductor", "substitution")
+    __slots__ = ()
+    _fields = ("f_reduced", "conductor", "substitution")
 
     def __init__(self, f_reduced: LaurentPoly, conductor: "int | _Unramified",
                  substitution: LaurentPoly):
-        set_f_reduced, set_conductor, set_substitution = self._setters
-        set_f_reduced(self, f_reduced)
-        set_conductor(self, conductor)
-        set_substitution(self, substitution)
+        _store(self, (f_reduced, conductor, substitution))
 
 
 def _reduce_terms(terms: dict, spec, jinv: int, step: int):

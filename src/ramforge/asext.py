@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .algebra import (FieldSpec, LaurentPoly, _IntMap, _parse_ints, _Record, _ydeg,
+from .algebra import (FieldSpec, LaurentPoly, _IntMap, _parse_ints, _Record, _store, _ydeg,
                       format_laurent, require_int)
 from .aschreier import UNRAMIFIED, _reduce, _Unramified
 from .errors import (
@@ -51,8 +51,8 @@ class ExtFieldSpec(_Record):
     `_ring` is (1/j mod p, j*(p - 1)), the tower's parameters in weight
     space, computed when the extension is built."""
 
+    __slots__ = ("_ring",)
     _fields = ("field", "j")
-    __slots__ = (*_fields, "_ring")
 
     def __init__(self, field: FieldSpec, j: int):
         if not isinstance(field, FieldSpec):
@@ -60,10 +60,8 @@ class ExtFieldSpec(_Record):
         p = require_int(field.p, "extension characteristic p", 2, MAX_EXT_P)
         if require_int(j, "first jump j", 1) % p == 0:
             raise InputError(f"first jump {j} must be positive and prime to p")
-        set_field, set_j, set_ring = self._setters
-        set_field(self, field)
-        set_j(self, j)
-        set_ring(self, (pow(j, -1, p), j * (p - 1)))
+        _store(self, (field, j))
+        _set_ring(self, (pow(j, -1, p), j * (p - 1)))
 
     @property
     def p(self) -> int:
@@ -81,6 +79,9 @@ class ExtFieldSpec(_Record):
             i = _ydeg(w, jinv, p)
             out[(w + j * i) // p, i] = c
         return out
+
+
+_set_ring = ExtFieldSpec._ring.__set__
 
 
 class ExtElement(_IntMap):
@@ -142,14 +143,12 @@ class ExtReduced(_Record):
     """Reduction result; the original element minus `reduced` equals
     substitution^p - substitution exactly."""
 
-    __slots__ = _fields = ("reduced", "jump", "substitution")
+    __slots__ = ()
+    _fields = ("reduced", "jump", "substitution")
 
     def __init__(self, reduced: ExtElement, jump: "int | _Unramified",
                  substitution: ExtElement):
-        set_reduced, set_jump, set_substitution = self._setters
-        set_reduced(self, reduced)
-        set_jump(self, jump)
-        set_substitution(self, substitution)
+        _store(self, (reduced, jump, substitution))
 
 
 def ext_as_reduce(F: ExtElement) -> ExtReduced:

@@ -20,7 +20,7 @@ from .errors import (
     InvariantViolation,
     NotLarger,
 )
-from .algebra import _Record, require_int, require_prime
+from .algebra import _Record, _store, require_int, require_prime
 from .ramfilt import (
     Filtration,
     InertiaShape,
@@ -84,7 +84,8 @@ class CoverData(_Record):
     """Group order |G| >= 1, base genus and branch data of a Galois cover:
     each branch point a Filtration."""
 
-    __slots__ = _fields = ("group_order", "g_X", "branch")
+    __slots__ = ()
+    _fields = ("group_order", "g_X", "branch")
 
     def __init__(self, group_order: int, g_X: int, branch: tuple = ()):
         branch = tuple(branch)
@@ -97,10 +98,7 @@ class CoverData(_Record):
                 raise InputError(
                     f"inertia order {bp.shape.order} does not divide |G| = {group_order}"
                 )
-        set_group_order, set_g_X, set_branch = self._setters
-        set_group_order(self, group_order)
-        set_g_X(self, g_X)
-        set_branch(self, branch)
+        _store(self, (group_order, g_X, branch))
 
 
 class KatoInput(_Record):
@@ -108,18 +106,15 @@ class KatoInput(_Record):
     fibres, plus the number of points over the singularity in the
     normalization; each at most 2^64, which keeps mu short enough for str()."""
 
-    __slots__ = _fields = ("n", "d_K", "d_k", "m_w")
+    __slots__ = ()
+    _fields = ("n", "d_K", "d_k", "m_w")
 
     def __init__(self, n: int, d_K: int, d_k: int, m_w: int):
         require_int(n, "cover degree n", 1, error=InconsistentInput)
         require_int(m_w, "point count m_w", 1, error=InconsistentInput)
         require_int(d_K, "generic degree d_K", 0, error=InconsistentInput)
         require_int(d_k, "special degree d_k", 0, d_K, InconsistentInput)
-        set_n, set_d_K, set_d_k, set_m_w = self._setters
-        set_n(self, n)
-        set_d_K(self, d_K)
-        set_d_k(self, d_k)
-        set_m_w(self, m_w)
+        _store(self, (n, d_K, d_k, m_w))
 
     @property
     def delta(self) -> Fraction:
@@ -224,15 +219,12 @@ class SpectrumResult(_Record):
     those progressions).
     """
 
-    __slots__ = _fields = ("genera", "deformed", "increment", "residues")
+    __slots__ = ()
+    _fields = ("genera", "deformed", "increment", "residues")
 
     def __init__(self, genera: tuple[int, ...], deformed: tuple[int, ...], increment: int,
                  residues: tuple[int, ...]):
-        set_genera, set_deformed, set_increment, set_residues = self._setters
-        set_genera(self, genera)
-        set_deformed(self, deformed)
-        set_increment(self, increment)
-        set_residues(self, residues)
+        _store(self, (genera, deformed, increment, residues))
 
 
 def genus_spectrum(

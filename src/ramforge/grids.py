@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebra import FieldSpec, _Record, require_int, require_prime
+from .algebra import FieldSpec, _Record, _store, require_int, require_prime
 from .asext import ExtElement, ExtFieldSpec, ext_as_reduce, minimal_tower_element, upper_jumps
 from .errors import InputError
 from .genus import (
@@ -36,16 +36,12 @@ from .ramfilt import (
 
 
 class GridResult(_Record):
-    __slots__ = _fields = ("name", "columns", "rows", "passed", "summary")
+    __slots__ = ()
+    _fields = ("name", "columns", "rows", "passed", "summary")
 
     def __init__(self, name: str, columns: list[str], rows: list[dict], passed: bool,
                  summary: str):
-        set_name, set_columns, set_rows, set_passed, set_summary = self._setters
-        set_name(self, name)
-        set_columns(self, columns)
-        set_rows(self, rows)
-        set_passed(self, passed)
-        set_summary(self, summary)
+        _store(self, (name, columns, rows, passed, summary))
 
 
 def _finish(name: str, rows: list[dict]) -> GridResult:

@@ -29,7 +29,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import _Record, _shown, require_int, require_prime
+from .algebra import _Record, _shown, _store, require_int, require_prime
 from .errors import (
     CongruenceViolation,
     InputError,
@@ -50,8 +50,8 @@ class InertiaShape(_Record):
     kept in the slot `order`, not a field: `_fields`, ==, hash and repr see
     (p, e, m) only."""
 
+    __slots__ = ("order",)
     _fields = ("p", "e", "m")
-    __slots__ = (*_fields, "order")
 
     def __init__(self, p: int, e: int, m: int = 1):
         require_prime(p)
@@ -60,11 +60,11 @@ class InertiaShape(_Record):
             raise InputError(f"wild order {p}^{e} exceeds the bound p^e <= 2^64")
         if math.gcd(require_int(m, "tame order m", 1), p) != 1:
             raise InputError(f"tame order {m} must be positive and prime to {p}")
-        set_p, set_e, set_m, set_order = self._setters
-        set_p(self, p)
-        set_e(self, e)
-        set_m(self, m)
-        set_order(self, m * wild)
+        _store(self, (p, e, m))
+        _set_order(self, m * wild)
+
+
+_set_order = InertiaShape.order.__set__
 
 
 class Filtration:
@@ -357,13 +357,11 @@ class LevelStep(_Record):
     start and target means the minimal layer already realises the target.
     """
 
-    __slots__ = _fields = ("level", "start", "target")
+    __slots__ = ()
+    _fields = ("level", "start", "target")
 
     def __init__(self, level: int, start: int, target: int):
-        set_level, set_start, set_target = self._setters
-        set_level(self, level)
-        set_start(self, start)
-        set_target(self, target)
+        _store(self, (level, start, target))
 
     @property
     def deforms(self) -> bool:

@@ -300,6 +300,13 @@ def test_constructor_rejects_float_coefficients():
         LaurentPoly(F3, {1: 2.0})
 
 
+@pytest.mark.parametrize("terms", [{}, {-1: 1}], ids=["empty", "one-term"])
+def test_constructor_rejects_a_spec_that_is_no_field(terms):
+    # LaurentPoly(3, {}) used to be accepted and print as <0 over 3>
+    with pytest.raises(TypeError, match=exactly("spec must be a FieldSpec, got int")):
+        LaurentPoly(3, terms)
+
+
 @pytest.mark.parametrize("spec,v", [(F3, 7), (FieldSpec(2, 8), 300), (F3, -1)],
                          ids=["7-in-F_3", "300-in-F_2^8", "negative"])
 def test_element_constructor_rejects_int_forms_out_of_range(spec, v):

@@ -2,6 +2,7 @@
 
 import copy
 import inspect
+import pickle
 
 import pytest
 
@@ -39,6 +40,8 @@ RECORDS = [
     (GridResult, dict(name="g", columns=["a"], rows=[{"a": 1}], passed=True,
                       summary="PASS 1/1")),
 ]
+# the three records that hold a FieldSpec do not pickle: its kernels are local closures
+PICKLED = {InertiaShape, LevelStep, CoverData, KatoInput, SpectrumResult, GridResult}
 
 
 @pytest.mark.parametrize("cls, kwargs", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
@@ -47,9 +50,17 @@ def test_records_compare_print_and_refuse_assignment_by_their_fields(cls, kwargs
     values = tuple(kwargs.values())
     assert cls._fields == tuple(kwargs) == tuple(inspect.signature(cls).parameters)
     assert record._values == values
+    assert tuple(getattr(record, name) for name in cls._fields) == values
+    assert not hasattr(record, "__dict__")
     assert repr(record) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"
     assert record == cls(**kwargs) and record != values
     assert copy.copy(record) == record
+    assert copy.deepcopy(record) == record
+    if cls in PICKLED:
+        assert pickle.loads(pickle.dumps(record)) == record
+    else:
+        with pytest.raises(AttributeError):
+            pickle.dumps(record)
     try:
         expected = hash(values)
     except TypeError:  # a field is unhashable: a LaurentPoly, an ExtElement or a list
