@@ -34,7 +34,8 @@ from .errors import FieldMismatch, InputError, ParseError
 
 
 class _Infinity:
-    """Valuation of the zero polynomial.  Compares above every integer."""
+    """Valuation of the zero polynomial.  Compares above every integer; the
+    one instance INFINITY, which copy and pickle return, equals only itself."""
 
     __slots__ = ()
 
@@ -50,11 +51,8 @@ class _Infinity:
     def __ge__(self, other):
         return True
 
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __hash__(self):
-        return hash("ramforge.INFINITY")
+    def __reduce__(self):
+        return "INFINITY"
 
     def __repr__(self):
         return "+inf"
@@ -164,6 +162,15 @@ def require_int(value, name: str, lo: int, hi: int = 2**64, error: type = InputE
     if lo <= value <= hi:
         return value
     raise error(f"{name} must lie in {_bound_text(lo)}..{_bound_text(hi)}{_shown(value)}")
+
+
+def require_type(value, cls: type, name: str):
+    """value, if it is an instance of cls, else TypeError ``NAME must be
+    a(n) CLS, got TYPE``: the check of a first argument of a library type."""
+    if isinstance(value, cls):
+        return value
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    raise TypeError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
 
 
 def require_prime(p: int) -> int:
@@ -585,6 +592,7 @@ class FieldElement:
     __slots__ = ("spec", "v")
 
     def __init__(self, spec: FieldSpec, v: int):
+        require_type(spec, FieldSpec, "spec")
         self.v = require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)
         self.spec = spec
 
@@ -712,9 +720,9 @@ class _IntMap:
     on the line and p*e - j*i for x^e y^i in the tower over y^p - y = x^-j,
     a bijection onto the integers there, so a weight names one monomial and
     its y-degree is `_ydeg`, -w/j mod p.  `_ring` is (1/j mod p, j*(p - 1))
-    in the tower and (0, 0) on the line, where every y-degree is 0; `_keys`
-    maps weights to the public keys and `_noun` names the elements.  A
-    subclass adds its public constructor, which checks caller input once."""
+    in the tower and (0, 0) on the line, where every y-degree is 0, and
+    `_noun` names the elements.  A subclass adds its public constructor,
+    which checks caller input once, and its view `terms`."""
 
     __slots__ = ("_over", "_ints")
 
@@ -730,12 +738,6 @@ class _IntMap:
     @classmethod
     def zero(cls, over):
         return cls._trusted(over, {})
-
-    @property
-    def terms(self) -> dict:
-        """{key: nonzero FieldElement}, a fresh dict on every call."""
-        spec = self._field
-        return {k: FieldElement._trusted(spec, v) for k, v in self._keys(self._ints).items()}
 
     @property
     def is_zero(self) -> bool:
@@ -833,13 +835,11 @@ class LaurentPoly(_IntMap):
     __slots__ = ()
     spec = _field = property(attrgetter("_over"))
     _ring = (0, 0)
-    _keys = staticmethod(_identity)
     _noun = "Laurent polynomials"
     frobenius = _IntMap._pow_p
 
     def __init__(self, spec: FieldSpec, terms=None):
-        if not isinstance(spec, FieldSpec):
-            raise TypeError(f"spec must be a FieldSpec, got {type(spec).__name__}")
+        require_type(spec, FieldSpec, "spec")
         clean: dict[int, int] = {}
         for e, c in (terms or {}).items():
             e = require_int(e, "exponent", -MAX_EXPONENT, MAX_EXPONENT)
@@ -851,6 +851,12 @@ class LaurentPoly(_IntMap):
     @classmethod
     def x_pow(cls, spec: FieldSpec, e: int, coeff=1) -> "LaurentPoly":
         return cls(spec, {e: coeff})
+
+    @property
+    def terms(self) -> dict:
+        """{exponent: nonzero FieldElement}, a fresh dict on every call."""
+        spec = self.spec
+        return {e: FieldElement._trusted(spec, v) for e, v in self._ints.items()}
 
     def __getitem__(self, e: int) -> FieldElement:
         return FieldElement._trusted(self.spec, self._ints.get(e, 0))
@@ -973,6 +979,7 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     first; every other vector is split at its commas and folded by Horner
     with each component taken mod p, which yields the same value or error.
     """
+    require_type(spec, FieldSpec, "spec")
     return LaurentPoly._trusted(spec, _parse_ints(spec, text))
 
 

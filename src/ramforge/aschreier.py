@@ -41,15 +41,13 @@ from .errors import (
 
 
 class _Unramified:
-    """Marker for the split (unramified) cover.  Distinct from every integer."""
+    """Marker for the split (unramified) cover.  Distinct from every integer;
+    the one instance UNRAMIFIED, which copy and pickle return, equals only itself."""
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        return isinstance(other, _Unramified)
-
-    def __hash__(self):
-        return hash("ramforge.UNRAMIFIED")
+    def __reduce__(self):
+        return "UNRAMIFIED"
 
     def __repr__(self):
         return "unramified"

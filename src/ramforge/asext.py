@@ -7,8 +7,8 @@ sparse map {weight: int form of c}, the form the reduction engine edits
 and `algebra._IntMap`'s arithmetic acts on, as for a Laurent polynomial.
 The pair (e, i) appears only at the public edges: the constructor and
 `parse_ext` map each exponent e of the coefficient of y^i to p*e - j*i as
-they read it, `coeffs` (hence `format_ext`) splits the weights straight
-into those p rows, and `terms` maps back through `ExtFieldSpec._keys`.
+they read it, and `coeffs` (hence `format_ext` and `terms`) splits the
+weights back into those p rows, the one place that does.
 
 This module is the jump engine for towers whose base layer is
 y^p - y = x^(-j): reducing w^p - w = F over the extension yields the second
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .algebra import (FieldSpec, LaurentPoly, _IntMap, _parse_ints, _Record, _store, _ydeg,
-                      format_laurent, require_int)
+from .algebra import (FieldSpec, LaurentPoly, _IntMap, _parse_ints, _Record, _store,
+                      format_laurent, require_int, require_type)
 from .aschreier import UNRAMIFIED, _reduce, _Unramified
 from .errors import (
     DegenerateTower,
@@ -55,8 +55,7 @@ class ExtFieldSpec(_Record):
     _fields = ("field", "j")
 
     def __init__(self, field: FieldSpec, j: int):
-        if not isinstance(field, FieldSpec):
-            raise TypeError(f"field must be a FieldSpec, got {type(field).__name__}")
+        require_type(field, FieldSpec, "field")
         p = require_int(field.p, "extension characteristic p", 2, MAX_EXT_P)
         if require_int(j, "first jump j", 1) % p == 0:
             raise InputError(f"first jump {j} must be positive and prime to p")
@@ -66,19 +65,6 @@ class ExtFieldSpec(_Record):
     @property
     def p(self) -> int:
         return self.field.p
-
-    def _keys(self, weights: dict) -> dict:
-        """{w: c} -> {(e, i): c} with i = -w/j mod p and e = (w + j*i)/p, the
-        inverse of the weight p*e - j*i.  The weight is a bijection from the
-        monomials x^e y^i, 0 <= i < p, onto the integers: p*e - j*i =
-        p*e' - j*i' forces p | j*(i - i'), so i = i' as p does not divide j
-        and |i - i'| < p, and then e = e'."""
-        p, j, jinv = self.p, self.j, self._ring[0]
-        out = {}
-        for w, c in weights.items():
-            i = _ydeg(w, jinv, p)
-            out[(w + j * i) // p, i] = c
-        return out
 
 
 _set_ring = ExtFieldSpec._ring.__set__
@@ -94,11 +80,11 @@ class ExtElement(_IntMap):
     ext = property(attrgetter("_over"))
     _field = property(attrgetter("_over.field"))
     _ring = property(attrgetter("_over._ring"))
-    _keys = property(attrgetter("_over._keys"))
     _noun = "tower elements"
     pow_p = _IntMap._pow_p
 
     def __init__(self, ext: ExtFieldSpec, coeffs):
+        require_type(ext, ExtFieldSpec, "ext")
         coeffs, p, j = tuple(coeffs), ext.p, ext.j
         if len(coeffs) > p:
             raise InputError(f"more than {p} coefficients")
@@ -123,7 +109,10 @@ class ExtElement(_IntMap):
 
     @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:
-        """The p Laurent coefficients a_i of sum a_i(x) y^i."""
+        """The p Laurent coefficients a_i of sum a_i(x) y^i: weight w is
+        x^e y^i with i = -w/j mod p and e = (w + j*i)/p, the one monomial of
+        that weight, as p*e - j*i = p*e' - j*i' forces p | i - i' (p does
+        not divide j), so i = i' for 0 <= i, i' < p, and then e = e'."""
         ext = self.ext
         p, j, jinv = ext.p, ext.j, ext._ring[0]
         rows = [{} for _ in range(p)]
@@ -131,6 +120,11 @@ class ExtElement(_IntMap):
             i = -w * jinv % p  # algebra._ydeg, inlined
             rows[i][(w + j * i) // p] = v
         return tuple(LaurentPoly._trusted(ext.field, r) for r in rows)
+
+    @property
+    def terms(self) -> dict:
+        """{(e, i): nonzero FieldElement} of sum c x^e y^i, read off `coeffs`."""
+        return {(e, i): c for i, a in enumerate(self.coeffs) for e, c in a.terms.items()}
 
     def __str__(self):
         return format_ext(self)
@@ -206,6 +200,7 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
     Each coefficient is read without its surrounding whitespace, and its
     error names its y-degree: ``coefficient of y^i: MESSAGE``.
     """
+    require_type(ext, ExtFieldSpec, "ext")
     segments = text.split(";")
     if len(segments) > ext.p:
         raise ParseError(f"more than {ext.p} coefficients in {text!r}")

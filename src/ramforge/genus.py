@@ -20,7 +20,7 @@ from .errors import (
     InvariantViolation,
     NotLarger,
 )
-from .algebra import _Record, _store, require_int, require_prime
+from .algebra import _Record, _store, require_int, require_prime, require_type
 from .ramfilt import (
     Filtration,
     InertiaShape,
@@ -92,8 +92,8 @@ class CoverData(_Record):
         require_int(group_order, "group order |G|", 1)
         require_int(g_X, "base genus g_X", 0)
         for i, bp in enumerate(branch, 1):
-            if not isinstance(bp, Filtration):
-                raise TypeError(f"branch point {i} must be a Filtration, got {type(bp).__name__}")
+            if not isinstance(bp, Filtration):  # inline per branch point; the check raises
+                require_type(bp, Filtration, f"branch point {i}")
             if group_order % bp.shape.order:
                 raise InputError(
                     f"inertia order {bp.shape.order} does not divide |G| = {group_order}"
@@ -151,21 +151,43 @@ def rh_genus(cd: CoverData) -> int:
     return g
 
 
-def _deformation_gap(shape: InertiaShape, sigma, s: int) -> tuple[int, int]:
-    """s/m - sigma for a deformation target s, as the unreduced fraction
-    (s*den - m*num, m*den) over sigma = num/den, with p and m read off the
-    shape: InvalidJump unless s is an int in 1..m*2^65 prime to p, NotLarger
-    unless s > m*sigma.  A string sigma is read by the wire grammar of
-    `parse_rational`.  The bound of `Filtration` on sigma comes first, so
-    every value a message prints is short enough for str()."""
-    p, m = shape.p, shape.m
+def _sigma(sigma, m, name: str = "sigma", label: str = "sigma") -> Fraction:
+    """sigma, read by the wire grammar naming `name` if a string; InputError
+    `LABEL must be positive`, then past 2^64 or a denominator m*2^64."""
     if type(sigma) is not Fraction:
-        sigma = _read_rational(sigma, "sigma")
+        sigma = _read_rational(sigma, name)
     num, den = sigma.as_integer_ratio()
-    if abs(num) > den << 64 or den > m << 64:
+    if num <= 0:
+        raise InputError(f"{label} must be positive")
+    if num > den << 64 or den > require_int(m, "tame order m", 1) << 64:
         raise InputError("sigma exceeds the bound |sigma| <= 2^64 with a denominator "
                          "at most m*2^64")
-    # s/m up to 2^65 leaves room past m*sigma <= m*2^64
+    return sigma
+
+
+def _deformation(group_order: int, p: int, a: int, m: int, sigma, name: str = "sigma",
+                 label: str = "sigma", ints: tuple = ()) -> tuple[Fraction, int]:
+    """The one reader of a move of an a-fold top break out of sigma: checks
+    1 <= a <= 64, 1 <= |G| <= 2^64, sigma (`_sigma`), the `require_int`
+    argument tuples `ints` (the spectrum's, in its order), the shape (p, a,
+    m) and p^a*m | |G|, in that order; returns sigma and the gain inc =
+    p*|G|*(p^a - 1)/(2p^a), exact as p^a | |G| and 2 | p*(p^a - 1)."""
+    require_int(a, "subgroup exponent a", 1, 64)
+    require_int(group_order, "group order |G|", 1)
+    sigma = _sigma(sigma, m, name, label)
+    for args in ints:
+        require_int(*args)
+    order = InertiaShape(p, a, m).order
+    if group_order % order:
+        raise InputError(f"p^a*m = {order} does not divide the group order {group_order}")
+    return sigma, p * group_order * (p**a - 1) // (2 * p**a)
+
+
+def _target(p: int, m: int, sigma: Fraction, s: int) -> tuple[int, int]:
+    """s/m - sigma as the unreduced (s*den - m*num, m*den) over sigma =
+    num/den: InvalidJump unless s is an int in 1..m*2^65 (room past m*sigma
+    <= m*2^64) prime to p, NotLarger unless s > m*sigma."""
+    num, den = sigma.as_integer_ratio()
     if require_int(s, "conductor s", 1, m << 65, InvalidJump) % p == 0:
         raise InvalidJump(f"conductor {s} must be positive and prime to {p}")
     if s * den <= m * num:
@@ -174,17 +196,15 @@ def _deformation_gap(shape: InertiaShape, sigma, s: int) -> tuple[int, int]:
 
 
 def genus_increment(group_order: int, p: int, a: int, m: int, sigma, s: int) -> int:
-    """Genus gained by moving an a-fold top break from sigma out to s/m:
-    |G| * (s/m - sigma) * (1 - p^-a) / 2, with 1 <= |G| <= 2^64 and so
-    1 <= a <= 64, as p^a divides |G|; (p, a, m) must form an `InertiaShape`."""
-    require_int(group_order, "group order |G|", 1)
-    require_int(a, "subgroup exponent a", 1, 64)
-    t, d = _deformation_gap(InertiaShape(p, a, m), sigma, s)
-    pa = p**a
-    num, den = group_order * (pa - 1) * t, 2 * pa * d
-    if num % den or num // den < 0:
-        raise InvariantViolation(f"genus increment {Fraction(num, den)} is not a natural number")
-    return num // den
+    """Genus |G| * (s/m - sigma) * (1 - p^-a) / 2 = inc * (s/m - sigma) / p
+    gained by moving an a-fold top break from sigma out to s/m."""
+    sigma, inc = _deformation(group_order, p, a, m, sigma)
+    t, d = _target(p, m, sigma, s)
+    g, rem = divmod(inc * t, p * d)
+    if rem:
+        raise InvariantViolation(f"genus increment {g + Fraction(rem, p * d)} "
+                                 "is not a natural number")
+    return g
 
 
 def last_lower_jump_increment(
@@ -192,10 +212,10 @@ def last_lower_jump_increment(
 ) -> int:
     """New last lower jump j_e + p^(e-a) * m * (s/m - sigma); always an
     integer prime to p for data coming from a valid filtration.  (p, e, m)
-    must form an `InertiaShape`, 1 <= a <= e, and the lower jump j_e lies in
-    1..m*p^e*2^64, as for every break of a `Filtration`."""
+    must form an `InertiaShape`, sigma and s pass `_sigma` and `_target`,
+    1 <= a <= e, and j_e lies in 1..m*p^e*2^64, as for a `Filtration`."""
     shape = InertiaShape(p, e, m)
-    t, d = _deformation_gap(shape, sigma, s)
+    t, d = _target(p, m, _sigma(sigma, m), s)
     require_int(a, "subgroup exponent a", 1, e)
     require_int(j_e, "last lower jump j_e", 1, shape.order << 64)
     j, rem = divmod(j_e * d + p ** (e - a) * m * t, d)
@@ -250,23 +270,9 @@ def genus_spectrum(
     0 <= g0, limit <= 2^64 and 1 <= s_iota <= m.  The window g0..limit holds about
     (limit - g0)*(p - 1)/increment genera, at most MAX_SPECTRUM_GENERA.
     """
-    require_int(a, "subgroup exponent a", 1, 64)
-    require_int(group_order, "group order |G|", 1)
-    if type(sigma0) is not Fraction:
-        sigma0 = _read_rational(sigma0, "base conductor")
-    num, den = sigma0.as_integer_ratio()
-    if num <= 0:
-        raise InputError("base conductor sigma0 must be positive")
-    if num > den << 64 or den > require_int(m, "tame order m", 1) << 64:
-        raise InputError("sigma exceeds the bound |sigma| <= 2^64 with a denominator "
-                         "at most m*2^64")
-    require_int(g0, "base genus g0", 0)
-    require_int(limit, "genus limit", 0)
-    require_int(s_iota, "s_iota", 1, m)
-    shape = InertiaShape(p, a, m)
-    if group_order % shape.order:
-        raise InputError(f"p^a*m = {shape.order} does not divide the group order {group_order}")
-    inc = p * group_order * (p**a - 1) // (2 * p**a)  # exact: p^a | |G|, 2 | p*(p^a - 1)
+    sigma0, inc = _deformation(
+        group_order, p, a, m, sigma0, "base conductor", "base conductor sigma0",
+        ((g0, "base genus g0", 0), (limit, "genus limit", 0), (s_iota, "s_iota", 1, m)))
     if (limit - g0) * (p - 1) > MAX_SPECTRUM_GENERA * inc:
         raise InputError(
             f"window {g0}..{limit} holds about {(limit - g0) * (p - 1) // inc} genera, "
@@ -274,6 +280,7 @@ def genus_spectrum(
         )
     # the first candidate s = s_iota + k*m above m*sigma0, stepped once more
     # if p divides it (m is prime to p, so s + m is not)
+    num, den = sigma0.as_integer_ratio()
     above = m * num // den + 1
     s = s_iota + m * max(0, -((s_iota - above) // m))
     if s % p == 0:
@@ -318,11 +325,9 @@ def contains_progressions(result: SpectrumResult, p: int) -> bool:
 
 def spectrum_density(group_order: int, p: int, a: int) -> Fraction:
     """Lower bound 2*(p^a - p^(a-1)) / (|G| * (p^a - 1)) on the natural
-    density of achieved genera."""
-    require_int(group_order, "group order |G|", 1)
-    require_int(a, "subgroup exponent a", 1, 64)
-    require_prime(p)
-    return Fraction(2 * (p**a - p ** (a - 1)), group_order * (p**a - 1))
+    density of achieved genera, the p - 1 progressions over the increment
+    inc of `_deformation` (m = 1, sigma = 1): (p - 1)/inc."""
+    return Fraction(p - 1, _deformation(group_order, p, a, 1, 1)[1])
 
 
 def kato_mu(k: KatoInput) -> tuple[int, bool]:

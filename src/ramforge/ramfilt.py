@@ -29,7 +29,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import _Record, _shown, _store, require_int, require_prime
+from .algebra import _Record, _shown, _store, require_int, require_prime, require_type
 from .errors import (
     CongruenceViolation,
     InputError,
@@ -91,6 +91,8 @@ class Filtration:
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
 
     def __init__(self, shape: InertiaShape, breaks):
+        if type(shape) is not InertiaShape:  # inline, as filtrations are built often
+            require_type(shape, InertiaShape, "shape")
         p, m = shape.p, shape.m
         cap = m * 2**64
         bs, den = [], 1

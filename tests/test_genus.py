@@ -518,6 +518,29 @@ def test_genus_increment_errors():
         genus_increment(2, 2, 0, 1, 1, 3)
 
 
+@pytest.mark.parametrize("probe, message", [
+    # an inertia group of order 9 inside a group of order 3, as genus_spectrum refuses it
+    (lambda: genus_increment(3, 3, 2, 1, 1, 4), "p^a*m = 9 does not divide the group order 3"),
+    (lambda: spectrum_density(3, 3, 2), "p^a*m = 9 does not divide the group order 3"),
+    # a conductor sigma <= 0, as genus_spectrum refuses a base conductor sigma0 <= 0
+    (lambda: genus_increment(2, 2, 1, 1, -1, 3), "sigma must be positive"),
+    (lambda: last_lower_jump_increment(2, 3, 2, 1, 1, 0, 5), "sigma must be positive"),
+], ids=["increment-order", "density-order", "increment-sigma", "last-lower-jump-sigma"])
+def test_deformation_reader_refuses_what_the_spectrum_refuses(probe, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        probe()
+
+
+def test_deformation_reader_keeps_the_valid_values():
+    assert genus_increment(8, 2, 1, 1, 2, 5) == 6
+    assert genus_increment(9, 3, 2, 1, 1, 4) == 12  # 9 * (4 - 1) * (1 - 1/9) / 2
+    assert last_lower_jump_increment(2, 3, 2, 1, 1, 2, 5) == 9
+    # 2*(p^a - p^(a-1)) / (|G| * (p^a - 1)) = (p - 1)/inc: p - 1 progressions of step inc
+    assert spectrum_density(9, 3, 2) == Fraction(2 * 6, 9 * 8) == Fraction(2, genus_spectrum(
+        9, 3, 2, 1, 1, 0, 1, 10).increment)
+    assert spectrum_density(2**64, 2, 1) == Fraction(1, 2**63)
+
+
 @pytest.mark.parametrize("increment", [
     lambda s: genus_increment(2, 2, 1, 1, 3, s),
     lambda s: last_lower_jump_increment(2, 5, 1, 1, 1, 3, s),

@@ -7,17 +7,23 @@ import pickle
 import pytest
 
 from ramforge import (
+    INFINITY,
+    UNRAMIFIED,
     ASReduced,
     BranchPoint,
     CoverData,
     ExtElement,
     ExtFieldSpec,
     ExtReduced,
+    FieldElement,
     FieldSpec,
+    Filtration,
     InertiaShape,
     KatoInput,
     LevelStep,
     SpectrumResult,
+    as_reduce,
+    parse_ext,
     parse_laurent,
 )
 from ramforge.grids import GridResult
@@ -91,3 +97,33 @@ def test_record_constructors_name_a_parameter_of_the_wrong_type(probe, message):
     with pytest.raises(TypeError) as info:
         probe()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("probe, message", [
+    (lambda: FieldElement(3, 1), "spec must be a FieldSpec, got int"),
+    (lambda: Filtration(3, []), "shape must be an InertiaShape, got int"),
+    (lambda: BranchPoint(3), "shape must be an InertiaShape, got int"),
+    (lambda: ExtElement(3, []), "ext must be an ExtFieldSpec, got int"),
+    (lambda: parse_laurent(3, "x"), "spec must be a FieldSpec, got int"),
+    (lambda: parse_ext(3, "x"), "ext must be an ExtFieldSpec, got int"),
+], ids=["field-element", "filtration", "branch-point", "ext-element", "parse-laurent",
+        "parse-ext"])
+def test_values_and_parsers_name_a_first_argument_of_the_wrong_type(probe, message):
+    # each used to end in AttributeError: 'int' object has no attribute 'p' (or 'q')
+    with pytest.raises(TypeError) as info:
+        probe()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("marker", [INFINITY, UNRAMIFIED], ids=repr)
+def test_markers_are_single_instances_through_copy_and_pickle(marker):
+    assert copy.copy(marker) is marker
+    assert copy.deepcopy(marker) is marker
+    assert pickle.loads(pickle.dumps(marker)) is marker
+    assert marker == marker and marker != 0 and marker != repr(marker)
+
+
+def test_a_reduction_to_unramified_equals_its_deep_copy():
+    reduced = as_reduce(parse_laurent(F3, "x^-3 + 2*x^-1"))  # h^3 - h for h = x^-1
+    assert reduced.conductor is UNRAMIFIED
+    assert copy.deepcopy(reduced) == reduced

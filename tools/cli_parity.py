@@ -1,0 +1,129 @@
+"""Run `ramforge.cli.main` in one process over a fixed list of commands and
+print one JSON line per command: its argv, exit code, stdout and stderr.
+
+Two trees have CLI parity when this script prints the same lines in both:
+
+    git worktree add ../parent HEAD~1
+    python tools/cli_parity.py --root ../parent > parent.jsonl
+    python tools/cli_parity.py > change.jsonl
+    diff parent.jsonl change.jsonl && git worktree remove ../parent
+
+It imports `ramforge` from `ROOT/src` and `perfbench` from ROOT, the tree
+given by --root (by default the one it lies in), and reads ROOT/README.md,
+so one copy checks any tree.  The commands are, in this order:
+
+* the cli-cold decks of `perfbench.clideck` for each seed, `--cycles`
+  cycles each, drawn exactly as the benchmark draws them;
+* every `ramforge ...` line of README.md's fenced code blocks, read with
+  `shlex.split(line, comments=True)`, as written and with `--json` added;
+* the error probes below, each as written and with `--json` added: one or
+  more per check of the genus deformation reader and of the grids.
+
+A command that escapes `main` with an exception is recorded with the code
+"raised" and the exception's type and message as its stderr.  Only the
+standard library and `perfbench.clideck` (read, never changed) are used.
+
+    python tools/cli_parity.py [--root DIR] [--seeds 1 2 3] [--cycles 2]
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import re
+import shlex
+import sys
+from pathlib import Path
+
+SPECTRUM = ["spectrum", "--G", "3", "--p", "3", "--limit", "10"]
+PROBES = [
+    ["spectrum", "--G", "3", "--p", "2", "--limit", "10"],  # p^a*m does not divide |G|
+    ["spectrum", "--G", "9", "--p", "3", "--a", "2", "--m", "2", "--limit", "10"],
+    SPECTRUM + ["--sigma0", "0"],
+    SPECTRUM + ["--sigma0=-1/2"],
+    SPECTRUM + ["--sigma0", "1.5"],
+    SPECTRUM + ["--sigma0", str(2**64 + 1)],
+    SPECTRUM + ["--sigma0", f"1/{2**65}"],
+    SPECTRUM + [f"--sigma0={-(2**70)}/3"],
+    SPECTRUM + ["--a", "0"],
+    SPECTRUM + ["--a", "65"],
+    ["spectrum", "--G", "0", "--p", "3", "--limit", "10"],
+    ["spectrum", "--G", str(2**64 + 1), "--p", "3", "--limit", "10"],
+    SPECTRUM + ["--m", "0"],
+    SPECTRUM + ["--m", "3"],
+    SPECTRUM + ["--m", str(2**65)],
+    ["spectrum", "--G", "4", "--p", "4", "--limit", "10"],
+    ["spectrum", "--G", "3", "--p", str(2**64 + 1), "--limit", "10"],
+    SPECTRUM + ["--g0", "-1"],
+    ["spectrum", "--G", "3", "--p", "3", "--limit", "-1"],
+    SPECTRUM + ["--s-iota", "2"],
+    SPECTRUM + ["--s-iota", "0"],
+    ["spectrum", "--G", "3", "--p", "3", "--limit", str(10**9)],  # the window cap
+    ["spectrum", "--G", "2", "--p", "2", "--sigma0", "3/2", "--limit", "10"],  # 3/4 genus
+    ["spectrum", "--G", "3", "--p", "3", "--sigma0", "5", "--g0", "20", "--limit", "10"],
+    ["spectrum", "--G", "18", "--p", "3", "--a", "2", "--m", "2", "--sigma0", "7/2",
+     "--g0", "4", "--s-iota", "1", "--limit", "400"],
+    # an invalid check order: a, then |G|, then sigma0, then g0, limit, s_iota, then p, m
+    ["spectrum", "--G", "0", "--p", "4", "--a", "0", "--sigma0", "0", "--limit", "-1"],
+    ["spectrum", "--G", "0", "--p", "4", "--sigma0", "0", "--g0", "-1", "--limit", "-1"],
+    ["spectrum", "--G", "3", "--p", "4", "--sigma0", "0", "--g0", "-1", "--limit", "-1"],
+    ["spectrum", "--G", "3", "--p", "4", "--g0", "-1", "--limit", "-1"],
+    ["spectrum", "--G", "3", "--p", "4", "--s-iota", "2", "--limit", "5"],
+    ["grid", "density-check", "--p", "2", "--gmax", "50"],
+    ["grid", "density-check", "--p", "3", "--gmax", "1"],  # below the increment
+    ["grid", "density-check", "--p", "7", "--gmax", "1000"],
+    ["grid", "density-check", "--p", "4", "--gmax", "10"],
+    ["grid", "econd-grid", "--p", "3", "--jmax", "4", "--smax", "20"],
+    ["grid", "herbrand-roundtrip", "--count", "50", "--seed", "7"],
+]
+
+
+def readme_commands(root: Path) -> list[list[str]]:
+    """The argv of every `ramforge ...` line inside README.md's fenced code blocks."""
+    out, fenced = [], False
+    for line in (root / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and re.match(r"ramforge\s", line):
+            out.append(shlex.split(line, comments=True)[1:])
+    return out
+
+
+def run(main, argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - a traceback is a finding, recorded as one
+            code = "raised"
+            err.write(f"{type(exc).__name__}: {exc}")
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="the tree whose src/ramforge and perfbench run")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--cycles", type=int, default=2)
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(args.root / "src"), str(args.root)]
+    from perfbench import clideck
+    from ramforge.cli import main as cli_main
+
+    commands = [cmd["argv"] for seed in args.seeds
+                for cmd in clideck.deck(random.Random(f"cli-cold:{seed}"), args.cycles)]
+    for argv in readme_commands(args.root) + PROBES:
+        commands += [argv, argv + ["--json"]] if "--json" not in argv else [argv]
+    for argv in commands:
+        print(json.dumps(run(cli_main, argv), sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
