@@ -17,8 +17,13 @@ only at the tower's public views.  Text is parsed to and formatted from
 those maps; a `FieldElement` is built only when a caller asks for a
 coefficient.  Nothing here touches floating point.
 
-All values are immutable after construction and every operation is a pure
-function, so they are safe to share across threads.
+`FieldSpec`, `FieldElement` and the nine records of the other modules
+(`aschreier.ASReduced`, `asext.ExtFieldSpec`, `ramfilt.InertiaShape`, ...)
+are `_Record`s: immutable, and compared, hashed, copied and pickled by
+their fields.  `LaurentPoly` and `ExtElement` keep their maps in private
+slots and expose no attribute that can be set; `ramfilt.Filtration` still
+accepts assignment.  Every operation is a pure function that returns a new
+value.
 """
 
 from __future__ import annotations
@@ -62,15 +67,18 @@ INFINITY = _Infinity()
 
 
 class _Record:
-    """Base of the immutable records.  A subclass names its fields in
+    """Base of the eleven immutable records, `FieldSpec` and `FieldElement`
+    here and nine in the other modules.  A subclass names its fields in
     `_fields`, in constructor order, and its constructor, after its checks,
     stores them with one `_store(self, (f1, f2, ...))`: that tuple,
     `_values`, is the record's storage, and each field is a read-only
     property over its entry.  ==, hash, repr, copy and pickle read
     `_values`, as those of a frozen dataclass read the fields:
-    `InertiaShape(p=3, e=2, m=2)`.  A derived value (`InertiaShape.order`)
-    is a slot of its own class, outside the fields.  Assignment and
-    deletion raise AttributeError."""
+    `InertiaShape(p=3, e=2, m=2)`; copy and pickle rebuild through the
+    constructor.  A derived value (`InertiaShape.order`; `FieldSpec`'s q,
+    modulus, kernels and `fmt`) is a slot of its own class, outside the
+    fields, set once by the constructor.  Assignment and deletion raise
+    AttributeError."""
 
     __slots__ = ("_values",)
     _fields: tuple = ()
@@ -506,25 +514,24 @@ def _formatter(p: int, n: int):
     return lambda v: "[" + ",".join(map(str, _digits(v, p, n))) + "]"
 
 
-class FieldSpec:
+class FieldSpec(_Record):
     """The coefficient field F_q with q = p^n, p prime and q <= 2^64.
 
     Its elements are ints 0 <= v < q whose base-p digits are the coordinates
     in the polynomial basis of the canonical modulus; `_kernels` picks the
-    arithmetic on them once per (p, n), and `fmt` is their text form.
+    arithmetic on them once per (p, n), and `fmt` is their text form.  The
+    fields are (p, n); q, the modulus, the seven kernels and `fmt` are
+    slots derived from them, set once here.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "add", "sub", "neg", "mul", "inv", "frob", "root",
-                 "fmt")
+    __slots__ = ("q", "modulus", "add", "sub", "neg", "mul", "inv", "frob", "root", "fmt")
+    _fields = ("p", "n")
 
     def __init__(self, p: int, n: int = 1):
-        self.modulus = canonical_modulus(p, n)  # which checks p and n
-        self.p = p
-        self.n = n
-        self.q = p**n
-        (self.add, self.sub, self.neg, self.mul, self.inv,
-         self.frob, self.root) = _kernels(p, n)
-        self.fmt = _formatter(p, n)
+        modulus = canonical_modulus(p, n)  # which checks p and n
+        _store(self, (p, n))
+        for set_slot, v in zip(_set_derived, (p**n, modulus, *_kernels(p, n), _formatter(p, n))):
+            set_slot(self, v)
 
     @property
     def zero(self) -> "FieldElement":
@@ -553,16 +560,12 @@ class FieldSpec:
         for coords in itertools.product(range(self.p), repeat=self.n):
             yield self.element(coords)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec) and self.p == other.p and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n))
-
     def __repr__(self):
-        return f"F_{self.p}" if self.n == 1 else f"F_{self.p}^{self.n}"
+        p, n = self._values
+        return f"F_{p}" if n == 1 else f"F_{p}^{n}"
+
+
+_set_derived = [getattr(FieldSpec, name).__set__ for name in FieldSpec.__slots__]
 
 
 def _kernel_operator(name: str, reflected: bool = False):
@@ -575,13 +578,14 @@ def _kernel_operator(name: str, reflected: bool = False):
     def op(self, other):
         if not (isinstance(other, FieldElement) or type(other) is int):
             return NotImplemented
-        a, b = self.v, _form(self.spec, other)
-        return self._trusted(self.spec, kernel(self.spec)(*((b, a) if reflected else (a, b))))
+        spec, a = self._values
+        b = _form(spec, other)
+        return self._trusted(spec, kernel(spec)(*((b, a) if reflected else (a, b))))
 
     return op
 
 
-class FieldElement:
+class FieldElement(_Record):
     """Element of F_{p^n} as its int form v (see FieldSpec).
 
     The constructor checks caller input: v must be an int in 0..q - 1
@@ -589,19 +593,18 @@ class FieldElement:
     InputError).  Results of field operations are built by `_trusted`.
     """
 
-    __slots__ = ("spec", "v")
+    __slots__ = ()
+    _fields = ("spec", "v")
 
     def __init__(self, spec: FieldSpec, v: int):
         require_type(spec, FieldSpec, "spec")
-        self.v = require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)
-        self.spec = spec
+        _store(self, (spec, require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)))
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, v: int) -> "FieldElement":
         """Internal results: v is already an int form of spec."""
         out = object.__new__(cls)
-        out.spec = spec
-        out.v = v
+        _store(out, (spec, v))
         return out
 
     @property
@@ -641,14 +644,6 @@ class FieldElement:
         """Inverse Frobenius; exact since x -> x^p is bijective on F_q."""
         return self._trusted(self.spec, self.spec.root(self.v))
 
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.v == other.v and (self.spec is other.spec or self.spec == other.spec)
-
-    def __hash__(self):
-        return hash((self.spec, self.v))
-
     def __str__(self):
         return self.spec.fmt(self.v)
 
@@ -667,9 +662,10 @@ def _form(spec: FieldSpec, c) -> int:
     """The int form of c, an element of spec or an int (`_residue`);
     FieldMismatch for an element of another field."""
     if isinstance(c, FieldElement):
-        if c.spec is not spec and c.spec != spec:
-            raise FieldMismatch(f"{spec} vs {c.spec}")
-        return c.v
+        other, v = c._values
+        if other is not spec and other != spec:
+            raise FieldMismatch(f"{spec} vs {other}")
+        return v
     return _residue(c, spec.p)
 
 

@@ -200,14 +200,17 @@ def admissible_count(p: int, e: int, bound: int) -> GridResult:
     return _finish("admissible-count", rows)
 
 
-def predicted_line_genera(p: int, limit: int) -> set[int]:
-    """Enumeration oracle: genera (p-1)(j-1)/2 <= limit over conductors j
-    prime to p, that is j <= 2*limit/(p-1) + 1."""
-    return {(p - 1) * (j - 1) // 2 for j in range(1, 2 * limit // (p - 1) + 2) if j % p}
-
-
 # A density-check row costs ~2.5 us.
 MAX_DENSITY_GMAX = 100000
+
+
+def predicted_line_genera(p: int, limit: int) -> set[int]:
+    """Enumeration oracle: genera (p-1)(j-1)/2 <= limit over conductors j
+    prime to p, that is j <= 2*limit/(p-1) + 1, for a prime p and
+    0 <= limit <= MAX_DENSITY_GMAX."""
+    require_prime(p)
+    require_int(limit, "limit", 0, MAX_DENSITY_GMAX)
+    return {(p - 1) * (j - 1) // 2 for j in range(1, 2 * limit // (p - 1) + 2) if j % p}
 
 
 def density_check(p: int, gmax: int) -> GridResult:

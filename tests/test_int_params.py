@@ -171,6 +171,21 @@ def test_every_int_parameter_refuses_hostile_values(name, param, kind, value):
      "break 1: multiplicity must lie in 1..2^64, got 0"),
     (lambda: Filtration(InertiaShape(2, 1), [(Fraction(1), True)]), TypeError,
      "break 1: multiplicity must be an int, got bool"),
+    # the density oracle reads p and its limit before it enumerates
+    (lambda: grids.predicted_line_genera(1, 10), InputError,
+     "characteristic must be prime, got 1"),
+    (lambda: grids.predicted_line_genera(0, 10), InputError,
+     "characteristic must be prime, got 0"),
+    (lambda: grids.predicted_line_genera(-3, 10), InputError,
+     "characteristic p must lie in 0..2^64 - 1, got -3"),
+    (lambda: grids.predicted_line_genera(4, 10), InputError,
+     "characteristic must be prime, got 4"),
+    (lambda: grids.predicted_line_genera(True, 10), TypeError,
+     "characteristic p must be an int, got bool"),
+    (lambda: grids.predicted_line_genera(3, grids.MAX_DENSITY_GMAX + 1), InputError,
+     "limit must lie in 0..100000, got 100001"),
+    (lambda: grids.predicted_line_genera(3, 10**12), InputError,
+     "limit must lie in 0..100000, got 1000000000000"),
 ], ids=["genus-increment-p-4", "last-lower-jump-p-4", "congruence-p-4",
         "genus-increment-m-2-at-p-2", "congruence-m-6-at-p-3", "prime-2N", "shape-e-minus-2N",
         "shape-m-0", "field-n-0", "element-minus-2N", "ext-j-0", "kato-d_k-above-d_K",
@@ -178,7 +193,9 @@ def test_every_int_parameter_refuses_hostile_values(name, param, kind, value):
         "admissible-e-66", "spectrum-s_iota-above-m", "density-G-minus-2N",
         "act-a-above-top", "act-s-above-m-2^64", "act-off-congruence",
         "deform-s-minus-2N", "random-m_max-above-2^16", "multiplicity-minus-2N",
-        "multiplicity-0", "multiplicity-bool"])
+        "multiplicity-0", "multiplicity-bool", "line-genera-p-1", "line-genera-p-0",
+        "line-genera-p-minus-3", "line-genera-p-4", "line-genera-p-bool",
+        "line-genera-limit-above-cap", "line-genera-limit-10^12"])
 def test_int_probes_raise_the_reader_error(probe, error, message):
     with pytest.raises(error) as info:
         probe()

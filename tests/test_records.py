@@ -1,4 +1,5 @@
-"""The nine immutable records, each built on `algebra._Record`."""
+"""The immutable records, each built on `algebra._Record`: the nine below,
+then `FieldSpec` and `FieldElement`, whose repr is their own."""
 
 import copy
 import inspect
@@ -46,8 +47,6 @@ RECORDS = [
     (GridResult, dict(name="g", columns=["a"], rows=[{"a": 1}], passed=True,
                       summary="PASS 1/1")),
 ]
-# the three records that hold a FieldSpec do not pickle: its kernels are local closures
-PICKLED = {InertiaShape, LevelStep, CoverData, KatoInput, SpectrumResult, GridResult}
 
 
 @pytest.mark.parametrize("cls, kwargs", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
@@ -62,11 +61,8 @@ def test_records_compare_print_and_refuse_assignment_by_their_fields(cls, kwargs
     assert record == cls(**kwargs) and record != values
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
-    if cls in PICKLED:
-        assert pickle.loads(pickle.dumps(record)) == record
-    else:
-        with pytest.raises(AttributeError):
-            pickle.dumps(record)
+    # a record that holds a FieldSpec pickles too: the field is rebuilt from (p, n)
+    assert pickle.loads(pickle.dumps(record)) == record
     try:
         expected = hash(values)
     except TypeError:  # a field is unhashable: a LaurentPoly, an ExtElement or a list
@@ -80,6 +76,39 @@ def test_records_compare_print_and_refuse_assignment_by_their_fields(cls, kwargs
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert record._values == values
+
+
+# one field per kernel: mod p, XOR over F_2, Zech tables (q <= 4096), digits
+FIELDS = [FieldSpec(7), FieldSpec(2, 8), FieldSpec(5, 2), FieldSpec(67, 2)]
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=repr)
+def test_fields_and_elements_survive_copy_and_pickle(spec):
+    element = FieldElement(spec, spec.q - 2)
+    for value in (spec, element):
+        assert value._values == tuple(getattr(value, name) for name in value._fields)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    twin = pickle.loads(pickle.dumps(element))
+    assert twin.spec is not spec  # rebuilt by the constructor, with its own kernels
+    assert twin * twin - twin == element * element - element
+    assert twin.inverse().pth_root() == element.inverse().pth_root()
+
+
+def test_fields_and_elements_refuse_assignment_and_keep_eq_hash_and_text():
+    F3, F9 = FieldSpec(3), FieldSpec(3, 2)
+    e, x = F3.element([2]), F9.element([1, 2])
+    for probe in (lambda: setattr(F3, "p", 5), lambda: delattr(F3, "n"),
+                  lambda: setattr(F3, "mul", None), lambda: setattr(e, "v", 7),
+                  lambda: delattr(e, "spec")):
+        with pytest.raises(AttributeError):
+            probe()
+    assert (repr(F3), F3.q, F3.mul(2, 2), str(e)) == ("F_3", 3, 1, "2")
+    assert hash(F9) == hash((3, 2)) and repr(F9) == str(F9) == "F_3^2"
+    assert F9 == FieldSpec(3, 2) and F9 != F3 and F9 != (3, 2)
+    assert repr(x) == "[1,2] in F_3^2" and str(x) == "[1,2]"
+    assert hash(x) == hash((F9, x.v)) and x == FieldElement(FieldSpec(3, 2), x.v)
+    assert x != F9.element([1]) and x != x.v and F3.one != FieldSpec(5).one
 
 
 def test_records_differ_across_classes_with_equal_values():

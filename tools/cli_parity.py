@@ -16,8 +16,11 @@ so one copy checks any tree.  The commands are, in this order:
   cycles each, drawn exactly as the benchmark draws them;
 * every `ramforge ...` line of README.md's fenced code blocks, read with
   `shlex.split(line, comments=True)`, as written and with `--json` added;
-* the error probes below, each as written and with `--json` added: one or
-  more per check of the genus deformation reader and of the grids.
+* the probes below, each as written and with `--json` added: one or more
+  per check of the genus deformation reader and of the grids, then one
+  `reduce` per field kernel (F_7 mod p, F_2^8 XOR, F_5^2 Zech tables,
+  F_67^2 digits) and one `tower` over F_3^9 (digits), as no cli-cold deck
+  builds a digit-kernel field (odd p, q > 4096).
 
 A command that escapes `main` with an exception is recorded with the code
 "raised" and the exception's type and message as its stderr.  Only the
@@ -78,6 +81,11 @@ PROBES = [
     ["grid", "density-check", "--p", "4", "--gmax", "10"],
     ["grid", "econd-grid", "--p", "3", "--jmax", "4", "--smax", "20"],
     ["grid", "herbrand-roundtrip", "--count", "50", "--seed", "7"],
+    ["reduce", "--p", "7", "3*x^-14 + 2*x^-9 + x^-1"],
+    ["reduce", "--p", "2", "--n", "8", "[0,1,1]*x^-12 + [1,0,0,0,0,0,0,1]*x^-3 + x^2"],
+    ["reduce", "--p", "5", "--n", "2", "[1,2]*x^-50 + [0,3]*x^-7 + 4"],
+    ["reduce", "--p", "67", "--n", "2", "[5,66]*x^-134 + [1,1]*x^-3"],
+    ["tower", "--p", "3", "--n", "9", "--j", "2", "--F", "[0,1]*x^-20"],
 ]
 
 
