@@ -174,7 +174,10 @@ def require_int(value, name: str, lo: int, hi: int = 2**64, error: type = InputE
 
 def require_type(value, cls: type, name: str):
     """value, if it is an instance of cls, else TypeError ``NAME must be
-    a(n) CLS, got TYPE``: the check of a first argument of a library type."""
+    a(n) CLS, got TYPE``: the check of a first argument of a library type.
+    A function that reads such an argument reads it in a try whose `except
+    AttributeError` reads it again through this check: TypeError for a
+    value of another type, the AttributeError again for a cls instance."""
     if isinstance(value, cls):
         return value
     article = "an" if cls.__name__[0] in "AEIOU" else "a"
@@ -598,7 +601,9 @@ class FieldElement(_Record):
 
     def __init__(self, spec: FieldSpec, v: int):
         require_type(spec, FieldSpec, "spec")
-        _store(self, (spec, require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)))
+        if type(v) is not int or not 0 <= v < spec.q:  # its name is formatted only to raise
+            require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)
+        _store(self, (spec, v))
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, v: int) -> "FieldElement":

@@ -30,7 +30,7 @@ import enum
 from heapq import heapify, heappop, heappush
 
 from .algebra import (MAX_EXPONENT, LaurentPoly, _binomial_rows, _form, _plus, _Record, _store,
-                      require_int)
+                      require_int, require_type)
 from .errors import (
     InvalidJump,
     InvariantViolation,
@@ -136,12 +136,17 @@ def _reduce_terms(terms: dict, spec, jinv: int, step: int):
     return UNRAMIFIED, h
 
 
-def _reduce(f):
-    """(reduced, conductor, substitution) of f, an element of either ring:
-    `_reduce_terms` on a copy of its weight map, then the certificate
-    f - reduced = h^p - h as one sum: reduced + (the terms of h^p, which
-    `_frob_terms` recomputes) + (the terms of -h) must give f exactly."""
-    spec, terms = f._field, dict(f._ints)
+def _reduce(f, cls: type, name: str):
+    """(reduced, conductor, substitution) of f, the caller's argument `name`,
+    a cls of either ring: `_reduce_terms` on a copy of its weight map, then
+    the certificate f - reduced = h^p - h as one sum: reduced + (the terms
+    of h^p, which `_frob_terms` recomputes) + (the terms of -h) must give f
+    exactly."""
+    try:
+        spec = f._field
+    except AttributeError:
+        spec = require_type(f, cls, name)._field
+    terms = dict(f._ints)
     conductor, h = _reduce_terms(terms, spec, *f._ring)
     g, h = f._trusted(f._over, terms), f._trusted(f._over, h)
     pairs = h._frob_terms()
@@ -159,7 +164,7 @@ def as_reduce(f: LaurentPoly) -> ASReduced:
     terminates.  The accumulated substitution h satisfies
     f - f_reduced = h^p - h, which is checked before returning.
     """
-    return ASReduced(*_reduce(f))
+    return ASReduced(*_reduce(f, LaurentPoly, "f"))
 
 
 def as_conductor(f):

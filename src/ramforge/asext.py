@@ -156,7 +156,7 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
     step strictly raises the valuation, so the loop terminates; the final
     negative valuation is automatically prime to p.
     """
-    return ExtReduced(*_reduce(F))
+    return ExtReduced(*_reduce(F, ExtElement, "F"))
 
 
 def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:
@@ -174,7 +174,10 @@ def upper_jumps(ext: ExtFieldSpec, J) -> tuple[int, int]:
     be an int with |J| <= 2^4096 (so the messages below print it), exceed j,
     be congruent to j mod p, and yield an admissible pair.
     """
-    p, j = ext.p, ext.j
+    try:
+        p, j = ext.p, ext.j
+    except AttributeError:
+        p, j = require_type(ext, ExtFieldSpec, "ext").p, ext.j
     if J is UNRAMIFIED:
         raise DegenerateTower("second layer is unramified")
     if require_int(J, "second lower jump J", -2**4096, 2**4096, NotATower) < j:

@@ -40,12 +40,13 @@ class BranchPoint(Filtration):
     float among them, is a TypeError naming it (`_read_rational`).
     A jump that repeats the previous one as given (the same object, or an
     equal string) adds to the run without being read again; any other
-    jump is read, then compared with the previous break's value."""
+    jump is read, then its integer ratio is compared with the previous
+    break's."""
 
     __slots__ = ()
 
     def __init__(self, shape: InertiaShape, upper_jumps=()):
-        breaks, given = [], None
+        breaks, given, last = [], None, None
         for i, s in enumerate(upper_jumps, 1):
             if breaks and (s is given or (type(s) is type(given) is str and s == given)):
                 breaks[-1][1] += 1
@@ -53,10 +54,11 @@ class BranchPoint(Filtration):
             given = s
             if type(s) is not Fraction:
                 s = _read_rational(s, "upper jump", i)
-            if breaks and breaks[-1][0] == s:
+            if (ratio := s.as_integer_ratio()) == last:  # None before the first break
                 breaks[-1][1] += 1
             else:
                 breaks.append([s, 1])
+                last = ratio
         super().__init__(shape, breaks)
 
     @property
@@ -127,8 +129,12 @@ def ram_divisor_degree(filt: Filtration) -> int:
     |I| - 1 + |I|*sigma_r - psi(sigma_r) at the conductor sigma_r (0 when tame), in
     the last upper and lower knots; InvariantViolation if the filtration is invalid
     (the findings recorded when it was built)."""
-    if filt._problems:
-        raise InvariantViolation(f"invalid branch point {filt}: " + "; ".join(filt._problems))
+    try:
+        problems = filt._problems
+    except AttributeError:
+        problems = require_type(filt, Filtration, "filt")._problems
+    if problems:
+        raise InvariantViolation(f"invalid branch point {filt}: " + "; ".join(problems))
     order, den = filt.shape.order, filt._den
     deg_den = (order - 1) * den + order * filt._upper[-1] - filt._lower[-1]
     if deg_den % den or deg_den < 0:
@@ -139,7 +145,10 @@ def ram_divisor_degree(filt: Filtration) -> int:
 
 def rh_genus(cd: CoverData) -> int:
     """Riemann-Hurwitz genus of the cover, exact."""
-    G = cd.group_order
+    try:
+        G = cd.group_order
+    except AttributeError:
+        G = require_type(cd, CoverData, "cd").group_order
     total = (2 * cd.g_X - 2) * G + sum(
         G // bp.shape.order * ram_divisor_degree(bp) for bp in cd.branch
     )
@@ -338,10 +347,14 @@ def kato_mu(k: KatoInput) -> tuple[int, bool]:
     there; that conjunction is equivalent to mu = 0 for data coming from an
     actual family.  Inputs with mu < 0 cannot occur and are rejected.
     """
-    mu = 1 - k.m_w + k.d_K - k.d_k
+    try:
+        m_w = k.m_w
+    except AttributeError:
+        m_w = require_type(k, KatoInput, "k").m_w
+    mu = 1 - m_w + k.d_K - k.d_k
     if mu < 0:
         raise InconsistentInput(
             f"mu = {mu} < 0; no degeneration has these invariants"
         )
-    smooth = k.d_K == k.d_k and k.m_w == 1
+    smooth = k.d_K == k.d_k and m_w == 1
     return mu, smooth

@@ -12,11 +12,13 @@ as integer knots over the common denominator D (the lcm of the break
 denominators): the upper knots sigma_i*D, the lower knots psi(sigma_i)*D
 and the integer slope of every segment.  The same loop records which
 invariants fail, so a Filtration is checked once, when it is built, and
-`validate` reads the record.  psi and phi then cost one
-`as_integer_ratio()` read, one integer bisect bounded below at knot 1 and
-one Fraction for the result, jump conversion tests the integer knots
-for divisibility by D, and lower_to_upper is the only other walk over the
-slopes (the inverse one, in integers).
+`validate` reads the record.  The constructor reads each break once: a
+first pass reads its value, its multiplicity and the value's integer
+ratio, and the knot loop computes with those ints.  psi and phi then
+cost one `as_integer_ratio()` read, one integer bisect bounded below at
+knot 1 and one Fraction for the result, jump conversion tests the
+integer knots for divisibility by D, and lower_to_upper is the only
+other walk over the slopes (the inverse one, in integers).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import _Record, _shown, _store, require_int, require_prime, require_type
+from .algebra import (_PRIME_BASES, _Record, _shown, _store, require_int, require_prime,
+                      require_type)
 from .errors import (
     CongruenceViolation,
     InputError,
@@ -54,11 +57,16 @@ class InertiaShape(_Record):
     _fields = ("p", "e", "m")
 
     def __init__(self, p: int, e: int, m: int = 1):
-        require_prime(p)
-        # e > 64 first: p**e for a huge e is costly
-        if require_int(e, "wild exponent e", 0) > 64 or (wild := p**e) > 2**64:
+        # inline, as shapes are built often: the readers run only to raise, or for a p > 37
+        if type(p) is not int or p not in _PRIME_BASES:
+            require_prime(p)
+        if type(e) is not int or not 0 <= e <= 64:
+            require_int(e, "wild exponent e", 0)
+        if e > 64 or (wild := p**e) > 2**64:  # e > 64 first: p**e for a huge e is costly
             raise InputError(f"wild order {p}^{e} exceeds the bound p^e <= 2^64")
-        if math.gcd(require_int(m, "tame order m", 1), p) != 1:
+        if type(m) is not int or not 1 <= m <= 2**64:
+            require_int(m, "tame order m", 1)
+        if m % p == 0:  # p is prime: m is prime to p unless p divides it
             raise InputError(f"tame order {m} must be positive and prime to {p}")
         _store(self, (p, e, m))
         _set_order(self, m * wild)
@@ -83,9 +91,15 @@ class Filtration:
     checked before the loop formats a finding, which keeps the values read
     off the table short enough for str().  A break value that is not a
     Fraction is read by `_read_rational`; a multiplicity must be a positive
-    int (`require_int`, naming the break, so 1.7 is not read as 1).  The
-    violated invariants are recorded in the knot loop, in `validate`'s
-    order and wording.
+    int (`require_int`, naming the break, so 1.7 is not read as 1).
+
+    Each break is read once.  The first pass reads its value, its
+    multiplicity and the value's `as_integer_ratio()`, and raises D to a
+    multiple of the denominator (`math.lcm` only when D is not one yet).
+    The knot loop reads only those ints, so a first-pass error at any break
+    wins over a knot-loop error (order, index or multiplicity bound) at an
+    earlier one.  It records the violated invariants in `validate`'s order
+    and wording.
     """
 
     __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
@@ -93,24 +107,26 @@ class Filtration:
     def __init__(self, shape: InertiaShape, breaks):
         if type(shape) is not InertiaShape:  # inline, as filtrations are built often
             require_type(shape, InertiaShape, "shape")
-        p, m = shape.p, shape.m
+        p, e, m = shape._values
         cap = m * 2**64
-        bs, den = [], 1
+        bs, ratios, den = [], [], 1
         for i, (c, l) in enumerate(breaks, 1):
             if type(c) is not Fraction:
                 c = _read_rational(c, "break", i)
             if type(l) is not int or not 1 <= l <= 2**64:  # inline per break; the reader raises
                 require_int(l, f"break {i}: multiplicity", 1)
-            den = math.lcm(den, c.denominator)
-            if den > cap:
-                raise InputError(f"break {i}: the lcm of the break denominators exceeds "
-                                 "the bound m*2^64")
+            ratios.append(ratio := c.as_integer_ratio())
+            if den % ratio[1]:  # den only grows here, so only here can it pass the bound
+                den = math.lcm(den, ratio[1])
+                if den > cap:
+                    raise InputError(f"break {i}: the lcm of the break denominators exceeds "
+                                     "the bound m*2^64")
             bs.append((c, l))
         bs = tuple(bs)
         upper, lower, slope = [0], [0], [m]
         u0, j, s, mults, problems, top = 0, 0, m, 0, [], den << 64
-        for c, l in bs:
-            u = c.numerator * (den // c.denominator)
+        for (c, l), (a, b) in zip(bs, ratios):
+            u = a * (den // b)
             if u <= u0:
                 raise InputError("break indices must be positive and strictly increasing")
             if u > top:  # this is break len(upper): one knot is appended per break
@@ -131,8 +147,8 @@ class Filtration:
             lower.append(j)
             slope.append(steeper)
             u0, s, mults = u, steeper, mults + l
-        if mults != shape.e:
-            problems.insert(0, f"break multiplicities sum to {mults}, expected e = {shape.e}")
+        if mults != e:
+            problems.insert(0, f"break multiplicities sum to {mults}, expected e = {e}")
         self.shape = shape
         self.breaks = bs
         self._den = den
@@ -168,7 +184,10 @@ def psi(filt: Filtration, c) -> Fraction:
     a, b = c.as_integer_ratio()
     if a < 0:
         raise InputError(f"psi argument must be >= 0{_shown(c)}")
-    den = filt._den
+    try:
+        den = filt._den
+    except AttributeError:
+        den = require_type(filt, Filtration, "filt")._den
     ad = a * den
     # an integer knot K is >= a*D/b exactly when K >= ceil(a*D/b); the knots
     # start at 0 and strictly increase, so searching from knot 1 puts c = 0 on segment 0
@@ -183,7 +202,10 @@ def phi(filt: Filtration, cprime) -> Fraction:
     a, b = cprime.as_integer_ratio()
     if a < 0:
         raise InputError(f"phi argument must be >= 0{_shown(cprime)}")
-    den = filt._den
+    try:
+        den = filt._den
+    except AttributeError:
+        den = require_type(filt, Filtration, "filt")._den
     ad = a * den
     i = bisect_left(filt._lower, -(-ad // b), 1) - 1
     s = filt._slope[i]
@@ -204,7 +226,11 @@ def _lower_jump(filt: Filtration, i: int) -> int:
 
 def upper_to_lower(filt: Filtration) -> list[tuple[int, int]]:
     """Lower jumps (j_i, l_i): j_i = psi(sigma_i), integral and prime to p."""
-    return [(_lower_jump(filt, i), mult) for i, (_, mult) in enumerate(filt.breaks, 1)]
+    try:
+        breaks = filt.breaks
+    except AttributeError:
+        breaks = require_type(filt, Filtration, "filt").breaks
+    return [(_lower_jump(filt, i), mult) for i, (_, mult) in enumerate(breaks, 1)]
 
 
 def lower_to_upper(shape: InertiaShape, lower_breaks) -> Filtration:
@@ -228,7 +254,10 @@ def lower_to_upper(shape: InertiaShape, lower_breaks) -> Filtration:
 def validate(filt: Filtration) -> list[str]:
     """Every filtration invariant that fails, as recorded when filt was
     built; an empty list means valid.  A fresh list on every call."""
-    return list(filt._problems)
+    try:
+        return list(filt._problems)
+    except AttributeError:
+        return list(require_type(filt, Filtration, "filt")._problems)
 
 
 def conductor_congruence(p: int, j_e: int, d: int, m: int) -> int:
@@ -262,8 +291,11 @@ def action_transform(filt: Filtration, a: int, s: int) -> Filtration:
     here; the result is validated before it is returned.  As a break,
     s/m is at most 2^64.
     """
-    shape = filt.shape
-    p, m = shape.p, shape.m
+    try:
+        shape = filt.shape
+    except AttributeError:
+        shape = require_type(filt, Filtration, "filt").shape
+    p, e, m = shape._values
     if not filt.breaks:
         raise InvalidSubgroup("tame filtration has no wild part to act on")
     if require_int(s, "conductor candidate s", 1, m << 64, InvalidJump) % p == 0:
@@ -271,7 +303,7 @@ def action_transform(filt: Filtration, a: int, s: int) -> Filtration:
     top_sigma, top_mult = filt.breaks[-1]
     require_int(a, "subgroup exponent a", 1, top_mult, InvalidSubgroup)
     if m > 1:  # the filtration's own p, e - a and m are checked already
-        s_iota = _congruence(p, _lower_jump(filt, len(filt.breaks)), shape.e - a, m)
+        s_iota = _congruence(p, _lower_jump(filt, len(filt.breaks)), e - a, m)
         if s % m != s_iota % m:
             raise CongruenceViolation(
                 f"conductor {s} is not congruent to {s_iota} mod {m}"

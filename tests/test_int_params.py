@@ -22,18 +22,27 @@ from ramforge import (
     admissible_check,
     admissible_enumerate,
     as_deform,
+    as_reduce,
     canonical_modulus,
     conductor_congruence,
     contains_progressions,
+    ext_as_reduce,
     genus_increment,
     genus_spectrum,
+    kato_mu,
     last_lower_jump_increment,
     lower_to_upper,
     parse_laurent,
+    phi,
+    psi,
+    ram_divisor_degree,
     random_filtration,
+    rh_genus,
     spectrum_density,
     tower_plan,
     upper_jumps,
+    upper_to_lower,
+    validate,
 )
 from ramforge import grids
 from ramforge.algebra import LaurentPoly, format_laurent, require_int, require_prime
@@ -200,6 +209,39 @@ def test_int_probes_raise_the_reader_error(probe, error, message):
     with pytest.raises(error) as info:
         probe()
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("probe, message", [
+    (lambda: psi(3, 1), "filt must be a Filtration, got int"),
+    (lambda: phi(3, 1), "filt must be a Filtration, got int"),
+    (lambda: validate(3), "filt must be a Filtration, got int"),
+    (lambda: upper_to_lower(3), "filt must be a Filtration, got int"),
+    (lambda: action_transform(3, 1, 7), "filt must be a Filtration, got int"),
+    (lambda: ram_divisor_degree(3), "filt must be a Filtration, got int"),
+    (lambda: rh_genus(3), "cd must be a CoverData, got int"),
+    (lambda: kato_mu(3), "k must be a KatoInput, got int"),
+    (lambda: upper_jumps(3, 5), "ext must be an ExtFieldSpec, got int"),
+    (lambda: as_reduce(3), "f must be a LaurentPoly, got int"),
+    (lambda: ext_as_reduce(3), "F must be an ExtElement, got int"),
+    (lambda: psi(None, 1), "filt must be a Filtration, got NoneType"),
+    (lambda: rh_genus(True), "cd must be a CoverData, got bool"),
+    (lambda: as_reduce(FieldSpec(3).one), "f must be a LaurentPoly, got FieldElement"),
+], ids=["psi", "phi", "validate", "upper_to_lower", "action_transform", "ram_divisor_degree",
+        "rh_genus", "kato_mu", "upper_jumps", "as_reduce", "ext_as_reduce", "psi-None",
+        "rh_genus-bool", "as_reduce-element"])
+def test_a_first_argument_of_another_type_is_a_type_error_naming_it(probe, message):
+    # each used to end in AttributeError: 'int' object has no attribute ...
+    with pytest.raises(TypeError) as info:
+        probe()
+    assert str(info.value) == message
+
+
+def test_an_instance_missing_its_attribute_keeps_the_attribute_error():
+    # the except reads the argument again through require_type, which passes an instance
+    for probe in (lambda: psi(Filtration.__new__(Filtration), 1),
+                  lambda: rh_genus(object.__new__(CoverData))):
+        with pytest.raises(AttributeError):
+            probe()
 
 
 def test_require_int_prints_its_bounds_and_only_a_short_value():

@@ -18,6 +18,7 @@ from ramforge.errors import (
     NotAdmissible,
     NotComparable,
 )
+from ramforge.genus import BranchPoint
 from ramforge.grids import brute_force_admissible
 from ramforge.ramfilt import (
     MAX_ADMISSIBLE_SEQUENCES,
@@ -163,6 +164,45 @@ def test_filtration_constructor_bounds_the_denominator_lcm():
     Filtration(InertiaShape(2, 16, 1), breaks[:15])
     with pytest.raises(ValueError, match="^break 16: the lcm of the break denominators"):
         Filtration(InertiaShape(2, 16, 1), breaks)
+
+
+@pytest.mark.parametrize("probe, error, message", [
+    # the first pass reads every break before the knot loop, so its error at
+    # break 3 wins over the knot loop's ordering error at break 2
+    (lambda: Filtration(InertiaShape(2, 3), [(5, 1), (3, 1), (7, "x")]), TypeError,
+     "break 3: multiplicity must be an int, got str"),
+    (lambda: Filtration(InertiaShape(2, 3), [(5, 1), (3, 1), ("a/b", 1)]), InputError,
+     "break 3: 'a/b' is not an integer or num/den string"),
+    (lambda: Filtration(InertiaShape(2, 3), [(5, 1), (3, 1), (Fraction(1, 2**70), 1)]),
+     InputError, "break 3: the lcm of the break denominators exceeds the bound m*2^64"),
+    # and over the knot loop's bounds on the break index and the multiplicities
+    (lambda: Filtration(InertiaShape(2, 3), [(2**65, 1), (1, True)]), TypeError,
+     "break 2: multiplicity must be an int, got bool"),
+    (lambda: Filtration(InertiaShape(2, 3), [(1, 65), (2, 1.5)]), TypeError,
+     "break 2: multiplicity must be an int, got float"),
+    # the shape: p, then e, then m, each by its reader
+    (lambda: InertiaShape(4, 1, 1), InputError, "characteristic must be prime, got 4"),
+    (lambda: InertiaShape(3, 65, 3), InputError,
+     "wild order 3^65 exceeds the bound p^e <= 2^64"),
+    (lambda: InertiaShape(True, 1, 1), TypeError, "characteristic p must be an int, got bool"),
+    (lambda: InertiaShape(3, 1.0, 1), TypeError, "wild exponent e must be an int, got float"),
+    (lambda: InertiaShape(3, 1, 0), InputError, "tame order m must lie in 1..2^64, got 0"),
+    (lambda: InertiaShape(41, 1, 41), InputError, "tame order 41 must be positive and prime to 41"),
+], ids=["b3-mult-str-over-order", "b3-value-over-order", "b3-lcm-over-order",
+        "b2-mult-bool-over-index-bound", "b2-mult-float-over-mult-bound", "shape-p-4",
+        "shape-e-65", "shape-p-bool", "shape-e-float", "shape-m-0", "shape-m-41-at-p-41"])
+def test_construction_checks_keep_their_order_and_messages(probe, error, message):
+    with pytest.raises(error) as info:
+        probe()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_a_branch_point_groups_a_run_given_in_different_forms():
+    # "14/6" and Fraction(7, 3) read as 7/3, the run's first value
+    bp = BranchPoint(InertiaShape(3, 5), ["7/3", "14/6", Fraction(7, 3), "8/3", Fraction(16, 6)])
+    assert bp.breaks == ((Fraction(7, 3), 3), (Fraction(8, 3), 2))
+    assert [type(c) for c, _ in bp.breaks] == [Fraction, Fraction]
+    assert bp == Filtration(InertiaShape(3, 5), [(Fraction(7, 3), 3), (Fraction(8, 3), 2)])
 
 
 # ----------------------------------------------------------------- transform

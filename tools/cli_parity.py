@@ -20,11 +20,14 @@ so one copy checks any tree.  The commands are, in this order:
   per check of the genus deformation reader and of the grids, then one
   `reduce` per field kernel (F_7 mod p, F_2^8 XOR, F_5^2 Zech tables,
   F_67^2 digits) and one `tower` over F_3^9 (digits), as no cli-cold deck
-  builds a digit-kernel field (odd p, q > 4096).
+  builds a digit-kernel field (odd p, q > 4096), then each construction
+  error of a filtration through `herbrand`, `act` and `genus --branch`.
 
 A command that escapes `main` with an exception is recorded with the code
-"raised" and the exception's type and message as its stderr.  Only the
-standard library and `perfbench.clideck` (read, never changed) are used.
+"raised" and the exception's type and message as its stderr, and makes
+the script exit 1 once every line is printed, so no CLI input of the list
+may end in a traceback.  Only the standard library and `perfbench.clideck`
+(read, never changed) are used.
 
     python tools/cli_parity.py [--root DIR] [--seeds 1 2 3] [--cycles 2]
 """
@@ -39,6 +42,7 @@ import random
 import re
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 SPECTRUM = ["spectrum", "--G", "3", "--p", "3", "--limit", "10"]
@@ -88,6 +92,32 @@ PROBES = [
     ["tower", "--p", "3", "--n", "9", "--j", "2", "--F", "[0,1]*x^-20"],
 ]
 
+# (p, e, m, breaks) of a filtration the constructor refuses or finds invalid: breaks
+# not increasing; the lcm bound (the odd primes 3..59 as denominators pass 2^64 at
+# the 16th), the break-index bound and the multiplicity bound; a bool and a float
+# multiplicity; an invalid filtration's findings; p = 4, e = 65 and m = 6 at p = 3
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+REFUSED = [
+    (2, 2, 1, [("2", 1), ("1", 1)]),
+    (2, 16, 1, [(str(k + Fraction(1, d)), 1) for k, d in enumerate(ODD_PRIMES, 1)]),
+    (2, 1, 1, [(str(2**64 + 1), 1)]),
+    (2, 1, 1, [("1", 65)]),
+    (2, 1, 1, [("1", True)]),
+    (2, 1, 1, [("1", 1.5)]),
+    (2, 2, 1, [("2", 1)]),
+    (4, 1, 1, [("1", 1)]),
+    (3, 65, 1, [("1", 1)]),
+    (3, 1, 6, [("1", 1)]),
+]
+for p, e, m, breaks in REFUSED:
+    filt = json.dumps({"p": p, "e": e, "m": m, "breaks": [{"c": c, "mult": l}
+                                                          for c, l in breaks]})
+    # a branch point lists each jump mult times; a bool or float multiplicity is a jump
+    jumps = [j for c, l in breaks for j in ([c] * l if type(l) is int else [l])]
+    branch = json.dumps({"p": p, "e": e, "m": m, "upper_jumps": jumps})
+    PROBES += [["herbrand", filt], ["act", "--a", "1", "--s", "5", filt],
+               ["genus", "--G", "12", "--branch", branch]]
+
 
 def readme_commands(root: Path) -> list[list[str]]:
     """The argv of every `ramforge ...` line inside README.md's fenced code blocks."""
@@ -128,9 +158,14 @@ def main(argv=None) -> int:
                 for cmd in clideck.deck(random.Random(f"cli-cold:{seed}"), args.cycles)]
     for argv in readme_commands(args.root) + PROBES:
         commands += [argv, argv + ["--json"]] if "--json" not in argv else [argv]
+    raised = 0
     for argv in commands:
-        print(json.dumps(run(cli_main, argv), sort_keys=True))
-    return 0
+        result = run(cli_main, argv)
+        raised += result["code"] == "raised"
+        print(json.dumps(result, sort_keys=True))
+    if raised:
+        print(f"{raised} of {len(commands)} commands raised", file=sys.stderr)
+    return 1 if raised else 0
 
 
 if __name__ == "__main__":
