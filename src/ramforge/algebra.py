@@ -17,13 +17,12 @@ only at the tower's public views.  Text is parsed to and formatted from
 those maps; a `FieldElement` is built only when a caller asks for a
 coefficient.  Nothing here touches floating point.
 
-`FieldSpec`, `FieldElement` and the nine records of the other modules
-(`aschreier.ASReduced`, `asext.ExtFieldSpec`, `ramfilt.InertiaShape`, ...)
+`FieldSpec`, `FieldElement` and the ten records of the other modules
+(`aschreier.ASReduced`, `asext.ExtFieldSpec`, `ramfilt.Filtration`, ...)
 are `_Record`s: immutable, and compared, hashed, copied and pickled by
 their fields.  `LaurentPoly` and `ExtElement` keep their maps in private
-slots and expose no attribute that can be set; `ramfilt.Filtration` still
-accepts assignment.  Every operation is a pure function that returns a new
-value.
+slots and expose no attribute that can be set.  Every operation is a pure
+function that returns a new value.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ INFINITY = _Infinity()
 
 
 class _Record:
-    """Base of the eleven immutable records, `FieldSpec` and `FieldElement`
-    here and nine in the other modules.  A subclass names its fields in
+    """Base of the twelve immutable records, `FieldSpec` and `FieldElement`
+    here and ten in the other modules.  A subclass names its fields in
     `_fields`, in constructor order, and its constructor, after its checks,
     stores them with one `_store(self, (f1, f2, ...))`: that tuple,
     `_values`, is the record's storage, and each field is a read-only
@@ -76,8 +75,9 @@ class _Record:
     `_values`, as those of a frozen dataclass read the fields:
     `InertiaShape(p=3, e=2, m=2)`; copy and pickle rebuild through the
     constructor.  A derived value (`InertiaShape.order`; `FieldSpec`'s q,
-    modulus, kernels and `fmt`) is a slot of its own class, outside the
-    fields, set once by the constructor.  Assignment and deletion raise
+    modulus, kernels and `fmt`; `Filtration`'s knot table `_knots` and
+    findings `_problems`) is a slot of its own class, outside the fields,
+    set once by the constructor.  Assignment and deletion raise
     AttributeError."""
 
     __slots__ = ("_values",)
@@ -888,7 +888,11 @@ class LaurentPoly(_IntMap):
 
 def artin_schreier(h: LaurentPoly) -> LaurentPoly:
     """The additive operator h -> h^p - h."""
-    return h.frobenius() - h
+    try:
+        hp = h.frobenius()
+    except AttributeError:
+        hp = require_type(h, LaurentPoly, "h").frobenius()
+    return hp - h
 
 
 # Exponents are bounded like q, p^e and D: |e| <= 2^64.
@@ -986,10 +990,12 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
 
 def format_laurent(f: LaurentPoly) -> str:
     """Canonical text form, terms in increasing exponent order."""
-    ints = f._ints
+    try:
+        ints, fmt = f._ints, f.spec.fmt
+    except AttributeError:
+        ints, fmt = require_type(f, LaurentPoly, "f")._ints, f.spec.fmt
     if not ints:
         return "0"
-    fmt = f.spec.fmt
     parts = []
     for e in sorted(ints):
         v = ints[e]

@@ -175,7 +175,10 @@ def as_conductor(f):
 def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
     """Add the dominating pole t0*x^(-s); the result has conductor exactly s.
     s <= 2^64, the grammar's exponent bound, so x^(-s) parses back."""
-    spec = f.spec
+    try:
+        spec = f.spec
+    except AttributeError:
+        spec = require_type(f, LaurentPoly, "f").spec
     t0 = _form(spec, t0)
     if require_int(s, "target conductor s", 1, MAX_EXPONENT, InvalidJump) % spec.p == 0:
         raise InvalidJump(f"target conductor {s} must be positive and prime to {spec.p}")

@@ -162,7 +162,10 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
 def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:
     """y^(p^2 - p + 1), the least valuation a second tower layer can have;
     (y^(p-1))^p * y by the exact Frobenius, since p^2 - p + 1 = (p - 1)p + 1."""
-    y = ExtElement.y(ext)
+    try:
+        y = ExtElement.y(ext)
+    except AttributeError:
+        y = ExtElement.y(require_type(ext, ExtFieldSpec, "ext"))
     return (y ** (ext.p - 1)).pow_p() * y
 
 
@@ -194,7 +197,11 @@ def upper_jumps(ext: ExtFieldSpec, J) -> tuple[int, int]:
 
 def tower_jumps(F: ExtElement) -> tuple[int, int]:
     """Upper jumps (sigma_1, sigma_2) of the tower continued by w^p - w = F."""
-    return upper_jumps(F.ext, ext_as_reduce(F).jump)
+    try:
+        ext = F.ext
+    except AttributeError:
+        ext = require_type(F, ExtElement, "F").ext
+    return upper_jumps(ext, ext_as_reduce(F).jump)
 
 
 def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
@@ -218,4 +225,8 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
 
 
 def format_ext(F: ExtElement) -> str:
-    return " ; ".join(format_laurent(a) for a in F.coeffs)
+    try:
+        coeffs = F.coeffs
+    except AttributeError:
+        coeffs = require_type(F, ExtElement, "F").coeffs
+    return " ; ".join(format_laurent(a) for a in coeffs)

@@ -2,8 +2,9 @@
 increments under conductor deformation, genus spectra, and Kato's
 smoothness invariant for families of curve germs.
 
-A branch point is a Filtration (BranchPoint only builds it from upper
-jumps), so the genus reads the Herbrand knot table its constructor built.
+A branch point is a Filtration: BranchPoint is a function that builds one
+from upper jumps, so the genus reads the Herbrand knot table the
+Filtration constructor built.
 Genus values are asserted integral at every exit; a non-integral genus is
 surfaced as an InvariantViolation, since the formulas assume the branch
 data comes from an actual cover.
@@ -32,41 +33,33 @@ from .ramfilt import (
 )
 
 
-class BranchPoint(Filtration):
-    """A Filtration built from its upper jumps, listed with multiplicity in
-    ascending order: each run of equal jumps becomes one break.  A jump is
-    a Fraction, an int or a wire string -?[0-9]+(/[0-9]+)? (InputError
+def BranchPoint(shape: InertiaShape, upper_jumps=()) -> Filtration:
+    """The Filtration of upper jumps listed with multiplicity in ascending
+    order: each run of equal jumps becomes one break.  A jump is a
+    Fraction, an int or a wire string -?[0-9]+(/[0-9]+)? (InputError
     naming the jump by its 1-based index otherwise); any other type, a
     float among them, is a TypeError naming it (`_read_rational`).
     A jump that repeats the previous one as given (the same object, or an
     equal string) adds to the run without being read again; any other
     jump is read, then its integer ratio is compared with the previous
-    break's."""
-
-    __slots__ = ()
-
-    def __init__(self, shape: InertiaShape, upper_jumps=()):
-        breaks, given, last = [], None, None
-        for i, s in enumerate(upper_jumps, 1):
-            if breaks and (s is given or (type(s) is type(given) is str and s == given)):
-                breaks[-1][1] += 1
-                continue
-            given = s
-            if type(s) is not Fraction:
-                s = _read_rational(s, "upper jump", i)
-            if (ratio := s.as_integer_ratio()) == last:  # None before the first break
-                breaks[-1][1] += 1
-            else:
-                breaks.append([s, 1])
-                last = ratio
-        super().__init__(shape, breaks)
-
-    @property
-    def upper_jumps(self) -> tuple:
-        return tuple(s for s, mult in self.breaks for _ in range(mult))
+    break's.  `Filtration.upper_jumps` lists the jumps back."""
+    breaks, given, last = [], None, None
+    for i, s in enumerate(upper_jumps, 1):
+        if breaks and (s is given or (type(s) is type(given) is str and s == given)):
+            breaks[-1][1] += 1
+            continue
+        given = s
+        if type(s) is not Fraction:
+            s = _read_rational(s, "upper jump", i)
+        if (ratio := s.as_integer_ratio()) == last:  # None before the first break
+            breaks[-1][1] += 1
+        else:
+            breaks.append([s, 1])
+            last = ratio
+    return Filtration(shape, breaks)
 
 
-def branch_from_dict(d: dict) -> BranchPoint:
+def branch_from_dict(d: dict) -> Filtration:
     """Decode a branch-point JSON object; upper jumps are num/den strings
     and must form a valid filtration (InputError otherwise)."""
     try:
@@ -96,10 +89,8 @@ class CoverData(_Record):
         for i, bp in enumerate(branch, 1):
             if not isinstance(bp, Filtration):  # inline per branch point; the check raises
                 require_type(bp, Filtration, f"branch point {i}")
-            if group_order % bp.shape.order:
-                raise InputError(
-                    f"inertia order {bp.shape.order} does not divide |G| = {group_order}"
-                )
+            if group_order % (order := bp._values[0].order):
+                raise InputError(f"inertia order {order} does not divide |G| = {group_order}")
         _store(self, (group_order, g_X, branch))
 
 
@@ -135,8 +126,9 @@ def ram_divisor_degree(filt: Filtration) -> int:
         problems = require_type(filt, Filtration, "filt")._problems
     if problems:
         raise InvariantViolation(f"invalid branch point {filt}: " + "; ".join(problems))
-    order, den = filt.shape.order, filt._den
-    deg_den = (order - 1) * den + order * filt._upper[-1] - filt._lower[-1]
+    den, upper, lower, _ = filt._knots
+    order = filt._values[0].order
+    deg_den = (order - 1) * den + order * upper[-1] - lower[-1]
     if deg_den % den or deg_den < 0:
         raise InvariantViolation(f"ramification degree {Fraction(deg_den, den)} at {filt} "
                                  "is not a natural number")
@@ -145,12 +137,11 @@ def ram_divisor_degree(filt: Filtration) -> int:
 
 def rh_genus(cd: CoverData) -> int:
     """Riemann-Hurwitz genus of the cover, exact."""
-    try:
-        G = cd.group_order
-    except AttributeError:
-        G = require_type(cd, CoverData, "cd").group_order
-    total = (2 * cd.g_X - 2) * G + sum(
-        G // bp.shape.order * ram_divisor_degree(bp) for bp in cd.branch
+    if type(cd) is not CoverData:  # inline, as every record has `_values`; the check raises
+        require_type(cd, CoverData, "cd")
+    G, g_X, branch = cd._values
+    total = (2 * g_X - 2) * G + sum(
+        G // bp._values[0].order * ram_divisor_degree(bp) for bp in branch
     )
     if total % 2:
         raise InvariantViolation(f"genus {Fraction(total + 2, 2)} is not an integer")
@@ -322,10 +313,14 @@ def genus_spectrum(
 def contains_progressions(result: SpectrumResult, p: int) -> bool:
     """Check the deformed family really forms p - 1 gapless arithmetic
     progressions of the stated increment inside the computed window."""
-    if len(result.residues) != require_prime(p) - 1:
+    try:
+        residues = result.residues
+    except AttributeError:
+        residues = require_type(result, SpectrumResult, "result").residues
+    if len(residues) != require_prime(p) - 1:
         return False
     inc = result.increment
-    for r in result.residues:
+    for r in residues:
         members = [g for g in result.deformed if g % inc == r]
         if any(y - x != inc for x, y in zip(members, members[1:])):
             return False

@@ -1,11 +1,12 @@
 """Ramification filtrations as first-class values.
 
-A Filtration stores the breaks of the upper-numbering filtration of an
-inertia group P semidirect mu_m with |P| = p^e: a strictly increasing list
-of rational break indices, each with a multiplicity saying how many factors
-of p the group order drops just above it.  The Herbrand functions psi/phi
-convert between upper and lower numbering; everything is exact rational
-arithmetic, never floats.
+A Filtration, an immutable record of its shape and breaks, holds the
+breaks of the upper-numbering filtration of an inertia group P semidirect
+mu_m with |P| = p^e: a strictly increasing list of rational break indices,
+each with a multiplicity saying how many factors of p the group order
+drops just above it.  The Herbrand functions psi/phi convert between
+upper and lower numbering; everything is exact rational arithmetic, never
+floats.
 
 Each Filtration builds its Herbrand knot table once, in its constructor,
 as integer knots over the common denominator D (the lcm of the break
@@ -75,19 +76,23 @@ class InertiaShape(_Record):
 _set_order = InertiaShape.order.__set__
 
 
-class Filtration:
+class Filtration(_Record):
     """Upper-numbering break list (sigma_i, l_i) over an InertiaShape.
 
-    The constructor also builds the Herbrand knot table as integer knots
-    over the common denominator D = lcm of the break denominators: the
+    The fields are (shape, breaks), each break a pair (Fraction, int).  The
+    constructor also builds the Herbrand knot table as integer knots over
+    the common denominator D = lcm of the break denominators: the
     upper knots (0, sigma_1*D, ..., sigma_r*D), the lower knots
     (0, psi(sigma_1)*D, ..., psi(sigma_r)*D) and the slopes
     (m, m*p^l_1, m*p^(l_1+l_2), ...), where slope i holds between knots i
     and i+1 and beyond the last knot.  The slopes are integers, so every
-    lower knot is an integer over D too.  The multiplicities need not sum
-    to e (`validate` reports that), but p^(their sum) <= 2^64 as for p^e,
-    and D <= m*2^64: a valid filtration has sigma_i*m*p^(l_1+...+l_(i-1))
-    integral, so D divides m*p^(their sum).  Each break is at most 2^64,
+    lower knot is an integer over D too.  The table (D, upper, lower,
+    slopes) is the derived slot `_knots`, and the violated invariants the
+    slot `_problems`, both outside the fields and set once here.  The
+    multiplicities need not sum to e (`validate` reports that), but
+    p^(their sum) <= 2^64 as for p^e, and D <= m*2^64: a valid filtration
+    has sigma_i*m*p^(l_1+...+l_(i-1)) integral, so D divides
+    m*p^(their sum).  Each break is at most 2^64,
     checked before the loop formats a finding, which keeps the values read
     off the table short enough for str().  A break value that is not a
     Fraction is read by `_read_rational`; a multiplicity must be a positive
@@ -102,7 +107,8 @@ class Filtration:
     and wording.
     """
 
-    __slots__ = ("shape", "breaks", "_den", "_upper", "_lower", "_slope", "_problems")
+    __slots__ = ("_knots", "_problems")
+    _fields = ("shape", "breaks")
 
     def __init__(self, shape: InertiaShape, breaks):
         if type(shape) is not InertiaShape:  # inline, as filtrations are built often
@@ -149,28 +155,28 @@ class Filtration:
             u0, s, mults = u, steeper, mults + l
         if mults != e:
             problems.insert(0, f"break multiplicities sum to {mults}, expected e = {e}")
-        self.shape = shape
-        self.breaks = bs
-        self._den = den
-        self._upper, self._lower, self._slope = tuple(upper), tuple(lower), tuple(slope)
-        self._problems = tuple(problems)
+        _store(self, (shape, bs))
+        _set_knots(self, (den, tuple(upper), tuple(lower), tuple(slope)))
+        _set_problems(self, tuple(problems))
 
     @property
     def conductor(self) -> Fraction | None:
         """Largest break index, or None for a tame filtration."""
         return self.breaks[-1][0] if self.breaks else None
 
-    def __eq__(self, other):
-        if not isinstance(other, Filtration):
-            return NotImplemented
-        return self.shape == other.shape and self.breaks == other.breaks
-
-    def __hash__(self):
-        return hash((self.shape, self.breaks))
+    @property
+    def upper_jumps(self) -> tuple:
+        """The break indices listed with multiplicity, ascending."""
+        return tuple(s for s, mult in self._values[1] for _ in range(mult))
 
     def __repr__(self):
-        bs = ", ".join(f"({c}, {l})" for c, l in self.breaks)
-        return f"Filtration(p={self.shape.p}, e={self.shape.e}, m={self.shape.m}, breaks=[{bs}])"
+        shape, breaks = self._values
+        p, e, m = shape._values
+        bs = ", ".join(f"({c}, {l})" for c, l in breaks)
+        return f"Filtration(p={p}, e={e}, m={m}, breaks=[{bs}])"
+
+
+_set_knots, _set_problems = Filtration._knots.__set__, Filtration._problems.__set__
 
 
 def psi(filt: Filtration, c) -> Fraction:
@@ -185,14 +191,14 @@ def psi(filt: Filtration, c) -> Fraction:
     if a < 0:
         raise InputError(f"psi argument must be >= 0{_shown(c)}")
     try:
-        den = filt._den
+        den, upper, lower, slope = filt._knots
     except AttributeError:
-        den = require_type(filt, Filtration, "filt")._den
+        den, upper, lower, slope = require_type(filt, Filtration, "filt")._knots
     ad = a * den
     # an integer knot K is >= a*D/b exactly when K >= ceil(a*D/b); the knots
     # start at 0 and strictly increase, so searching from knot 1 puts c = 0 on segment 0
-    i = bisect_left(filt._upper, -(-ad // b), 1) - 1
-    return Fraction(filt._lower[i] * b + filt._slope[i] * (ad - filt._upper[i] * b), den * b)
+    i = bisect_left(upper, -(-ad // b), 1) - 1
+    return Fraction(lower[i] * b + slope[i] * (ad - upper[i] * b), den * b)
 
 
 def phi(filt: Filtration, cprime) -> Fraction:
@@ -203,19 +209,18 @@ def phi(filt: Filtration, cprime) -> Fraction:
     if a < 0:
         raise InputError(f"phi argument must be >= 0{_shown(cprime)}")
     try:
-        den = filt._den
+        den, upper, lower, slope = filt._knots
     except AttributeError:
-        den = require_type(filt, Filtration, "filt")._den
+        den, upper, lower, slope = require_type(filt, Filtration, "filt")._knots
     ad = a * den
-    i = bisect_left(filt._lower, -(-ad // b), 1) - 1
-    s = filt._slope[i]
-    return Fraction(filt._upper[i] * s * b + ad - filt._lower[i] * b, den * b * s)
+    i = bisect_left(lower, -(-ad // b), 1) - 1
+    s = slope[i]
+    return Fraction(upper[i] * s * b + ad - lower[i] * b, den * b * s)
 
 
-def _lower_jump(filt: Filtration, i: int) -> int:
-    """Lower knot i as a jump: integral and prime to p, else InvariantViolation."""
-    j, den, p = filt._lower[i], filt._den, filt.shape.p
-    sigma = filt.breaks[i - 1][0]
+def _lower_jump(j: int, den: int, p: int, sigma: Fraction) -> int:
+    """The lower knot j over D of the break sigma as a jump: integral and
+    prime to p, else InvariantViolation."""
     if j % den:
         raise InvariantViolation(f"lower jump {Fraction(j, den)} at break {sigma} is not integral")
     j //= den
@@ -227,25 +232,38 @@ def _lower_jump(filt: Filtration, i: int) -> int:
 def upper_to_lower(filt: Filtration) -> list[tuple[int, int]]:
     """Lower jumps (j_i, l_i): j_i = psi(sigma_i), integral and prime to p."""
     try:
-        breaks = filt.breaks
+        den, _, lower, _ = filt._knots
     except AttributeError:
-        breaks = require_type(filt, Filtration, "filt").breaks
-    return [(_lower_jump(filt, i), mult) for i, (_, mult) in enumerate(breaks, 1)]
+        den, _, lower, _ = require_type(filt, Filtration, "filt")._knots
+    shape, breaks = filt._values
+    p = shape._values[0]
+    return [(_lower_jump(j, den, p, sigma), mult) for j, (sigma, mult) in zip(lower[1:], breaks)]
 
 
 def lower_to_upper(shape: InertiaShape, lower_breaks) -> Filtration:
     """Rebuild the upper-numbering filtration from lower jumps (j_i, l_i).
 
     sigma is held as num/slope over the current segment slope
-    m*p^(l_1+...), so each break costs one Fraction."""
-    p = shape.p
-    num, j_prev, slope = 0, 0, shape.m
+    m*p^(l_1+...), so each break costs one Fraction.  Each pair is read
+    before it is used: a jump that is not an int or a Fraction by
+    `_read_rational`, a multiplicity by `require_int`, naming the break,
+    and p^(l_1+...+l_i) <= 2^64, the bound of `Filtration`, is checked
+    before p^l_i is computed."""
+    if type(shape) is not InertiaShape:  # inline, as in `Filtration`; the check raises
+        require_type(shape, InertiaShape, "shape")
+    p, _, m = shape._values
+    num, j_prev, slope, cap = 0, 0, m, m << 64
     breaks = []
-    for j, mult in lower_breaks:
+    for i, (j, mult) in enumerate(lower_breaks, 1):
+        if type(j) is not int and type(j) is not Fraction:
+            j = _read_rational(j, "lower jump", i)
+        if type(mult) is not int or not 1 <= mult <= 64:
+            require_int(mult, f"break {i}: multiplicity", 1)
+        if mult > 64 or (step := p**mult) * slope > cap:
+            raise InputError("break multiplicities exceed the bound p^(their sum) <= 2^64")
         num += j - j_prev
         breaks.append((Fraction(num, slope), mult))
         j_prev = j
-        step = p**mult
         num *= step
         slope *= step
     return Filtration(shape, breaks)
@@ -292,25 +310,26 @@ def action_transform(filt: Filtration, a: int, s: int) -> Filtration:
     s/m is at most 2^64.
     """
     try:
-        shape = filt.shape
+        den, upper, lower, _ = filt._knots
     except AttributeError:
-        shape = require_type(filt, Filtration, "filt").shape
+        den, upper, lower, _ = require_type(filt, Filtration, "filt")._knots
+    shape, breaks = filt._values
     p, e, m = shape._values
-    if not filt.breaks:
+    if not breaks:
         raise InvalidSubgroup("tame filtration has no wild part to act on")
     if require_int(s, "conductor candidate s", 1, m << 64, InvalidJump) % p == 0:
         raise InvalidJump(f"conductor candidate {s} must be positive and prime to {p}")
-    top_sigma, top_mult = filt.breaks[-1]
+    top_sigma, top_mult = breaks[-1]
     require_int(a, "subgroup exponent a", 1, top_mult, InvalidSubgroup)
     if m > 1:  # the filtration's own p, e - a and m are checked already
-        s_iota = _congruence(p, _lower_jump(filt, len(filt.breaks)), e - a, m)
+        s_iota = _congruence(p, _lower_jump(lower[-1], den, p, top_sigma), e - a, m)
         if s % m != s_iota % m:
             raise CongruenceViolation(
                 f"conductor {s} is not congruent to {s_iota} mod {m}"
             )
-    if s * filt._den <= m * filt._upper[-1]:  # s/m <= top_sigma
+    if s * den <= m * upper[-1]:  # s/m <= top_sigma
         return filt
-    breaks = list(filt.breaks[:-1])
+    breaks = list(breaks[:-1])
     if top_mult - a > 0:
         breaks.append((top_sigma, top_mult - a))
     breaks.append((Fraction(s, m), a))
@@ -518,12 +537,12 @@ def reject_unknown_keys(obj, known: tuple[str, ...], what: str) -> None:
 
 def filtration_to_dict(filt: Filtration) -> dict:
     """JSON-friendly form with rationals as num/den strings."""
-    return {
-        "p": filt.shape.p,
-        "e": filt.shape.e,
-        "m": filt.shape.m,
-        "breaks": [{"c": str(c), "mult": l} for c, l in filt.breaks],
-    }
+    try:
+        shape = filt.shape
+    except AttributeError:
+        shape = require_type(filt, Filtration, "filt").shape
+    p, e, m = shape._values
+    return {"p": p, "e": e, "m": m, "breaks": [{"c": str(c), "mult": l} for c, l in filt.breaks]}
 
 
 def shape_from_dict(d: dict) -> InertiaShape:

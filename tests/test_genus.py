@@ -206,7 +206,7 @@ def test_branch_point_reads_wire_strings_like_fraction(p, texts, ascending):
     got = outcome(BranchPoint, shape, texts)
     want = outcome(BranchPoint, shape, [Fraction(t) for t in texts])
     assert got == want
-    if isinstance(got, BranchPoint):
+    if isinstance(got, Filtration):
         assert got.breaks == want.breaks and validate(got) == validate(want)
         assert all(type(c) is Fraction for c, _ in got.breaks)
 
@@ -250,8 +250,7 @@ def test_branch_point_merges_runs_as_the_filtration_of_their_values(p, given_run
     shape = InertiaShape(p, sum(n for _, n in runs), 1)
     bp, filt = BranchPoint(shape, jumps), Filtration(shape, runs)
     assert bp == filt and bp.breaks == filt.breaks and validate(bp) == validate(filt)
-    knots = ("_den", "_upper", "_lower", "_slope")
-    assert [getattr(bp, k) for k in knots] == [getattr(filt, k) for k in knots]
+    assert bp._knots == filt._knots
     assert bp.upper_jumps == tuple(Fraction(j) for j in jumps)
 
 

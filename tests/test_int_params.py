@@ -23,15 +23,19 @@ from ramforge import (
     admissible_enumerate,
     as_deform,
     as_reduce,
+    artin_schreier,
     canonical_modulus,
     conductor_congruence,
     contains_progressions,
     ext_as_reduce,
+    filtration_to_dict,
+    format_ext,
     genus_increment,
     genus_spectrum,
     kato_mu,
     last_lower_jump_increment,
     lower_to_upper,
+    minimal_tower_element,
     parse_laurent,
     phi,
     psi,
@@ -39,6 +43,7 @@ from ramforge import (
     random_filtration,
     rh_genus,
     spectrum_density,
+    tower_jumps,
     tower_plan,
     upper_jumps,
     upper_to_lower,
@@ -226,9 +231,20 @@ def test_int_probes_raise_the_reader_error(probe, error, message):
     (lambda: psi(None, 1), "filt must be a Filtration, got NoneType"),
     (lambda: rh_genus(True), "cd must be a CoverData, got bool"),
     (lambda: as_reduce(FieldSpec(3).one), "f must be a LaurentPoly, got FieldElement"),
+    (lambda: lower_to_upper(3, []), "shape must be an InertiaShape, got int"),
+    (lambda: tower_jumps(3), "F must be an ExtElement, got int"),
+    (lambda: as_deform(3, 5, 1), "f must be a LaurentPoly, got int"),
+    (lambda: format_laurent(3), "f must be a LaurentPoly, got int"),
+    (lambda: format_ext(3), "F must be an ExtElement, got int"),
+    (lambda: filtration_to_dict(3), "filt must be a Filtration, got int"),
+    (lambda: minimal_tower_element(3), "ext must be an ExtFieldSpec, got int"),
+    (lambda: contains_progressions(3, 2), "result must be a SpectrumResult, got int"),
+    (lambda: artin_schreier(3), "h must be a LaurentPoly, got int"),
 ], ids=["psi", "phi", "validate", "upper_to_lower", "action_transform", "ram_divisor_degree",
         "rh_genus", "kato_mu", "upper_jumps", "as_reduce", "ext_as_reduce", "psi-None",
-        "rh_genus-bool", "as_reduce-element"])
+        "rh_genus-bool", "as_reduce-element", "lower_to_upper", "tower_jumps", "as_deform",
+        "format_laurent", "format_ext", "filtration_to_dict", "minimal_tower_element",
+        "contains_progressions", "artin_schreier"])
 def test_a_first_argument_of_another_type_is_a_type_error_naming_it(probe, message):
     # each used to end in AttributeError: 'int' object has no attribute ...
     with pytest.raises(TypeError) as info:

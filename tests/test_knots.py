@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ramforge.algebra import require_int
 from ramforge.errors import InputError, InvariantViolation
 from ramforge.ramfilt import (
     Filtration,
@@ -192,7 +193,10 @@ def test_raw_breaks_can_be_rejected():
 
 
 def ref_lower_to_upper(shape, lower_breaks):
-    """Upper breaks from lower jumps by summing Fraction segments."""
+    """Upper breaks from lower jumps by summing Fraction segments; each
+    multiplicity is read by `require_int` first, as the library reads it."""
+    lower_breaks = [(j, require_int(mult, f"break {i}: multiplicity", 1))
+                    for i, (j, mult) in enumerate(lower_breaks, 1)]
     p, m = shape.p, shape.m
     sigma = Fraction(0)
     j_prev = 0

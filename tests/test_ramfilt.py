@@ -113,6 +113,32 @@ def test_upper_to_lower_rejects_bad_jumps():
         upper_to_lower(bad)
 
 
+BOUND = "break multiplicities exceed the bound p^(their sum) <= 2^64"
+
+
+@pytest.mark.parametrize("lower, error, message", [
+    # the bound on p^(l_1+...+l_i) is checked before p^l_i is computed
+    ([(1, 2**64)], InputError, BOUND),
+    ([(1, 10**8)], InputError, BOUND),
+    ([(1, 40), (3, 25)], InputError, BOUND),
+    ([(1, 2**65)], InputError, "break 1: multiplicity must lie in 1..2^64"),
+    ([(1, 1), (3, 0)], InputError, "break 2: multiplicity must lie in 1..2^64, got 0"),
+    ([(1, True)], TypeError, "break 1: multiplicity must be an int, got bool"),
+    ([(1.5, 1)], TypeError, "lower jump 1: float is not a Fraction, an int or a num/den string"),
+    ([(1, 1), ("x", 1)], InputError, "lower jump 2: 'x' is not an integer or num/den string"),
+], ids=["mult-2^64", "mult-10^8", "mult-sum-65", "mult-2^65", "mult-0", "mult-bool",
+        "jump-float", "jump-bad-string"])
+def test_lower_to_upper_reads_each_pair_before_it_computes(lower, error, message):
+    with pytest.raises(error) as info:
+        lower_to_upper(InertiaShape(2, 1, 1), lower)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_lower_to_upper_reads_a_string_jump_by_the_wire_grammar():
+    shape = InertiaShape(3, 2, 2)
+    assert lower_to_upper(shape, [("1", 1), ("7", 1)]) == lower_to_upper(shape, [(1, 1), (7, 1)])
+
+
 # ---------------------------------------------------------------- validation
 
 def test_validate_ok():

@@ -1,9 +1,10 @@
 """The immutable records, each built on `algebra._Record`: the nine below,
-then `FieldSpec` and `FieldElement`, whose repr is their own."""
+then `FieldSpec`, `FieldElement` and `Filtration`, whose repr is their own."""
 
 import copy
 import inspect
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,7 @@ from ramforge import (
     as_reduce,
     parse_ext,
     parse_laurent,
+    psi,
 )
 from ramforge.grids import GridResult
 
@@ -109,6 +111,26 @@ def test_fields_and_elements_refuse_assignment_and_keep_eq_hash_and_text():
     assert repr(x) == "[1,2] in F_3^2" and str(x) == "[1,2]"
     assert hash(x) == hash((F9, x.v)) and x == FieldElement(FieldSpec(3, 2), x.v)
     assert x != F9.element([1]) and x != x.v and F3.one != FieldSpec(5).one
+
+
+def test_filtrations_refuse_assignment_and_survive_copy_and_pickle():
+    f = Filtration(InertiaShape(2, 1, 1), [(1, 1)])
+    assert psi(f, 3) == 5
+    for probe in (lambda: setattr(f, "breaks", ()), lambda: delattr(f, "shape"),
+                  lambda: setattr(f, "_knots", None)):
+        with pytest.raises(AttributeError):
+            probe()
+    assert f.breaks == ((1, 1),) and psi(f, 3) == 5
+    assert repr(f) == "Filtration(p=2, e=1, m=1, breaks=[(1, 1)])"
+    # an invalid filtration keeps its findings through the rebuild
+    invalid = Filtration(InertiaShape(3, 2, 2), [(Fraction(1, 5), 1)])
+    for value in (f, invalid, BP):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+            assert (twin._knots, twin._problems) == (value._knots, value._problems)
+    assert len(invalid._problems) == 3
+    assert type(BP) is Filtration and BP == Filtration(InertiaShape(3, 1), [(2, 1)])
+    assert hash(f) == hash((f.shape, f.breaks)) and f != (f.shape, f.breaks)
 
 
 def test_records_differ_across_classes_with_equal_values():
