@@ -901,16 +901,13 @@ MAX_EXPONENT = 2**64
 # A term's body: a bracketed vector of digits, commas and minus signs, a
 # scalar or, with neither, a lookahead for the x power; then the optional x
 # power.  A term is an optional sign and a body.  `_TERMS_RE` captures
-# (sign, vector, scalar, x, exponent); a vector's components are checked as
-# they are read, and by `_VECTOR_RE` when one fails.
-_BODY = (r"(?:({0}\[[-0-9,]*\])|({0}[0-9]+)|(?=\*?x))"
-         r"(?:\*?({0}x)(?:\^({0}[+-]?[0-9]+))?)?")
-_TERMS_RE = re.compile("([+-]?)" + _BODY.format(""))
-# The whole grammar, without captures: a term, then terms that start with
-# their sign.  Its match from 0 is the longest prefix of whole terms;
-# nothing after a repetition can fail, so the engine never backtracks into
-# earlier terms.
-_GRAMMAR_RE = re.compile("[+-]?{0}(?:[+-]{0})*".format(_BODY.format("?:")))
+# (sign, vector, scalar, x, exponent, stray); where no term starts, its last
+# alternative takes one stray character, so one `findall` tiles the whole
+# text into rows.  A vector's components are checked as they are read, and
+# by `_VECTOR_RE` when one fails.
+_BODY = (r"(?:(\[[-0-9,]*\])|([0-9]+)|(?=\*?x))"
+         r"(?:\*?(x)(?:\^([+-]?[0-9]+))?)?")
+_TERMS_RE = re.compile(r"([+-]?)" + _BODY + r"|([\s\S])")
 _VECTOR_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
@@ -918,17 +915,23 @@ def _length_error(length: int, n: int) -> ParseError:
     return ParseError(f"coefficient vector of length {length} in a degree-{n} field")
 
 
-def _parse_ints(spec: FieldSpec, text: str) -> dict:
-    """The {exponent: nonzero int form} map of the text (see parse_laurent)."""
+def _parse_ints(spec: FieldSpec, text: str, ints: dict, scale: int = 1, shift: int = 0) -> dict:
+    """ints, after adding each term c*x^e of the text (see parse_laurent)
+    at weight scale*e + shift; a weight whose sum cancels drops out.
+
+    One `findall` reads the rows of the whole text, left to right.  The
+    read stops at the first row that is a stray character, that follows
+    row 1 without a sign or that holds a malformed vector; only then is
+    `finditer` run up to that row, for the offset the message quotes from.
+    """
     s = "".join(text.split())
     if not s:
         raise ParseError("empty Laurent polynomial")
     p, n, add, neg = spec.p, spec.n, spec.add, spec.neg
     digits = "0123456789"[:p] if p <= 36 else ""  # int(d, p) takes bases up to 36
-    m = _GRAMMAR_RE.match(s)
-    end = m.end() if m else 0
-    terms: dict[int, int] = {}
-    for k, (sign, vec, num, x, exp) in enumerate(_TERMS_RE.findall(s, 0, end), 1):
+    for k, (sign, vec, num, x, exp, stray) in enumerate(_TERMS_RE.findall(s), 1):
+        if stray or not sign and k > 1:
+            break
         try:
             # at most n components, each one base-p digit: one int() call on
             # the characters at the odd offsets, highest first
@@ -951,19 +954,24 @@ def _parse_ints(spec: FieldSpec, text: str) -> dict:
             raise
         except ValueError:
             if vec and not _VECTOR_RE.fullmatch(vec, 1, len(vec) - 1):
-                # a malformed vector: the read ends where its term starts
-                end = list(_TERMS_RE.finditer(s, 0, end))[k - 1].start()
-                break
+                break  # a malformed vector: the read ends where its term starts
             raise ParseError(f"term {k}: a numeral has more than "
                              f"{sys.get_int_max_str_digits()} digits") from None
         if not -MAX_EXPONENT <= e <= MAX_EXPONENT:
             raise ParseError(f"term {k}: exponent outside the bound |e| <= 2^64")
         if sign == "-":
             c = neg(c)
-        terms[e] = add(terms[e], c) if e in terms else c
-    if end < len(s):
-        raise ParseError(f"bad term {s[end:]!r} in {text!r}")
-    return {e: c for e, c in terms.items() if c}
+        w = scale * e + shift
+        if (old := ints.get(w)) is not None:
+            c = add(old, c)
+        if c:
+            ints[w] = c
+        elif old is not None:
+            del ints[w]
+    else:
+        return ints
+    end = next(itertools.islice(_TERMS_RE.finditer(s), k - 1, None)).start()
+    raise ParseError(f"bad term {s[end:]!r} in {text!r}")
 
 
 def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
@@ -975,17 +983,21 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     Coefficients over extensions are polynomial-basis vectors
     ``[c0,c1,...]`` of ``-?[0-9]+`` components.  Scalars are ``[0-9]+`` and
     exponents signed ``[0-9]+`` with |e| <= 2^64; only ASCII digits are
-    accepted.  One regex match finds the longest prefix of valid terms and
-    one `findall` reads them, left to right, so a numeral or vector-length
-    error names the first term that has one; a term the grammar does not
-    match or a malformed vector stops the read: ``bad term REST in TEXT``.
+    accepted.  One regex `findall` tiles the whole text into terms and
+    stray characters, and each term goes into the map as it is read, left
+    to right, so a numeral or vector-length error names the first term
+    that has one; a stray character, a term after the first without a sign
+    or a malformed vector stops the read: ``bad term REST in TEXT``.
     A vector of at most n one-digit components, each a base-p digit (so
     p <= 36), is read by one ``int(digits, p)`` call on its digits highest
     first; every other vector is split at its commas and folded by Horner
     with each component taken mod p, which yields the same value or error.
+    A text that is not a str is a TypeError.
     """
     require_type(spec, FieldSpec, "spec")
-    return LaurentPoly._trusted(spec, _parse_ints(spec, text))
+    if type(text) is not str:
+        require_type(text, str, "text")
+    return LaurentPoly._trusted(spec, _parse_ints(spec, text, {}))
 
 
 def format_laurent(f: LaurentPoly) -> str:

@@ -208,9 +208,14 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
     """Parse `;`-separated Laurent coefficients in increasing y-degree.
 
     Each coefficient is read without its surrounding whitespace, and its
-    error names its y-degree: ``coefficient of y^i: MESSAGE``.
+    error names its y-degree: ``coefficient of y^i: MESSAGE``.  Every
+    segment adds its terms to one weight map, exponent e of y^i at weight
+    p*e - j*i; weights of different y-degrees never meet, as p does not
+    divide j.  A text that is not a str is a TypeError.
     """
     require_type(ext, ExtFieldSpec, "ext")
+    if type(text) is not str:
+        require_type(text, str, "text")
     segments = text.split(";")
     if len(segments) > ext.p:
         raise ParseError(f"more than {ext.p} coefficients in {text!r}")
@@ -218,7 +223,7 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
     ints = {}
     for i, seg in enumerate(segments):
         try:
-            ints.update((p * e - j * i, v) for e, v in _parse_ints(ext.field, seg.strip()).items())
+            _parse_ints(ext.field, seg.strip(), ints, p, -j * i)
         except ParseError as exc:
             raise ParseError(f"coefficient of y^{i}: {exc}") from None
     return ExtElement._trusted(ext, ints)

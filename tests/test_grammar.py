@@ -8,16 +8,19 @@ and return the same polynomials in every field.
 
 The second is the per-term scan: one term regex matched term by term from
 the left, each term checked and folded before the next is matched.  The
-library now reads the whole text with one grammar regex and one `findall`;
-it must give the same value, or the same exception type and message, on
-every string.  Wherever the scan stops at a term it cannot read (a term
-the grammar does not match, a sign after a sign, a malformed or empty
-vector component) the message is ``bad term REST in TEXT``, REST being the
-text from that term on; the numeral, vector-length and exponent errors
-name the term by its number.
+library now reads the whole text in one `findall` whose last alternative
+takes a stray character where no term starts, and adds each term to the
+map as it reads it; it must give the same value, or the same exception
+type and message, on every string.  Wherever the scan stops at a term it
+cannot read (a stray character, a term after the first without a sign, a
+sign after a sign, a malformed or empty vector component) the message is
+``bad term REST in TEXT``, REST being the text from that term on; the
+numeral, vector-length and exponent errors name the term by its number.
 
 Also here: the round-trip fuzz targets, parsing the canonical text form is
-the identity for Laurent polynomials and for tower extension elements; the
+the identity for Laurent polynomials and for tower extension elements;
+`parse_ext`'s one shared weight map against the public `ExtElement`
+constructor on segments with repeated and cancelling exponents; the
 one-call read of one-digit vectors against split plus Horner; and the
 string tables of the tabled fields against the digit formula.
 """
@@ -299,6 +302,11 @@ def test_same_values_and_messages_as_the_per_term_scan(strategy, examples):
     "x^-18446744073709551617 + [1,,1]",
     "x^18446744073709551616 + x^-18446744073709551616",
     "[--1]*x", "[-]*x", "[]*x", "[1-2]*x", "[,]", "[1,2]x^3x",
+    "x^-3 + x@",                       # a stray character after valid terms
+    "@x",                              # a stray character first
+    "x2", "[1,0]x^-3x",                # a second term without a sign
+    "x+-x",                            # a sign after a sign
+    "x - x + x", "x^-2 - x^-2",        # a weight cancels, then reappears or not
 ])
 def test_error_order_across_and_within_terms(text):
     spec = FIELDS[2]
@@ -331,7 +339,8 @@ def test_exponents_at_the_bound_parse():
     "[" + "1," * 60000,
 ], ids=["digit-run", "dangling-caret", "open-vector"])
 def test_adversarial_inputs_fail_fast(text):
-    # the whole-text grammar regex must not backtrack into earlier terms
+    # the one scan must not backtrack into earlier terms, nor the error path
+    # rescan them more than once
     start = time.perf_counter()
     with pytest.raises(ParseError):
         parse_laurent(FIELDS[2], text)
@@ -392,6 +401,40 @@ def test_parse_laurent_inverts_format_laurent(f):
 @given(ext_elements())
 def test_parse_ext_inverts_format_ext(F):
     assert parse_ext(F.ext, format_ext(F)) == F
+
+
+# terms whose exponents repeat within a segment, so that sums cancel and reappear
+segment_terms = st.tuples(st.sampled_from(["", "-", "2*", "-[1]*"]),
+                          st.sampled_from(["x^-3", "x", "x^0", "x^-1"]))
+
+
+@st.composite
+def repeated_segments(draw):
+    """(ext, segments, i): 1..p segment texts over a test field, j prime to
+    p, and the y-degree i of one of them."""
+    spec = draw(st.sampled_from(FIELDS))
+    j = draw(st.integers(1, 12).filter(lambda j: j % spec.p))
+    segs = []
+    for _ in range(draw(st.integers(1, spec.p))):
+        terms = draw(st.lists(segment_terms, min_size=1, max_size=6))
+        segs.append(" + ".join(c + x for c, x in terms).replace("+ -", "- "))
+    return ExtFieldSpec(spec, j), segs, draw(st.integers(0, len(segs) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_segments())
+def test_parse_ext_shares_one_map_like_the_constructor(case):
+    # the constructor maps each parsed coefficient's exponents to p*e - j*i itself
+    ext, segs, i = case
+    text = " ; ".join(segs)
+    assert parse_ext(ext, text) == ExtElement(ext, [parse_laurent(ext.field, s) for s in segs])
+    # an error in segment i still names its y-degree
+    bad = segs[:i] + [segs[i] + " ++ x"] + segs[i + 1:]
+    with pytest.raises(ParseError) as info:
+        parse_ext(ext, " ; ".join(bad))
+    with pytest.raises(ParseError) as want:
+        parse_laurent(ext.field, bad[i])
+    assert str(info.value) == f"coefficient of y^{i}: {want.value}"
 
 
 # ------------------------------------------ one-call vector read, table format

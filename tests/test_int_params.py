@@ -36,6 +36,7 @@ from ramforge import (
     last_lower_jump_increment,
     lower_to_upper,
     minimal_tower_element,
+    parse_ext,
     parse_laurent,
     phi,
     psi,
@@ -247,6 +248,24 @@ def test_int_probes_raise_the_reader_error(probe, error, message):
         "contains_progressions", "artin_schreier"])
 def test_a_first_argument_of_another_type_is_a_type_error_naming_it(probe, message):
     # each used to end in AttributeError: 'int' object has no attribute ...
+    with pytest.raises(TypeError) as info:
+        probe()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("probe, message", [
+    (lambda: parse_laurent(FieldSpec(3), 3), "text must be a str, got int"),
+    (lambda: parse_laurent(FieldSpec(3), None), "text must be a str, got NoneType"),
+    (lambda: parse_laurent(FieldSpec(3), b"x"), "text must be a str, got bytes"),
+    (lambda: parse_ext(ExtFieldSpec(FieldSpec(3), 1), 3), "text must be a str, got int"),
+    (lambda: parse_ext(ExtFieldSpec(FieldSpec(3), 1), b"x ; x"), "text must be a str, got bytes"),
+    (lambda: parse_laurent(3, 3), "spec must be a FieldSpec, got int"),
+    (lambda: parse_ext(3, None), "ext must be an ExtFieldSpec, got int"),
+], ids=["laurent-int", "laurent-None", "laurent-bytes", "ext-int", "ext-bytes",
+        "laurent-spec-first", "ext-ext-first"])
+def test_a_text_of_another_type_is_a_type_error_naming_it(probe, message):
+    # an int or None text used to end in AttributeError: ... no attribute 'split',
+    # bytes in a TypeError from str.join; the field argument is checked first
     with pytest.raises(TypeError) as info:
         probe()
     assert str(info.value) == message

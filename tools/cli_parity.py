@@ -20,8 +20,10 @@ so one copy checks any tree.  The commands are, in this order:
   per check of the genus deformation reader and of the grids, then one
   `reduce` per field kernel (F_7 mod p, F_2^8 XOR, F_5^2 Zech tables,
   F_67^2 digits) and one `tower` over F_3^9 (digits), as no cli-cold deck
-  builds a digit-kernel field (odd p, q > 4096), then each construction
-  error of a filtration through `herbrand`, `act` and `genus --branch`.
+  builds a digit-kernel field (odd p, q > 4096), then one `reduce` or
+  `tower --F` per outcome of the coefficient parser, then each
+  construction error of a filtration through `herbrand`, `act` and
+  `genus --branch`.
 
 A command that escapes `main` with an exception is recorded with the code
 "raised" and the exception's type and message as its stderr, and makes
@@ -90,6 +92,19 @@ PROBES = [
     ["reduce", "--p", "5", "--n", "2", "[1,2]*x^-50 + [0,3]*x^-7 + 4"],
     ["reduce", "--p", "67", "--n", "2", "[5,66]*x^-134 + [1,1]*x^-3"],
     ["tower", "--p", "3", "--n", "9", "--j", "2", "--F", "[0,1]*x^-20"],
+    # each outcome of the coefficient parser: a stray character, a sign after a sign,
+    # a malformed and an over-long vector, an over-long numeral, an exponent past 2^64,
+    # sums that cancel; then an error in segment 2 of a tower and a cancelling segment
+    ["reduce", "--p", "3", "x^-7 + x@"],
+    ["reduce", "--p", "3", "x^-7 +- x"],
+    ["reduce", "--p", "2", "--n", "3", "x^-7 + [1,,1]*x^-3"],
+    ["reduce", "--p", "2", "--n", "3", "[1,0,0,1]*x^-3"],
+    ["reduce", "--p", "3", "x^-7 + " + "1" * 4301 + "*x^-2"],
+    ["reduce", "--p", "3", f"x^-{2**64 + 1}"],
+    ["reduce", "--p", "3", "x^-7 + 2*x^-7 + x^-7 + x^-5 - x^-5 + x^-2"],
+    ["reduce", "--p", "5", "x^-3 - x^-3"],
+    ["tower", "--p", "3", "--j", "1", "--F", "x^-4 ; x^-2 ; x^-1 ++ x"],
+    ["tower", "--p", "3", "--j", "1", "--F", "x^-5 ; x^-2 - x^-2 + 3*x ; x^-1"],
 ]
 
 # (p, e, m, breaks) of a filtration the constructor refuses or finds invalid: breaks
