@@ -690,24 +690,19 @@ def _plus(terms: dict, pairs, add) -> dict:
     return out
 
 
-def _ydeg(w: int, jinv: int, p: int) -> int:
-    """The y-degree -w/j mod p of the tower monomial of weight w, for
-    jinv = 1/j mod p; 0 on the line, where jinv = 0.  The reduction loop in
-    `aschreier._reduce_terms` and `asext.ExtElement.coeffs` inline it."""
-    return -w * jinv % p
-
-
 class _BinomialRows(dict):
     """The tower's binomial rows mod p, one table per p (`_binomial_rows`),
-    row beta < p built on first use: the pairs (b, C(beta, b) as an int form
-    of F_p) for b = 1..beta, the terms of (y + x^-j)^beta past y^beta, term
-    b lying step*b = j*(p - 1)*b above it in weight.  None is 0, as beta < p."""
+    row beta < p built on first use: (b, C(beta, b), -C(beta, b)) in F_p for
+    b = 1..beta, the terms of (y + x^-j)^beta past y^beta, term b lying
+    step*b = j*(p - 1)*b above it in weight; the p-th power reads +C and the
+    kill -C.  None is 0, as beta < p."""
 
     def __init__(self, p: int):
         self.p = p
 
     def __missing__(self, beta: int) -> tuple:
-        row = self[beta] = tuple((b, comb(beta, b) % self.p) for b in range(1, beta + 1))
+        row = self[beta] = tuple((b, (c := comb(beta, b) % self.p), self.p - c)
+                                 for b in range(1, beta + 1))
         return row
 
 
@@ -720,10 +715,10 @@ class _IntMap:
     (the field itself, or an `asext.ExtFieldSpec`).  The weight of x^e is e
     on the line and p*e - j*i for x^e y^i in the tower over y^p - y = x^-j,
     a bijection onto the integers there, so a weight names one monomial and
-    its y-degree is `_ydeg`, -w/j mod p.  `_ring` is (1/j mod p, j*(p - 1))
-    in the tower and (0, 0) on the line, where every y-degree is 0, and
-    `_noun` names the elements.  A subclass adds its public constructor,
-    which checks caller input once, and its view `terms`."""
+    its y-degree is -w/j mod p = -w * jinv % p.  `_ring` is (jinv, step) =
+    (1/j mod p, j*(p - 1)) in the tower and (0, 0) on the line, where every
+    y-degree is 0, and `_noun` names the elements.  A subclass adds its
+    public constructor, which checks caller input once, and its view `terms`."""
 
     __slots__ = ("_over", "_ints")
 
@@ -777,11 +772,11 @@ class _IntMap:
         self._check(other)
         spec, (jinv, step) = self._field, self._ring
         p, mul = spec.p, spec.mul
-        rhs = [(w, c, _ydeg(w, jinv, p)) for w, c in other._ints.items()]
+        rhs = [(w, c, -w * jinv % p) for w, c in other._ints.items()]
 
         def products():
             for w1, c1 in self._ints.items():
-                i1 = _ydeg(w1, jinv, p)
+                i1 = -w1 * jinv % p
                 for w2, c2, i2 in rhs:
                     c = mul(c1, c2)
                     yield w1 + w2, c
@@ -795,24 +790,37 @@ class _IntMap:
             raise InputError(f"negative powers of {self._noun} are not defined")
         return _power(_IntMap.__mul__, self._trusted(self._over, {0: 1}), self, k)
 
-    def _frob_terms(self) -> list:
-        """The (weight, nonzero int form) pairs that `_plus` sums to the p-th
-        power: (c m)^p = c^p x^(p*e) (y + x^-j)^beta for each term c m of
-        weight w and y-degree beta, its term b at weight p*w + step*b.  The
-        b = 0 terms, the only ones on the line, come first at distinct
-        weights p*w; the b >= 1 weights are prime to p and may repeat."""
+    def _add_pow_p(self, out: dict) -> dict:
+        """out plus the p-th power, added in place: (c m)^p = c^p x^(p*e)
+        (y + x^-j)^beta for each term c m of weight w and y-degree beta, its
+        term b at weight p*w + step*b (b = 0 alone on the line)."""
         spec, (jinv, step) = self._field, self._ring
-        p = spec.p
-        hp = [(p * w, spec.frob(c)) for w, c in self._ints.items()]
-        if step:
-            mul, rows = spec.mul, _binomial_rows(p)
-            hp += [(pw + step * b, mul(fc, m)) for (pw, fc), w in zip(hp, self._ints)
-                   for b, m in rows[_ydeg(w, jinv, p)]]
-        return hp
+        p, add, mul, frob = spec.p, spec.add, spec.mul, spec.frob
+        rows = _binomial_rows(p) if step else ((),)  # every y-degree is 0 on the line
+        get = out.get
+        for w, c in self._ints.items():
+            c, row, w = frob(c), rows[-w * jinv % p], p * w
+            old = get(w)
+            if old is None:
+                out[w] = c
+            elif s := add(old, c):
+                out[w] = s
+            else:
+                del out[w]
+            for b, m, _ in row:
+                k, d = w + step * b, mul(c, m)
+                old = get(k)
+                if old is None:
+                    out[k] = d
+                elif s := add(old, d):
+                    out[k] = s
+                else:
+                    del out[k]
+        return out
 
     def _pow_p(self):
-        """p-th power, the sum of `_frob_terms`."""
-        return self._trusted(self._over, _plus({}, self._frob_terms(), self._field.add))
+        """p-th power, `_add_pow_p` into an empty map."""
+        return self._trusted(self._over, self._add_pow_p({}))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -1000,20 +1008,18 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     return LaurentPoly._trusted(spec, _parse_ints(spec, text, {}))
 
 
+def _format_terms(pairs, fmt) -> str:
+    """The text of (exponent, nonzero int form) pairs, in their order; "0" for none."""
+    return " + ".join([fmt(v) if e == 0
+                       else ("x" if e == 1 else f"x^{e}") if v == 1
+                       else f"{fmt(v)}*x" if e == 1 else f"{fmt(v)}*x^{e}"
+                       for e, v in pairs]) or "0"
+
+
 def format_laurent(f: LaurentPoly) -> str:
     """Canonical text form, terms in increasing exponent order."""
     try:
         ints, fmt = f._ints, f.spec.fmt
     except AttributeError:
         ints, fmt = require_type(f, LaurentPoly, "f")._ints, f.spec.fmt
-    if not ints:
-        return "0"
-    parts = []
-    for e in sorted(ints):
-        v = ints[e]
-        if e == 0:
-            parts.append(fmt(v))
-            continue
-        xs = "x" if e == 1 else f"x^{e}"
-        parts.append(xs if v == 1 else f"{fmt(v)}*{xs}")
-    return " + ".join(parts)
+    return _format_terms(sorted(ints.items()), fmt)

@@ -12,10 +12,10 @@ x^e y^i in the tower, a bijection onto the integers.  A kill at weight v
 is the same rule in both rings, its updates all weigh more than v and
 are written into the map and the heap of plain int weights in place, so k
 steps cost O(k log k) heap work plus k p-th roots.  `_reduce` runs it on a
-copy and checks the certificate f - f_reduced = h^p - h as one sum of
-term maps: f_reduced plus the terms of h^p, recomputed from h by the
-field's Frobenius (`_IntMap._frob_terms`, the rule `_pow_p` sums), plus
-those of -h must give f.  No `FieldElement` is built.
+copy and checks the certificate f - f_reduced = h^p - h in one pass over
+each map: f_reduced - h, to which `_IntMap._add_pow_p` (the rule `_pow_p`
+runs on an empty map) adds the terms of h^p, recomputed from h by the
+field's Frobenius, must give f.  No `FieldElement` is built.
 
 Terms of exponent >= 0 never affect ramification at x = 0 here: over the
 algebraically closed field these covers stand in for, every regular part is
@@ -84,16 +84,16 @@ def _reduce_terms(terms: dict, spec, jinv: int, step: int):
     While the least weight v is negative and divisible by p, its term c is
     killed by h = r m with r = root(c) and m the monomial of weight v/p and
     y-degree beta = -(v/p)/j mod p: f - (h^p - h) drops c at v, gains r at
-    v/p and, in the tower, -C(beta, b) c at v + step*b for b = 1..beta.
-    Each of these weighs more than v, so the valuation rises with every
-    step and the loop ends.  The heap holds plain weights; a weight whose
-    term cancelled is skipped when it surfaces.
+    v/p and, in the tower, c times the row's -C(beta, b) at v + step*b for
+    b = 1..beta.  Each of these weighs more than v, so the valuation rises
+    with every step and the loop ends.  The heap holds plain weights; a
+    weight whose term cancelled is skipped when it surfaces.
 
     Returns (conductor, h): -v for the final valuation v when it is
     negative, hence prime to p, else UNRAMIFIED (also when no term is left);
     and the substitution h as {v/p: r}.
     """
-    p, add, neg, mul, root = spec.p, spec.add, spec.neg, spec.mul, spec.root
+    p, add, mul, root = spec.p, spec.add, spec.mul, spec.root
     # the line's kills have beta = 0; the rows fill on first use, so the
     # tower is told by step, never by rows
     rows = _binomial_rows(p) if step else None
@@ -122,8 +122,7 @@ def _reduce_terms(terms: dict, spec, jinv: int, step: int):
         else:
             del terms[w]
         if step:
-            c = neg(c)
-            for b, m in rows[-w * jinv % p]:  # algebra._ydeg, inlined
+            for b, _, m in rows[-w * jinv % p]:  # the y-degree of w
                 k, d = v + step * b, mul(c, m)
                 old = get(k)
                 if old is None:
@@ -139,19 +138,18 @@ def _reduce_terms(terms: dict, spec, jinv: int, step: int):
 def _reduce(f, cls: type, name: str):
     """(reduced, conductor, substitution) of f, the caller's argument `name`,
     a cls of either ring: `_reduce_terms` on a copy of its weight map, then
-    the certificate f - reduced = h^p - h as one sum: reduced + (the terms
-    of h^p, which `_frob_terms` recomputes) + (the terms of -h) must give f
-    exactly."""
+    the certificate f - reduced = h^p - h in one accumulation: reduced - h,
+    plus h^p recomputed from h by `_add_pow_p` (not from the kill's c and
+    -C), must give f exactly."""
     try:
         spec = f._field
     except AttributeError:
         spec = require_type(f, cls, name)._field
     terms = dict(f._ints)
     conductor, h = _reduce_terms(terms, spec, *f._ring)
+    rest = _plus(terms, zip(h, map(spec.neg, h.values())), spec.add)  # reduced - h
     g, h = f._trusted(f._over, terms), f._trusted(f._over, h)
-    pairs = h._frob_terms()
-    pairs += [(w, spec.neg(r)) for w, r in h._ints.items()]
-    if _plus(terms, pairs, spec.add) != f._ints:
+    if h._add_pow_p(rest) != f._ints:
         raise InvariantViolation("reduction substitution does not account for the change")
     return g, conductor, h
 

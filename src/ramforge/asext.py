@@ -7,8 +7,9 @@ sparse map {weight: int form of c}, the form the reduction engine edits
 and `algebra._IntMap`'s arithmetic acts on, as for a Laurent polynomial.
 The pair (e, i) appears only at the public edges: the constructor and
 `parse_ext` map each exponent e of the coefficient of y^i to p*e - j*i as
-they read it, and `coeffs` (hence `format_ext` and `terms`) splits the
-weights back into those p rows, the one place that does.
+they read it, and `ExtElement._split` splits weights back into those p rows
+of (e, int form) pairs, the one place that does: `coeffs` (hence `terms`)
+reads it, and `format_ext` writes its rows of the once-sorted weights.
 
 This module is the jump engine for towers whose base layer is
 y^p - y = x^(-j): reducing w^p - w = F over the extension yields the second
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .algebra import (FieldSpec, LaurentPoly, _IntMap, _parse_ints, _Record, _store,
-                      format_laurent, require_int, require_type)
+from .algebra import (FieldSpec, LaurentPoly, _format_terms, _IntMap, _parse_ints, _Record,
+                      _store, require_int, require_type)
 from .aschreier import UNRAMIFIED, _reduce, _Unramified
 from .errors import (
     DegenerateTower,
@@ -107,19 +108,23 @@ class ExtElement(_IntMap):
     def y(cls, ext: ExtFieldSpec) -> "ExtElement":
         return cls._trusted(ext, {-ext.j: 1})
 
+    def _split(self, weights) -> list:
+        """The p rows [(e, int form), ...] of the a_i of sum a_i(x) y^i, in
+        the order of `weights`: w is x^e y^i for i = -w/j mod p and
+        e = (w + j*i)/p, the one monomial of weight w, as p does not divide j."""
+        ext, ints = self.ext, self._ints
+        p, j, jinv = ext.p, ext.j, ext._ring[0]
+        rows = [[] for _ in range(p)]
+        for w in weights:
+            i = -w * jinv % p  # the y-degree of w
+            rows[i].append(((w + j * i) // p, ints[w]))
+        return rows
+
     @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:
-        """The p Laurent coefficients a_i of sum a_i(x) y^i: weight w is
-        x^e y^i with i = -w/j mod p and e = (w + j*i)/p, the one monomial of
-        that weight, as p*e - j*i = p*e' - j*i' forces p | i - i' (p does
-        not divide j), so i = i' for 0 <= i, i' < p, and then e = e'."""
-        ext = self.ext
-        p, j, jinv = ext.p, ext.j, ext._ring[0]
-        rows = [{} for _ in range(p)]
-        for w, v in self._ints.items():
-            i = -w * jinv % p  # algebra._ydeg, inlined
-            rows[i][(w + j * i) // p] = v
-        return tuple(LaurentPoly._trusted(ext.field, r) for r in rows)
+        """The p Laurent coefficients a_i of sum a_i(x) y^i (`_split`)."""
+        field = self.ext.field
+        return tuple(LaurentPoly._trusted(field, dict(r)) for r in self._split(self._ints))
 
     @property
     def terms(self) -> dict:
@@ -230,8 +235,10 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
 
 
 def format_ext(F: ExtElement) -> str:
+    """`format_laurent` of each coefficient, `;`-separated: one sort, no `LaurentPoly`."""
     try:
-        coeffs = F.coeffs
+        split = F._split
     except AttributeError:
-        coeffs = require_type(F, ExtElement, "F").coeffs
-    return " ; ".join(format_laurent(a) for a in coeffs)
+        split = require_type(F, ExtElement, "F")._split
+    fmt = F._field.fmt
+    return " ; ".join(_format_terms(row, fmt) for row in split(sorted(F._ints)))

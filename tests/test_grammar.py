@@ -19,6 +19,8 @@ numeral, vector-length and exponent errors name the term by its number.
 
 Also here: the round-trip fuzz targets, parsing the canonical text form is
 the identity for Laurent polynomials and for tower extension elements;
+`format_ext`, which splits the sorted weights itself, against the rows of
+`coeffs` written by `format_laurent`;
 `parse_ext`'s one shared weight map against the public `ExtElement`
 constructor on segments with repeated and cancelling exponents; the
 one-call read of one-digit vectors against split plus Horner; and the
@@ -29,7 +31,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramforge.algebra import (
     ZECH_MAX_Q,
@@ -401,6 +403,42 @@ def test_parse_laurent_inverts_format_laurent(f):
 @given(ext_elements())
 def test_parse_ext_inverts_format_ext(F):
     assert parse_ext(F.ext, format_ext(F)) == F
+
+
+@st.composite
+def tower_rows(draw):
+    """Tower elements over the test fields and F_2^8 whose rows are often
+    empty, with exponents 0 and 1 and the coefficient 1 drawn often."""
+    spec = draw(st.sampled_from(FIELDS + [FieldSpec(2, 8)]))
+    ext = ExtFieldSpec(spec, draw(st.integers(1, 12).filter(lambda j: j % spec.p)))
+    exps = st.sampled_from([0, 1, -1]) | st.integers(-40, 40)
+    forms = st.just(1) | st.integers(1, spec.q - 1)
+    return ExtElement(ext, [
+        LaurentPoly(spec, {e: FieldElement(spec, draw(forms))
+                           for e in draw(st.lists(exps, max_size=4, unique=True))})
+        for _ in range(spec.p)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tower_rows())
+@example(ExtElement.zero(ExtFieldSpec(FieldSpec(2, 8), 1)))
+@example(ExtElement.zero(ExtFieldSpec(FieldSpec(5, 2), 3)))
+@example(parse_ext(ExtFieldSpec(FieldSpec(5, 2), 2), "[1,2]*x^-3 + [1] + x ; 0 ; 0 ; x^0 ; [0,4]"))
+@example(parse_ext(ExtFieldSpec(FieldSpec(2, 8), 3), "[0,1]*x ; [1,1]*x^-2"))
+def test_format_ext_writes_each_coefficient_as_format_laurent_does(F):
+    # format_ext splits the sorted weights itself; the rows of `coeffs` are the reference
+    text = format_ext(F)
+    assert text == " ; ".join(format_laurent(a) for a in F.coeffs)
+    assert parse_ext(F.ext, text) == F
+
+
+def test_the_two_formats_refuse_each_others_elements():
+    spec = FieldSpec(5, 2)
+    f, F = LaurentPoly.x_pow(spec, -1), ExtElement.x_pow(ExtFieldSpec(spec, 2), -1)
+    with pytest.raises(TypeError, match="^F must be an ExtElement, got LaurentPoly$"):
+        format_ext(f)
+    with pytest.raises(TypeError, match="^f must be a LaurentPoly, got ExtElement$"):
+        format_laurent(F)
 
 
 # terms whose exponents repeat within a segment, so that sums cancel and reappear

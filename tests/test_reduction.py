@@ -372,6 +372,67 @@ def test_certificate_catches_a_wrong_root_kernel():
         ext_as_reduce(ExtElement.x_pow(ExtFieldSpec(spec, 1), -2, c))
 
 
+def _change_a_coefficient_of_h(terms, h):
+    w = next(iter(h))
+    h[w] = 2 if h[w] == 1 else 1
+
+
+def _delete_a_reduced_term(terms, h):
+    del terms[next(iter(terms))]
+
+
+def _add_h_at_a_fresh_weight(terms, h):
+    h[min(h) - 1] = 1
+
+
+@pytest.mark.parametrize("corrupt", [_change_a_coefficient_of_h, _delete_a_reduced_term,
+                                     _add_h_at_a_fresh_weight])
+@pytest.mark.parametrize("reduce, element", [
+    (as_reduce, parse_laurent(FIELDS[1], "x^-9 + x^-2")),
+    (as_reduce, parse_laurent(FieldSpec(2, 2), "[0,1]*x^-8 + [1,1]*x^-6 + x^-3")),
+    (ext_as_reduce, parse_ext(ExtFieldSpec(FIELDS[1], 1), "x^-2 + x^-1 ; x^-1")),
+    (ext_as_reduce, parse_ext(ExtFieldSpec(FieldSpec(2, 2), 1),
+                              "[0,1]*x^-6 + x^-3 ; [1,1]*x^-4")),
+], ids=["line-F3", "line-F4", "tower-F3", "tower-F4"])
+def test_certificate_sees_every_term_of_both_maps(monkeypatch, corrupt, reduce, element):
+    # the engine's loop runs as it is, then one term of its output goes wrong;
+    # the one-pass sum reduced - h + h^p must no longer give f.  The towers
+    # have kills of y-degree > 0, so their h^p has binomial terms
+    real = aschreier._reduce_terms
+
+    def corrupted(terms, *ring):
+        conductor, h = real(terms, *ring)
+        assert terms and h
+        corrupt(terms, h)
+        return conductor, h
+
+    reduce(element)  # the true loop passes its check
+    monkeypatch.setattr(aschreier, "_reduce_terms", corrupted)
+    with pytest.raises(InvariantViolation,
+                       match="^reduction substitution does not account for the change$"):
+        reduce(element)
+
+
+@st.composite
+def power_cases(draw):
+    """f and p on the line or in a tower over one of the test fields, with
+    enough terms that the products of f ** p cancel cross terms."""
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(FIELDS))
+        return draw(laurents(spec, -8, 4, 5)), spec.p
+    ext = draw(st.sampled_from(EXTS))
+    return draw(ext_elements(ext, -4, 2, 2)), ext.p
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_cases())
+def test_p_th_power_rule_equals_the_iterated_product(case):
+    f, p = case
+    power = f.frobenius() if isinstance(f, LaurentPoly) else f.pow_p()
+    assert power == f ** p
+    assert 0 not in power._ints.values() and 0 not in (f ** p)._ints.values()
+
+
 # -------------------------------------------------------------- linearity
 
 

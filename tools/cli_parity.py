@@ -21,9 +21,10 @@ so one copy checks any tree.  The commands are, in this order:
   `reduce` per field kernel (F_7 mod p, F_2^8 XOR, F_5^2 Zech tables,
   F_67^2 digits) and one `tower` over F_3^9 (digits), as no cli-cold deck
   builds a digit-kernel field (odd p, q > 4096), then one `reduce` or
-  `tower --F` per outcome of the coefficient parser, then each
-  construction error of a filtration through `herbrand`, `act` and
-  `genus --branch`.
+  `tower --F` per outcome of the coefficient parser, then one `tower`
+  per edge of the tower's text form and a `reduce` whose substitution
+  cancels a term, then each construction error of a filtration through
+  `herbrand`, `act` and `genus --branch`.
 
 A command that escapes `main` with an exception is recorded with the code
 "raised" and the exception's type and message as its stderr, and makes
@@ -105,6 +106,19 @@ PROBES = [
     ["reduce", "--p", "5", "x^-3 - x^-3"],
     ["tower", "--p", "3", "--j", "1", "--F", "x^-4 ; x^-2 ; x^-1 ++ x"],
     ["tower", "--p", "3", "--j", "1", "--F", "x^-5 ; x^-2 - x^-2 + 3*x ; x^-1"],
+    # the edges of `format_ext` in `tower --json`: an empty middle row, an F already
+    # reduced (a zero substitution), x^0 and x^1 terms, vectors over F_2^8 and F_5^2,
+    # p = 7 with every row full; then a `reduce` whose substitution cancels a term
+    ["tower", "--p", "3", "--j", "1", "--F", "x^-4 ; 0 ; x^-1"],
+    ["tower", "--p", "3", "--j", "1", "--F", "0 ; x^-2"],
+    ["tower", "--p", "3", "--j", "1", "--F", "x^-7 + 2 + x ; x^0 + x^1 ; 1"],
+    ["tower", "--p", "2", "--n", "8", "--j", "1", "--F",
+     "[0,1]*x^-9 + [1] + [1,0,0,0,0,0,0,1]*x ; [1,1]*x^-2"],
+    ["tower", "--p", "5", "--n", "2", "--j", "2", "--F",
+     "[1,2]*x^-13 + [0,1] + [3,0]*x ; 0 ; [0,3]*x^-1 ; 0 ; [4,4]"],
+    ["tower", "--p", "7", "--j", "3", "--F",
+     "x^-50 + 1 ; x^-9 ; x^-8 ; x^-7 ; x^-6 ; x^-5 + x ; x^-4"],
+    ["reduce", "--p", "3", "x^-9 + 2*x^-3 + x^-1"],
 ]
 
 # (p, e, m, breaks) of a filtration the constructor refuses or finds invalid: breaks
