@@ -75,8 +75,8 @@ class _Record:
     `_values`, as those of a frozen dataclass read the fields:
     `InertiaShape(p=3, e=2, m=2)`; copy and pickle rebuild through the
     constructor.  A derived value (`InertiaShape.order`; `FieldSpec`'s q,
-    modulus, kernels and `fmt`; `Filtration`'s knot table `_knots` and
-    findings `_problems`) is a slot of its own class, outside the fields,
+    modulus, kernels, `fmt` and `read`; `Filtration`'s knot table `_knots`
+    and findings `_problems`) is a slot of its own class, outside the fields,
     set once by the constructor.  Assignment and deletion raise
     AttributeError."""
 
@@ -499,22 +499,67 @@ def _kernels(p: int, n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _formatter(p: int, n: int):
-    """The text form of an int form: the int itself over F_p, else the
-    coordinate vector [c0,c1,...], lowest degree first: the bits of v for
-    p = 2, where `_kernels` tables the field an index into all q vectors in
-    increasing v (`product` yields the digits highest first), else the digits
-    one by one."""
+def _chunk_table(p: int) -> tuple:
+    """The two-way text table of p in {2, 3, 5, 7}: (c, texts, values), c the
+    largest width with p^c <= 256, texts[w][v] the text "d0,...,d(w-1)" of
+    the w base-p digits of v, lowest first, for w = 1..c, and values the map
+    from each of these sum_{w <= c} p^w texts back to its v."""
+    digits = list("0123456789"[:p])
+    texts = [None, digits]
+    while len(texts[-1]) * p <= 256:
+        texts.append([d + "," + t for t in texts[-1] for d in digits])
+    return len(texts) - 1, texts, {t: v for row in texts[1:] for v, t in enumerate(row)}
+
+
+def _unheld(vec):
+    """The vector read of a field without a text table: it holds no text."""
+    return None
+
+
+@lru_cache(maxsize=None)
+def _text_forms(p: int, n: int) -> tuple:
+    """(fmt, read) of F_{p^n}: fmt the text of an int form, the int itself
+    over F_p, else the vector [c0,c1,...] of its digits, lowest first; read
+    the int form of a vector text `[...]`, or None where the field's text
+    table does not hold it.  Over p <= 7 both go through `_chunk_table(p)`,
+    one lookup per c components: fmt joins the chunk texts (n <= c indexes
+    a tuple of the q bracketed texts of the table's row n), and read holds
+    exactly the texts of 1..n one-digit components below p, whose chunks
+    start at the fixed offsets 1, 2c + 1, 4c + 1, ...; one dict lookup
+    checks and converts each, and the comma before each next chunk is
+    checked.  F_p and p >= 11, whose components may have two digits, have
+    no table."""
     if n == 1:
-        return str
-    if p == 2:  # the digits are the bits, lowest first
-        bits = f"0{n}b"
-        return lambda v: "[" + ",".join(format(v, bits)[::-1]) + "]"
-    if p**n <= ZECH_MAX_Q:
-        digits = [str(c) for c in range(p)]
-        return tuple("[" + ",".join(cs[::-1]) + "]"
-                     for cs in itertools.product(digits, repeat=n)).__getitem__
-    return lambda v: "[" + ",".join(map(str, _digits(v, p, n))) + "]"
+        return str, _unheld
+    if p > 7:
+        return (lambda v: "[" + ",".join(map(str, _digits(v, p, n))) + "]"), _unheld
+    c, texts, values = _chunk_table(p)
+    get, t, base, step, size = values.get, texts[min(n, c)], p**c, 2 * c, 2 * n + 1
+
+    def read(vec):
+        if len(vec) > size:
+            return None
+        v, scale = 0, 1
+        while len(vec) > step + 1:  # "[" or ",", a full chunk, a comma and more
+            d = get(vec[1:step])
+            if d is None or vec[step] != ",":
+                return None
+            v, scale, vec = v + d * scale, scale * base, vec[step:]  # the comma opens the rest
+        d = get(vec[1:-1])
+        return None if d is None else v + d * scale
+
+    if n <= c:
+        return tuple(f"[{text}]" for text in t).__getitem__, read
+    chunks = range(0, n, c)
+
+    def fmt(v):  # the top chunk is padded to c digits, then cut
+        out = []
+        for _ in chunks:
+            v, d = divmod(v, base)
+            out.append(t[d])
+        return "[" + ",".join(out)[:2 * n - 1] + "]"
+
+    return fmt, read
 
 
 class FieldSpec(_Record):
@@ -522,18 +567,19 @@ class FieldSpec(_Record):
 
     Its elements are ints 0 <= v < q whose base-p digits are the coordinates
     in the polynomial basis of the canonical modulus; `_kernels` picks the
-    arithmetic on them once per (p, n), and `fmt` is their text form.  The
-    fields are (p, n); q, the modulus, the seven kernels and `fmt` are
-    slots derived from them, set once here.
+    arithmetic on them once per (p, n), `fmt` is their text form and `read`
+    the table read of a vector text, None for a text its table does not
+    hold (`_text_forms`).  The fields are (p, n); q, the modulus, the seven
+    kernels, `fmt` and `read` are slots derived from them, set once here.
     """
 
-    __slots__ = ("q", "modulus", "add", "sub", "neg", "mul", "inv", "frob", "root", "fmt")
+    __slots__ = ("q", "modulus", "add", "sub", "neg", "mul", "inv", "frob", "root", "fmt", "read")
     _fields = ("p", "n")
 
     def __init__(self, p: int, n: int = 1):
         modulus = canonical_modulus(p, n)  # which checks p and n
         _store(self, (p, n))
-        for set_slot, v in zip(_set_derived, (p**n, modulus, *_kernels(p, n), _formatter(p, n))):
+        for set_slot, v in zip(_set_derived, (p**n, modulus, *_kernels(p, n), *_text_forms(p, n))):
             set_slot(self, v)
 
     @property
@@ -911,8 +957,9 @@ MAX_EXPONENT = 2**64
 # power.  A term is an optional sign and a body.  `_TERMS_RE` captures
 # (sign, vector, scalar, x, exponent, stray); where no term starts, its last
 # alternative takes one stray character, so one `findall` tiles the whole
-# text into rows.  A vector's components are checked as they are read, and
-# by `_VECTOR_RE` when one fails.
+# text into rows.  A vector is read by the field's text table (`read`) or,
+# where the table does not hold it, split at its commas with each component
+# checked as it is read, and by `_VECTOR_RE` when one fails.
 _BODY = (r"(?:(\[[-0-9,]*\])|([0-9]+)|(?=\*?x))"
          r"(?:\*?(x)(?:\^([+-]?[0-9]+))?)?")
 _TERMS_RE = re.compile(r"([+-]?)" + _BODY + r"|([\s\S])")
@@ -927,26 +974,24 @@ def _parse_ints(spec: FieldSpec, text: str, ints: dict, scale: int = 1, shift: i
     """ints, after adding each term c*x^e of the text (see parse_laurent)
     at weight scale*e + shift; a weight whose sum cancels drops out.
 
-    One `findall` reads the rows of the whole text, left to right.  The
-    read stops at the first row that is a stray character, that follows
-    row 1 without a sign or that holds a malformed vector; only then is
-    `finditer` run up to that row, for the offset the message quotes from.
+    One `findall` reads the rows of the whole text, left to right.  A
+    vector goes to the field's `read` first; a text it does not hold is
+    folded by Horner, which checks its components and length.  The read
+    stops at the first row that is a stray character, that follows row 1
+    without a sign or that holds a malformed vector; only then is `finditer`
+    run up to that row, for the offset the message quotes from.
     """
     s = "".join(text.split())
     if not s:
         raise ParseError("empty Laurent polynomial")
-    p, n, add, neg = spec.p, spec.n, spec.add, spec.neg
-    digits = "0123456789"[:p] if p <= 36 else ""  # int(d, p) takes bases up to 36
+    p, n, add, neg, read = spec.p, spec.n, spec.add, spec.neg, spec.read
     for k, (sign, vec, num, x, exp, stray) in enumerate(_TERMS_RE.findall(s), 1):
         if stray or not sign and k > 1:
             break
         try:
-            # at most n components, each one base-p digit: one int() call on
-            # the characters at the odd offsets, highest first
-            if (vec and not (d := vec[-2:0:-2]).strip(digits)
-                    and vec.count(",") == len(d) - 1 < n and len(vec) == 2 * len(d) + 1):
-                c = int(d, p)
-            elif vec:
+            if not vec:
+                c = int(num) % p if num else 1
+            elif (c := read(vec)) is None:  # a text the field's table does not hold
                 parts = vec[1:-1].split(",")
                 if len(parts) > n:  # its components are checked before its length
                     for d in parts:
@@ -955,8 +1000,6 @@ def _parse_ints(spec: FieldSpec, text: str, ints: dict, scale: int = 1, shift: i
                 c = 0
                 for d in reversed(parts):  # Horner; int() rejects '' and misplaced '-'
                     c = c * p + int(d) % p
-            else:
-                c = int(num) % p if num else 1
             e = int(exp) if exp else 1 if x else 0
         except ParseError:  # the length error
             raise
@@ -996,10 +1039,12 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     to right, so a numeral or vector-length error names the first term
     that has one; a stray character, a term after the first without a sign
     or a malformed vector stops the read: ``bad term REST in TEXT``.
-    A vector of at most n one-digit components, each a base-p digit (so
-    p <= 36), is read by one ``int(digits, p)`` call on its digits highest
-    first; every other vector is split at its commas and folded by Horner
-    with each component taken mod p, which yields the same value or error.
+    Over an extension field with p <= 7, a vector of 1..n one-digit
+    components below p is read from the field's text table, one dict lookup
+    per chunk of c components (c = 8, 5, 3, 2 for p = 2, 3, 5, 7); every
+    other vector, and every vector over F_p or for p >= 11, is split at its
+    commas and folded by Horner with each component taken mod p, which
+    yields the same value or error.
     A text that is not a str is a TypeError.
     """
     require_type(spec, FieldSpec, "spec")

@@ -992,3 +992,24 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = set(added.split())
     assert "ramforge.cli" in added
     assert {"dataclasses", "inspect"}.isdisjoint(added), sorted(added)
+
+
+def test_importing_builds_no_text_table_and_a_field_builds_only_its_own():
+    # the set-up of every workload imports the package, so a text table built
+    # at import would be paid by each; a fresh interpreter shows the caches
+    # empty after the imports, still empty after prime fields, and one table
+    # per characteristic after its first extension field, shared by the next
+    code = ("import ramforge, ramforge.cli\n"
+            "from ramforge.algebra import FieldSpec, _chunk_table\n"
+            "size = lambda: _chunk_table.cache_info().currsize\n"
+            "sizes = [size()]\n"
+            "for p, n in [(2, 1), (3, 1), (7, 1), (11, 2), (2, 8), (2, 16), (3, 5), (5, 2)]:\n"
+            "    FieldSpec(p, n)\n"
+            "    sizes.append(size())\n"
+            "print(ramforge.cli.__file__)\n"
+            "print(*sizes)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    path, sizes = proc.stdout.splitlines()
+    assert Path(path).resolve() == Path(cli.__file__).resolve()
+    assert sizes.split() == ["0", "0", "0", "0", "0", "1", "1", "2", "3"]

@@ -23,8 +23,9 @@ the identity for Laurent polynomials and for tower extension elements;
 `coeffs` written by `format_laurent`;
 `parse_ext`'s one shared weight map against the public `ExtElement`
 constructor on segments with repeated and cancelling exponents; the
-one-call read of one-digit vectors against split plus Horner; and the
-string tables of the tabled fields against the digit formula.
+text-table read of one-digit vectors against split plus Horner; and the
+text forms against the digit formula, for the Zech-tabled fields and for
+each chunk layout of the per-characteristic text tables.
 """
 
 import re
@@ -38,6 +39,7 @@ from ramforge.algebra import (
     FieldElement,
     FieldSpec,
     LaurentPoly,
+    _chunk_table,
     _is_prime,
     format_laurent,
     parse_laurent,
@@ -296,7 +298,10 @@ def test_same_values_and_messages_as_the_per_term_scan(strategy, examples):
     check()
 
 
-@pytest.mark.parametrize("text", [
+F_2_16 = FieldSpec(2, 16)
+CHUNK = "1,0,1,1,0,0,1,0"  # the 8 components of one F_2^16 chunk
+
+ERROR_ORDER = [(FIELDS[2], text) for text in [
     "x^-3 + [1,,1]*x + x^^2",          # the vector error of term 2 comes first
     "[1,1,1,1]*x + [1_1]*x",           # the length error of term 1 comes first
     "x + [1,1,1,1,1]*x^-1 + -",        # the length error of term 2 comes first
@@ -309,9 +314,27 @@ def test_same_values_and_messages_as_the_per_term_scan(strategy, examples):
     "x2", "[1,0]x^-3x",                # a second term without a sign
     "x+-x",                            # a sign after a sign
     "x - x + x", "x^-2 - x^-2",        # a weight cancels, then reappears or not
-])
-def test_error_order_across_and_within_terms(text):
-    spec = FIELDS[2]
+]] + [
+    # vector texts that the field's text table does not hold, read by Horner:
+    # a component >= p; the components -0, 01 and 10; an empty component and
+    # a trailing comma, also where a second F_2^16 chunk would start; n + 1
+    # components; a bad character in the second chunk of an F_2^16 vector
+    (FieldSpec(2, 2), "[2,0]*x^-3"), (FieldSpec(2, 2), "x + [2,0]"),
+    (FieldSpec(3, 5), "[1,-0,2]*x^-3"), (FieldSpec(3, 5), "[01,2]*x^-3"),
+    (FieldSpec(5, 2), "[10,4]*x^-3"), (F_2_16, f"[{CHUNK},01]*x^-3"),
+    (FieldSpec(5, 2), "[1,,4]*x^-3"), (FieldSpec(5, 2), "[4,]*x^-3"),
+    (F_2_16, f"[{CHUNK},]*x^-3"), (F_2_16, f"[{CHUNK},,1]*x^-3"),
+    (FieldSpec(5, 2), "[1,0,1]*x^-3"), (FieldSpec(2, 8), f"[{CHUNK},1]*x^-3"),
+    (F_2_16, f"[{CHUNK},{CHUNK},1]*x^-3"), (F_2_16, f"[{CHUNK},{CHUNK},1,]*x^-3"),
+    (F_2_16, f"[{CHUNK},1,2,0]*x^-3"), (F_2_16, f"[{CHUNK},1,-,0]*x^-3"),
+    (F_2_16, f"[{CHUNK},1,_,0]*x^-3"), (F_2_16, f"[{CHUNK}1,1]*x^-3"),
+    (F_2_16, f"[{CHUNK}-1,1]*x^-3"),
+]
+
+
+@pytest.mark.parametrize("spec,text", ERROR_ORDER, ids=[
+    text if spec == FIELDS[2] else f"{spec} {text}" for spec, text in ERROR_ORDER])
+def test_error_order_across_and_within_terms(spec, text):
     assert full_outcome(parse_laurent, spec, text) == full_outcome(scan_parse_laurent, spec, text)
 
 
@@ -475,7 +498,7 @@ def test_parse_ext_shares_one_map_like_the_constructor(case):
     assert str(info.value) == f"coefficient of y^{i}: {want.value}"
 
 
-# ------------------------------------------ one-call vector read, table format
+# --------------------------------------------- table vector read, text forms
 
 VECTOR_FIELDS = [FieldSpec(2), FieldSpec(2, 3), FieldSpec(2, 8), FieldSpec(3), FieldSpec(3, 2),
                  FieldSpec(3, 5), FieldSpec(5, 2), FieldSpec(7, 3), FieldSpec(11),
@@ -483,7 +506,7 @@ VECTOR_FIELDS = [FieldSpec(2), FieldSpec(2, 3), FieldSpec(2, 8), FieldSpec(3), F
 
 
 def horner_read(spec, text):
-    """The rule the one-call read must match, for a text `[BODY]` or
+    """The rule the table read must match, for a text `[BODY]` or
     `[BODY]*x^-3` whose BODY is drawn from [0-9,-]: split at the commas,
     read every component by int(), then the length, then Horner mod p."""
     body, _, suffix = text[1:].partition("]")
@@ -519,7 +542,7 @@ def test_vector_read_matches_split_and_horner(spec, body, suffix):
     (FieldSpec(3, 2), "[1,0,1]", None),                # too long
     (FieldSpec(5, 2), "[12,3]", 2 + 3 * 5),
     (FieldSpec(61, 2), "[60,3]", 60 + 3 * 61),
-    (FieldSpec(37, 2), "[9,9]", 9 + 9 * 37),           # p > 36: no one-call read
+    (FieldSpec(37, 2), "[9,9]", 9 + 9 * 37),           # p >= 11: no text table
     (FieldSpec(11, 2), "[9,1]", 9 + 11),
 ])
 def test_vector_read_edge_cases(spec, text, value):
@@ -544,3 +567,83 @@ def test_table_format_is_the_digit_formula_and_parses_back(p, n):
         text = "[" + ",".join(map(str, coords)) + "]"
         assert spec.fmt(v) == text
         assert parse_laurent(spec, text)[0].v == v
+
+
+# one field per chunk layout of each characteristic's text table: one full
+# chunk, a full chunk and one more component, two full chunks, and so on
+CHUNKED = [FieldSpec(2, 8), FieldSpec(2, 9), F_2_16, FieldSpec(3, 5), FieldSpec(3, 6),
+           FieldSpec(5, 2), FieldSpec(5, 4), FieldSpec(7, 3)]
+
+
+def digit_text(spec, v):
+    """The reference text of the int form v: its n base-p digits, lowest first."""
+    coords = []
+    for _ in range(spec.n):
+        v, c = divmod(v, spec.p)
+        coords.append(str(c))
+    return "[" + ",".join(coords) + "]"
+
+
+def horner_fold(spec, comps):
+    c = 0
+    for d in reversed(comps):
+        c = c * spec.p + d % spec.p
+    return c
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(CHUNKED).flatmap(
+    lambda spec: st.tuples(st.just(spec), st.integers(0, spec.q - 1) | st.sampled_from(
+        [0, 1, spec.p**min(spec.n, 8) - 1, spec.q - 1]))))
+def test_chunk_table_format_is_the_digit_formula_and_parses_back(case):
+    spec, v = case
+    assert spec.fmt(v) == digit_text(spec, v)
+    assert parse_laurent(spec, spec.fmt(v) + "*x^-3")[-3].v == v
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(CHUNKED).flatmap(lambda spec: st.tuples(
+    st.just(spec), st.lists(st.integers(0, spec.p - 1), min_size=1, max_size=spec.n))))
+def test_every_one_digit_vector_is_held_and_reads_as_the_horner_fold(case):
+    spec, comps = case
+    text = "[" + ",".join(map(str, comps)) + "]"
+    want = horner_fold(spec, comps)
+    assert spec.read(text) == want  # the table holds it
+    assert parse_laurent(spec, text + "*x^-3")[-3].v == want
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.sampled_from(CHUNKED), st.data())
+def test_edited_chunk_vectors_read_as_split_and_horner(spec, data):
+    # up to three single-character edits of a full or short vector, so that
+    # commas between chunks go missing, double up or turn into digits
+    comps = data.draw(st.lists(st.integers(0, spec.p - 1), min_size=1, max_size=spec.n + 1))
+    body = ",".join(map(str, comps))
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(body)))
+        ch = data.draw(st.sampled_from("0123456789,-"))
+        body = data.draw(st.sampled_from([body[:i] + ch + body[i:], body[:i] + body[i + 1:],
+                                          body[:i] + ch + body[i + 1:]]))
+    text = f"[{body}]*x^-3"
+    assert full_outcome(parse_laurent, spec, text) == full_outcome(horner_read, spec, text)
+
+
+@pytest.mark.parametrize("p,c", [(2, 8), (3, 5), (5, 3), (7, 2)])
+def test_chunk_table_of_each_characteristic(p, c):
+    width, texts, values = _chunk_table(p)
+    assert width == c and p**c <= 256 < p ** (c + 1)
+    assert len(values) <= sum(p**w for w in range(1, c + 1))
+    for w in range(1, c + 1):  # two-way: each text of each width maps back to its value
+        assert [values[t] for t in texts[w]] == list(range(p**w))
+        assert all(t == digit_text(FieldSpec(p, w), v)[1:-1] for v, t in enumerate(texts[w]))
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(2), FieldSpec(7), FieldSpec(11, 2), FieldSpec(67, 2)],
+                         ids=str)
+def test_fields_without_a_text_table_read_every_vector_by_horner(spec):
+    # F_p, and p >= 11, whose components may have two digits
+    text = "[" + ",".join(["1"] * spec.n) + "]"
+    assert spec.read(text) is None
+    assert parse_laurent(spec, text)[0].v == horner_fold(spec, [1] * spec.n)
+    want = digit_text(spec, spec.q - 1) if spec.n > 1 else str(spec.q - 1)
+    assert spec.fmt(spec.q - 1) == want

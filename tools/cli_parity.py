@@ -23,8 +23,11 @@ so one copy checks any tree.  The commands are, in this order:
   builds a digit-kernel field (odd p, q > 4096), then one `reduce` or
   `tower --F` per outcome of the coefficient parser, then one `tower`
   per edge of the tower's text form and a `reduce` whose substitution
-  cancels a term, then each construction error of a filtration through
-  `herbrand`, `act` and `genus --branch`.
+  cancels a term, then a `reduce` and a `tower --F` per chunk layout of
+  the text tables (F_2^8, F_2^9, F_2^16, F_3^5, F_3^6, F_5^2, F_5^4,
+  F_7^3), each with a full vector, a short one and one with a digit
+  >= p, then each construction error of a filtration through `herbrand`,
+  `act` and `genus --branch`.
 
 A command that escapes `main` with an exception is recorded with the code
 "raised" and the exception's type and message as its stderr, and makes
@@ -120,6 +123,17 @@ PROBES = [
      "x^-50 + 1 ; x^-9 ; x^-8 ; x^-7 ; x^-6 ; x^-5 + x ; x^-4"],
     ["reduce", "--p", "3", "x^-9 + 2*x^-3 + x^-1"],
 ]
+# one field per chunk layout of the per-characteristic text tables (one full chunk,
+# a full chunk and one more component, two full chunks, ...): a `reduce` and a
+# `tower --F` whose text holds a full vector, a short vector and a vector with a
+# digit >= p, which the table does not hold
+for p, n in [(2, 8), (2, 9), (2, 16), (3, 5), (3, 6), (5, 2), (5, 4), (7, 3)]:
+    full = "[" + ",".join(str((k * k + 1) % p) for k in range(n)) + "]"
+    short = "[" + ",".join(str(k % p) for k in range(1, n // 2 + 1)) + "]"
+    big = "[" + ",".join([str(p + 1)] + ["1"] * (n - 1)) + "]"
+    flags = ["--p", str(p), "--n", str(n)]
+    PROBES += [["reduce", *flags, f"{full}*x^-{2 * p + 1} + {short}*x^-3 + {big}"],
+               ["tower", *flags, "--j", "1", "--F", f"{full}*x^-7 + {big} ; {short}*x^-2"]]
 
 # (p, e, m, breaks) of a filtration the constructor refuses or finds invalid: breaks
 # not increasing; the lcm bound (the odd primes 3..59 as denominators pass 2^64 at
