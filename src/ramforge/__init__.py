@@ -20,9 +20,6 @@ from .algebra import (
 from .aschreier import (
     UNRAMIFIED,
     ASReduced,
-    Connectedness,
-    action_connectedness,
-    as_conductor,
     as_deform,
     as_reduce,
 )
@@ -58,14 +55,12 @@ from .ramfilt import (
     action_transform,
     admissible_check,
     admissible_enumerate,
-    conductor_congruence,
     filtration_from_dict,
     filtration_to_dict,
     lower_to_upper,
     phi,
     psi,
     random_filtration,
-    seq_less,
     tower_plan,
     upper_to_lower,
     validate,

@@ -663,10 +663,6 @@ class FieldElement(_Record):
         """Coordinates in the polynomial basis, lowest degree first."""
         return tuple(_digits(self.v, self.spec.p, self.spec.n))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.v
-
     def __bool__(self) -> bool:
         return self.v != 0
 
@@ -781,12 +777,8 @@ class _IntMap:
     def zero(cls, over):
         return cls._trusted(over, {})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._ints
-
     def __bool__(self):
-        return not self.is_zero
+        return bool(self._ints)
 
     @property
     def valuation(self):
@@ -942,11 +934,9 @@ class LaurentPoly(_IntMap):
 
 def artin_schreier(h: LaurentPoly) -> LaurentPoly:
     """The additive operator h -> h^p - h."""
-    try:
-        hp = h.frobenius()
-    except AttributeError:
-        hp = require_type(h, LaurentPoly, "h").frobenius()
-    return hp - h
+    if type(h) is not LaurentPoly:  # a FieldElement has frobenius too
+        require_type(h, LaurentPoly, "h")
+    return h.frobenius() - h
 
 
 # Exponents are bounded like q, p^e and D: |e| <= 2^64.

@@ -26,18 +26,11 @@ never by 0.
 
 from __future__ import annotations
 
-import enum
 from heapq import heapify, heappop, heappush
 
 from .algebra import (MAX_EXPONENT, LaurentPoly, _binomial_rows, _form, _plus, _Record, _store,
                       require_int, require_type)
-from .errors import (
-    InvalidJump,
-    InvariantViolation,
-    NotLarger,
-    SplitInput,
-    ZeroParameter,
-)
+from .errors import InvalidJump, InvariantViolation, NotLarger, ZeroParameter
 
 
 class _Unramified:
@@ -54,14 +47,6 @@ class _Unramified:
 
 
 UNRAMIFIED = _Unramified()
-
-
-class Connectedness(enum.Enum):
-    CONNECTED = "connected"
-    DISCONNECTED = "disconnected"
-
-    def __str__(self):
-        return self.value
 
 
 class ASReduced(_Record):
@@ -141,10 +126,9 @@ def _reduce(f, cls: type, name: str):
     the certificate f - reduced = h^p - h in one accumulation: reduced - h,
     plus h^p recomputed from h by `_add_pow_p` (not from the kill's c and
     -C), must give f exactly."""
-    try:
-        spec = f._field
-    except AttributeError:
-        spec = require_type(f, cls, name)._field
+    if type(f) is not cls:  # both rings have _field, so the type itself is read
+        require_type(f, cls, name)
+    spec = f._field
     terms = dict(f._ints)
     conductor, h = _reduce_terms(terms, spec, *f._ring)
     rest = _plus(terms, zip(h, map(spec.neg, h.values())), spec.add)  # reduced - h
@@ -165,11 +149,6 @@ def as_reduce(f: LaurentPoly) -> ASReduced:
     return ASReduced(*_reduce(f, LaurentPoly, "f"))
 
 
-def as_conductor(f):
-    """Prime-to-p pole order of the reduced form, or UNRAMIFIED."""
-    return as_reduce(f).conductor
-
-
 def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
     """Add the dominating pole t0*x^(-s); the result has conductor exactly s.
     s <= 2^64, the grammar's exponent bound, so x^(-s) parses back."""
@@ -182,25 +161,12 @@ def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
         raise InvalidJump(f"target conductor {s} must be positive and prime to {spec.p}")
     if not t0:
         raise ZeroParameter("deformation parameter must be nonzero")
-    current = as_conductor(f)
+    current = as_reduce(f).conductor
     floor = 0 if current is UNRAMIFIED else current
     if s <= floor:
         raise NotLarger(f"target conductor {s} does not exceed current {current}")
     out = f + LaurentPoly._trusted(spec, {-s: t0})
-    if as_conductor(out) != s:
+    if as_reduce(out).conductor != s:
         raise InvariantViolation("deformed cover does not have the target conductor")
     return out
 
-
-def action_connectedness(f_phi: LaurentPoly, f_alpha: LaurentPoly) -> Connectedness:
-    """Connectedness of the acted-on cover y^p - y = f_phi + f_alpha of two
-    ramified covers, over the algebraically closed k they stand in for: it
-    is split (DISCONNECTED) exactly when as_conductor of the sum is
-    UNRAMIFIED, as every constant is c^p - c in k.  Over F_q a reduced sum
-    with a constant of nonzero trace is connected but not geometrically
-    connected (the constant-field extension); it reads DISCONNECTED."""
-    if as_conductor(f_phi) is UNRAMIFIED or as_conductor(f_alpha) is UNRAMIFIED:
-        raise SplitInput("connectedness check requires two ramified covers")
-    if as_conductor(f_phi + f_alpha) is UNRAMIFIED:
-        return Connectedness.DISCONNECTED
-    return Connectedness.CONNECTED

@@ -35,10 +35,6 @@ class ZeroParameter(InputError):
     """The deformation parameter is zero, which would be a no-op."""
 
 
-class SplitInput(InputError):
-    """An operation requiring ramified input received a split cover."""
-
-
 class DegenerateTower(InputError):
     """The second tower layer is unramified or its jump falls below the first."""
 

@@ -278,22 +278,11 @@ def validate(filt: Filtration) -> list[str]:
         return list(require_type(filt, Filtration, "filt")._problems)
 
 
-def conductor_congruence(p: int, j_e: int, d: int, m: int) -> int:
-    """Residue class s_iota in [1, m] that any compatible conductor must hit.
-
-    s_iota is j_e / p^d taken mod m; the division is modular, so p^d need
-    not literally divide j_e.  A lower jump of a `Filtration` is at most
-    m*p^e*2^64 <= m*2^128.
-    """
-    require_prime(p)
-    require_int(d, "exponent d", 0, 64)
-    if math.gcd(require_int(m, "tame order m", 1), p) != 1:
-        raise InputError(f"gcd({p}, {m}) != 1")
-    return _congruence(p, require_int(j_e, "lower jump j_e", 1, m << 128), d, m)
-
-
 def _congruence(p: int, j_e: int, d: int, m: int) -> int:
-    """`conductor_congruence` on arguments already checked (1 for m = 1)."""
+    """The residue class s_iota in [1, m] that a conductor acting on a
+    filtration with last lower jump j_e must hit: j_e / p^d mod m, the
+    division modular, so p^d need not divide j_e (1 for m = 1).  The
+    caller has checked p, d and m; `action_transform` is the checked entry."""
     return j_e * pow(pow(p, d, m), -1, m) % m or m
 
 
@@ -393,14 +382,6 @@ def admissible_enumerate(p: int, e: int, bound: int) -> list[tuple[int, ...]]:
     return seqs
 
 
-def seq_less(first, second) -> bool:
-    """Strict componentwise comparison: first < second in every coordinate."""
-    first, second = tuple(first), tuple(second)
-    if len(first) != len(second):
-        raise LengthMismatch(f"lengths {len(first)} and {len(second)} differ")
-    return all(a < b for a, b in zip(first, second))
-
-
 class LevelStep(_Record):
     """One level of a tower deformation plan.
 
@@ -440,7 +421,9 @@ def tower_plan(start_seq, target_seq, p: int) -> list[LevelStep]:
     for seq in (start_seq, target_seq):
         if not _admissible(seq, p):
             raise NotAdmissible(f"{_seq_shown(seq)} is not admissible for p = {p}")
-    if not seq_less(start_seq, target_seq):
+    if len(start_seq) != len(target_seq):
+        raise LengthMismatch(f"lengths {len(start_seq)} and {len(target_seq)} differ")
+    if not all(a < b for a, b in zip(start_seq, target_seq)):
         raise NotComparable(f"{_seq_shown(target_seq)} is not strictly larger than "
                             f"{_seq_shown(start_seq)} componentwise")
     return [LevelStep(i + 1, start_seq[0] if i == 0 else p * target_seq[i - 1], target)

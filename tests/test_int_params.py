@@ -25,7 +25,6 @@ from ramforge import (
     as_reduce,
     artin_schreier,
     canonical_modulus,
-    conductor_congruence,
     contains_progressions,
     ext_as_reduce,
     filtration_to_dict,
@@ -86,7 +85,6 @@ CALLS = {
     "spectrum_density": (spectrum_density, dict(group_order=4, p=2, a=2)),
     "contains_progressions": (contains_progressions,
                               dict(result=genus_spectrum(3, 3, 1, 1, 1, 0, 1, 20), p=3)),
-    "conductor_congruence": (conductor_congruence, dict(p=2, j_e=5, d=1, m=3)),
     "action_transform": (action_transform, dict(filt=ACTED, a=1, s=7)),
     "admissible_check": (admissible_check, dict(seq=(1, 2), p=2)),
     "admissible_enumerate": (admissible_enumerate, dict(p=2, e=2, bound=5)),
@@ -145,12 +143,9 @@ def test_every_int_parameter_refuses_hostile_values(name, param, kind, value):
      "characteristic must be prime, got 4"),
     (lambda: last_lower_jump_increment(4, 3, 1, 1, 1, 1, 3), InputError,
      "characteristic must be prime, got 4"),
-    (lambda: conductor_congruence(4, 3, 1, 3), InputError,
-     "characteristic must be prime, got 4"),
     # a tame order that is not prime to p
     (lambda: genus_increment(8, 2, 1, 2, 1, 3), InputError,
      "tame order 2 must be positive and prime to 2"),
-    (lambda: conductor_congruence(3, 2, 0, 6), InputError, "gcd(3, 6) != 1"),
     # the one template, with the bounds each site owns
     (lambda: require_prime(2 * N), InputError, "characteristic p must lie in 0..2^64 - 1"),
     (lambda: InertiaShape(2, -2 * N), InputError, "wild exponent e must lie in 0..2^64"),
@@ -163,8 +158,6 @@ def test_every_int_parameter_refuses_hostile_values(name, param, kind, value):
     (lambda: KatoInput(1, 4, 5, 1), InconsistentInput,
      "special degree d_k must lie in 0..4, got 5"),
     (lambda: KatoInput(1, 4, 1, -2 * N), InconsistentInput, "point count m_w must lie in 1..2^64"),
-    (lambda: conductor_congruence(2, -2 * N, 1, 1), InputError,
-     "lower jump j_e must lie in 1..2^128"),
     (lambda: admissible_enumerate(2, 2, -2 * N), InputError, "bound must lie in 1..2^64"),
     (lambda: admissible_enumerate(2, 66, 5), InputError, "length e must lie in 1..65, got 66"),
     (lambda: genus_spectrum(4, 2, 1, 1, 2, 1, 2, 12), InputError, "s_iota must lie in 1..1, got 2"),
@@ -201,10 +194,10 @@ def test_every_int_parameter_refuses_hostile_values(name, param, kind, value):
      "limit must lie in 0..100000, got 100001"),
     (lambda: grids.predicted_line_genera(3, 10**12), InputError,
      "limit must lie in 0..100000, got 1000000000000"),
-], ids=["genus-increment-p-4", "last-lower-jump-p-4", "congruence-p-4",
-        "genus-increment-m-2-at-p-2", "congruence-m-6-at-p-3", "prime-2N", "shape-e-minus-2N",
+], ids=["genus-increment-p-4", "last-lower-jump-p-4",
+        "genus-increment-m-2-at-p-2", "prime-2N", "shape-e-minus-2N",
         "shape-m-0", "field-n-0", "element-minus-2N", "ext-j-0", "kato-d_k-above-d_K",
-        "kato-m_w-minus-2N", "congruence-j_e-minus-2N", "admissible-bound-minus-2N",
+        "kato-m_w-minus-2N", "admissible-bound-minus-2N",
         "admissible-e-66", "spectrum-s_iota-above-m", "density-G-minus-2N",
         "act-a-above-top", "act-s-above-m-2^64", "act-off-congruence",
         "deform-s-minus-2N", "random-m_max-above-2^16", "multiplicity-minus-2N",
@@ -241,13 +234,22 @@ def test_int_probes_raise_the_reader_error(probe, error, message):
     (lambda: minimal_tower_element(3), "ext must be an ExtFieldSpec, got int"),
     (lambda: contains_progressions(3, 2), "result must be a SpectrumResult, got int"),
     (lambda: artin_schreier(3), "h must be a LaurentPoly, got int"),
+    # the other ring's element, or a field element, has the attribute read first
+    (lambda: as_reduce(parse_ext(ExtFieldSpec(FieldSpec(3), 1), "x^-7")),
+     "f must be a LaurentPoly, got ExtElement"),
+    (lambda: ext_as_reduce(parse_laurent(FieldSpec(3), "x^-7")),
+     "F must be an ExtElement, got LaurentPoly"),
+    (lambda: artin_schreier(FieldSpec(3, 2).element([1, 2])),
+     "h must be a LaurentPoly, got FieldElement"),
 ], ids=["psi", "phi", "validate", "upper_to_lower", "action_transform", "ram_divisor_degree",
         "rh_genus", "kato_mu", "upper_jumps", "as_reduce", "ext_as_reduce", "psi-None",
         "rh_genus-bool", "as_reduce-element", "lower_to_upper", "tower_jumps", "as_deform",
         "format_laurent", "format_ext", "filtration_to_dict", "minimal_tower_element",
-        "contains_progressions", "artin_schreier"])
+        "contains_progressions", "artin_schreier", "as_reduce-ext", "ext_as_reduce-line",
+        "artin_schreier-element"])
 def test_a_first_argument_of_another_type_is_a_type_error_naming_it(probe, message):
-    # each used to end in AttributeError: 'int' object has no attribute ...
+    # each used to end in AttributeError: 'int' object has no attribute ...,
+    # or, for another library type, in a result of the wrong ring
     with pytest.raises(TypeError) as info:
         probe()
     assert str(info.value) == message
@@ -310,6 +312,23 @@ def test_every_int_parameter_of_every_export_is_in_the_table():
     assert missing == []
     assert set(CALLS) <= {name for name, _ in _exports()}
     assert RESULT_RECORDS <= {name for name, _ in _exports()}
+
+
+def test_the_public_names_are_these():
+    # a change to the exports is a visible edit of this tuple
+    names = sorted(name for name, obj in vars(ramforge).items()
+                   if not name.startswith("_") and not inspect.ismodule(obj))
+    assert tuple(names) == (
+        "ASReduced", "BranchPoint", "CoverData", "ExtElement", "ExtFieldSpec", "ExtReduced",
+        "FieldElement", "FieldSpec", "Filtration", "INFINITY", "InertiaShape", "KatoInput",
+        "LaurentPoly", "LevelStep", "SpectrumResult", "UNRAMIFIED", "action_transform",
+        "admissible_check", "admissible_enumerate", "artin_schreier", "as_deform", "as_reduce",
+        "canonical_modulus", "contains_progressions", "ext_as_reduce", "filtration_from_dict",
+        "filtration_to_dict", "format_ext", "format_laurent", "genus_increment",
+        "genus_spectrum", "kato_mu", "last_lower_jump_increment", "lower_to_upper",
+        "minimal_tower_element", "parse_ext", "parse_laurent", "phi", "psi",
+        "ram_divisor_degree", "random_filtration", "rh_genus", "spectrum_density",
+        "tower_jumps", "tower_plan", "upper_jumps", "upper_to_lower", "validate")
 
 
 @pytest.mark.parametrize("probe, error, message", [

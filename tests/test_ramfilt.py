@@ -1,8 +1,10 @@
 """Herbrand functions, filtration validation, transforms, admissibility."""
 
+import importlib.util
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,21 +27,26 @@ from ramforge.ramfilt import (
     Filtration,
     InertiaShape,
     LevelStep,
+    _congruence,
     action_transform,
     admissible_check,
     admissible_enumerate,
-    conductor_congruence,
     filtration_from_dict,
     filtration_to_dict,
     lower_to_upper,
     phi,
     psi,
     random_filtration,
-    seq_less,
     tower_plan,
     upper_to_lower,
     validate,
 )
+
+# the benchmark's reference arithmetic, written without ramforge
+_ORACLE = importlib.util.spec_from_file_location(
+    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+O = importlib.util.module_from_spec(_ORACLE)
+_ORACLE.loader.exec_module(O)
 
 Z4 = Filtration(InertiaShape(2, 2, 1), [(1, 1), (2, 1)])
 
@@ -291,8 +298,8 @@ def test_transform_keeps_the_filtration_exactly_when_s_over_m_is_not_above_the_t
         filt = random_filtration(rng, e_max=4, m_max=12)
         (top, mult), m = filt.breaks[-1], filt.shape.m
         a = rng.randint(1, mult)
-        s_iota = conductor_congruence(filt.shape.p, upper_to_lower(filt)[-1][0],
-                                      filt.shape.e - a, m)
+        s_iota = O.congruence_class(filt.shape.p, upper_to_lower(filt)[-1][0],
+                                    filt.shape.e - a, m)
         for s in range(s_iota + m * (int(m * top) // m - 2), int(m * top) + 3 * m, m):
             if s < 1 or s % filt.shape.p == 0:
                 continue
@@ -353,20 +360,14 @@ def test_transform_composition_with_tame_part():
 # ---------------------------------------------------------------- congruence
 
 def test_conductor_congruence_examples():
-    assert conductor_congruence(2, 9, 0, 1) == 1
-    assert conductor_congruence(3, 7, 0, 2) == 1
-    assert conductor_congruence(2, 5, 1, 3) == 1
+    for args in [(2, 9, 0, 1), (3, 7, 0, 2), (2, 5, 1, 3)]:
+        assert _congruence(*args) == O.congruence_class(*args) == 1
 
 
 def test_conductor_congruence_normalized_to_m():
     # residue 0 is reported as m
-    assert conductor_congruence(3, 4, 0, 2) == 2
-    assert conductor_congruence(2, 3, 0, 3) == 3
-
-
-def test_conductor_congruence_rejects_common_factor():
-    with pytest.raises(ValueError):
-        conductor_congruence(2, 5, 1, 4)
+    assert _congruence(3, 4, 0, 2) == O.congruence_class(3, 4, 0, 2) == 2
+    assert _congruence(2, 3, 0, 3) == O.congruence_class(2, 3, 0, 3) == 3
 
 
 # -------------------------------------------------------------- admissibility
@@ -451,31 +452,6 @@ def test_minimal_sequence_is_least():
         assert seqs[0] == minimal
         for other in seqs[1:]:
             assert all(x <= y for x, y in zip(minimal, other))
-
-
-# ------------------------------------------------------------- partial order
-
-def test_seq_less_examples():
-    assert seq_less((1, 2), (3, 7))
-    assert not seq_less((1, 2), (1, 3))
-    assert not seq_less((1, 2), (1, 2))
-
-
-def test_seq_less_properties():
-    rng = random.Random(113)
-    seqs = [tuple(rng.randint(1, 30) for _ in range(3)) for _ in range(30)]
-    for s in seqs:
-        assert not seq_less(s, s)
-    for s1 in seqs:
-        for s2 in seqs:
-            for s3 in seqs:
-                if seq_less(s1, s2) and seq_less(s2, s3):
-                    assert seq_less(s1, s3)
-
-
-def test_seq_less_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        seq_less((1,), (1, 2))
 
 
 # --------------------------------------------------------------- tower plans
@@ -566,7 +542,7 @@ def admissible_pairs(draw):
 def test_tower_plan_follows_the_minimal_dominating_layers(case):
     p, start, target = case
     assert admissible_check(start, p) and admissible_check(target, p)
-    assert seq_less(start, target)
+    assert all(a < b for a, b in zip(start, target))
     expected = [LevelStep(1, start[0], target[0])]
     for i in range(1, len(target)):
         expected.append(LevelStep(i + 1, p * target[i - 1], target[i]))
