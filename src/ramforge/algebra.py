@@ -174,10 +174,11 @@ def require_int(value, name: str, lo: int, hi: int = 2**64, error: type = InputE
 
 def require_type(value, cls: type, name: str):
     """value, if it is an instance of cls, else TypeError ``NAME must be
-    a(n) CLS, got TYPE``: the check of a first argument of a library type.
-    A function that reads such an argument reads it in a try whose `except
-    AttributeError` reads it again through this check: TypeError for a
-    value of another type, the AttributeError again for a cls instance."""
+    a(n) CLS, got TYPE``: the one check of an argument of a library type,
+    the first statement that touches it.  Only the functions called for
+    every point of an item put an inline ``type(value) is not cls`` test
+    before it, as `require_int` does; an object that merely carries the
+    attributes read is refused."""
     if isinstance(value, cls):
         return value
     article = "an" if cls.__name__[0] in "AEIOU" else "a"
@@ -647,9 +648,7 @@ class FieldElement(_Record):
 
     def __init__(self, spec: FieldSpec, v: int):
         require_type(spec, FieldSpec, "spec")
-        if type(v) is not int or not 0 <= v < spec.q:  # its name is formatted only to raise
-            require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)
-        _store(self, (spec, v))
+        _store(self, (spec, require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)))
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, v: int) -> "FieldElement":
@@ -874,9 +873,10 @@ class LaurentPoly(_IntMap):
     Only the pole part ever matters for ramification, so finite supports
     lose nothing and keep every operation exact.  The constructor checks
     caller input once: exponents are ints with |e| <= MAX_EXPONENT, read by
-    `require_int`, coefficients elements of `spec` or ints, and `spec` a
-    `FieldSpec` (TypeError otherwise).  Arithmetic results are built by
-    `_trusted`; `terms` builds the `FieldElement`s on request.
+    `require_int`, coefficients elements of `spec` or ints, `spec` a
+    `FieldSpec` and the map `terms` None or a dict (TypeError otherwise).
+    Arithmetic results are built by `_trusted`; `terms` builds the
+    `FieldElement`s on request.
     """
 
     __slots__ = ()
@@ -888,7 +888,7 @@ class LaurentPoly(_IntMap):
     def __init__(self, spec: FieldSpec, terms=None):
         require_type(spec, FieldSpec, "spec")
         clean: dict[int, int] = {}
-        for e, c in (terms or {}).items():
+        for e, c in (require_type(terms, dict, "terms") if terms is not None else {}).items():
             e = require_int(e, "exponent", -MAX_EXPONENT, MAX_EXPONENT)
             if v := _form(spec, c):
                 clean[e] = v
@@ -934,9 +934,7 @@ class LaurentPoly(_IntMap):
 
 def artin_schreier(h: LaurentPoly) -> LaurentPoly:
     """The additive operator h -> h^p - h."""
-    if type(h) is not LaurentPoly:  # a FieldElement has frobenius too
-        require_type(h, LaurentPoly, "h")
-    return h.frobenius() - h
+    return require_type(h, LaurentPoly, "h").frobenius() - h
 
 
 # Exponents are bounded like q, p^e and D: |e| <= 2^64.
@@ -1038,9 +1036,7 @@ def parse_laurent(spec: FieldSpec, text: str) -> LaurentPoly:
     A text that is not a str is a TypeError.
     """
     require_type(spec, FieldSpec, "spec")
-    if type(text) is not str:
-        require_type(text, str, "text")
-    return LaurentPoly._trusted(spec, _parse_ints(spec, text, {}))
+    return LaurentPoly._trusted(spec, _parse_ints(spec, require_type(text, str, "text"), {}))
 
 
 def _format_terms(pairs, fmt) -> str:
@@ -1053,8 +1049,5 @@ def _format_terms(pairs, fmt) -> str:
 
 def format_laurent(f: LaurentPoly) -> str:
     """Canonical text form, terms in increasing exponent order."""
-    try:
-        ints, fmt = f._ints, f.spec.fmt
-    except AttributeError:
-        ints, fmt = require_type(f, LaurentPoly, "f")._ints, f.spec.fmt
-    return _format_terms(sorted(ints.items()), fmt)
+    require_type(f, LaurentPoly, "f")
+    return _format_terms(sorted(f._ints.items()), f.spec.fmt)

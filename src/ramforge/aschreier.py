@@ -126,9 +126,7 @@ def _reduce(f, cls: type, name: str):
     the certificate f - reduced = h^p - h in one accumulation: reduced - h,
     plus h^p recomputed from h by `_add_pow_p` (not from the kill's c and
     -C), must give f exactly."""
-    if type(f) is not cls:  # both rings have _field, so the type itself is read
-        require_type(f, cls, name)
-    spec = f._field
+    spec = require_type(f, cls, name)._field
     terms = dict(f._ints)
     conductor, h = _reduce_terms(terms, spec, *f._ring)
     rest = _plus(terms, zip(h, map(spec.neg, h.values())), spec.add)  # reduced - h
@@ -152,10 +150,7 @@ def as_reduce(f: LaurentPoly) -> ASReduced:
 def as_deform(f: LaurentPoly, s: int, t0) -> LaurentPoly:
     """Add the dominating pole t0*x^(-s); the result has conductor exactly s.
     s <= 2^64, the grammar's exponent bound, so x^(-s) parses back."""
-    try:
-        spec = f.spec
-    except AttributeError:
-        spec = require_type(f, LaurentPoly, "f").spec
+    spec = require_type(f, LaurentPoly, "f").spec
     t0 = _form(spec, t0)
     if require_int(s, "target conductor s", 1, MAX_EXPONENT, InvalidJump) % spec.p == 0:
         raise InvalidJump(f"target conductor {s} must be positive and prime to {spec.p}")

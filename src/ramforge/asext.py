@@ -167,10 +167,7 @@ def ext_as_reduce(F: ExtElement) -> ExtReduced:
 def minimal_tower_element(ext: ExtFieldSpec) -> ExtElement:
     """y^(p^2 - p + 1), the least valuation a second tower layer can have;
     (y^(p-1))^p * y by the exact Frobenius, since p^2 - p + 1 = (p - 1)p + 1."""
-    try:
-        y = ExtElement.y(ext)
-    except AttributeError:
-        y = ExtElement.y(require_type(ext, ExtFieldSpec, "ext"))
+    y = ExtElement.y(require_type(ext, ExtFieldSpec, "ext"))
     return (y ** (ext.p - 1)).pow_p() * y
 
 
@@ -182,10 +179,7 @@ def upper_jumps(ext: ExtFieldSpec, J) -> tuple[int, int]:
     be an int with |J| <= 2^4096 (so the messages below print it), exceed j,
     be congruent to j mod p, and yield an admissible pair.
     """
-    try:
-        p, j = ext.p, ext.j
-    except AttributeError:
-        p, j = require_type(ext, ExtFieldSpec, "ext").p, ext.j
+    p, j = require_type(ext, ExtFieldSpec, "ext").p, ext.j
     if J is UNRAMIFIED:
         raise DegenerateTower("second layer is unramified")
     if require_int(J, "second lower jump J", -2**4096, 2**4096, NotATower) < j:
@@ -202,10 +196,7 @@ def upper_jumps(ext: ExtFieldSpec, J) -> tuple[int, int]:
 
 def tower_jumps(F: ExtElement) -> tuple[int, int]:
     """Upper jumps (sigma_1, sigma_2) of the tower continued by w^p - w = F."""
-    try:
-        ext = F.ext
-    except AttributeError:
-        ext = require_type(F, ExtElement, "F").ext
+    ext = require_type(F, ExtElement, "F").ext
     return upper_jumps(ext, ext_as_reduce(F).jump)
 
 
@@ -219,9 +210,7 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
     divide j.  A text that is not a str is a TypeError.
     """
     require_type(ext, ExtFieldSpec, "ext")
-    if type(text) is not str:
-        require_type(text, str, "text")
-    segments = text.split(";")
+    segments = require_type(text, str, "text").split(";")
     if len(segments) > ext.p:
         raise ParseError(f"more than {ext.p} coefficients in {text!r}")
     p, j = ext.p, ext.j
@@ -236,9 +225,5 @@ def parse_ext(ext: ExtFieldSpec, text: str) -> ExtElement:
 
 def format_ext(F: ExtElement) -> str:
     """`format_laurent` of each coefficient, `;`-separated: one sort, no `LaurentPoly`."""
-    try:
-        split = F._split
-    except AttributeError:
-        split = require_type(F, ExtElement, "F")._split
-    fmt = F._field.fmt
-    return " ; ".join(_format_terms(row, fmt) for row in split(sorted(F._ints)))
+    fmt = require_type(F, ExtElement, "F")._field.fmt
+    return " ; ".join(_format_terms(row, fmt) for row in F._split(sorted(F._ints)))

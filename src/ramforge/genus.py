@@ -120,12 +120,10 @@ def ram_divisor_degree(filt: Filtration) -> int:
     |I| - 1 + |I|*sigma_r - psi(sigma_r) at the conductor sigma_r (0 when tame), in
     the last upper and lower knots; InvariantViolation if the filtration is invalid
     (the findings recorded when it was built)."""
-    try:
-        problems = filt._problems
-    except AttributeError:
-        problems = require_type(filt, Filtration, "filt")._problems
-    if problems:
-        raise InvariantViolation(f"invalid branch point {filt}: " + "; ".join(problems))
+    if type(filt) is not Filtration:  # inline, as the genus is summed per branch point
+        require_type(filt, Filtration, "filt")
+    if filt._problems:
+        raise InvariantViolation(f"invalid branch point {filt}: " + "; ".join(filt._problems))
     den, upper, lower, _ = filt._knots
     order = filt._values[0].order
     deg_den = (order - 1) * den + order * upper[-1] - lower[-1]
@@ -137,7 +135,7 @@ def ram_divisor_degree(filt: Filtration) -> int:
 
 def rh_genus(cd: CoverData) -> int:
     """Riemann-Hurwitz genus of the cover, exact."""
-    if type(cd) is not CoverData:  # inline, as every record has `_values`; the check raises
+    if type(cd) is not CoverData:  # inline, as a genus is computed per item; the check raises
         require_type(cd, CoverData, "cd")
     G, g_X, branch = cd._values
     total = (2 * g_X - 2) * G + sum(
@@ -313,10 +311,7 @@ def genus_spectrum(
 def contains_progressions(result: SpectrumResult, p: int) -> bool:
     """Check the deformed family really forms p - 1 gapless arithmetic
     progressions of the stated increment inside the computed window."""
-    try:
-        residues = result.residues
-    except AttributeError:
-        residues = require_type(result, SpectrumResult, "result").residues
+    residues = require_type(result, SpectrumResult, "result").residues
     if len(residues) != require_prime(p) - 1:
         return False
     inc = result.increment
@@ -342,10 +337,7 @@ def kato_mu(k: KatoInput) -> tuple[int, bool]:
     there; that conjunction is equivalent to mu = 0 for data coming from an
     actual family.  Inputs with mu < 0 cannot occur and are rejected.
     """
-    try:
-        m_w = k.m_w
-    except AttributeError:
-        m_w = require_type(k, KatoInput, "k").m_w
+    m_w = require_type(k, KatoInput, "k").m_w
     mu = 1 - m_w + k.d_K - k.d_k
     if mu < 0:
         raise InconsistentInput(

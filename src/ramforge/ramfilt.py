@@ -190,10 +190,9 @@ def psi(filt: Filtration, c) -> Fraction:
     a, b = c.as_integer_ratio()
     if a < 0:
         raise InputError(f"psi argument must be >= 0{_shown(c)}")
-    try:
-        den, upper, lower, slope = filt._knots
-    except AttributeError:
-        den, upper, lower, slope = require_type(filt, Filtration, "filt")._knots
+    if type(filt) is not Filtration:  # inline, as psi and phi are evaluated per point
+        require_type(filt, Filtration, "filt")
+    den, upper, lower, slope = filt._knots
     ad = a * den
     # an integer knot K is >= a*D/b exactly when K >= ceil(a*D/b); the knots
     # start at 0 and strictly increase, so searching from knot 1 puts c = 0 on segment 0
@@ -208,10 +207,9 @@ def phi(filt: Filtration, cprime) -> Fraction:
     a, b = cprime.as_integer_ratio()
     if a < 0:
         raise InputError(f"phi argument must be >= 0{_shown(cprime)}")
-    try:
-        den, upper, lower, slope = filt._knots
-    except AttributeError:
-        den, upper, lower, slope = require_type(filt, Filtration, "filt")._knots
+    if type(filt) is not Filtration:  # inline, as psi and phi are evaluated per point
+        require_type(filt, Filtration, "filt")
+    den, upper, lower, slope = filt._knots
     ad = a * den
     i = bisect_left(lower, -(-ad // b), 1) - 1
     s = slope[i]
@@ -231,10 +229,9 @@ def _lower_jump(j: int, den: int, p: int, sigma: Fraction) -> int:
 
 def upper_to_lower(filt: Filtration) -> list[tuple[int, int]]:
     """Lower jumps (j_i, l_i): j_i = psi(sigma_i), integral and prime to p."""
-    try:
-        den, _, lower, _ = filt._knots
-    except AttributeError:
-        den, _, lower, _ = require_type(filt, Filtration, "filt")._knots
+    if type(filt) is not Filtration:  # inline, as in `psi`
+        require_type(filt, Filtration, "filt")
+    den, _, lower, _ = filt._knots
     shape, breaks = filt._values
     p = shape._values[0]
     return [(_lower_jump(j, den, p, sigma), mult) for j, (sigma, mult) in zip(lower[1:], breaks)]
@@ -272,10 +269,9 @@ def lower_to_upper(shape: InertiaShape, lower_breaks) -> Filtration:
 def validate(filt: Filtration) -> list[str]:
     """Every filtration invariant that fails, as recorded when filt was
     built; an empty list means valid.  A fresh list on every call."""
-    try:
-        return list(filt._problems)
-    except AttributeError:
-        return list(require_type(filt, Filtration, "filt")._problems)
+    if type(filt) is not Filtration:  # inline, as in `psi`
+        require_type(filt, Filtration, "filt")
+    return list(filt._problems)
 
 
 def _congruence(p: int, j_e: int, d: int, m: int) -> int:
@@ -298,10 +294,9 @@ def action_transform(filt: Filtration, a: int, s: int) -> Filtration:
     here; the result is validated before it is returned.  As a break,
     s/m is at most 2^64.
     """
-    try:
-        den, upper, lower, _ = filt._knots
-    except AttributeError:
-        den, upper, lower, _ = require_type(filt, Filtration, "filt")._knots
+    if type(filt) is not Filtration:  # inline, as in `psi`
+        require_type(filt, Filtration, "filt")
+    den, upper, lower, _ = filt._knots
     shape, breaks = filt._values
     p, e, m = shape._values
     if not breaks:
@@ -442,6 +437,7 @@ def random_filtration(
     converts them to upper numbering, which makes every invariant hold by
     construction.  m_max is at most 2^16, as the candidate tame orders are listed.
     """
+    require_type(rng, random.Random, "rng")
     p = rng.choice([2, 3, 5, 7]) if p is None else require_prime(p)
     e = rng.randint(1, require_int(e_max, "e_max", 1, 64))
     m_max = require_int(m_max, "m_max", 1, 2**16)
@@ -520,11 +516,7 @@ def reject_unknown_keys(obj, known: tuple[str, ...], what: str) -> None:
 
 def filtration_to_dict(filt: Filtration) -> dict:
     """JSON-friendly form with rationals as num/den strings."""
-    try:
-        shape = filt.shape
-    except AttributeError:
-        shape = require_type(filt, Filtration, "filt").shape
-    p, e, m = shape._values
+    p, e, m = require_type(filt, Filtration, "filt").shape._values
     return {"p": p, "e": e, "m": m, "breaks": [{"c": str(c), "mult": l} for c, l in filt.breaks]}
 
 

@@ -5,11 +5,9 @@ per criterion.  Every comparison is exact integer or rational arithmetic;
 there are no tolerances to tune.
 """
 
-import importlib.util
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 from ramforge.algebra import FieldSpec, LaurentPoly, artin_schreier
 from ramforge.aschreier import UNRAMIFIED, as_reduce
@@ -45,10 +43,7 @@ from ramforge.ramfilt import (
 )
 
 # the benchmark's reference arithmetic, written without ramforge
-_ORACLE = importlib.util.spec_from_file_location(
-    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
-O = importlib.util.module_from_spec(_ORACLE)
-_ORACLE.loader.exec_module(O)
+from perfbench import oracle as O
 
 
 class _Tally:

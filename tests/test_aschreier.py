@@ -1,9 +1,7 @@
 """Artin-Schreier reduction, conductors, deformation and the cover action."""
 
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -14,10 +12,7 @@ from ramforge.genus import BranchPoint, CoverData, branch_from_dict, rh_genus
 from ramforge.ramfilt import InertiaShape
 
 # the benchmark's reference arithmetic, written without ramforge
-_ORACLE = importlib.util.spec_from_file_location(
-    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
-O = importlib.util.module_from_spec(_ORACLE)
-_ORACLE.loader.exec_module(O)
+from perfbench import oracle as O
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)

@@ -1,8 +1,6 @@
 """The degree-p extension arithmetic and the tower jump engine."""
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,10 +35,7 @@ E23 = ExtFieldSpec(F2, 3)
 E31 = ExtFieldSpec(F3, 1)
 
 # the benchmark's reference arithmetic, written without ramforge
-_ORACLE = importlib.util.spec_from_file_location(
-    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
-O = importlib.util.module_from_spec(_ORACLE)
-_ORACLE.loader.exec_module(O)
+from perfbench import oracle as O
 
 
 def _random_ext(rng, ext, lo=-6, hi=2, maxterms=2):

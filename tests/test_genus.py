@@ -7,13 +7,11 @@ increment and collects the genera in sets.  The library must return the
 same values and raise the same errors.
 """
 
-import importlib.util
 import math
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -55,10 +53,7 @@ from ramforge.ramfilt import (
 )
 
 # the benchmark's reference arithmetic, written without ramforge
-_ORACLE = importlib.util.spec_from_file_location(
-    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
-O = importlib.util.module_from_spec(_ORACLE)
-_ORACLE.loader.exec_module(O)
+from perfbench import oracle as O
 
 
 def outcome(f, *args):

@@ -6,6 +6,7 @@ RamforgeError, never a plain ValueError, and never returns."""
 import inspect
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,6 +67,12 @@ N = int("9" * 4299 + "7")
 
 # m = 3, one break at 1/3: acting with a = 1 at s = 7 (s = 1 mod 3, s_iota 1) is valid
 ACTED = lower_to_upper(InertiaShape(2, 1, 3), [(1, 1)])
+
+
+def _like(obj, *names):
+    """A look-alike of obj: a SimpleNamespace carrying only the attributes named."""
+    return SimpleNamespace(**{name: getattr(obj, name) for name in names})
+
 
 # each public callable with an int parameter: a valid call, as keyword arguments
 CALLS = {
@@ -241,15 +248,53 @@ def test_int_probes_raise_the_reader_error(probe, error, message):
      "F must be an ExtElement, got LaurentPoly"),
     (lambda: artin_schreier(FieldSpec(3, 2).element([1, 2])),
      "h must be a LaurentPoly, got FieldElement"),
+    (lambda: as_deform(FieldSpec(3).one, 3, 1), "f must be a LaurentPoly, got FieldElement"),
+    (lambda: as_deform(FieldSpec(3).one, 5, 0), "f must be a LaurentPoly, got FieldElement"),
+    # an argument that is no Random or dict
+    (lambda: random_filtration(3), "rng must be a Random, got int"),
+    (lambda: random_filtration(None), "rng must be a Random, got NoneType"),
+    (lambda: LaurentPoly(FieldSpec(3), [(1, 1)]), "terms must be a dict, got list"),
+    (lambda: LaurentPoly(FieldSpec(3), 3), "terms must be a dict, got int"),
+    # a look-alike carrying exactly the attributes the function reads
+    (lambda: psi(_like(ACTED, "_knots"), 1), "filt must be a Filtration, got SimpleNamespace"),
+    (lambda: phi(_like(ACTED, "_knots"), 1), "filt must be a Filtration, got SimpleNamespace"),
+    (lambda: validate(_like(ACTED, "_problems")),
+     "filt must be a Filtration, got SimpleNamespace"),
+    (lambda: upper_to_lower(_like(ACTED, "_knots", "_values")),
+     "filt must be a Filtration, got SimpleNamespace"),
+    (lambda: action_transform(_like(ACTED, "_knots", "_values"), 1, 7),
+     "filt must be a Filtration, got SimpleNamespace"),
+    (lambda: ram_divisor_degree(_like(ACTED, "_problems", "_knots", "_values")),
+     "filt must be a Filtration, got SimpleNamespace"),
+    (lambda: kato_mu(SimpleNamespace(m_w=1, d_K=3, d_k=1)),
+     "k must be a KatoInput, got SimpleNamespace"),
+    (lambda: contains_progressions(SimpleNamespace(residues=(1,), increment=2, deformed=(3, 5)), 2),
+     "result must be a SpectrumResult, got SimpleNamespace"),
+    (lambda: filtration_to_dict(_like(ACTED, "shape", "breaks")),
+     "filt must be a Filtration, got SimpleNamespace"),
+    (lambda: format_laurent(SimpleNamespace(_ints={-1: 1}, spec=FieldSpec(3))),
+     "f must be a LaurentPoly, got SimpleNamespace"),
+    (lambda: upper_jumps(SimpleNamespace(p=3, j=1), 7),
+     "ext must be an ExtFieldSpec, got SimpleNamespace"),
+    (lambda: minimal_tower_element(SimpleNamespace(p=3, j=1)),
+     "ext must be an ExtFieldSpec, got SimpleNamespace"),
 ], ids=["psi", "phi", "validate", "upper_to_lower", "action_transform", "ram_divisor_degree",
         "rh_genus", "kato_mu", "upper_jumps", "as_reduce", "ext_as_reduce", "psi-None",
         "rh_genus-bool", "as_reduce-element", "lower_to_upper", "tower_jumps", "as_deform",
         "format_laurent", "format_ext", "filtration_to_dict", "minimal_tower_element",
         "contains_progressions", "artin_schreier", "as_reduce-ext", "ext_as_reduce-line",
-        "artin_schreier-element"])
+        "artin_schreier-element", "as_deform-element-bad-s", "as_deform-element-zero-t0",
+        "random_filtration-int", "random_filtration-None", "LaurentPoly-terms-list",
+        "LaurentPoly-terms-int", "psi-look-alike", "phi-look-alike", "validate-look-alike",
+        "upper_to_lower-look-alike", "action_transform-look-alike",
+        "ram_divisor_degree-look-alike", "kato_mu-look-alike",
+        "contains_progressions-look-alike", "filtration_to_dict-look-alike",
+        "format_laurent-look-alike", "upper_jumps-look-alike",
+        "minimal_tower_element-look-alike"])
 def test_a_first_argument_of_another_type_is_a_type_error_naming_it(probe, message):
     # each used to end in AttributeError: 'int' object has no attribute ...,
-    # or, for another library type, in a result of the wrong ring
+    # for another library type in a result of the wrong ring or the wrong
+    # error, and for a look-alike of the right attributes in a result
     with pytest.raises(TypeError) as info:
         probe()
     assert str(info.value) == message
@@ -274,7 +319,7 @@ def test_a_text_of_another_type_is_a_type_error_naming_it(probe, message):
 
 
 def test_an_instance_missing_its_attribute_keeps_the_attribute_error():
-    # the except reads the argument again through require_type, which passes an instance
+    # require_type passes an instance, so the read that follows it raises as before
     for probe in (lambda: psi(Filtration.__new__(Filtration), 1),
                   lambda: rh_genus(object.__new__(CoverData))):
         with pytest.raises(AttributeError):
