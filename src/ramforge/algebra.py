@@ -176,9 +176,10 @@ def require_type(value, cls: type, name: str):
     """value, if it is an instance of cls, else TypeError ``NAME must be
     a(n) CLS, got TYPE``: the one check of an argument of a library type,
     the first statement that touches it.  Only the functions called for
-    every point of an item put an inline ``type(value) is not cls`` test
-    before it, as `require_int` does; an object that merely carries the
-    attributes read is refused."""
+    every point or branch point of an item (`psi`, `phi`,
+    `ram_divisor_degree`, `Filtration`, `CoverData`) put an inline
+    ``type(value) is not cls`` test before it, as `require_int` does; an
+    object that merely carries the attributes read is refused."""
     if isinstance(value, cls):
         return value
     article = "an" if cls.__name__[0] in "AEIOU" else "a"
@@ -648,7 +649,9 @@ class FieldElement(_Record):
 
     def __init__(self, spec: FieldSpec, v: int):
         require_type(spec, FieldSpec, "spec")
-        _store(self, (spec, require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)))
+        if type(v) is not int or not 0 <= v < spec.q:  # its name is formatted only to raise
+            require_int(v, f"int form of an element of {spec}", 0, spec.q - 1)
+        _store(self, (spec, v))
 
     @classmethod
     def _trusted(cls, spec: FieldSpec, v: int) -> "FieldElement":

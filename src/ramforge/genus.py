@@ -135,9 +135,7 @@ def ram_divisor_degree(filt: Filtration) -> int:
 
 def rh_genus(cd: CoverData) -> int:
     """Riemann-Hurwitz genus of the cover, exact."""
-    if type(cd) is not CoverData:  # inline, as a genus is computed per item; the check raises
-        require_type(cd, CoverData, "cd")
-    G, g_X, branch = cd._values
+    G, g_X, branch = require_type(cd, CoverData, "cd")._values
     total = (2 * g_X - 2) * G + sum(
         G // bp._values[0].order * ram_divisor_degree(bp) for bp in branch
     )

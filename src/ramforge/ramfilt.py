@@ -229,9 +229,7 @@ def _lower_jump(j: int, den: int, p: int, sigma: Fraction) -> int:
 
 def upper_to_lower(filt: Filtration) -> list[tuple[int, int]]:
     """Lower jumps (j_i, l_i): j_i = psi(sigma_i), integral and prime to p."""
-    if type(filt) is not Filtration:  # inline, as in `psi`
-        require_type(filt, Filtration, "filt")
-    den, _, lower, _ = filt._knots
+    den, _, lower, _ = require_type(filt, Filtration, "filt")._knots
     shape, breaks = filt._values
     p = shape._values[0]
     return [(_lower_jump(j, den, p, sigma), mult) for j, (sigma, mult) in zip(lower[1:], breaks)]
@@ -246,9 +244,7 @@ def lower_to_upper(shape: InertiaShape, lower_breaks) -> Filtration:
     `_read_rational`, a multiplicity by `require_int`, naming the break,
     and p^(l_1+...+l_i) <= 2^64, the bound of `Filtration`, is checked
     before p^l_i is computed."""
-    if type(shape) is not InertiaShape:  # inline, as in `Filtration`; the check raises
-        require_type(shape, InertiaShape, "shape")
-    p, _, m = shape._values
+    p, _, m = require_type(shape, InertiaShape, "shape")._values
     num, j_prev, slope, cap = 0, 0, m, m << 64
     breaks = []
     for i, (j, mult) in enumerate(lower_breaks, 1):
@@ -269,9 +265,7 @@ def lower_to_upper(shape: InertiaShape, lower_breaks) -> Filtration:
 def validate(filt: Filtration) -> list[str]:
     """Every filtration invariant that fails, as recorded when filt was
     built; an empty list means valid.  A fresh list on every call."""
-    if type(filt) is not Filtration:  # inline, as in `psi`
-        require_type(filt, Filtration, "filt")
-    return list(filt._problems)
+    return list(require_type(filt, Filtration, "filt")._problems)
 
 
 def _congruence(p: int, j_e: int, d: int, m: int) -> int:
@@ -294,9 +288,7 @@ def action_transform(filt: Filtration, a: int, s: int) -> Filtration:
     here; the result is validated before it is returned.  As a break,
     s/m is at most 2^64.
     """
-    if type(filt) is not Filtration:  # inline, as in `psi`
-        require_type(filt, Filtration, "filt")
-    den, upper, lower, _ = filt._knots
+    den, upper, lower, _ = require_type(filt, Filtration, "filt")._knots
     shape, breaks = filt._values
     p, e, m = shape._values
     if not breaks:

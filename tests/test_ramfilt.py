@@ -1,10 +1,8 @@
 """Herbrand functions, filtration validation, transforms, admissibility."""
 
-import importlib.util
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,10 +41,7 @@ from ramforge.ramfilt import (
 )
 
 # the benchmark's reference arithmetic, written without ramforge
-_ORACLE = importlib.util.spec_from_file_location(
-    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
-O = importlib.util.module_from_spec(_ORACLE)
-_ORACLE.loader.exec_module(O)
+from perfbench import oracle as O
 
 Z4 = Filtration(InertiaShape(2, 2, 1), [(1, 1), (2, 1)])
 
